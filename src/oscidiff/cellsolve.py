@@ -377,20 +377,27 @@ def solve_subcritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int,
     """Per-slice elliptic cell problem Phi_k(y, s), slices at s = j/M_s."""
     _check_k(field, k)
     s_nodes = grid.slice_times()
+    phi, worst = _solve_slices((CellOperator(field, grid, s=sj) for sj in s_nodes),
+                               s_nodes, k, solver_tol)
+    return CellSolution(
+        regime="subcritical", dim=field.dim, grid=grid, k=k,
+        phi=phi, s_nodes=s_nodes, residual=worst,
+    )
+
+
+def _solve_slices(ops, s_nodes, k, solver_tol):
+    """Elliptic solve for direction k on each slice operator in turn.
+    Returns (phi of shape (len(s_nodes), n), worst relative residual)."""
     phis = []
     worst = 0.0
-    for j, sj in enumerate(s_nodes):
-        op = CellOperator(field, grid, s=sj)
+    for j, (sj, op) in enumerate(zip(s_nodes, ops)):
         try:
             phi, res = projected_cg(op.K, op.b[k - 1], tol=solver_tol)
         except SolverDiverged as err:
             raise SolverDiverged(f"slice {j} (s={sj:.4f}): {err}", residual=err.residual) from err
         phis.append(phi)
         worst = max(worst, res)
-    return CellSolution(
-        regime="subcritical", dim=field.dim, grid=grid, k=k,
-        phi=np.array(phis), s_nodes=s_nodes, residual=worst,
-    )
+    return np.array(phis), worst
 
 
 def s_averaged_operator(field: PeriodicMatrixField, grid: CellGrid) -> CellOperator:
@@ -416,15 +423,15 @@ def solve_supercritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int,
     )
 
 
-def _march_periodic(ops, rhs, capacity, h_s, n_cells,
+def _march_periodic(lus, rhs, capacity, h_s, n_cells,
                     periodic_tol=PERIODIC_TOL, max_sweeps=MAX_SWEEPS):
     """Implicit-Euler period map iterated to its fixed point.
 
-    ops[j], rhs[j] (j = 0..M_s-1) describe the step towards slice j+1:
-    (capacity/h_s) (phi^{j+1} - phi^j) + K^{j+1} phi^{j+1} = b^{j+1}.
+    lus[j], rhs[j] (j = 0..M_s-1) describe the step towards slice j+1:
+    (capacity/h_s) (phi^{j+1} - phi^j) + K^{j+1} phi^{j+1} = b^{j+1},
+    with lus[j] the factorization of (capacity/h_s) I + K^{j+1}.
     Returns (trajectory of shape (M_s+1, n), periodic defect)."""
-    M_s = len(ops)
-    lus = [spla.splu((sp.eye(n_cells) * (capacity / h_s) + op.K).tocsc()) for op in ops]
+    M_s = len(lus)
     hN_sqrt = np.sqrt(1.0 / n_cells)
     phi0 = np.zeros(n_cells)
     traj = np.empty((M_s + 1, n_cells))
@@ -448,13 +455,65 @@ def _march_periodic(ops, rhs, capacity, h_s, n_cells,
 
 
 def _slice_operators(field, grid):
-    """Operators and drives at the step targets s = (j+1)/M_s, wrapped."""
+    """Operators and drives at the step targets s = (j+1)/M_s, wrapped.
+
+    The slice at s = j/M_s is therefore ops[j - 1]."""
     M_s = grid.M_s
     ops = []
     for j in range(M_s):
         sj = ((j + 1) % M_s) * grid.h_s
         ops.append(CellOperator(field, grid, s=sj))
     return ops
+
+
+def _solve_critical(field, grid, regime, param, ks, ops=None,
+                    periodic_tol=PERIODIC_TOL, max_sweeps=MAX_SWEEPS):
+    """Critical cell solutions for every direction in ks.
+
+    The M_s step matrices are factored once and every direction marches
+    on the same factors; ``ops`` is the set from ``_slice_operators``,
+    built here when not given."""
+    for k in ks:
+        _check_k(field, k)
+    fde = regime == "critical_fde"
+    if fde and not param.p < 1:
+        raise ConfigError("FDE critical cell problem requires 0 < p < 1")
+    if not fde and not param.p > 1:
+        raise ConfigError("PME critical cell problem requires 1 < p < 2")
+    n = grid.M_y**field.dim
+    s_nodes = np.arange(grid.M_s + 1) * grid.h_s
+    if not fde and param.u0abs == 0.0:
+        zeros = np.zeros((grid.M_s + 1, n))
+        return [CellSolution(
+            regime=regime, dim=field.dim, grid=grid, k=k,
+            phi=zeros, s_nodes=s_nodes, residual=0.0, psi=zeros, param=param,
+        ) for k in ks]
+    if ops is None:
+        ops = _slice_operators(field, grid)
+    capacity, kappa = (param.mu_fde, 1.0) if fde else (1.0, param.kappa_pme)
+    if capacity == 0.0:  # FDE at u0 = 0: the slice-elliptic problem
+        slices, times = [ops[j - 1] for j in range(grid.M_s)], grid.slice_times()
+        out = []
+        for k in ks:
+            phi, res = _solve_slices(slices, times, k, SOLVER_TOL)
+            out.append(CellSolution(
+                regime=regime, dim=field.dim, grid=grid, k=k, phi=phi,
+                s_nodes=times, residual=res, param=param,
+            ))
+        return out
+    lus = [spla.splu((sp.eye(n) * (capacity / grid.h_s) + kappa * op.K).tocsc())
+           for op in ops]
+    out = []
+    for k in ks:
+        traj, defect = _march_periodic(lus, [op.b[k - 1] for op in ops], capacity,
+                                       grid.h_s, n, periodic_tol, max_sweeps)
+        out.append(CellSolution(
+            regime=regime, dim=field.dim, grid=grid, k=k,
+            phi=traj if fde else kappa * traj, s_nodes=s_nodes,
+            residual=0.0, periodic_defect=defect,
+            psi=None if fde else traj, param=param,
+        ))
+    return out
 
 
 def solve_critical_cell_fde(field: PeriodicMatrixField, grid: CellGrid,
@@ -465,25 +524,8 @@ def solve_critical_cell_fde(field: PeriodicMatrixField, grid: CellGrid,
 
     mu d_s Phi = div_y(a [grad Phi + e_k]) with mu = (1/p)|u0|^(1-p);
     at u0 = 0 the problem degenerates to the slice-elliptic one."""
-    _check_k(field, k)
-    if not param.p < 1:
-        raise ConfigError("FDE critical cell problem requires 0 < p < 1")
-    mu = param.mu_fde
-    if mu == 0.0:
-        sub = solve_subcritical_cell(field, grid, k)
-        return CellSolution(
-            regime="critical_fde", dim=field.dim, grid=grid, k=k,
-            phi=sub.phi, s_nodes=sub.s_nodes, residual=sub.residual, param=param,
-        )
-    ops = _slice_operators(field, grid)
-    rhs = [op.b[k - 1] for op in ops]
-    traj, defect = _march_periodic(ops, rhs, mu, grid.h_s, grid.M_y**field.dim,
-                                   periodic_tol, max_sweeps)
-    return CellSolution(
-        regime="critical_fde", dim=field.dim, grid=grid, k=k,
-        phi=traj, s_nodes=np.arange(grid.M_s + 1) * grid.h_s,
-        residual=0.0, periodic_defect=defect, param=param,
-    )
+    return _solve_critical(field, grid, "critical_fde", param, [k], None,
+                           periodic_tol, max_sweeps)[0]
 
 
 def solve_critical_cell_pme(field: PeriodicMatrixField, grid: CellGrid,
@@ -494,37 +536,15 @@ def solve_critical_cell_pme(field: PeriodicMatrixField, grid: CellGrid,
 
     d_s Psi = div_y(a [kappa grad Psi + e_k]) with kappa = p|u0|^(p-1)
     and Phi = kappa Psi; at u0 = 0 the corrector vanishes identically."""
-    _check_k(field, k)
-    if not param.p > 1:
-        raise ConfigError("PME critical cell problem requires 1 < p < 2")
-    kappa = param.kappa_pme
-    n = grid.M_y**field.dim
-    s_nodes = np.arange(grid.M_s + 1) * grid.h_s
-    if param.u0abs == 0.0:
-        zeros = np.zeros((grid.M_s + 1, n))
-        return CellSolution(
-            regime="critical_pme", dim=field.dim, grid=grid, k=k,
-            phi=zeros, s_nodes=s_nodes, residual=0.0, psi=zeros, param=param,
-        )
-    ops = _slice_operators(field, grid)
-    scaled = []
-    for op in ops:
-        sc = CellOperator.__new__(CellOperator)
-        sc.dim, sc.M, sc.n = op.dim, op.M, op.n
-        sc.K = (kappa * op.K).tocsr()
-        scaled.append(sc)
-    rhs = [op.b[k - 1] for op in ops]
-    traj, defect = _march_periodic(scaled, rhs, 1.0, grid.h_s, n,
-                                   periodic_tol, max_sweeps)
-    return CellSolution(
-        regime="critical_pme", dim=field.dim, grid=grid, k=k,
-        phi=kappa * traj, s_nodes=s_nodes,
-        residual=0.0, periodic_defect=defect, psi=traj, param=param,
-    )
+    return _solve_critical(field, grid, "critical_pme", param, [k], None,
+                           periodic_tol, max_sweeps)[0]
 
 
 def solve_cells(field, grid, regime, param=None, k_list=None, **kw):
-    """Solve the cell problem for every direction; returns a list per k."""
+    """Solve the cell problem for every direction; returns a list per k.
+
+    The critical regimes accept ``ops=`` (prebuilt slice operators) and
+    factor their step matrices once for all directions."""
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
     ks = k_list if k_list is not None else range(1, field.dim + 1)
@@ -537,8 +557,7 @@ def solve_cells(field, grid, regime, param=None, k_list=None, **kw):
         return [solver(field, grid, k, **kw) for k in ks]
     if param is None:
         raise ConfigError("critical regimes need a CellParameter")
-    solver = solve_critical_cell_fde if regime == "critical_fde" else solve_critical_cell_pme
-    return [solver(field, grid, param, k, **kw) for k in ks]
+    return _solve_critical(field, grid, regime, param, list(ks), **kw)
 
 
 # ---------------------------------------------------------------------------

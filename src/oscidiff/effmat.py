@@ -106,22 +106,28 @@ class EffectiveTensor:
                 + theta[..., None, None] * self.matrices[i + 1])
 
 
-def _slice_ops_for(cells, field, grid):
-    """Per-slice operators matching the layout of the given cell solutions."""
+def _slice_ops_for(cells, field, grid, ops=None):
+    """Per-slice operators matching the layout of the given cell solutions;
+    ``ops`` are prebuilt ``cs._slice_operators(field, grid)``."""
     n_slices = cells[0].phi.shape[0]
     if n_slices == 1:
         if cells[0].regime == "supercritical":
             return [cs.s_averaged_operator(field, grid)], [0]
         return [cs.CellOperator(field, grid, s=0.0)], [0]
+    if ops is None:
+        ops = cs._slice_operators(field, grid)
     if n_slices == grid.M_s:  # slice-elliptic layout at s = j/M_s
-        return [cs.CellOperator(field, grid, s=sj) for sj in grid.slice_times()], list(range(n_slices))
+        return [ops[j - 1] for j in range(n_slices)], list(range(n_slices))
     # critical layout: steps target s = j/M_s for j = 1..M_s (wrapped)
-    ops = cs._slice_operators(field, grid)
     return ops, list(range(1, grid.M_s + 1))
 
 
-def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid) -> EffectiveTensor:
-    """Assemble the homogenized matrix from one cell solution per direction."""
+def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
+                  ops=None) -> EffectiveTensor:
+    """Assemble the homogenized matrix from one cell solution per direction.
+
+    ``ops`` are prebuilt ``cs._slice_operators(field, grid)``, used by the
+    slice layouts."""
     dim = field.dim
     if len(cells) != dim or sorted(c.k for c in cells) != list(range(1, dim + 1)):
         raise RegimeMismatch(f"need cell solutions for k = 1..{dim}")
@@ -142,7 +148,7 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid) -> Effectiv
             provenance={"field": field.name, "M_y": grid.M_y, "M_s": grid.M_s,
                         "u0abs": 0.0},
         )
-    ops, rows = _slice_ops_for(cells, field, grid)
+    ops, rows = _slice_ops_for(cells, field, grid, ops)
     hN = 1.0 / (grid.M_y**dim)
     A = np.zeros((dim, dim))
     norms = np.zeros(dim)
@@ -171,24 +177,29 @@ def default_u0abs_grid():
     return np.concatenate([[0.0], np.logspace(-3, 1, 16)])
 
 
-def tabulate_ahom_critical(field: PeriodicMatrixField, grid: CellGrid, p: float,
-                           u0abs_grid=None, jobs: int = 1) -> EffectiveTensor:
-    """Solve the critical cell problems per |u0| entry and tabulate a_hom."""
+def _tabulate_critical(field, grid, p, u0abs_grid=None, jobs=1, keep_cells=True):
+    """Critical a_hom table and its cells: (tensor, {|u0| key: cells}).
+
+    With keep_cells=False the cells of each key are dropped once assembled
+    and the mapping is empty; holding every key's 2D correctors would
+    raise the table's peak memory by the size of all of them."""
     if not (0 < p < 2) or p == 1:
         raise ConfigError("critical tabulation needs p in (0,2), p != 1")
     keys = np.asarray(default_u0abs_grid() if u0abs_grid is None else u0abs_grid, dtype=float)
     if len(keys) < 4 or np.any(np.diff(keys) <= 0) or keys[0] != 0.0:
         raise ConfigError("u0abs grid must be sorted, have >= 4 entries, and include 0")
     regime = "critical_fde" if p < 1 else "critical_pme"
+    ops = cs._slice_operators(field, grid)
 
     def one_entry(u0):
         try:
-            cells = cs.solve_cells(field, grid, regime,
+            cells = cs.solve_cells(field, grid, regime, ops=ops,
                                    param=cs.CellParameter(p=p, u0abs=float(u0)))
         except Exception as err:
-            raise type(err)(f"u0abs={u0:.6g}: {err}") from err
-        t = assemble_ahom(cells, field, grid)
-        return t.matrices[0], t.corrector_norms[0], t.grad_grams[0]
+            wrapped = type(err)(f"u0abs={u0:.6g}: {err}")
+            wrapped.__dict__.update(err.__dict__)  # defect, residual, ...
+            raise wrapped from err
+        return (cells if keep_cells else None), assemble_ahom(cells, field, grid, ops=ops)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -197,16 +208,27 @@ def tabulate_ahom_critical(field: PeriodicMatrixField, grid: CellGrid, p: float,
             results = list(pool.map(one_entry, keys))
     else:
         results = [one_entry(u0) for u0 in keys]
-    mats = np.array([r[0] for r in results])
-    norms = np.array([r[1] for r in results])
-    grams = np.array([r[2] for r in results])
-    return EffectiveTensor(
+    tensor = EffectiveTensor(
         regime="critical", dim=field.dim, lam=field.lam, Lam=field.Lam,
-        matrices=mats, corrector_norms=norms, grad_grams=grams,
+        matrices=np.array([t.matrices[0] for _, t in results]),
+        corrector_norms=np.array([t.corrector_norms[0] for _, t in results]),
+        grad_grams=np.array([t.grad_grams[0] for _, t in results]),
         u0abs_keys=keys, p=p,
         provenance={"field": field.name, "M_y": grid.M_y, "M_s": grid.M_s,
                     "branch": regime},
     )
+    return tensor, {float(u0): cells for u0, (cells, _) in zip(keys, results)
+                    if cells is not None}
+
+
+def tabulate_ahom_critical(field: PeriodicMatrixField, grid: CellGrid, p: float,
+                           u0abs_grid=None, jobs: int = 1) -> EffectiveTensor:
+    """Solve the critical cell problems per |u0| entry and tabulate a_hom.
+
+    The M_s slice operators are built once per table and shared by every
+    key, direction and assembly; each key factors its M_s step matrices
+    once for all directions."""
+    return _tabulate_critical(field, grid, p, u0abs_grid, jobs, keep_cells=False)[0]
 
 
 def apply(tensor: EffectiveTensor, u0val, grad_v0):

@@ -66,9 +66,5 @@ class SkewFormulaMismatch(OscidiffError):
     """Skew part of the critical matrix disagrees with the time-coupling integral."""
 
 
-class MissingArtifact(OscidiffError):
-    """A required upstream file (cell solution, trajectory, ...) is absent."""
-
-
 class ConfigError(OscidiffError):
     """Experiment configuration failed validation."""

@@ -62,11 +62,6 @@ class PeriodicMatrixField:
         s = np.broadcast_to(np.asarray(s, dtype=float), y.shape[:-1])
         return self.entries(np.mod(y, 1.0), np.mod(s, 1.0))
 
-    def sample_diag(self, y, s):
-        """Diagonal entries a_dd(y, s), shape (..., dim)."""
-        a = self.sample(y, s)
-        return np.diagonal(a, axis1=-2, axis2=-1)
-
     def sup_ds_inf(self, s, n_y=64, h=1e-6):
         """sup over sampled y of the max-norm of d/ds a(y, s), by central differences."""
         if self.s_independent:

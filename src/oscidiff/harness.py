@@ -131,26 +131,7 @@ def prepare_effective(field: PeriodicMatrixField, p: float, r: float,
     if regime in ("subcritical", "supercritical"):
         cells = cs.solve_cells(field, cell_grid, regime)
         return em.assemble_ahom(cells, field, cell_grid), {None: cells}
-    keys = np.asarray(em.default_u0abs_grid() if u0abs_grid is None else u0abs_grid,
-                      dtype=float)
-    cells_by_key = {}
-    mats, norms, grams = [], [], []
-    for u0 in keys:
-        cells = cs.solve_cells(field, cell_grid, regime,
-                               param=cs.CellParameter(p=p, u0abs=float(u0)))
-        t = em.assemble_ahom(cells, field, cell_grid)
-        cells_by_key[float(u0)] = cells
-        mats.append(t.matrices[0])
-        norms.append(t.corrector_norms[0])
-        grams.append(t.grad_grams[0])
-    tensor = em.EffectiveTensor(
-        regime="critical", dim=field.dim, lam=field.lam, Lam=field.Lam,
-        matrices=np.array(mats), corrector_norms=np.array(norms),
-        grad_grams=np.array(grams), u0abs_keys=keys, p=p,
-        provenance={"field": field.name, "M_y": cell_grid.M_y,
-                    "M_s": cell_grid.M_s, "branch": regime},
-    )
-    return tensor, cells_by_key
+    return em._tabulate_critical(field, cell_grid, p, u0abs_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -233,35 +214,6 @@ def _study_errors(traj_eps, traj_hom, cells_by_key, tensor, field, p, r, eps):
     return {"sol_err": math.sqrt(sol2), "grad_corr_err": grad_c2,
             "flux_corr_err": flux_c2, "dtime_corr_err": dt2,
             "grad_plain_err": grad_p2, "flux_plain_err": flux_p2}
-
-
-def corrector_error(traj_eps, traj_hom, cells_by_key, field, p, r, eps,
-                    tensor=None) -> float:
-    """Squared-L2 gradient corrector defect (the quantity whose vanishing
-    is the content of the gradient corrector statement)."""
-    tensor = _tensor_from(cells_by_key, field, p) if tensor is None else tensor
-    return _study_errors(traj_eps, traj_hom, cells_by_key, tensor, field,
-                         p, r, eps)["grad_corr_err"]
-
-
-def flux_corrector_error(traj_eps, traj_hom, cells_by_key, field, p, r, eps,
-                         tensor=None) -> float:
-    tensor = _tensor_from(cells_by_key, field, p) if tensor is None else tensor
-    return _study_errors(traj_eps, traj_hom, cells_by_key, tensor, field,
-                         p, r, eps)["flux_corr_err"]
-
-
-def time_derivative_corrector_error(traj_eps, traj_hom, cells_by_key, field,
-                                    p, r, eps, tensor=None) -> float:
-    tensor = _tensor_from(cells_by_key, field, p) if tensor is None else tensor
-    return _study_errors(traj_eps, traj_hom, cells_by_key, tensor, field,
-                         p, r, eps)["dtime_corr_err"]
-
-
-def _tensor_from(cells_by_key, field, p):
-    key = next(iter(cells_by_key))
-    cells = cells_by_key[key]
-    return em.assemble_ahom(cells, field, cells[0].grid)
 
 
 # ---------------------------------------------------------------------------

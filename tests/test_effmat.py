@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import monolithic_critical_solve
 from oscidiff import cellsolve as cs, effmat as em
-from oscidiff.errors import (BoundViolated, DimensionMismatch, RegimeMismatch,
+from oscidiff.errors import (BoundViolated, DimensionMismatch,
+                             PeriodicityNotReached, RegimeMismatch,
                              SymmetryViolated)
 from oscidiff.fields import CellGrid, make_field
 
@@ -94,6 +96,73 @@ def test_s_independent_field_all_regimes_agree():
         mats.append(em.assemble_ahom(cells, field, grid).matrices[0])
     for M in mats[1:]:
         assert np.max(np.abs(M - mats[0])) < 1e-9
+
+
+SHARED_TABLE_CASES = [("trig1d_st", 0.5), ("trig2d_st", 1.5)]
+SHARED_TABLE_KEYS = [0.0, 0.01, 0.3, 2.0]
+
+
+@pytest.mark.parametrize("name,p", SHARED_TABLE_CASES)
+def test_table_matches_per_key_loop_exactly(name, p):
+    # the shared slice operators and per-key factors change no arithmetic
+    field = make_field(name)
+    grid = CellGrid(M_y=8, M_s=4)
+    table = em.tabulate_ahom_critical(field, grid, p=p,
+                                      u0abs_grid=SHARED_TABLE_KEYS)
+    regime = "critical_fde" if p < 1 else "critical_pme"
+    per_key = [em.assemble_ahom(
+        cs.solve_cells(field, grid, regime,
+                       param=cs.CellParameter(p=p, u0abs=u0)), field, grid)
+        for u0 in SHARED_TABLE_KEYS]
+    assert np.array_equal(table.matrices, [t.matrices[0] for t in per_key])
+    assert np.array_equal(table.corrector_norms,
+                          [t.corrector_norms[0] for t in per_key])
+    assert np.array_equal(table.grad_grams, [t.grad_grams[0] for t in per_key])
+
+
+def test_table_2d_pme_matches_monolithic_oracle():
+    # the shared factors march to the same correctors as a one-shot solve
+    field = make_field("trig2d_st")
+    grid = CellGrid(M_y=8, M_s=4)
+    table = em.tabulate_ahom_critical(field, grid, p=1.5,
+                                      u0abs_grid=SHARED_TABLE_KEYS)
+    for i, u0 in enumerate(SHARED_TABLE_KEYS[1:], start=1):
+        param = cs.CellParameter(p=1.5, u0abs=u0)
+        cells = [cs.CellSolution(
+            regime="critical_pme", dim=2, grid=grid, k=k,
+            phi=monolithic_critical_solve(field, grid, 1.5, u0, k),
+            s_nodes=np.arange(grid.M_s + 1) * grid.h_s, residual=0.0,
+            param=param) for k in (1, 2)]
+        oracle = em.assemble_ahom(cells, field, grid).matrices[0]
+        assert np.max(np.abs(table.matrices[i] - oracle)) <= 1e-8
+
+
+@pytest.mark.parametrize("name,p", SHARED_TABLE_CASES)
+def test_table_builds_each_slice_once(monkeypatch, name, p):
+    built = []
+    init = cs.CellOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cs.CellOperator, "__init__", counting_init)
+    grid = CellGrid(M_y=8, M_s=4)
+    em.tabulate_ahom_critical(make_field(name), grid, p=p,
+                              u0abs_grid=SHARED_TABLE_KEYS)
+    assert len(built) == grid.M_s
+
+
+def test_table_error_keeps_context(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise PeriodicityNotReached("period map stalled", defect=0.5)
+
+    monkeypatch.setattr(cs, "_march_periodic", stalled)
+    with pytest.raises(PeriodicityNotReached) as info:
+        em.tabulate_ahom_critical(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4),
+                                  p=0.5, u0abs_grid=SHARED_TABLE_KEYS)
+    assert info.value.defect == 0.5
+    assert "u0abs=" in str(info.value)
 
 
 def test_table_interpolation_rule():
