@@ -30,13 +30,30 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, PeriodicityNotReached, RegimeMismatch, SolverDiverged
-from .fields import CellGrid, PeriodicMatrixField
+from .fields import (CellGrid, PeriodicInterpolant, PeriodicMatrixField, read_artifact,
+                     write_artifact)
 
 SOLVER_TOL = 1e-10
 PERIODIC_TOL = 1e-10
 MAX_SWEEPS = 500
 
 REGIMES = ("classical", "subcritical", "critical_fde", "critical_pme", "supercritical")
+
+
+def regime_for(r: float, p: float) -> str:
+    """Cell-problem branch for the time exponent r and the nonlinearity p.
+
+    The cell problem is elliptic for r != 2; at r = 2 it is parabolic,
+    in fast-diffusion form for p < 1 and porous-medium form for p > 1."""
+    if not 0 < p < 2:
+        raise ConfigError(f"p must lie in (0,2), got {p}")
+    if r < 2:
+        return "subcritical"
+    if r > 2:
+        return "supercritical"
+    if p == 1:
+        raise ConfigError("critical scaling (r = 2) requires p != 1")
+    return "critical_fde" if p < 1 else "critical_pme"
 
 
 @dataclass(frozen=True)
@@ -54,8 +71,7 @@ class CellParameter:
     def __post_init__(self):
         if self.u0abs < 0:
             raise ConfigError("u0abs must be nonnegative")
-        if not (0 < self.p < 2) or self.p == 1:
-            raise ConfigError("critical regimes need p in (0,2) with p != 1")
+        regime_for(2.0, self.p)  # raises unless p is in (0,2) with p != 1
 
     @property
     def mu_fde(self):
@@ -113,73 +129,17 @@ class CellSolution:
         """(phi_eval, grad_eval): periodic bilinear interpolants in (y, s).
 
         phi_eval(y, s) -> values; grad_eval(y, s) -> shape (..., dim).
+        Cell values sit at y = (i + 1/2)/M_y; the critical layout already
+        carries both ends of the s-period, the others wrap in s.
         """
-        phi_itp = _PeriodicInterpolant(self.phi, self.s_nodes, self.dim, self.grid.M_y,
-                                       s_periodic=self.regime not in ("critical_fde", "critical_pme"))
-        g = self.grad_y()
-        grad_itps = [
-            _PeriodicInterpolant(g[..., d], self.s_nodes, self.dim, self.grid.M_y,
-                                 s_periodic=self.regime not in ("critical_fde", "critical_pme"))
-            for d in range(self.dim)
-        ]
-
-        def grad_eval(y, s):
-            return np.stack([itp(y, s) for itp in grad_itps], axis=-1)
-
-        return phi_itp, grad_eval
-
-
-class _PeriodicInterpolant:
-    """Multilinear interpolation of slice data, periodic in y (always) and
-    in s (period-1 wrap; the critical layout already carries both ends)."""
-
-    def __init__(self, values, s_nodes, dim, M_y, s_periodic):
-        self.dim = dim
-        self.M_y = M_y
-        shape = (len(s_nodes),) + (M_y,) * dim
-        self.vals = np.asarray(values).reshape(shape)
-        self.s_nodes = np.asarray(s_nodes)
-        self.s_periodic = s_periodic
-
-    def __call__(self, y, s):
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        s = np.broadcast_to(np.asarray(s, dtype=float), y.shape[:-1])
-        M = self.M_y
-        # cell-centered nodes at (i + 1/2)/M
-        yy = np.mod(y, 1.0) * M - 0.5
-        i0 = np.floor(yy).astype(int)
-        fy = yy - i0
-        i0 = np.mod(i0, M)
-        ns = len(self.s_nodes)
-        if ns == 1:
-            j0 = np.zeros(s.shape, dtype=int)
-            j1 = j0
-            fs = np.zeros(s.shape)
-        else:
-            ss = np.mod(s, 1.0)
-            if self.s_periodic:
-                hs = self.s_nodes[1] - self.s_nodes[0]
-                jj = ss / hs
-                j0 = np.floor(jj).astype(int) % ns
-                fs = jj - np.floor(jj)
-                j1 = (j0 + 1) % ns
-            else:
-                hs = self.s_nodes[1] - self.s_nodes[0]
-                jj = np.clip(ss / hs, 0.0, ns - 1.0 - 1e-12)
-                j0 = np.floor(jj).astype(int)
-                fs = jj - j0
-                j1 = j0 + 1
-        out = np.zeros(y.shape[:-1])
-        corners = [(0,), (1,)] if self.dim == 1 else [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for corner in corners:
-            w = np.ones(y.shape[:-1])
-            idx = []
-            for d, c in enumerate(corner):
-                w = w * (fy[..., d] if c else 1.0 - fy[..., d])
-                idx.append((i0[..., d] + c) % M)
-            out += w * (1.0 - fs) * self.vals[(j0,) + tuple(idx)]
-            out += w * fs * self.vals[(j1,) + tuple(idx)]
-        return out
+        shape = (len(self.s_nodes),) + (self.grid.M_y,) * self.dim
+        h_s = self.s_nodes[1] - self.s_nodes[0] if len(self.s_nodes) > 1 else 1.0
+        kw = dict(dim=self.dim, h_s=h_s, y_offset=0.5,
+                  s_periodic=self.regime not in ("critical_fde", "critical_pme"))
+        phi_itp = PeriodicInterpolant(self.phi.reshape(shape), **kw)
+        grad_itp = PeriodicInterpolant(self.grad_y().reshape(shape + (self.dim,)), **kw)
+        return (lambda y, s: phi_itp(np.atleast_2d(y), s),
+                lambda y, s: grad_itp(np.atleast_2d(y), s))
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +435,9 @@ def _solve_critical(field, grid, regime, param, ks, ops=None,
     built here when not given."""
     for k in ks:
         _check_k(field, k)
+    if regime != regime_for(2.0, param.p):
+        raise ConfigError(f"{regime} cell problem does not apply at p={param.p}")
     fde = regime == "critical_fde"
-    if fde and not param.p < 1:
-        raise ConfigError("FDE critical cell problem requires 0 < p < 1")
-    if not fde and not param.p > 1:
-        raise ConfigError("PME critical cell problem requires 1 < p < 2")
     n = grid.M_y**field.dim
     s_nodes = np.arange(grid.M_s + 1) * grid.h_s
     if not fde and param.u0abs == 0.0:
@@ -621,12 +579,6 @@ class CorrectorField:
         return out
 
 
-def assemble_corrector_z(cells, grad_v0, macro_grid) -> CorrectorField:
-    """Build the two-scale corrector evaluator from per-direction cell
-    solutions and the macroscopic gradient samples."""
-    return CorrectorField(cells, grad_v0, macro_grid)
-
-
 # ---------------------------------------------------------------------------
 # Serialization ("oscidiff-cell v1")
 
@@ -637,26 +589,17 @@ def save_cell(path, sol: CellSolution):
     """Write a cell solution as a self-describing text file."""
     p = sol.param.p if sol.param is not None else float("nan")
     u0 = sol.param.u0abs if sol.param is not None else float("nan")
-    with open(path, "w") as fh:
-        fh.write(
-            f"{CELL_MAGIC} regime={sol.regime} N={sol.dim} k={sol.k} "
-            f"My={sol.grid.M_y} Ms={sol.grid.M_s} nslices={sol.phi.shape[0]} "
-            f"p={p:.17g} u0abs={u0:.17g} residual={sol.residual:.17g} "
-            f"defect={sol.periodic_defect:.17g} psi={int(sol.psi is not None)} "
-            f"faceavg={sol.grid.face_avg}\n"
-        )
-        np.savetxt(fh, sol.phi, fmt="%.17g")
-        if sol.psi is not None:
-            np.savetxt(fh, sol.psi, fmt="%.17g")
+    meta = {"regime": sol.regime, "N": sol.dim, "k": sol.k, "My": sol.grid.M_y,
+            "Ms": sol.grid.M_s, "nslices": sol.phi.shape[0], "p": p, "u0abs": u0,
+            "residual": sol.residual, "defect": sol.periodic_defect,
+            "psi": int(sol.psi is not None), "faceavg": sol.grid.face_avg}
+    write_artifact(path, CELL_MAGIC, meta,
+                   sol.phi if sol.psi is None else np.vstack([sol.phi, sol.psi]))
 
 
 def load_cell(path) -> CellSolution:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if " ".join(header[:2]) != CELL_MAGIC:
-            raise ConfigError(f"{path}: bad magic {' '.join(header[:2])!r}")
-        meta = dict(kv.split("=") for kv in header[2:])
-        raw = np.loadtxt(fh, ndmin=2)
+    meta, raw = read_artifact(path, CELL_MAGIC, ("regime", "N", "k", "My", "Ms", "nslices",
+                                                "p", "u0abs", "residual", "defect", "psi"))
     dim, k = int(meta["N"]), int(meta["k"])
     grid = CellGrid(int(meta["My"]), int(meta["Ms"]), face_avg=meta.get("faceavg", "geometric"))
     n_slices = int(meta["nslices"])

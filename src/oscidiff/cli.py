@@ -29,28 +29,6 @@ EXIT_SOLVER = 2
 EXIT_ASSERT = 3
 
 
-_U0_BUILTINS = {
-    "sine": {
-        1: lambda x: np.sin(np.pi * x[:, 0]),
-        2: lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]),
-    },
-    "zero": {
-        1: lambda x: np.zeros(len(x)),
-        2: lambda x: np.zeros(len(x)),
-    },
-    "bump": {
-        1: lambda x: (x[:, 0] * (1 - x[:, 0])) * 4.0,
-        2: lambda x: 16.0 * x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1]),
-    },
-}
-
-_F_BUILTINS = {
-    "one": lambda x, t: np.ones(len(x)),
-    "zero": lambda x, t: np.zeros(len(x)),
-    "decaying": lambda x, t: np.exp(-t) * np.ones(len(x)),
-}
-
-
 @dataclass
 class ExperimentConfig:
     """Validated experiment description (parsed from a JSON document)."""
@@ -70,11 +48,11 @@ class ExperimentConfig:
 
     @property
     def u0(self):
-        return _U0_BUILTINS[self.u0_name][self.field.dim]
+        return hz.DEFAULTS["u0"][self.u0_name][self.field.dim]
 
     @property
     def f(self):
-        return _F_BUILTINS[self.f_name]
+        return hz.DEFAULTS["f"][self.f_name]
 
     def data(self):
         return {"u0": self.u0, "f": self.f, "n_x": self.macro_grid.n_x,
@@ -102,26 +80,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     else:
         raise ConfigError("field spec needs 'name' (builtin) or 'file' (gridded)")
 
+    if "regime" in doc:
+        raise ConfigError("config field 'regime': not accepted; the regime follows "
+                          "from r (and from p at r = 2)")
     p = float(doc.get("p", 1.0))
     r = float(doc.get("r", 1.0))
-    regime = doc.get("regime", "auto")
-    if regime == "auto":
-        if r < 2:
-            regime = "subcritical"
-        elif r > 2:
-            regime = "supercritical"
-        else:
-            if p == 1:
-                raise ConfigError("config field 'p': critical regime requires p != 1")
-            regime = "critical"
-    if regime not in ("classical", "subcritical", "critical", "supercritical"):
-        raise ConfigError(f"config field 'regime': unknown value {regime!r}")
-    if regime == "critical":
-        if not (0 < p < 2) or p == 1:
-            raise ConfigError("config field 'p': critical regime requires "
-                              "p in (0,2) and p != 1")
-    if not (0 < p < 2):
-        raise ConfigError(f"config field 'p': must lie in (0,2), got {p}")
+    regime = cs.regime_for(r, p)
 
     eps_list = [float(e) for e in doc.get("eps", [1 / 8, 1 / 16, 1 / 32])]
     for e in eps_list:
@@ -130,28 +94,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("config field 'eps': must be strictly decreasing")
 
-    g = doc.get("grids", {})
-    cell_grid = CellGrid(
-        M_y=int(g.get("M_y", 64 if field.dim == 1 else 48)),
-        M_s=int(g.get("M_s", 64)),
-        face_avg=g.get("face_avg", "geometric"),
-    )
-    macro_grid = MacroGrid(
-        dim=field.dim,
-        n_x=int(g.get("n_x", 256 if field.dim == 1 else 48)),
-        n_t=int(g.get("n_t", 32)),
-        T=float(g.get("T", 0.25)),
-    )
+    g = {**hz.DEFAULTS["grids"][field.dim], **doc.get("grids", {})}
+    cell_grid = CellGrid(M_y=int(g["M_y"]), M_s=int(g["M_s"]),
+                         face_avg=g.get("face_avg", "geometric"))
+    macro_grid = MacroGrid(dim=field.dim, n_x=int(g["n_x"]), n_t=int(g["n_t"]),
+                           T=float(g["T"]))
 
     d = doc.get("data", {})
     u0_name = d.get("u0", "sine")
     f_name = d.get("f", "one")
-    if u0_name not in _U0_BUILTINS:
-        raise ConfigError(f"config field 'data.u0': unknown builtin {u0_name!r}; "
-                          f"choices: {sorted(_U0_BUILTINS)}")
-    if f_name not in _F_BUILTINS:
-        raise ConfigError(f"config field 'data.f': unknown builtin {f_name!r}; "
-                          f"choices: {sorted(_F_BUILTINS)}")
+    for key, name in (("u0", u0_name), ("f", f_name)):
+        if name not in hz.DEFAULTS[key]:
+            raise ConfigError(f"config field 'data.{key}': unknown builtin {name!r}; "
+                              f"choices: {sorted(hz.DEFAULTS[key])}")
 
     return ExperimentConfig(
         field=field, p=p, r=r, regime=regime, eps_list=eps_list,
@@ -169,11 +124,12 @@ def _echo_config(cfg: ExperimentConfig, out_dir):
         fh.write("\n")
 
 
-def _cell_regime(cfg):
-    if cfg.regime != "critical":
-        return cfg.regime, None
-    branch = "critical_fde" if cfg.p < 1 else "critical_pme"
-    return branch, cs.CellParameter(p=cfg.p, u0abs=cfg.u0abs)
+def _tensor(cfg):
+    """Effective tensor of the config: the |u0| table at r = 2, else one matrix."""
+    if cfg.regime.startswith("critical"):
+        return em.tabulate_ahom_critical(cfg.field, cfg.cell_grid, cfg.p)
+    cells = cs.solve_cells(cfg.field, cfg.cell_grid, cfg.regime)
+    return em.assemble_ahom(cells, cfg.field, cfg.cell_grid)
 
 
 def _table(rows, header):
@@ -189,8 +145,9 @@ def _table(rows, header):
 
 
 def cmd_cell(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
-    regime, param = _cell_regime(cfg)
-    cells = cs.solve_cells(cfg.field, cfg.cell_grid, regime, param=param)
+    param = (cs.CellParameter(p=cfg.p, u0abs=cfg.u0abs)
+             if cfg.regime.startswith("critical") else None)
+    cells = cs.solve_cells(cfg.field, cfg.cell_grid, cfg.regime, param=param)
     _echo_config(cfg, out_dir)
     rows = []
     summary = []
@@ -207,20 +164,16 @@ def cmd_cell(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
     print(_table(rows, ["k", "max|Phi|", "mean defect", "periodic defect",
                         "residual", "file"]))
     if as_json:
-        _dump_json(out_dir, "cell_summary.json", {"regime": regime, "cells": summary})
+        _dump_json(out_dir, "cell_summary.json", {"regime": cfg.regime, "cells": summary})
     return EXIT_OK
 
 
-def cmd_ahom(cfg: ExperimentConfig, out_dir, as_json=False, jobs=1, **_kw):
+def cmd_ahom(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
     _echo_config(cfg, out_dir)
-    if cfg.regime == "critical":
-        tensor = em.tabulate_ahom_critical(cfg.field, cfg.cell_grid, cfg.p, jobs=jobs)
-    else:
-        cells = cs.solve_cells(cfg.field, cfg.cell_grid, cfg.regime)
-        tensor = em.assemble_ahom(cells, cfg.field, cfg.cell_grid)
+    tensor = _tensor(cfg)
     ell = em.ellipticity_report(tensor, seed=cfg.seed)
     checks = {"ellipticity_min_slack": ell["min_slack"]}
-    if cfg.regime != "critical":
+    if not tensor.is_table:
         sym = em.skew_report(tensor)
         checks["max_asymmetry"] = sym["max_asymmetry"]
     em.save_tensor(os.path.join(out_dir, "ahom.txt"), tensor)
@@ -260,15 +213,10 @@ def cmd_micro(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
     return EXIT_OK
 
 
-def cmd_homog(cfg: ExperimentConfig, out_dir, as_json=False, jobs=1, **_kw):
+def cmd_homog(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
     _echo_config(cfg, out_dir)
-    if cfg.regime == "critical":
-        tensor = em.tabulate_ahom_critical(cfg.field, cfg.cell_grid, cfg.p, jobs=jobs)
-        mode = "critical_table"
-    else:
-        cells = cs.solve_cells(cfg.field, cfg.cell_grid, cfg.regime)
-        tensor = em.assemble_ahom(cells, cfg.field, cfg.cell_grid)
-        mode = "constant"
+    tensor = _tensor(cfg)
+    mode = "critical_table" if tensor.is_table else "constant"
     prob = pde.HomogenizedProblem(tensor=tensor, p=cfg.p, f=cfg.f, u0=cfg.u0,
                                   grid=cfg.macro_grid, mode=mode)
     traj = pde.solve_homogenized(prob)
@@ -443,8 +391,6 @@ def build_parser():
     ap.add_argument("--config", required=True, help="JSON experiment config")
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--json", action="store_true", help="mirror tables as JSON")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker count for parallelizable stages")
     ap.add_argument("--strict-rates", action="store_true",
                     help="additionally assert fitted decay rates >= 0.5")
     return ap
@@ -459,7 +405,6 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return COMMANDS[args.command](cfg, args.out, as_json=args.json,
-                                      jobs=args.jobs,
                                       strict_rates=args.strict_rates)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

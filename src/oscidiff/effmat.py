@@ -26,7 +26,7 @@ from .errors import (
     SkewFormulaMismatch,
     SymmetryViolated,
 )
-from .fields import CellGrid, PeriodicMatrixField, mean_ys
+from .fields import CellGrid, PeriodicMatrixField, mean_ys, read_artifact, write_artifact
 
 AHOM_MAGIC = "oscidiff-ahom v1"
 SYMMETRY_TOL = 1e-9
@@ -65,7 +65,7 @@ class EffectiveTensor:
     @property
     def matrix(self):
         if self.is_table:
-            raise RegimeMismatch("tabulated tensor has no single matrix; use apply()")
+            raise RegimeMismatch("tabulated tensor has no single matrix; use entry_at()")
         return self.matrices[0]
 
     def entry_at(self, u0val):
@@ -177,21 +177,19 @@ def default_u0abs_grid():
     return np.concatenate([[0.0], np.logspace(-3, 1, 16)])
 
 
-def _tabulate_critical(field, grid, p, u0abs_grid=None, jobs=1, keep_cells=True):
+def _tabulate_critical(field, grid, p, u0abs_grid=None, keep_cells=True):
     """Critical a_hom table and its cells: (tensor, {|u0| key: cells}).
 
     With keep_cells=False the cells of each key are dropped once assembled
     and the mapping is empty; holding every key's 2D correctors would
     raise the table's peak memory by the size of all of them."""
-    if not (0 < p < 2) or p == 1:
-        raise ConfigError("critical tabulation needs p in (0,2), p != 1")
+    regime = cs.regime_for(2.0, p)
     keys = np.asarray(default_u0abs_grid() if u0abs_grid is None else u0abs_grid, dtype=float)
     if len(keys) < 4 or np.any(np.diff(keys) <= 0) or keys[0] != 0.0:
         raise ConfigError("u0abs grid must be sorted, have >= 4 entries, and include 0")
-    regime = "critical_fde" if p < 1 else "critical_pme"
     ops = cs._slice_operators(field, grid)
-
-    def one_entry(u0):
+    tensors, cells_by_key = [], {}
+    for u0 in keys:
         try:
             cells = cs.solve_cells(field, grid, regime, ops=ops,
                                    param=cs.CellParameter(p=p, u0abs=float(u0)))
@@ -199,26 +197,20 @@ def _tabulate_critical(field, grid, p, u0abs_grid=None, jobs=1, keep_cells=True)
             wrapped = type(err)(f"u0abs={u0:.6g}: {err}")
             wrapped.__dict__.update(err.__dict__)  # defect, residual, ...
             raise wrapped from err
-        return (cells if keep_cells else None), assemble_ahom(cells, field, grid, ops=ops)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_entry, keys))
-    else:
-        results = [one_entry(u0) for u0 in keys]
+        tensors.append(assemble_ahom(cells, field, grid, ops=ops))
+        if keep_cells:
+            cells_by_key[float(u0)] = cells
+        del cells  # not held while the next key solves
     tensor = EffectiveTensor(
         regime="critical", dim=field.dim, lam=field.lam, Lam=field.Lam,
-        matrices=np.array([t.matrices[0] for _, t in results]),
-        corrector_norms=np.array([t.corrector_norms[0] for _, t in results]),
-        grad_grams=np.array([t.grad_grams[0] for _, t in results]),
+        matrices=np.array([t.matrices[0] for t in tensors]),
+        corrector_norms=np.array([t.corrector_norms[0] for t in tensors]),
+        grad_grams=np.array([t.grad_grams[0] for t in tensors]),
         u0abs_keys=keys, p=p,
         provenance={"field": field.name, "M_y": grid.M_y, "M_s": grid.M_s,
                     "branch": regime},
     )
-    return tensor, {float(u0): cells for u0, (cells, _) in zip(keys, results)
-                    if cells is not None}
+    return tensor, cells_by_key
 
 
 def tabulate_ahom_critical(field: PeriodicMatrixField, grid: CellGrid, p: float,
@@ -227,14 +219,11 @@ def tabulate_ahom_critical(field: PeriodicMatrixField, grid: CellGrid, p: float,
 
     The M_s slice operators are built once per table and shared by every
     key, direction and assembly; each key factors its M_s step matrices
-    once for all directions."""
-    return _tabulate_critical(field, grid, p, u0abs_grid, jobs, keep_cells=False)[0]
-
-
-def apply(tensor: EffectiveTensor, u0val, grad_v0):
-    """Homogenized flux a_hom(|u0|) grad_v0."""
-    grad_v0 = np.asarray(grad_v0, dtype=float)
-    return tensor.entry_at(u0val) @ grad_v0
+    once for all directions. The table is built serially; ``jobs`` must
+    be 1."""
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1 (the |u0| table is built serially), got {jobs}")
+    return _tabulate_critical(field, grid, p, u0abs_grid, keep_cells=False)[0]
 
 
 def ellipticity_report(tensor: EffectiveTensor, lam=None, probes=None,
@@ -371,48 +360,30 @@ def harmonic_mean_oracle_1d(field: PeriodicMatrixField, grid: CellGrid,
 
 
 def save_tensor(path, tensor: EffectiveTensor):
-    with open(path, "w") as fh:
-        keys = "none" if not tensor.is_table else ",".join(
-            f"{k:.17g}" for k in tensor.u0abs_keys)
-        p = float("nan") if tensor.p is None else tensor.p
-        fh.write(
-            f"{AHOM_MAGIC} regime={tensor.regime} N={tensor.dim} "
-            f"p={p:.17g} lam={tensor.lam:.17g} Lam={tensor.Lam:.17g} "
-            f"m={len(tensor.matrices)} keys={keys}\n"
-        )
-        for M, nrm, G in zip(tensor.matrices, tensor.corrector_norms,
-                             tensor.grad_grams):
-            for row in M:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-            fh.write(" ".join(f"{v:.17g}" for v in nrm) + "\n")
-            for row in G:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    keys = "none" if not tensor.is_table else ",".join(
+        f"{k:.17g}" for k in tensor.u0abs_keys)
+    meta = {"regime": tensor.regime, "N": tensor.dim,
+            "p": float("nan") if tensor.p is None else tensor.p,
+            "lam": tensor.lam, "Lam": tensor.Lam, "m": len(tensor.matrices), "keys": keys}
+    blocks = [np.vstack([M, nrm, G]) for M, nrm, G in zip(
+        tensor.matrices, tensor.corrector_norms, tensor.grad_grams)]
+    write_artifact(path, AHOM_MAGIC, meta, np.vstack(blocks))
 
 
 def load_tensor(path) -> EffectiveTensor:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if " ".join(header[:2]) != AHOM_MAGIC:
-            raise ConfigError(f"{path}: bad magic {' '.join(header[:2])!r}")
-        meta = dict(kv.split("=") for kv in header[2:])
-        dim, m = int(meta["N"]), int(meta["m"])
-        rows = np.loadtxt(fh, ndmin=2)
+    meta, rows = read_artifact(path, AHOM_MAGIC, ("regime", "N", "p", "lam", "Lam", "m", "keys"))
+    dim, m = int(meta["N"]), int(meta["m"])
     per = 2 * dim + 1
     if rows.shape != (m * per, dim):
         raise ConfigError(f"{path}: expected {m * per} rows x {dim} cols, got {rows.shape}")
-    mats, norms, grams = [], [], []
-    for i in range(m):
-        block = rows[i * per:(i + 1) * per]
-        mats.append(block[:dim])
-        norms.append(block[dim])
-        grams.append(block[dim + 1:])
+    blocks = rows.reshape(m, per, dim)
     keys = None if meta["keys"] == "none" else np.array(
         [float(v) for v in meta["keys"].split(",")])
     p = float(meta["p"])
     return EffectiveTensor(
         regime=meta["regime"], dim=dim, lam=float(meta["lam"]),
-        Lam=float(meta["Lam"]), matrices=np.array(mats),
-        corrector_norms=np.array(norms), grad_grams=np.array(grams),
+        Lam=float(meta["Lam"]), matrices=blocks[:, :dim],
+        corrector_norms=blocks[:, dim], grad_grams=blocks[:, dim + 1:],
         u0abs_keys=keys, p=None if np.isnan(p) else p,
     )
 
@@ -427,7 +398,3 @@ def export_table_csv(path, tensor: EffectiveTensor):
         for key, M in zip(keys, tensor.matrices):
             fh.write(f"{key:.12g}," + ",".join(f"{v:.12g}" for v in M.ravel()) + "\n")
 
-
-def mean_tensor(field: PeriodicMatrixField, grid: CellGrid) -> np.ndarray:
-    """Plain space-time average of a (the PME critical matrix at u0 = 0)."""
-    return mean_ys(field, grid)

@@ -384,6 +384,94 @@ def make_field(name, **params):
 
 
 # ---------------------------------------------------------------------------
+# Text artifacts: one header line "<magic> key=value ...", then a numeric body
+
+
+def write_artifact(path, magic, meta, body):
+    """Write an artifact: the header (numbers as %.17g, strings verbatim),
+    then the rows of ``body`` as %.17g."""
+    tokens = [f"{k}={v if isinstance(v, str) else format(v, '.17g')}"
+              for k, v in meta.items()]
+    with open(path, "w") as fh:
+        fh.write(" ".join([magic] + tokens) + "\n")
+        np.savetxt(fh, body, fmt="%.17g")
+
+
+def read_artifact(path, magic, keys):
+    """Read an artifact written by ``write_artifact``.
+
+    Returns (meta, body): the header's key=value tokens as strings and the
+    body as a 2D array. Raises ConfigError naming the path for a wrong
+    magic, a token without '=', or a missing key among ``keys``."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if " ".join(header[:2]) != magic:
+            raise ConfigError(f"{path}: bad magic {' '.join(header[:2])!r}")
+        meta = {}
+        for token in header[2:]:
+            kv = token.split("=")
+            if len(kv) != 2:
+                raise ConfigError(f"{path}: header token {token!r} is not key=value")
+            meta[kv[0]] = kv[1]
+        missing = [k for k in keys if k not in meta]
+        if missing:
+            raise ConfigError(f"{path}: header lacks key {missing[0]!r}")
+        return meta, np.loadtxt(fh, ndmin=2)
+
+
+class PeriodicInterpolant:
+    """Multilinear interpolation of nodal data, periodic in y and in s.
+
+    ``values`` has shape (n_s,) + (M_y,) * dim + value shape. The y nodes
+    sit at (i + y_offset)/M_y, the s nodes at j h_s. With ``s_periodic``
+    the nodes cover one period (n_s h_s = 1) and s wraps; otherwise they
+    also carry its end ((n_s - 1) h_s = 1) and s is clamped to them. A
+    single s node makes the data s-independent."""
+
+    def __init__(self, values, dim, h_s, y_offset=0.0, s_periodic=True):
+        self.vals = np.asarray(values)
+        self.dim, self.M = dim, self.vals.shape[1]
+        self.h_s, self.y_offset, self.s_periodic = h_s, y_offset, s_periodic
+
+    def __call__(self, y, s):
+        """Interpolate at y of shape (..., dim) and s broadcastable to (...)."""
+        y = np.asarray(y, dtype=float)
+        s = np.broadcast_to(np.asarray(s, dtype=float), y.shape[:-1])
+        M = self.M
+        yy = np.mod(y, 1.0) * M - self.y_offset
+        i0 = np.floor(yy).astype(int)
+        fy = yy - i0
+        i0 = np.mod(i0, M)
+        ns = len(self.vals)
+        if ns == 1:
+            j0 = np.zeros(s.shape, dtype=int)
+            j1 = j0
+            fs = np.zeros(s.shape)
+        elif self.s_periodic:
+            jj = np.mod(s, 1.0) / self.h_s
+            j0 = np.floor(jj).astype(int) % ns
+            fs = jj - np.floor(jj)
+            j1 = (j0 + 1) % ns
+        else:
+            jj = np.clip(np.mod(s, 1.0) / self.h_s, 0.0, ns - 1.0 - 1e-12)
+            j0 = np.floor(jj).astype(int)
+            fs = jj - j0
+            j1 = j0 + 1
+        trail = (1,) * (self.vals.ndim - 1 - self.dim)
+        out = np.zeros(y.shape[:-1] + self.vals.shape[1 + self.dim:])
+        corners = [(0,), (1,)] if self.dim == 1 else [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for corner in corners:
+            w = np.ones(y.shape[:-1])
+            idx = []
+            for d, c in enumerate(corner):
+                w = w * (fy[..., d] if c else 1.0 - fy[..., d])
+                idx.append((i0[..., d] + c) % M)
+            out += (w * (1.0 - fs)).reshape(w.shape + trail) * self.vals[(j0,) + tuple(idx)]
+            out += (w * fs).reshape(w.shape + trail) * self.vals[(j1,) + tuple(idx)]
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Gridded fields ("oscidiff-field v1")
 
 
@@ -392,25 +480,19 @@ def save_gridded(path, field: PeriodicMatrixField, grid: CellGrid):
     dim = field.dim
     ynodes = np.arange(grid.M_y) / grid.M_y
     snodes = np.arange(grid.M_s) / grid.M_s
-    with open(path, "w") as fh:
-        fh.write(f"{FILE_MAGIC} N={dim} My={grid.M_y} Ms={grid.M_s}\n")
-        for idx in np.ndindex(*([grid.M_y] * dim)):
-            y = np.array([ynodes[i] for i in idx])
-            for sj in snodes:
-                a = field.sample(y, sj)
-                tri = [a[i, j] for i in range(dim) for j in range(i + 1)]
-                fh.write(" ".join(f"{v:.17g}" for v in tri) + "\n")
+    rows = []
+    for idx in np.ndindex(*([grid.M_y] * dim)):
+        y = np.array([ynodes[i] for i in idx])
+        for sj in snodes:
+            a = field.sample(y, sj)
+            rows.append([a[i, j] for i in range(dim) for j in range(i + 1)])
+    write_artifact(path, FILE_MAGIC, {"N": dim, "My": grid.M_y, "Ms": grid.M_s}, rows)
 
 
 def load_gridded(path):
     """Load a gridded field; values interpolate linearly and periodically."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if " ".join(header[:2]) != FILE_MAGIC:
-            raise ConfigError(f"{path}: bad magic {' '.join(header[:2])!r}")
-        meta = dict(kv.split("=") for kv in header[2:])
-        dim, My, Ms = int(meta["N"]), int(meta["My"]), int(meta["Ms"])
-        raw = np.loadtxt(fh, ndmin=2)
+    meta, raw = read_artifact(path, FILE_MAGIC, ("N", "My", "Ms"))
+    dim, My, Ms = int(meta["N"]), int(meta["My"]), int(meta["Ms"])
     n_tri = dim * (dim + 1) // 2
     expected = My**dim * Ms
     if raw.shape != (expected, n_tri):
@@ -425,39 +507,13 @@ def load_gridded(path):
             full[:, i, j] = raw[:, col]
             full[:, j, i] = raw[:, col]
             col += 1
-    table = full.reshape(([My] * dim) + [Ms, dim, dim])
     eigs = np.linalg.eigvalsh(full)
     lam, Lam = float(eigs.min()), float(eigs.max())
     if lam <= 0:
         raise ConfigError(f"{path}: gridded field is not positive definite (min eig {lam})")
-
-    def entries(y, s):
-        return _interp_periodic(table, dim, My, Ms, y, s)
-
+    # rows run over y (y1 slowest), then s; the interpolant wants s first
+    table = np.moveaxis(full.reshape(([My] * dim) + [Ms, dim, dim]), dim, 0)
     return PeriodicMatrixField(
-        dim=dim, entries=entries, lam=lam, Lam=Lam,
+        dim=dim, entries=PeriodicInterpolant(table, dim, h_s=1.0 / Ms), lam=lam, Lam=Lam,
         s_independent=(Ms == 1), smoothness="continuous", name=f"gridded:{path}",
     )
-
-
-def _interp_periodic(table, dim, My, Ms, y, s):
-    """Multilinear periodic interpolation of nodal matrices."""
-    shp = y.shape[:-1]
-    yy = np.mod(y, 1.0) * My
-    ss = np.mod(s, 1.0) * Ms
-    i0 = np.floor(yy).astype(int) % My
-    fy = yy - np.floor(yy)
-    j0 = np.floor(ss).astype(int) % Ms
-    fs = ss - np.floor(ss)
-    j1 = (j0 + 1) % Ms
-    out = np.zeros(shp + (dim, dim))
-    corners = [(0,), (1,)] if dim == 1 else [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for corner in corners:
-        w = np.ones(shp)
-        idx = []
-        for d, c in enumerate(corner):
-            w = w * (fy[..., d] if c else 1.0 - fy[..., d])
-            idx.append((i0[..., d] + c) % My)
-        out += (w * (1.0 - fs))[..., None, None] * table[tuple(idx) + (j0,)]
-        out += (w * fs)[..., None, None] * table[tuple(idx) + (j1,)]
-    return out

@@ -23,29 +23,33 @@ from .fields import CellGrid, MacroGrid, PeriodicMatrixField
 CSV_HEADER = "eps,sol_err,grad_corr_err,flux_corr_err,dtime_corr_err,grad_plain_err,flux_plain_err"
 
 
-def regime_for(r: float, p: float) -> str:
-    if r < 2:
-        return "subcritical"
-    if r > 2:
-        return "supercritical"
-    if p == 1:
-        raise ConfigError("critical scaling (r = 2) requires p != 1")
-    return "critical_fde" if p < 1 else "critical_pme"
+# Built-in initial data (per dimension), sources and default grids (per
+# dimension), by name; the CLI config and ``default_data`` read them here.
+DEFAULTS = {
+    "u0": {
+        "sine": {1: lambda x: np.sin(np.pi * x[:, 0]),
+                 2: lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])},
+        "zero": {1: lambda x: np.zeros(len(x)), 2: lambda x: np.zeros(len(x))},
+        "bump": {1: lambda x: (x[:, 0] * (1 - x[:, 0])) * 4.0,
+                 2: lambda x: 16.0 * x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1])},
+    },
+    "f": {
+        "one": lambda x, t: np.ones(len(x)),
+        "zero": lambda x, t: np.zeros(len(x)),
+        "decaying": lambda x, t: np.exp(-t) * np.ones(len(x)),
+    },
+    "grids": {
+        1: {"M_y": 64, "M_s": 64, "n_x": 256, "n_t": 32, "T": 0.25},
+        2: {"M_y": 48, "M_s": 64, "n_x": 48, "n_t": 32, "T": 0.25},
+    },
+}
 
 
 def default_data(dim: int = 1):
-    """u0 = sin(pi x) (product form in 2D), f = 1, T = 0.25."""
-    if dim == 1:
-        u0 = lambda x: np.sin(np.pi * x[:, 0])
-    else:
-        u0 = lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-    return {
-        "u0": u0,
-        "f": lambda x, t: np.ones(len(x)),
-        "n_x": 256 if dim == 1 else 48,
-        "n_t": 32,
-        "T": 0.25,
-    }
+    """u0 = sin(pi x) (product form in 2D), f = 1, default macro grid."""
+    g = DEFAULTS["grids"][dim]
+    return {"u0": DEFAULTS["u0"]["sine"][dim], "f": DEFAULTS["f"]["one"],
+            "n_x": g["n_x"], "n_t": g["n_t"], "T": g["T"]}
 
 
 @dataclass
@@ -126,8 +130,9 @@ def prepare_effective(field: PeriodicMatrixField, p: float, r: float,
     regimes).
     """
     if cell_grid is None:
-        cell_grid = CellGrid(64 if field.dim == 1 else 48, 64)
-    regime = regime_for(r, p)
+        g = DEFAULTS["grids"][field.dim]
+        cell_grid = CellGrid(g["M_y"], g["M_s"])
+    regime = cs.regime_for(r, p)
     if regime in ("subcritical", "supercritical"):
         cells = cs.solve_cells(field, cell_grid, regime)
         return em.assemble_ahom(cells, field, cell_grid), {None: cells}
@@ -234,7 +239,7 @@ def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
             raise ConfigError(f"eps must be 1/2^m, got {eps}")
     data = {**default_data(field.dim), **(data or {})}
     grid = MacroGrid(dim=field.dim, n_x=data["n_x"], n_t=data["n_t"], T=data["T"])
-    regime = regime_for(r, p)
+    regime = cs.regime_for(r, p)
     tensor, cells_by_key = prepare_effective(field, p, r, cell_grid)
 
     # the effective solve shares the finest micro substep so that the

@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 
 from .effmat import EffectiveTensor, TableClampWarning
 from .errors import ConfigError, NewtonStalled, SolverDiverged, StepRejected
-from .fields import MacroGrid, PeriodicMatrixField
+from .fields import MacroGrid, PeriodicMatrixField, read_artifact, write_artifact
 
 NEWTON_TOL = 1e-9
 DELTA_REG = 1e-10
@@ -62,11 +62,6 @@ class SpaceTimeField:
         """Recover u = sign(v) |v|^(1/p) at every stored step."""
         v = self.values
         return np.sign(v) * np.abs(v) ** (1.0 / self.p)
-
-    def boundary_max(self):
-        """v is stored on interior nodes only, so the trace is 0 by
-        construction; kept for the invariant check."""
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -312,8 +307,7 @@ def _march(grid, p, f, u0, op_at, substeps, newton_tol=NEWTON_TOL,
     """Shared implicit-Euler driver. op_at(t, v_current) yields the elliptic
     operator for the step targeting time t; with table_lagged the operator
     is rebuilt from the previous iterate once per step (lagged coefficient)."""
-    nodes = grid.interior_nodes()
-    x = nodes if grid.dim > 1 else nodes
+    x = grid.interior_nodes()
     uinit = np.asarray(u0(x), dtype=float).ravel()
     v = np.sign(uinit) * np.abs(uinit) ** p
     un = uinit.copy()
@@ -322,7 +316,6 @@ def _march(grid, p, f, u0, op_at, substeps, newton_tol=NEWTON_TOL,
     values[0] = v
     dissipation = np.zeros(n_store + 1)
     dt_sub = grid.dt / substeps
-    hN = grid.h**grid.dim
     scale = max(float(np.linalg.norm(un)), 1.0)
     tol_abs = newton_tol * scale
     newton_counts = []
@@ -456,21 +449,12 @@ TRAJ_MAGIC = "oscidiff-traj v1"
 def save_traj(path, traj: SpaceTimeField):
     g = traj.grid
     diss = ",".join(f"{v:.17g}" for v in traj.dissipation)
-    with open(path, "w") as fh:
-        fh.write(
-            f"{TRAJ_MAGIC} N={g.dim} nx={g.n_x} nt={g.n_t} T={g.T:.17g} "
-            f"p={traj.p:.17g} diss={diss}\n"
-        )
-        np.savetxt(fh, traj.values, fmt="%.17g")
+    write_artifact(path, TRAJ_MAGIC, {"N": g.dim, "nx": g.n_x, "nt": g.n_t, "T": g.T,
+                                      "p": traj.p, "diss": diss}, traj.values)
 
 
 def load_traj(path) -> SpaceTimeField:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if " ".join(header[:2]) != TRAJ_MAGIC:
-            raise ConfigError(f"{path}: bad magic {' '.join(header[:2])!r}")
-        meta = dict(kv.split("=") for kv in header[2:])
-        values = np.loadtxt(fh, ndmin=2)
+    meta, values = read_artifact(path, TRAJ_MAGIC, ("N", "nx", "nt", "T", "p", "diss"))
     grid = MacroGrid(dim=int(meta["N"]), n_x=int(meta["nx"]),
                      n_t=int(meta["nt"]), T=float(meta["T"]))
     if values.shape[0] != grid.n_t + 1:

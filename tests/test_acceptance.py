@@ -14,7 +14,7 @@ import pytest
 
 from conftest import FIXTURE_DIR, l2_cell_time, monolithic_critical_solve
 from oscidiff import cellsolve as cs, effmat as em, harness as hz, pdesolve as pde
-from oscidiff.fields import CellGrid, MacroGrid, make_field
+from oscidiff.fields import CellGrid, MacroGrid, make_field, mean_ys
 
 STUDY_PARAMS = [(0.5, 1.0), (1.5, 1.0), (0.5, 2.0), (1.5, 2.0), (0.5, 3.0)]
 EPS_LIST = [1 / 8, 1 / 16, 1 / 32]
@@ -130,7 +130,7 @@ def test_criterion_4_regime_degenerations():
                        param=cs.CellParameter(p=1.5, u0abs=0.0)),
         field_st, grid_st)
     dev_b = float(np.max(np.abs(pme0.matrices[0]
-                                - em.mean_tensor(field_st, grid_st))))
+                                - mean_ys(field_st, grid_st))))
     fde0 = em.assemble_ahom(
         cs.solve_cells(field_st, grid_st, "critical_fde",
                        param=cs.CellParameter(p=0.5, u0abs=0.0)),
@@ -263,8 +263,7 @@ def test_criterion_10_determinism(tmp_path):
     for sub in ("a", "b"):
         res = subprocess.run(
             [sys.executable, "-m", "oscidiff.cli", "converge",
-             "--config", str(cfg_path), "--out", str(tmp_path / sub),
-             "--jobs", "1"],
+             "--config", str(cfg_path), "--out", str(tmp_path / sub)],
             capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         outs.append((tmp_path / sub / "converge.csv").read_bytes())

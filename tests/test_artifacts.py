@@ -1,0 +1,92 @@
+"""Golden bytes and header errors of the four text artifact formats.
+
+The files in ``tests/fixtures/artifacts/`` were written once by calling
+``build(kind, path)`` below for each of the four kinds, with the writers
+(``save_gridded``, ``save_cell``, ``save_tensor``, ``save_traj``) as they
+stood before the formats shared one header writer and reader. They are
+never regenerated: a writer that changes a byte on disk fails here.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from oscidiff import cellsolve as cs, effmat as em, fields, pdesolve as pde
+from oscidiff.errors import ConfigError
+
+ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "artifacts")
+GRID = fields.CellGrid(8, 4)
+FILES = {"field": "field.txt", "cell": "cell.txt", "ahom": "ahom.txt", "traj": "traj.txt"}
+
+
+def build(kind, path):
+    """Write the tiny artifact of one format from fixed inputs."""
+    field = fields.make_field("trig1d_st")
+    if kind == "field":
+        fields.save_gridded(path, field, GRID)
+    elif kind == "cell":
+        cs.save_cell(path, cs.solve_critical_cell_pme(
+            field, GRID, cs.CellParameter(p=1.5, u0abs=1.0), k=1))
+    elif kind == "ahom":
+        em.save_tensor(path, em.tabulate_ahom_critical(
+            field, GRID, 1.5, u0abs_grid=[0.0, 0.1, 1.0, 10.0]))
+    else:
+        prob = pde.MicroProblem(field=field, eps=0.125, r=1.0, p=0.5,
+                                f=lambda x, t: np.ones(len(x)),
+                                u0=lambda x: np.sin(np.pi * x[:, 0]),
+                                grid=fields.MacroGrid(dim=1, n_x=8, n_t=4, T=0.25))
+        pde.save_traj(path, pde.solve_micro(prob))
+
+
+def resave(kind, loaded, path):
+    """Write a loaded artifact back with its own writer."""
+    if kind == "field":
+        fields.save_gridded(path, loaded, GRID)
+    elif kind == "cell":
+        cs.save_cell(path, loaded)
+    elif kind == "ahom":
+        em.save_tensor(path, loaded)
+    else:
+        pde.save_traj(path, loaded)
+
+
+LOADERS = {"field": fields.load_gridded, "cell": cs.load_cell,
+           "ahom": em.load_tensor, "traj": pde.load_traj}
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_golden_bytes_and_roundtrip(kind, tmp_path):
+    golden = os.path.join(ARTIFACT_DIR, FILES[kind])
+    with open(golden, "rb") as fh:
+        want = fh.read()
+    build(kind, tmp_path / "rebuilt.txt")
+    assert (tmp_path / "rebuilt.txt").read_bytes() == want
+    resave(kind, LOADERS[kind](golden), tmp_path / "resaved.txt")
+    assert (tmp_path / "resaved.txt").read_bytes() == want
+
+
+def _with_header(kind, tmp_path, edit):
+    """Copy a golden file with its first key=value token edited."""
+    with open(os.path.join(ARTIFACT_DIR, FILES[kind])) as fh:
+        header, body = fh.readline().split(), fh.read()
+    token = header[2]
+    header[2:3] = edit(token)
+    path = tmp_path / FILES[kind]
+    path.write_text(" ".join(header) + "\n" + body)
+    return str(path), token
+
+
+@pytest.mark.parametrize("defect", ["no_equals", "missing_key"])
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_malformed_header_is_config_error(kind, defect, tmp_path):
+    if defect == "no_equals":
+        path, token = _with_header(kind, tmp_path, lambda t: [t.replace("=", "")])
+        named = token.replace("=", "")
+    else:
+        path, token = _with_header(kind, tmp_path, lambda t: [])
+        named = token.split("=")[0]
+    with pytest.raises(ConfigError) as info:
+        LOADERS[kind](path)
+    assert path in str(info.value)
+    assert repr(named) in str(info.value)

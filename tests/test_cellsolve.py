@@ -22,6 +22,15 @@ def face_flux_1d(field, sol, slice_idx):
     return af * (dphi + 1.0)
 
 
+def test_regime_for():
+    assert cs.regime_for(1.0, 0.5) == "subcritical"
+    assert cs.regime_for(3.0, 0.5) == "supercritical"
+    assert cs.regime_for(2.0, 0.5) == "critical_fde"
+    assert cs.regime_for(2.0, 1.5) == "critical_pme"
+    with pytest.raises(ConfigError):
+        cs.regime_for(2.0, 1.0)
+
+
 def test_classical_identity_field_zero_corrector():
     sol = cs.solve_classical_cell(make_field("constant", matrix=np.eye(1)),
                                   CellGrid(M_y=32, M_s=4), k=1)
@@ -157,7 +166,7 @@ def test_corrector_field_zero_gradient():
     macro = MacroGrid(dim=1, n_x=8, n_t=4, T=0.25)
     cells = cs.solve_cells(field, grid, "subcritical")
     grad_v0 = np.zeros((macro.n_t + 1, macro.n_x, 1))
-    z = cs.assemble_corrector_z(cells, grad_v0, macro)
+    z = cs.CorrectorField(cells, grad_v0, macro)
     assert z(0.5, 0.1, 0.3, 0.7) == 0.0
 
 
@@ -167,7 +176,7 @@ def test_corrector_field_unit_gradient_reproduces_phi():
     macro = MacroGrid(dim=1, n_x=8, n_t=4, T=0.25)
     cells = cs.solve_cells(field, grid, "subcritical")
     grad_v0 = np.ones((macro.n_t + 1, macro.n_x, 1))
-    z = cs.assemble_corrector_z(cells, grad_v0, macro)
+    z = cs.CorrectorField(cells, grad_v0, macro)
     phi_eval, _ = cells[0].interpolators()
     for y, s in [(0.0, 0.0), (0.25, 0.5), (0.8, 0.9)]:
         assert z(0.5, 0.1, y, s) == pytest.approx(

@@ -55,19 +55,36 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert run("cell", str(tmp_path / "nope.json"), tmp_path / "out") == 1
 
 
+def test_regime_key_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, regime="supercritical")
+    assert run("ahom", cfg, tmp_path / "out") == 1
+    assert "'regime'" in capsys.readouterr().err
+
+
+def test_malformed_field_file_is_config_error(tmp_path, capsys):
+    golden = os.path.join(os.path.dirname(__file__), "fixtures", "artifacts", "field.txt")
+    with open(golden) as fh:
+        text = fh.read()
+    bad = tmp_path / "field.txt"
+    bad.write_text(text.replace("My=", "My", 1))
+    cfg = write_config(tmp_path, field={"file": str(bad)})
+    assert run("cell", cfg, tmp_path / "out") == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_regime_auto_derivation(tmp_path):
     cfg = cli.load_config(write_config(tmp_path, r=3.0))
     assert cfg.regime == "supercritical"
     cfg = cli.load_config(write_config(tmp_path, r=2.0))
-    assert cfg.regime == "critical"
+    assert cfg.regime == "critical_fde"
     cfg = cli.load_config(write_config(tmp_path, r=1.0))
     assert cfg.regime == "subcritical"
 
 
 def test_converge_deterministic_and_checked(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert run("converge", cfg, tmp_path / "a", "--jobs", "1") == 0
-    assert run("converge", cfg, tmp_path / "b", "--jobs", "1") == 0
+    assert run("converge", cfg, tmp_path / "a") == 0
+    assert run("converge", cfg, tmp_path / "b") == 0
     a = (tmp_path / "a" / "converge.csv").read_bytes()
     b = (tmp_path / "b" / "converge.csv").read_bytes()
     assert a == b

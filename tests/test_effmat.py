@@ -5,10 +5,10 @@ import pytest
 
 from conftest import monolithic_critical_solve
 from oscidiff import cellsolve as cs, effmat as em
-from oscidiff.errors import (BoundViolated, DimensionMismatch,
+from oscidiff.errors import (BoundViolated, ConfigError, DimensionMismatch,
                              PeriodicityNotReached, RegimeMismatch,
                              SymmetryViolated)
-from oscidiff.fields import CellGrid, make_field
+from oscidiff.fields import CellGrid, make_field, mean_ys
 
 # pinned by a 1e6-point midpoint quadrature of int (1/4) sqrt(4 - cos^2 2 pi s) ds
 SUBCRITICAL_TRIG_REF = 0.467107728834
@@ -80,7 +80,7 @@ def test_pme_table_zero_entry_is_mean():
     grid = CellGrid(M_y=32, M_s=32)
     table = em.tabulate_ahom_critical(field, grid, p=1.5,
                                       u0abs_grid=[0.0, 0.01, 0.1, 1.0])
-    mean = em.mean_tensor(field, grid)
+    mean = mean_ys(field, grid)
     assert np.max(np.abs(table.matrices[0] - mean)) < 1e-12
 
 
@@ -174,9 +174,12 @@ def test_table_interpolation_rule():
     theta = (np.log1p(0.7) - k0) / (k1 - k0)
     expected = (1 - theta) * table.matrices[1] + theta * table.matrices[2]
     assert np.max(np.abs(table.entry_at(0.7) - expected)) < 1e-14
-    # apply() is the interpolated matrix-vector product
-    out = em.apply(table, 0.7, np.array([2.0]))
-    assert out[0] == pytest.approx(2.0 * expected[0, 0], abs=1e-14)
+
+
+def test_table_is_built_serially_only():
+    with pytest.raises(ConfigError):
+        em.tabulate_ahom_critical(make_field("trig1d"), CellGrid(M_y=8, M_s=4), p=1.5,
+                                  jobs=2)
 
 
 def test_table_clamp_warns():

@@ -18,15 +18,6 @@ def small_data():
             "f": lambda x, t: np.ones(len(x)), **SMALL_DATA}
 
 
-def test_regime_for():
-    assert hz.regime_for(1.0, 0.5) == "subcritical"
-    assert hz.regime_for(3.0, 0.5) == "supercritical"
-    assert hz.regime_for(2.0, 0.5) == "critical_fde"
-    assert hz.regime_for(2.0, 1.5) == "critical_pme"
-    with pytest.raises(ConfigError):
-        hz.regime_for(2.0, 1.0)
-
-
 def test_fit_rate_recovers_power_law():
     eps = [1 / 8, 1 / 16, 1 / 32]
     errs = [0.3 * e**2 for e in eps]

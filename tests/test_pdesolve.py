@@ -89,15 +89,6 @@ def test_hminus1_norm_oracles():
     assert pde.hminus1_norm(2 * w, grid) == pytest.approx(2 * val, rel=1e-12)
 
 
-def test_boundary_values_identically_zero():
-    grid = MacroGrid(dim=1, n_x=32, n_t=8, T=0.25)
-    prob = pde.MicroProblem(field=make_field("trig1d_st"), eps=0.125, r=1.0,
-                            p=0.5, f=lambda x, t: np.ones(len(x)),
-                            u0=lambda x: np.sin(np.pi * x[:, 0]), grid=grid)
-    traj = pde.solve_micro(prob)
-    assert traj.boundary_max() == 0.0
-
-
 def test_contraction_in_initial_data():
     field = make_field("trig1d_st")
     grid = MacroGrid(dim=1, n_x=64, n_t=16, T=0.25)
