@@ -273,7 +273,11 @@ def skew_integral(cells, p: float):
     param = cells[0].param
     if param is None:
         raise RegimeMismatch("skew integral needs critical cell solutions")
-    if p < 1:
+    regime, expected = cells[0].regime, cs.regime_for(2.0, p)
+    if regime != expected:
+        raise RegimeMismatch(
+            f"skew integral at p={p} needs {expected} cells, got {regime} cells")
+    if regime == "critical_fde":
         scale = param.mu_fde
         fields_ = [c.phi for c in cells]
     else:

@@ -35,6 +35,13 @@ NEWTON_TOL = 1e-9
 DELTA_REG = 1e-10
 MAX_NEWTON = 60
 MAX_BACKTRACK = 20
+# Micro operators kept per solve, keyed by fast phase. Dyadic eps and
+# substeps visit 8 phases under the eps^r/8 rule; the cache is cleared
+# when full, so phases that never repeat cost one build per substep.
+MICRO_OPERATOR_CACHE = 32
+
+# LAPACK dgtsv, the routine solve_banded uses for (1, 1) bands
+_gtsv, = sla.get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 def is_dyadic(eps):
@@ -123,8 +130,8 @@ def face_points_1d(grid: MacroGrid):
 
 
 class Operator1D:
-    """Tridiagonal -d/dx(a(x) d/dx .) with face coefficients a, in the
-    banded storage used by solve_banded."""
+    """Tridiagonal -d/dx(a(x) d/dx .) with face coefficients a: ``diag`` and
+    the symmetric off-diagonal ``off``."""
 
     def __init__(self, aface, h):
         self.n = len(aface) - 1
@@ -133,6 +140,7 @@ class Operator1D:
         al, ar = self.aface[:-1], self.aface[1:]
         self.diag = (al + ar) / self.h2
         self.off = -ar[:-1] / self.h2  # coupling i <-> i+1
+        self._scaled = (None, None, None)  # (dt, dt * diag, dt * off)
 
     def matvec(self, v):
         out = self.diag * v
@@ -145,17 +153,27 @@ class Operator1D:
         dv = np.diff(np.concatenate([[0.0], v, [0.0]])) / h
         return h * float(self.aface @ dv**2)
 
-    def banded_with_diag(self, extra_diag, dt):
-        """Banded form of diag(extra_diag) + dt * L."""
-        n = self.n
-        ab = np.zeros((3, n))
-        ab[1] = extra_diag + dt * self.diag
-        ab[0, 1:] = dt * self.off
-        ab[2, :-1] = dt * self.off
-        return ab
-
     def solve_shifted(self, extra_diag, dt, rhs):
-        return sla.solve_banded((1, 1), self.banded_with_diag(extra_diag, dt), rhs)
+        """Solve (diag(extra_diag) + dt * L) x = rhs with LAPACK gtsv.
+
+        Raises ValueError for non-finite input and LinAlgError when the
+        shifted matrix is singular."""
+        dt_cached, dt_diag, dt_off = self._scaled
+        if dt_cached != dt:
+            dt_diag, dt_off = dt * self.diag, dt * self.off
+            if not np.isfinite(dt_off).all():
+                raise ValueError("array must not contain infs or NaNs")
+            self._scaled = (dt, dt_diag, dt_off)
+        d = extra_diag + dt_diag
+        b = np.asarray(rhs, dtype=float)
+        if not (np.isfinite(d).all() and np.isfinite(b).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        _, _, _, x, info = _gtsv(dt_off, d, dt_off, b, overwrite_d=1)
+        if info > 0:
+            raise sla.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+        return x
 
 
 class Operator2D:
@@ -222,9 +240,9 @@ def _micro_operator(field, grid, eps, r, t):
     a1 = field.sample(pts / eps, np.full(len(pts), s))[:, 0, 0].reshape(n + 1, n)
     X1, X2 = np.meshgrid(xi, xfc, indexing="ij")
     pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    a2 = field.sample(pts / eps, np.full(len(pts), s))[:, 1, 1].reshape(n, n + 1)
-    amax = np.max(np.abs(field.sample(pts / eps, np.full(len(pts), s))[:, 0, 1]))
-    if amax > 0:
+    A2 = field.sample(pts / eps, np.full(len(pts), s))
+    a2 = A2[:, 1, 1].reshape(n, n + 1)
+    if np.max(np.abs(A2[:, 0, 1])) > 0:
         raise ConfigError("2D micro solves support diagonal coefficient fields only")
     return Operator2D(a1, a2, h)
 
@@ -338,15 +356,28 @@ def _march(grid, p, f, u0, op_at, substeps, newton_tol=NEWTON_TOL,
 
 
 def solve_micro(prob: MicroProblem, newton_tol=NEWTON_TOL) -> SpaceTimeField:
-    """Backward-Euler / damped-Newton solve of the oscillating problem."""
+    """Backward-Euler / damped-Newton solve of the oscillating problem.
+
+    The coefficient depends on t only through the fast phase
+    s = t/eps^r mod 1, so operators are cached by s for the solve."""
     substeps = prob.auto_substeps()
+    cache = {}
+    builds = 0
 
     def op_at(t, _v):
-        return _micro_operator(prob.field, prob.grid, prob.eps, prob.r, t)
+        nonlocal builds
+        s = (t / prob.eps**prob.r) % 1.0
+        op = cache.get(s)
+        if op is None:
+            if len(cache) >= MICRO_OPERATOR_CACHE:
+                cache.clear()
+            op = cache[s] = _micro_operator(prob.field, prob.grid, prob.eps, prob.r, t)
+            builds += 1
+        return op
 
     values, diss, stats = _march(prob.grid, prob.p, prob.f, prob.u0, op_at,
                                  substeps, newton_tol)
-    stats.update(eps=prob.eps, r=prob.r)
+    stats.update(eps=prob.eps, r=prob.r, operator_builds=builds)
     return SpaceTimeField(grid=prob.grid, p=prob.p, values=values,
                           dissipation=diss, stats=stats)
 

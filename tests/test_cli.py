@@ -111,6 +111,18 @@ def test_micro_homog_write_loadable_trajectories(tmp_path, capsys):
     assert np.max(np.abs(micro.values[-1] - homog.values[-1])) < 0.05
 
 
+def test_micro_json_records_operator_builds(tmp_path, capsys):
+    # r = 1, eps = 1/8: substeps of eps/8 visit the 8 fast phases k/8
+    cfg = write_config(tmp_path, eps=[0.125])
+    summary = tmp_path / "m" / "micro_summary.json"
+    assert run("micro", cfg, tmp_path / "m", "--json") == 0
+    first = summary.read_bytes()
+    (run_stats,) = json.loads(first)["runs"]
+    assert run_stats["operator_builds"] == 8
+    assert run("micro", cfg, tmp_path / "m", "--json") == 0
+    assert summary.read_bytes() == first  # counts only, no timings
+
+
 def test_audit_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, eps=[0.125])
     assert run("audit", cfg, tmp_path / "out", "--json") == 0

@@ -253,6 +253,17 @@ def test_critical_skew_zero_for_s_independent():
     assert np.max(np.abs(S)) < 1e-10
 
 
+def test_skew_integral_regime_mismatch():
+    # PME cells with a fast-diffusion p: the branch comes from the cells,
+    # and the disagreement with regime_for(2, p) is reported by name
+    field = make_field("trig1d_st")
+    cells = cs.solve_cells(field, CellGrid(M_y=8, M_s=8), "critical_pme",
+                           param=cs.CellParameter(p=1.5, u0abs=1.0))
+    with pytest.raises(RegimeMismatch, match="critical_fde.*critical_pme"):
+        em.skew_integral(cells, 0.5)
+    assert em.skew_integral(cells, 1.5).shape == (1, 1)
+
+
 def test_oracle_rejects_2d():
     with pytest.raises(DimensionMismatch):
         em.harmonic_mean_oracle_1d(make_field("laminate2d"), None, "classical")

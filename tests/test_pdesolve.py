@@ -1,5 +1,8 @@
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,6 +146,91 @@ def test_newton_quadratic_tail():
         w = w + op.solve_shifted(pde._uprime_of(w, p), dt, -F)
     tail = [r for r in res_hist if r > 1e-13][-2:]
     assert tail[1] / tail[0] <= 0.3
+
+
+def _banded_reference(op, extra_diag, dt):
+    ab = np.zeros((3, op.n))
+    ab[1] = extra_diag + dt * op.diag
+    ab[0, 1:] = dt * op.off
+    ab[2, :-1] = dt * op.off
+    return ab
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 256])
+def test_solve_shifted_matches_solve_banded(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        op = pde.Operator1D(rng.uniform(0.1, 2.0, n + 1), 1.0 / (n + 1))
+        extra, dt = rng.uniform(0.0, 3.0, n), rng.uniform(1e-4, 1.0)
+        rhs = rng.standard_normal(n)
+        rhs_in = rhs.copy()
+        expected = sla.solve_banded((1, 1), _banded_reference(op, extra, dt), rhs)
+        assert np.array_equal(op.solve_shifted(extra, dt, rhs), expected)
+        assert np.array_equal(rhs, rhs_in)
+        # second call at the same dt reuses the scaled bands
+        assert np.array_equal(op.solve_shifted(extra, dt, rhs), expected)
+
+
+def test_solve_shifted_checks_like_solve_banded():
+    op = pde.Operator1D(np.ones(5), 0.25)
+    rhs = np.ones(4)
+    rhs[1] = np.nan
+    with pytest.raises(ValueError):
+        op.solve_shifted(np.zeros(4), 1.0, rhs)
+    with pytest.raises(ValueError):
+        op.solve_shifted(np.full(4, np.inf), 1.0, np.ones(4))
+    # [[1, -1], [-1, 1]]: exactly singular, and solve_banded says so too
+    op = pde.Operator1D(np.ones(3), 1.0)
+    extra = np.array([-1.0, -1.0])
+    with pytest.raises(sla.LinAlgError):
+        sla.solve_banded((1, 1), _banded_reference(op, extra, 1.0), np.ones(2))
+    with pytest.raises(sla.LinAlgError):
+        op.solve_shifted(extra, 1.0, np.ones(2))
+
+
+@pytest.mark.parametrize("r, n_t, substeps, builds", [
+    (3.0, 8, None, 8),     # 128 substeps per step, phases k/8
+    (2.0, 8, None, 8),     # 16 substeps per step, phases k/8
+    (2.0, 25, 3, 75),      # 75 substeps, phases 16k/75: none repeats
+])
+def test_micro_phase_cache_is_exact(monkeypatch, r, n_t, substeps, builds):
+    grid = MacroGrid(dim=1, n_x=32, n_t=n_t, T=0.25)
+    prob = pde.MicroProblem(field=make_field("trig1d_st"), eps=0.125, r=r,
+                            p=0.5, f=lambda x, t: np.ones(len(x)),
+                            u0=lambda x: np.sin(np.pi * x[:, 0]), grid=grid,
+                            substeps=substeps)
+    build = pde._micro_operator
+    values, diss, _ = pde._march(
+        grid, prob.p, prob.f, prob.u0,
+        lambda t, _v: build(prob.field, grid, prob.eps, r, t), prob.auto_substeps())
+    live, peak = [], [0]
+
+    def counted(*args):
+        peak[0] = max(peak[0], sum(ref() is not None for ref in live))
+        op = build(*args)
+        live.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(pde, "_micro_operator", counted)
+    traj = pde.solve_micro(prob)
+    assert np.array_equal(traj.values, values)
+    assert np.array_equal(traj.dissipation, diss)
+    assert traj.stats["operator_builds"] == len(live) == builds
+    assert peak[0] <= pde.MICRO_OPERATOR_CACHE
+
+
+def test_micro_operator_2d_samples_once_per_face_set(monkeypatch):
+    grid = MacroGrid(dim=2, n_x=8, n_t=4, T=0.1)
+    field = make_field("laminate2d")
+    calls = []
+    sample = type(field).sample
+    monkeypatch.setattr(type(field), "sample",
+                        lambda self, *a: calls.append(1) or sample(self, *a))
+    op = pde._micro_operator(field, grid, 0.125, 2.0, 0.01)
+    assert len(calls) == 2 and op.K.shape == (64, 64)
+    full = make_field("constant", matrix=np.array([[1.0, 0.2], [0.2, 1.0]]))
+    with pytest.raises(ConfigError, match="diagonal"):
+        pde._micro_operator(full, grid, 0.125, 2.0, 0.01)
 
 
 def test_dyadic_validation():
