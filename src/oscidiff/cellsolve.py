@@ -17,18 +17,22 @@ couplings use centered differences,
 which keeps the discrete operator symmetric. The elliptic solves use
 conjugate gradients with an explicit zero-mean projection every
 iteration; the parabolic problems march an implicit-Euler period map to
-its fixed point.
+its fixed point. Each step matrix (capacity/h_s) I + kappa K is
+symmetric positive definite and is factored by banded Cholesky with the
+cells numbered in folded order (``_folded_order``), in which periodic
+neighbours sit within two places of each other on every axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from .banded import Band, BandCholesky
 from .errors import ConfigError, PeriodicityNotReached, RegimeMismatch, SolverDiverged
 from .fields import (CellGrid, PeriodicInterpolant, PeriodicMatrixField, read_artifact,
                      write_artifact)
@@ -180,6 +184,24 @@ def _centered_matrix(dim, M, d):
     return sp.csr_matrix((data, (np.concatenate([rows, rows]), cols)), shape=(n, n))
 
 
+@lru_cache(maxsize=None)
+def _folded_order(dim, M):
+    """Cell numbering for banded factors: (order, pos), with x[order] the
+    vector in folded order and pos[i] the folded place of cell i.
+
+    Every axis runs 0, M-1, 1, M-2, ..., so periodic neighbours sit within
+    two places of each other. The upper band of K then has half-width 2
+    in 1D and 2 M in 2D (2 M + 2 with the cross term)."""
+    fold = np.empty(M, dtype=np.intp)
+    fold[0::2] = np.arange((M + 1) // 2)
+    fold[1::2] = M - 1 - np.arange(M // 2)
+    order = fold if dim == 1 else (fold[:, np.newaxis] * M + fold).ravel()
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    order.flags.writeable = pos.flags.writeable = False
+    return order, pos
+
+
 class CellOperator:
     """Discrete -div_y(a grad .) on the periodic cell for one time slice.
 
@@ -211,7 +233,8 @@ class CellOperator:
         self.face_coeffs = []
         self.cell_offdiag = None
         mode = getattr(grid, "face_avg", "geometric")
-        for d in range(dim):
+        self._D = [_face_difference_matrix(dim, M, d) for d in range(dim)]
+        for d, D in enumerate(self._D):
             add = a[:, d, d].reshape((M,) * dim)
             nbr = np.roll(add, -1, axis=d)
             if mode == "geometric":
@@ -221,7 +244,6 @@ class CellOperator:
             else:
                 af = 0.5 * (add + nbr)
             self.face_coeffs.append(af.ravel())
-            D = _face_difference_matrix(dim, M, d)
             K = K + D.T @ sp.diags(af.ravel()) @ D
         if dim == 2 and np.max(np.abs(a[:, 0, 1])) > 0:
             a12 = a[:, 0, 1]
@@ -235,8 +257,7 @@ class CellOperator:
         # b_k = div_y(a e_k): apply the flux form to the affine slope e_k
         self.b = []
         for k in range(dim):
-            Dk = _face_difference_matrix(dim, M, k)
-            bk = -(Dk.T @ self.face_coeffs[k])
+            bk = -(self._D[k].T @ self.face_coeffs[k])
             if self.cell_offdiag is not None:
                 other = 1 - k
                 bk = bk - self._G[other].T @ self.cell_offdiag
@@ -250,6 +271,11 @@ class CellOperator:
             self.pair_const[0, 1] = m12
             self.pair_const[1, 0] = m12
 
+    @cached_property
+    def band(self):
+        """Upper band of K in folded order (a ``banded.Band``)."""
+        return Band(self.K, _folded_order(self.dim, self.M)[1])
+
     def flux_pairing(self, j, phi):
         """Discrete integral of a (grad phi + e_k) . e_j given K phi = b_k,
         namely B(y_j, y_k + phi) = pair_const[j,k] - <b_j, phi> h^N."""
@@ -260,14 +286,12 @@ class CellOperator:
         """Gram matrix of face-difference gradients: G[j,k] = q(phi_j, phi_k),
         the identity-coefficient energy, used for the ellipticity sandwich."""
         m = len(phis)
-        dim, M = self.dim, self.M
-        Ds = [_face_difference_matrix(dim, M, d) for d in range(dim)]
         hN = 1.0 / self.n
         out = np.zeros((m, m))
-        dphis = [[D @ p for D in Ds] for p in phis]
+        dphis = [[D @ p for D in self._D] for p in phis]
         for i in range(m):
             for j in range(i, m):
-                v = hN * sum(float(dphis[i][d] @ dphis[j][d]) for d in range(dim))
+                v = hN * sum(float(dphis[i][d] @ dphis[j][d]) for d in range(self.dim))
                 out[i, j] = out[j, i] = v
         return out
 
@@ -383,15 +407,17 @@ def solve_supercritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int,
     )
 
 
-def _march_periodic(lus, rhs, capacity, h_s, n_cells,
+def _march_periodic(factors, rhs, capacity, h_s, n_cells,
                     periodic_tol=PERIODIC_TOL, max_sweeps=MAX_SWEEPS):
     """Implicit-Euler period map iterated to its fixed point.
 
-    lus[j], rhs[j] (j = 0..M_s-1) describe the step towards slice j+1:
+    factors[j], rhs[j] (j = 0..M_s-1) describe the step towards slice j+1:
     (capacity/h_s) (phi^{j+1} - phi^j) + K^{j+1} phi^{j+1} = b^{j+1},
-    with lus[j] the factorization of (capacity/h_s) I + K^{j+1}.
+    with factors[j] the banded Cholesky factor of (capacity/h_s) I + K^{j+1}
+    in folded order (``_step_factors``); rhs and the trajectory are in the
+    same order, which the zero-mean projection and the defect ignore.
     Returns (trajectory of shape (M_s+1, n), periodic defect)."""
-    M_s = len(lus)
+    M_s = len(factors)
     hN_sqrt = np.sqrt(1.0 / n_cells)
     phi0 = np.zeros(n_cells)
     traj = np.empty((M_s + 1, n_cells))
@@ -400,7 +426,7 @@ def _march_periodic(lus, rhs, capacity, h_s, n_cells,
         traj[0] = phi0
         cur = phi0
         for j in range(M_s):
-            cur = lus[j].solve((capacity / h_s) * cur + rhs[j])
+            cur = factors[j].solve((capacity / h_s) * cur + rhs[j])
             traj[j + 1] = cur
         defect = float(np.linalg.norm(traj[-1] - traj[0]) * hN_sqrt)
         if defect <= periodic_tol:
@@ -424,6 +450,20 @@ def _slice_operators(field, grid):
         sj = ((j + 1) % M_s) * grid.h_s
         ops.append(CellOperator(field, grid, s=sj))
     return ops
+
+
+def _step_factors(ops, shift, kappa):
+    """Banded Cholesky factors of shift I + kappa K for every operator of
+    ``_slice_operators``, in folded order. A factor that fails names its
+    slice."""
+    factors = []
+    for j, op in enumerate(ops):
+        try:
+            factors.append(BandCholesky(op.band.shifted(kappa, shift)))
+        except SolverDiverged as err:
+            s = ((j + 1) % len(ops)) / len(ops)
+            raise SolverDiverged(f"slice {j} (s={s:.4f}): {err}") from err
+    return factors
 
 
 def _solve_critical(field, grid, regime, param, ks, ops=None,
@@ -459,12 +499,13 @@ def _solve_critical(field, grid, regime, param, ks, ops=None,
                 s_nodes=times, residual=res, param=param,
             ))
         return out
-    lus = [spla.splu((sp.eye(n) * (capacity / grid.h_s) + kappa * op.K).tocsc())
-           for op in ops]
+    factors = _step_factors(ops, capacity / grid.h_s, kappa)
+    order, pos = _folded_order(field.dim, grid.M_y)
     out = []
     for k in ks:
-        traj, defect = _march_periodic(lus, [op.b[k - 1] for op in ops], capacity,
-                                       grid.h_s, n, periodic_tol, max_sweeps)
+        traj, defect = _march_periodic(factors, [op.b[k - 1][order] for op in ops],
+                                       capacity, grid.h_s, n, periodic_tol, max_sweeps)
+        traj = traj[:, pos]
         out.append(CellSolution(
             regime=regime, dim=field.dim, grid=grid, k=k,
             phi=traj if fde else kappa * traj, s_nodes=s_nodes,

@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from .banded import Band, BandCholesky
 from .effmat import EffectiveTensor, TableClampWarning
 from .errors import ConfigError, NewtonStalled, SolverDiverged, StepRejected
 from .fields import MacroGrid, PeriodicMatrixField, read_artifact, write_artifact
@@ -178,7 +179,9 @@ class Operator1D:
 
 class Operator2D:
     """Sparse 5-point (plus optional constant cross term) Dirichlet operator
-    on the n_x x n_x interior grid."""
+    on the n_x x n_x interior grid. In its row-major order the matrix has
+    half-width n_x (n_x + 1 with the cross term), so shifted solves factor
+    it by banded Cholesky."""
 
     def __init__(self, a1face, a2face, h, a12=0.0):
         # a1face: (n_x+1, n_x) coefficients on x1-faces; a2face: (n_x, n_x+1)
@@ -220,9 +223,17 @@ class Operator2D:
     def energy(self, v, h):
         return h * h * float(v @ (self.K @ v))
 
+    @cached_property
+    def band(self):
+        """Upper band of K in row-major order (a ``banded.Band``)."""
+        return Band(self.K)
+
     def solve_shifted(self, extra_diag, dt, rhs):
-        J = sp.diags(extra_diag) + dt * self.K
-        return spla.splu(J.tocsc()).solve(rhs)
+        """Solve (diag(extra_diag) + dt * K) x = rhs by banded Cholesky.
+
+        Raises ValueError for non-finite input and SolverDiverged when the
+        shifted matrix is not positive definite."""
+        return BandCholesky(self.band.shifted(dt, extra_diag)).solve(rhs)
 
 
 def _micro_operator(field, grid, eps, r, t):
@@ -419,10 +430,7 @@ def hminus1_norm(w, grid: MacroGrid) -> float:
     return the energy norm of phi, i.e. sqrt(h^N w . phi)."""
     w = np.asarray(w, dtype=float).ravel()
     op = _constant_operator(np.eye(grid.dim), grid)
-    if grid.dim == 1:
-        phi = op.solve_shifted(np.zeros(op.n), 1.0, w)
-    else:
-        phi = spla.splu((1.0 * op.K).tocsc()).solve(w)
+    phi = op.solve_shifted(np.zeros(len(w)), 1.0, w)
     val = grid.h**grid.dim * float(w @ phi)
     if val < -1e-12:
         raise SolverDiverged(f"indefinite H^-1 energy {val:.3e}")

@@ -3,10 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
 from conftest import l2_cell_time, monolithic_critical_solve
 from oscidiff import cellsolve as cs
-from oscidiff.errors import ConfigError
+from oscidiff.errors import ConfigError, SolverDiverged
 from oscidiff.fields import CellGrid, MacroGrid, make_field
+
+STEP_FIELDS = [("trig1d_st", {}), ("trig2d_st", {}),
+               ("constant", {"matrix": [[2.0, 0.7], [0.7, 1.0]]})]
 
 
 def face_flux_1d(field, sol, slice_idx):
@@ -117,6 +123,55 @@ def test_regime_consistency_s_independent():
     ]
     for sol in sols:
         assert np.max(np.abs(sol.phi - ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("M", [4, 5, 7, 24])
+@pytest.mark.parametrize("name,params", STEP_FIELDS)
+def test_folded_order_is_permutation_with_stated_half_width(name, params, M):
+    field = make_field(name, **params)
+    op = cs.CellOperator(field, CellGrid(M_y=M, M_s=4), s=0.3)
+    order, pos = cs._folded_order(field.dim, M)
+    assert np.array_equal(np.sort(order), np.arange(op.n))
+    assert np.array_equal(pos[order], np.arange(op.n))
+    cross = op.cell_offdiag is not None
+    assert name != "constant" or cross
+    half_width = 2 if field.dim == 1 else 2 * M + (2 if cross else 0)
+    assert op.band.kd == half_width
+
+
+@pytest.mark.parametrize("shift", [1e-3, 4.0])
+@pytest.mark.parametrize("M", [4, 5, 7, 24])
+@pytest.mark.parametrize("name,params", STEP_FIELDS)
+def test_step_factors_match_spsolve(name, params, M, shift):
+    # shift I + kappa K in folded order against a sparse direct solve
+    field = make_field(name, **params)
+    grid = CellGrid(M_y=M, M_s=4)
+    ops = [cs.CellOperator(field, grid, s=s) for s in (0.25, 0.5)]
+    kappa = 1.7
+    order, pos = cs._folded_order(field.dim, M)
+    for op, factor in zip(ops, cs._step_factors(ops, shift, kappa)):
+        A = (shift * sp.eye(op.n) + kappa * op.K).tocsc()
+        wave = np.cos(np.arange(op.n))
+        rhs = op.b[-1] + wave - wave.mean()  # mean-zero, as the march's
+        x = factor.solve(rhs[order])[pos]
+        ref = spla.spsolve(A, rhs)
+        assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        # at shift 1e-3 the condition number reaches about 1e7
+        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_step_factor_not_positive_definite_names_slice():
+    grid = CellGrid(M_y=8, M_s=4)
+    negative = cs.CellOperator.from_matrix_values(
+        -np.ones((8, 1, 1)), 1, CellGrid(M_y=8, M_s=4, face_avg="arithmetic"))
+    positive = cs.CellOperator(make_field("trig1d_st"), grid, s=0.25)
+    with pytest.raises(SolverDiverged, match=r"slice 1 \(s=0\.5000\).*leading minor"):
+        cs._step_factors([positive, negative, positive, positive], 4.0, 1.5)
+    factor = cs._step_factors([positive], 4.0, 1.5)[0]
+    with pytest.raises(ValueError):
+        factor.solve(np.full(8, np.nan))
+    with pytest.raises(ValueError):
+        cs._step_factors([positive], np.inf, 1.5)
 
 
 @pytest.mark.parametrize("p,u0abs", [(0.5, 1.0), (1.5, 1.0), (0.5, 0.3),

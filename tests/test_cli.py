@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from oscidiff import cli, pdesolve as pde
+from oscidiff import cellsolve as cs, cli, effmat as em, pdesolve as pde
+from oscidiff.fields import CellGrid
 
 BASE = {
     "field": {"name": "trig1d_st"},
@@ -70,6 +71,25 @@ def test_malformed_field_file_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, field={"file": str(bad)})
     assert run("cell", cfg, tmp_path / "out") == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_not_positive_definite_is_solver_error(tmp_path, capsys, monkeypatch):
+    # the banded factors raise SolverDiverged, not a bare RuntimeError
+    negative = cs.CellOperator.from_matrix_values(
+        -np.ones((32, 1, 1)), 1, CellGrid(M_y=32, M_s=32, face_avg="arithmetic"))
+    with monkeypatch.context() as m:
+        m.setattr(cs, "_slice_operators", lambda field, grid: [negative] * grid.M_s)
+        cfg = write_config(tmp_path, p=1.5, r=2.0)
+        assert run("ahom", cfg, tmp_path / "cell") == cli.EXIT_SOLVER
+    assert "slice 0" in capsys.readouterr().err
+    flipped = em.EffectiveTensor(
+        regime="classical", dim=2, lam=1.0, Lam=1.0, matrices=-np.eye(2)[np.newaxis],
+        corrector_norms=np.zeros((1, 2)), grad_grams=np.zeros((1, 2, 2)))
+    monkeypatch.setattr(cli, "_tensor", lambda cfg: flipped)
+    cfg = write_config(tmp_path, field={"name": "laminate2d"},
+                       grids={"M_y": 8, "M_s": 4, "n_x": 8, "n_t": 4, "T": 0.1})
+    assert run("homog", cfg, tmp_path / "macro") == cli.EXIT_SOLVER
+    assert "SolverDiverged" in capsys.readouterr().err
 
 
 def test_regime_auto_derivation(tmp_path):

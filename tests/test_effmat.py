@@ -7,7 +7,7 @@ from conftest import monolithic_critical_solve
 from oscidiff import cellsolve as cs, effmat as em
 from oscidiff.errors import (BoundViolated, ConfigError, DimensionMismatch,
                              PeriodicityNotReached, RegimeMismatch,
-                             SymmetryViolated)
+                             SolverDiverged, SymmetryViolated)
 from oscidiff.fields import CellGrid, make_field, mean_ys
 
 # pinned by a 1e6-point midpoint quadrature of int (1/4) sqrt(4 - cos^2 2 pi s) ds
@@ -151,6 +151,43 @@ def test_table_builds_each_slice_once(monkeypatch, name, p):
     em.tabulate_ahom_critical(make_field(name), grid, p=p,
                               u0abs_grid=SHARED_TABLE_KEYS)
     assert len(built) == grid.M_s
+
+
+@pytest.mark.parametrize("name,p", SHARED_TABLE_CASES)
+def test_table_difference_matrices_only_in_operator_builds(monkeypatch, name, p):
+    # the Gram assembly reuses the face-difference matrices of the build
+    calls, inside = [], []
+    face_difference = cs._face_difference_matrix
+    init = cs.CellOperator.__init__
+
+    def counting_difference(*args):
+        calls.append(bool(inside))
+        return face_difference(*args)
+
+    def tracking_init(self, *args, **kwargs):
+        inside.append(1)
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cs, "_face_difference_matrix", counting_difference)
+    monkeypatch.setattr(cs.CellOperator, "__init__", tracking_init)
+    field, grid = make_field(name), CellGrid(M_y=8, M_s=4)
+    em.tabulate_ahom_critical(field, grid, p=p, u0abs_grid=SHARED_TABLE_KEYS)
+    assert all(calls)
+    assert 0 < len(calls) <= 2 * field.dim * grid.M_s
+
+
+def test_table_not_positive_definite_names_key_and_slice(monkeypatch):
+    grid = CellGrid(M_y=8, M_s=4)
+    negative = cs.CellOperator.from_matrix_values(
+        -np.ones((8, 1, 1)), 1, CellGrid(M_y=8, M_s=4, face_avg="arithmetic"))
+    monkeypatch.setattr(cs, "_slice_operators", lambda field, grid: [negative] * grid.M_s)
+    with pytest.raises(SolverDiverged,
+                       match=r"u0abs=0\.01: slice 0 \(s=0\.2500\): .*leading minor"):
+        em.tabulate_ahom_critical(make_field("trig1d_st"), grid, p=1.5,
+                                  u0abs_grid=SHARED_TABLE_KEYS)
 
 
 def test_table_error_keeps_context(monkeypatch):

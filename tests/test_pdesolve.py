@@ -3,11 +3,14 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscidiff import cellsolve as cs, effmat as em, pdesolve as pde
-from oscidiff.errors import ConfigError
+from oscidiff.banded import Band
+from oscidiff.errors import ConfigError, SolverDiverged
 from oscidiff.fields import CellGrid, MacroGrid, make_field
 
 IDENTITY_1D = make_field("constant", matrix=np.eye(1))
@@ -217,6 +220,42 @@ def test_micro_phase_cache_is_exact(monkeypatch, r, n_t, substeps, builds):
     assert np.array_equal(traj.dissipation, diss)
     assert traj.stats["operator_builds"] == len(live) == builds
     assert peak[0] <= pde.MICRO_OPERATOR_CACHE
+
+
+def _operator_2d(n, a12=0.0, seed=0):
+    rng = np.random.default_rng(seed)
+    return pde.Operator2D(rng.uniform(0.5, 2.0, (n + 1, n)),
+                          rng.uniform(0.5, 2.0, (n, n + 1)), 1.0 / (n + 1), a12=a12)
+
+
+@pytest.mark.parametrize("a12", [0.0, 0.3])
+@pytest.mark.parametrize("n", [8, 13, 48])
+def test_operator2d_solve_shifted_matches_spsolve(n, a12):
+    op = _operator_2d(n, a12, seed=n)
+    assert Band(op.K).kd == n + (1 if a12 else 0)
+    rng = np.random.default_rng(n + 1)
+    for dt in (1e-3, 0.05):
+        extra = rng.uniform(0.1, 3.0, n * n)
+        rhs = rng.standard_normal(n * n)
+        rhs_in = rhs.copy()
+        J = (sp.diags(extra) + dt * op.K).tocsc()
+        x = op.solve_shifted(extra, dt, rhs)
+        assert np.array_equal(rhs, rhs_in)
+        assert np.linalg.norm(J @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        ref = spla.spsolve(J, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_operator2d_solve_shifted_failures_are_typed():
+    op = _operator_2d(6)
+    rhs = np.ones(36)
+    rhs[3] = np.nan
+    with pytest.raises(ValueError):
+        op.solve_shifted(np.ones(36), 0.1, rhs)
+    with pytest.raises(ValueError):
+        op.solve_shifted(np.full(36, np.inf), 0.1, np.ones(36))
+    with pytest.raises(SolverDiverged, match="leading minor"):
+        op.solve_shifted(np.full(36, -1e4), 0.1, np.ones(36))
 
 
 def test_micro_operator_2d_samples_once_per_face_set(monkeypatch):
