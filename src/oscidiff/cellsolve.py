@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .banded import Band, BandCholesky
-from .errors import ConfigError, PeriodicityNotReached, RegimeMismatch, SolverDiverged
+from .errors import ConfigError, EllipticityViolation, PeriodicityNotReached, SolverDiverged
 from .fields import (CellGrid, PeriodicInterpolant, PeriodicMatrixField, read_artifact,
                      write_artifact)
 
@@ -129,21 +129,17 @@ class CellSolution:
             axis=-1,
         )
 
-    def interpolators(self):
-        """(phi_eval, grad_eval): periodic bilinear interpolants in (y, s).
-
-        phi_eval(y, s) -> values; grad_eval(y, s) -> shape (..., dim).
+    def grad_interpolant(self):
+        """Periodic multilinear interpolant of ``grad_y`` in (y, s): called
+        with y of shape (..., dim) and s, it returns shape (..., dim).
         Cell values sit at y = (i + 1/2)/M_y; the critical layout already
         carries both ends of the s-period, the others wrap in s.
         """
-        shape = (len(self.s_nodes),) + (self.grid.M_y,) * self.dim
+        shape = (len(self.s_nodes),) + (self.grid.M_y,) * self.dim + (self.dim,)
         h_s = self.s_nodes[1] - self.s_nodes[0] if len(self.s_nodes) > 1 else 1.0
-        kw = dict(dim=self.dim, h_s=h_s, y_offset=0.5,
-                  s_periodic=self.regime not in ("critical_fde", "critical_pme"))
-        phi_itp = PeriodicInterpolant(self.phi.reshape(shape), **kw)
-        grad_itp = PeriodicInterpolant(self.grad_y().reshape(shape + (self.dim,)), **kw)
-        return (lambda y, s: phi_itp(np.atleast_2d(y), s),
-                lambda y, s: grad_itp(np.atleast_2d(y), s))
+        return PeriodicInterpolant(
+            self.grad_y().reshape(shape), dim=self.dim, h_s=h_s, y_offset=0.5,
+            s_periodic=self.regime not in ("critical_fde", "critical_pme"))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +229,16 @@ class CellOperator:
         self.face_coeffs = []
         self.cell_offdiag = None
         mode = getattr(grid, "face_avg", "geometric")
+        diag = a[:, range(dim), range(dim)]
+        if mode != "arithmetic" and not np.all(diag > 0):
+            # the geometric and harmonic means are only defined for positive
+            # values; the arithmetic mean builds any operator, and a
+            # non-positive one fails later in its factorization
+            i, d = np.argwhere(~(diag > 0))[0]
+            raise EllipticityViolation(
+                f"{mode} face average needs positive cell coefficients: "
+                f"a_{d + 1}{d + 1} = {diag[i, d]:.6g} at cell {i} "
+                f"(y = {grid.centers(dim)[i]})")
         self._D = [_face_difference_matrix(dim, M, d) for d in range(dim)]
         for d, D in enumerate(self._D):
             add = a[:, d, d].reshape((M,) * dim)
@@ -301,22 +307,22 @@ def _project_mean(x):
     return x
 
 
-def projected_cg(K, b, tol=SOLVER_TOL, x0=None, max_iter=None):
+def projected_cg(K, b):
     """CG for the singular periodic operator, re-projecting onto zero mean
-    after every iteration. Returns (x, relative residual)."""
+    after every iteration; stops at relative residual SOLVER_TOL or after
+    10 n iterations. Returns (x, relative residual)."""
     n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = 10 * n
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), 0.0
-    x = np.zeros(n) if x0 is None else _project_mean(x0.copy())
+    x = np.zeros(n)
     r = b - K @ x
     _project_mean(r)
     p = r.copy()
     rs = r @ r
     for _ in range(max_iter):
-        if np.sqrt(rs) <= tol * bnorm:
+        if np.sqrt(rs) <= SOLVER_TOL * bnorm:
             return _project_mean(x), np.sqrt(rs) / bnorm
         Kp = K @ p
         alpha = rs / (p @ Kp)
@@ -342,41 +348,39 @@ def _check_k(field, k):
         raise ConfigError(f"direction k={k} out of range for dim={field.dim}")
 
 
-def solve_classical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int,
-                         solver_tol: float = SOLVER_TOL) -> CellSolution:
+def solve_classical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
     """Elliptic cell problem for an s-independent coefficient field."""
     _check_k(field, k)
     if not field.s_independent:
         raise ConfigError("classical cell problem requires an s-independent field")
     op = CellOperator(field, grid, s=0.0)
-    phi, res = projected_cg(op.K, op.b[k - 1], tol=solver_tol)
+    phi, res = projected_cg(op.K, op.b[k - 1])
     return CellSolution(
         regime="classical", dim=field.dim, grid=grid, k=k,
         phi=phi[np.newaxis, :], s_nodes=np.array([0.0]), residual=res,
     )
 
 
-def solve_subcritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int,
-                           solver_tol: float = SOLVER_TOL) -> CellSolution:
+def solve_subcritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
     """Per-slice elliptic cell problem Phi_k(y, s), slices at s = j/M_s."""
     _check_k(field, k)
     s_nodes = grid.slice_times()
     phi, worst = _solve_slices((CellOperator(field, grid, s=sj) for sj in s_nodes),
-                               s_nodes, k, solver_tol)
+                               s_nodes, k)
     return CellSolution(
         regime="subcritical", dim=field.dim, grid=grid, k=k,
         phi=phi, s_nodes=s_nodes, residual=worst,
     )
 
 
-def _solve_slices(ops, s_nodes, k, solver_tol):
+def _solve_slices(ops, s_nodes, k):
     """Elliptic solve for direction k on each slice operator in turn.
     Returns (phi of shape (len(s_nodes), n), worst relative residual)."""
     phis = []
     worst = 0.0
     for j, (sj, op) in enumerate(zip(s_nodes, ops)):
         try:
-            phi, res = projected_cg(op.K, op.b[k - 1], tol=solver_tol)
+            phi, res = projected_cg(op.K, op.b[k - 1])
         except SolverDiverged as err:
             raise SolverDiverged(f"slice {j} (s={sj:.4f}): {err}", residual=err.residual) from err
         phis.append(phi)
@@ -395,21 +399,20 @@ def s_averaged_operator(field: PeriodicMatrixField, grid: CellGrid) -> CellOpera
     return CellOperator.from_matrix_values(acc, field.dim, grid)
 
 
-def solve_supercritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int,
-                             solver_tol: float = SOLVER_TOL) -> CellSolution:
+def solve_supercritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
     """Elliptic cell problem for the s-averaged coefficient."""
     _check_k(field, k)
     op = s_averaged_operator(field, grid)
-    phi, res = projected_cg(op.K, op.b[k - 1], tol=solver_tol)
+    phi, res = projected_cg(op.K, op.b[k - 1])
     return CellSolution(
         regime="supercritical", dim=field.dim, grid=grid, k=k,
         phi=phi[np.newaxis, :], s_nodes=np.array([0.0]), residual=res,
     )
 
 
-def _march_periodic(factors, rhs, capacity, h_s, n_cells,
-                    periodic_tol=PERIODIC_TOL, max_sweeps=MAX_SWEEPS):
-    """Implicit-Euler period map iterated to its fixed point.
+def _march_periodic(factors, rhs, capacity, h_s, n_cells):
+    """Implicit-Euler period map iterated to its fixed point: at most
+    MAX_SWEEPS sweeps, until the periodic defect is at most PERIODIC_TOL.
 
     factors[j], rhs[j] (j = 0..M_s-1) describe the step towards slice j+1:
     (capacity/h_s) (phi^{j+1} - phi^j) + K^{j+1} phi^{j+1} = b^{j+1},
@@ -422,20 +425,20 @@ def _march_periodic(factors, rhs, capacity, h_s, n_cells,
     phi0 = np.zeros(n_cells)
     traj = np.empty((M_s + 1, n_cells))
     defect = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         traj[0] = phi0
         cur = phi0
         for j in range(M_s):
             cur = factors[j].solve((capacity / h_s) * cur + rhs[j])
             traj[j + 1] = cur
         defect = float(np.linalg.norm(traj[-1] - traj[0]) * hN_sqrt)
-        if defect <= periodic_tol:
+        if defect <= PERIODIC_TOL:
             for row in traj:
                 _project_mean(row)
             return traj, defect
         phi0 = _project_mean(traj[-1].copy())
     raise PeriodicityNotReached(
-        f"period map not converged after {max_sweeps} sweeps (defect {defect:.3e})",
+        f"period map not converged after {MAX_SWEEPS} sweeps (defect {defect:.3e})",
         defect=defect,
     )
 
@@ -466,8 +469,7 @@ def _step_factors(ops, shift, kappa):
     return factors
 
 
-def _solve_critical(field, grid, regime, param, ks, ops=None,
-                    periodic_tol=PERIODIC_TOL, max_sweeps=MAX_SWEEPS):
+def _solve_critical(field, grid, regime, param, ks, ops=None):
     """Critical cell solutions for every direction in ks.
 
     The M_s step matrices are factored once and every direction marches
@@ -493,7 +495,7 @@ def _solve_critical(field, grid, regime, param, ks, ops=None,
         slices, times = [ops[j - 1] for j in range(grid.M_s)], grid.slice_times()
         out = []
         for k in ks:
-            phi, res = _solve_slices(slices, times, k, SOLVER_TOL)
+            phi, res = _solve_slices(slices, times, k)
             out.append(CellSolution(
                 regime=regime, dim=field.dim, grid=grid, k=k, phi=phi,
                 s_nodes=times, residual=res, param=param,
@@ -504,7 +506,7 @@ def _solve_critical(field, grid, regime, param, ks, ops=None,
     out = []
     for k in ks:
         traj, defect = _march_periodic(factors, [op.b[k - 1][order] for op in ops],
-                                       capacity, grid.h_s, n, periodic_tol, max_sweeps)
+                                       capacity, grid.h_s, n)
         traj = traj[:, pos]
         out.append(CellSolution(
             regime=regime, dim=field.dim, grid=grid, k=k,
@@ -516,108 +518,41 @@ def _solve_critical(field, grid, regime, param, ks, ops=None,
 
 
 def solve_critical_cell_fde(field: PeriodicMatrixField, grid: CellGrid,
-                            param: CellParameter, k: int,
-                            periodic_tol: float = PERIODIC_TOL,
-                            max_sweeps: int = MAX_SWEEPS) -> CellSolution:
+                            param: CellParameter, k: int) -> CellSolution:
     """Time-periodic parabolic cell problem, fast-diffusion form.
 
     mu d_s Phi = div_y(a [grad Phi + e_k]) with mu = (1/p)|u0|^(1-p);
     at u0 = 0 the problem degenerates to the slice-elliptic one."""
-    return _solve_critical(field, grid, "critical_fde", param, [k], None,
-                           periodic_tol, max_sweeps)[0]
+    return _solve_critical(field, grid, "critical_fde", param, [k])[0]
 
 
 def solve_critical_cell_pme(field: PeriodicMatrixField, grid: CellGrid,
-                            param: CellParameter, k: int,
-                            periodic_tol: float = PERIODIC_TOL,
-                            max_sweeps: int = MAX_SWEEPS) -> CellSolution:
+                            param: CellParameter, k: int) -> CellSolution:
     """Time-periodic parabolic cell problem, porous-medium form.
 
     d_s Psi = div_y(a [kappa grad Psi + e_k]) with kappa = p|u0|^(p-1)
     and Phi = kappa Psi; at u0 = 0 the corrector vanishes identically."""
-    return _solve_critical(field, grid, "critical_pme", param, [k], None,
-                           periodic_tol, max_sweeps)[0]
+    return _solve_critical(field, grid, "critical_pme", param, [k])[0]
 
 
-def solve_cells(field, grid, regime, param=None, k_list=None, **kw):
+def solve_cells(field, grid, regime, param=None, ops=None):
     """Solve the cell problem for every direction; returns a list per k.
 
-    The critical regimes accept ``ops=`` (prebuilt slice operators) and
-    factor their step matrices once for all directions."""
+    The critical regimes use ``ops`` (prebuilt ``_slice_operators``) when
+    given, and factor their step matrices once for all directions."""
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
-    ks = k_list if k_list is not None else range(1, field.dim + 1)
+    ks = range(1, field.dim + 1)
     solver = {
         "classical": solve_classical_cell,
         "subcritical": solve_subcritical_cell,
         "supercritical": solve_supercritical_cell,
     }.get(regime)
     if solver is not None:
-        return [solver(field, grid, k, **kw) for k in ks]
+        return [solver(field, grid, k) for k in ks]
     if param is None:
         raise ConfigError("critical regimes need a CellParameter")
-    return _solve_critical(field, grid, regime, param, list(ks), **kw)
-
-
-# ---------------------------------------------------------------------------
-# Corrector field
-
-
-class CorrectorField:
-    """Evaluator for z(x, t, y, s) = sum_k d_{x_k} v0(x,t) Phi_k(y, s).
-
-    Macroscopic samples are looked up by nearest grid node; the fast
-    variables interpolate bilinearly (periodically) on the cell grid.
-    """
-
-    def __init__(self, cells, grad_v0, macro_grid):
-        dim = cells[0].dim
-        if len(cells) != dim:
-            raise RegimeMismatch(f"need {dim} cell solutions, got {len(cells)}")
-        if any(c.regime != cells[0].regime for c in cells):
-            raise RegimeMismatch("cell solutions mix regimes")
-        grad_v0 = np.asarray(grad_v0)
-        if grad_v0.shape[-1] != dim:
-            raise RegimeMismatch(
-                f"grad_v0 last axis {grad_v0.shape[-1]} != dim {dim}")
-        self.dim = dim
-        self.grid = macro_grid
-        self.grad_v0 = grad_v0  # (n_t+1, n_x**dim, dim)
-        self._phi = []
-        self._grad = []
-        for c in cells:
-            p, g = c.interpolators()
-            self._phi.append(p)
-            self._grad.append(g)
-
-    def _macro_index(self, x, t):
-        g = self.grid
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0 or x.shape[-1] != self.dim:
-            x = x[..., np.newaxis]
-        ix = np.clip(np.rint(x / g.h - 1).astype(int), 0, g.n_x - 1)
-        it = np.clip(np.rint(np.asarray(t) / g.dt).astype(int), 0, g.n_t)
-        if self.dim == 1:
-            flat = ix[..., 0]
-        else:
-            flat = ix[..., 0] * g.n_x + ix[..., 1]
-        return it, flat
-
-    def __call__(self, x, t, y, s):
-        it, flat = self._macro_index(x, t)
-        coeff = self.grad_v0[it, flat]  # (..., dim)
-        out = 0.0
-        for k in range(self.dim):
-            out = out + coeff[..., k] * self._phi[k](y, s)
-        return out
-
-    def grad_y(self, x, t, y, s):
-        it, flat = self._macro_index(x, t)
-        coeff = self.grad_v0[it, flat]
-        out = 0.0
-        for k in range(self.dim):
-            out = out + coeff[..., k, np.newaxis] * self._grad[k](y, s)
-        return out
+    return _solve_critical(field, grid, regime, param, ks, ops)
 
 
 # ---------------------------------------------------------------------------

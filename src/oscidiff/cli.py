@@ -28,6 +28,8 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_ASSERT = 3
 
+CONFIG_KEYS = ("field", "p", "r", "eps", "grids", "data", "u0abs", "seed")
+
 
 @dataclass
 class ExperimentConfig:
@@ -68,11 +70,24 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(doc)
 
 
+def _check_keys(where, section, allowed):
+    """Reject a key of the config section that nothing reads."""
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"config field '{where}{unknown[0]}': unknown key; "
+                          f"choices: {sorted(allowed)}")
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    if "regime" in doc:
+        raise ConfigError("config field 'regime': not accepted; the regime follows "
+                          "from r (and from p at r = 2)")
+    _check_keys("", doc, CONFIG_KEYS)
     fspec = doc.get("field", {"name": "trig1d_st"})
     if "file" in fspec:
+        _check_keys("field.", fspec, ("file",))
         field = load_gridded(fspec["file"])
     elif "name" in fspec:
         params = {k: v for k, v in fspec.items() if k != "name"}
@@ -80,9 +95,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     else:
         raise ConfigError("field spec needs 'name' (builtin) or 'file' (gridded)")
 
-    if "regime" in doc:
-        raise ConfigError("config field 'regime': not accepted; the regime follows "
-                          "from r (and from p at r = 2)")
     p = float(doc.get("p", 1.0))
     r = float(doc.get("r", 1.0))
     regime = cs.regime_for(r, p)
@@ -94,6 +106,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("config field 'eps': must be strictly decreasing")
 
+    _check_keys("grids.", doc.get("grids", {}), [*hz.DEFAULTS["grids"][field.dim], "face_avg"])
     g = {**hz.DEFAULTS["grids"][field.dim], **doc.get("grids", {})}
     cell_grid = CellGrid(M_y=int(g["M_y"]), M_s=int(g["M_s"]),
                          face_avg=g.get("face_avg", "geometric"))
@@ -101,6 +114,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                            T=float(g["T"]))
 
     d = doc.get("data", {})
+    _check_keys("data.", d, ("u0", "f"))
     u0_name = d.get("u0", "sine")
     f_name = d.get("f", "one")
     for key, name in (("u0", u0_name), ("f", f_name)):

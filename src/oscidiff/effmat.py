@@ -30,6 +30,10 @@ from .fields import CellGrid, PeriodicMatrixField, mean_ys, read_artifact, write
 
 AHOM_MAGIC = "oscidiff-ahom v1"
 SYMMETRY_TOL = 1e-9
+# Allowed violation of the ellipticity sandwich, and the constant C of the
+# skew-formula tolerance C (h_y^2 + h_s).
+SANDWICH_SLACK = 1e-8
+SKEW_TOL_C = 2.0
 
 
 class TableClampWarning(UserWarning):
@@ -69,27 +73,13 @@ class EffectiveTensor:
         return self.matrices[0]
 
     def entry_at(self, u0val):
-        """Interpolated matrix at |u0val| (log(1+.)-linear, clamped)."""
-        if not self.is_table:
-            return self.matrices[0]
-        x = np.log1p(abs(float(u0val)))
-        keys = np.log1p(self.u0abs_keys)
-        if x < keys[0] - 1e-15 or x > keys[-1] + 1e-15:
-            warnings.warn(
-                f"|u0|={abs(float(u0val)):.3g} outside table hull "
-                f"[{self.u0abs_keys[0]:.3g}, {self.u0abs_keys[-1]:.3g}]; clamping",
-                TableClampWarning, stacklevel=3,
-            )
-            x = min(max(x, keys[0]), keys[-1])
-        i = int(np.searchsorted(keys, x, side="right") - 1)
-        i = min(max(i, 0), len(keys) - 2)
-        theta = (x - keys[i]) / (keys[i + 1] - keys[i])
-        theta = min(max(theta, 0.0), 1.0)
-        return (1.0 - theta) * self.matrices[i] + theta * self.matrices[i + 1]
+        """Matrix at one |u0| value: ``entries_at`` at a single point."""
+        return self.entries_at(float(u0val))
 
     def entries_at(self, u0vals):
-        """Vectorized entry_at without per-value warnings (clamps silently
-        after one summary warning); returns shape (..., N, N)."""
+        """Matrices at the given |u0| values, linear in log(1 + |u0|), shape
+        (..., N, N). Values outside the table hull are clamped to it, with
+        one TableClampWarning per call."""
         if not self.is_table:
             return np.broadcast_to(self.matrices[0],
                                    np.shape(u0vals) + (self.dim, self.dim))
@@ -226,24 +216,21 @@ def tabulate_ahom_critical(field: PeriodicMatrixField, grid: CellGrid, p: float,
     return _tabulate_critical(field, grid, p, u0abs_grid, keep_cells=False)[0]
 
 
-def ellipticity_report(tensor: EffectiveTensor, lam=None, probes=None,
-                       n_probes: int = 64, seed: int = 0, slack: float = 1e-8):
-    """Check the refined ellipticity sandwich on probe directions.
+def ellipticity_report(tensor: EffectiveTensor, n_probes: int = 64, seed: int = 0):
+    """Check the refined ellipticity sandwich on random unit directions.
 
     For each stored matrix M with corrector-gradient Gram G the quantity
     Q(xi) = |xi|^2 + xi.G xi must satisfy lam Q <= M xi.xi <= Lam Q up to
-    the given slack. Returns the minimal slack and its witness.
+    SANDWICH_SLACK. Returns the minimal slack and its witness.
     """
-    lam = tensor.lam if lam is None else lam
-    Lam = tensor.Lam
-    if probes is None:
-        rng = np.random.default_rng(seed)
-        probes = rng.standard_normal((n_probes, tensor.dim))
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    lam, Lam = tensor.lam, tensor.Lam
+    rng = np.random.default_rng(seed)
+    probes = rng.standard_normal((n_probes, tensor.dim))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     min_slack = np.inf
     witness = None
     for i, (M, G) in enumerate(zip(tensor.matrices, tensor.grad_grams)):
-        for xi in np.atleast_2d(probes):
+        for xi in probes:
             Q = float(xi @ xi + xi @ G @ xi)
             val = float(xi @ M @ xi)
             lo = val - lam * Q
@@ -252,7 +239,7 @@ def ellipticity_report(tensor: EffectiveTensor, lam=None, probes=None,
                 if s < min_slack:
                     min_slack, witness = s, {"entry": i, "xi": xi.copy(),
                                              "bound": name, "slack": s}
-            if lo < -slack or hi < -slack:
+            if lo < -SANDWICH_SLACK or hi < -SANDWICH_SLACK:
                 raise BoundViolated(
                     f"ellipticity sandwich violated ({witness['bound']} bound, "
                     f"slack {min(lo, hi):.3e}) at entry {i}, xi={xi}"
@@ -295,8 +282,7 @@ def skew_integral(cells, p: float):
     return S
 
 
-def skew_report(tensor: EffectiveTensor, cells=None, p=None, u0abs=None,
-                tol_C: float = 2.0):
+def skew_report(tensor: EffectiveTensor, cells=None, p=None, u0abs=None):
     """Symmetry check (non-critical) or skew-formula check (critical)."""
     critical = tensor.regime in ("critical", "critical_fde", "critical_pme")
     if not critical:
@@ -318,7 +304,7 @@ def skew_report(tensor: EffectiveTensor, cells=None, p=None, u0abs=None,
         M = tensor.matrices[0]
     S = skew_integral(cells, p)
     skew = 0.5 * (M - M.T)
-    tol = tol_C * (grid.h_y**2 + grid.h_s)
+    tol = SKEW_TOL_C * (grid.h_y**2 + grid.h_s)
     mismatch = float(np.max(np.abs(skew - S)))
     if mismatch > tol:
         raise SkewFormulaMismatch(

@@ -8,6 +8,7 @@ before evaluation, so sampling a(x/eps, t/eps^r) is total.
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -148,6 +149,40 @@ class MacroGrid:
             return x1[:, np.newaxis]
         X1, X2 = np.meshgrid(x1, x1, indexing="ij")
         return np.stack([X1.ravel(), X2.ravel()], axis=-1)
+
+    # Face layer. The faces normal to axis d sit halfway between neighbouring
+    # nodes along d, boundary nodes included, so face i along d separates
+    # node i from node i + 1 (nodes 0 and n_x + 1 carry the boundary value 0).
+
+    def face_shape(self, d):
+        """Shape of face data normal to axis d: n_x + 1 along d, n_x elsewhere."""
+        return tuple(self.n_x + (i == d) for i in range(self.dim))
+
+    def face_points(self, d):
+        """Face midpoints normal to axis d, shape (prod(face_shape(d)), dim),
+        in the row-major order of ``face_shape(d)``."""
+        x_node = np.arange(1, self.n_x + 1) * self.h
+        x_face = (np.arange(self.n_x + 1) + 0.5) * self.h
+        axes = np.meshgrid(*(x_face if i == d else x_node for i in range(self.dim)),
+                           indexing="ij")
+        return np.stack([x.ravel() for x in axes], axis=-1)
+
+    def _padded(self, v, d):
+        """Node values v on the grid, padded along d with the zero boundary
+        values."""
+        nodes = np.reshape(v, (self.n_x,) * self.dim)
+        zero = np.zeros(nodes.shape[:d] + (1,) + nodes.shape[d + 1:])
+        return np.concatenate([zero, nodes, zero], axis=d)
+
+    def face_average(self, v, d):
+        """Mean of the two node values adjacent to each face normal to d."""
+        ve = self._padded(v, d)
+        before = (slice(None),) * d
+        return 0.5 * (ve[before + (slice(None, -1),)] + ve[before + (slice(1, None),)])
+
+    def face_difference(self, v, d):
+        """Difference quotient (v_{i+1} - v_i)/h across each face normal to d."""
+        return np.diff(self._padded(v, d), axis=d) / self.h
 
     def times(self):
         """Step times t^n for n = 0..n_t (t^0 = 0)."""
@@ -377,6 +412,11 @@ def make_field(name, **params):
         raise ConfigError(
             f"unknown builtin field {name!r}; choices: {sorted(_BUILTINS)}"
         ) from None
+    allowed = [*inspect.signature(factory).parameters, *(["dim"] if name == "constant" else [])]
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ConfigError(f"builtin field {name!r} has no parameter {unknown[0]!r}; "
+                          f"choices: {sorted(allowed)}")
     if name == "constant" and "matrix" not in params:
         params = dict(params)
         params.setdefault("matrix", np.eye(params.pop("dim", 1)))

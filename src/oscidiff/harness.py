@@ -143,48 +143,40 @@ def prepare_effective(field: PeriodicMatrixField, p: float, r: float,
 # Discrete error functionals (face-based gradients)
 
 
-def _face_gradient_1d(v, h):
-    """Gradients (v_{i+1} - v_i)/h on faces 0..n (zero boundary values)."""
-    return np.diff(np.concatenate([[0.0], v, [0.0]])) / h
+def corrector_gradient(cells_by_key):
+    """Evaluator of the corrector gradient sum_k d_k v0 grad_y Phi_k(y, s).
 
+    ``cells_by_key`` maps a |u0| key to the per-direction cell solutions
+    (the single key None for the constant regimes), as ``prepare_effective``
+    returns it. Each key's gradient interpolants are built here, once. The
+    evaluator takes, per point, |u0| or u0 of shape (n,), d v0 of shape
+    (n, dim) and the fast variables y of shape (n, dim) and s of shape (n,);
+    each point uses the cells of the key nearest to its |u0| in
+    log(1 + |u0|)."""
+    keys = sorted(cells_by_key, key=lambda key: key or 0.0)
+    grads = [[cell.grad_interpolant() for cell in cells_by_key[key]] for key in keys]
+    log_keys = np.log1p([key or 0.0 for key in keys])
 
-def _face_values_1d(v):
-    ve = np.concatenate([[0.0], v, [0.0]])
-    return 0.5 * (ve[:-1] + ve[1:])
-
-
-def _corrector_grad_at(cells_by_key, u0_faces, grad_v0_faces, y, s):
-    """Sum over k of d_k v0 * grad_y Phi_k at the fast point of each face.
-
-    For the critical table the cell solution is picked per face by the
-    nearest tabulated |u0|; constant regimes use their single entry."""
-    out = np.zeros_like(grad_v0_faces)
-    keys = sorted(k for k in cells_by_key if k is not None)
-    if not keys:  # constant-regime cells
-        cells = cells_by_key[None]
-        for k, cell in enumerate(cells):
-            _, grad = cell.interpolators()
-            out += grad_v0_faces[:, k:k + 1] * grad(y, s)
+    def evaluate(u0, grad_v0, y, s):
+        nearest = np.argmin(np.abs(np.log1p(np.abs(u0))[:, None] - log_keys), axis=1)
+        out = np.zeros_like(grad_v0)
+        for i in np.unique(nearest):
+            sel = nearest == i
+            for k, grad in enumerate(grads[i]):
+                out[sel] += grad_v0[sel, k:k + 1] * grad(y[sel], s[sel])
         return out
-    karr = np.asarray(keys)
-    logk = np.log1p(karr)
-    idx = np.argmin(np.abs(np.log1p(np.abs(u0_faces))[:, None] - logk[None, :]), axis=1)
-    for i_key in np.unique(idx):
-        sel = idx == i_key
-        cells = cells_by_key[float(karr[i_key])]
-        for k, cell in enumerate(cells):
-            _, grad = cell.interpolators()
-            out[sel] += grad_v0_faces[sel, k:k + 1] * grad(y[sel], s[sel])
-    return out
+
+    return evaluate
 
 
-def _study_errors(traj_eps, traj_hom, cells_by_key, tensor, field, p, r, eps):
-    """All six error functionals for one eps (1D grids)."""
+def _study_errors(traj_eps, traj_hom, corrector, tensor, field, p, r, eps):
+    """All six error functionals for one eps (1D grids); ``corrector`` is
+    the study's ``corrector_gradient``."""
     grid = traj_eps.grid
     if grid.dim != 1:
         raise RegimeMismatch("error functionals are implemented for 1D studies")
     h, dt = grid.h, grid.dt
-    xf = pde.face_points_1d(grid)
+    xf = grid.face_points(0)
     n_t = grid.n_t
     sol2 = grad_c2 = flux_c2 = dt2 = grad_p2 = flux_p2 = 0.0
     u_eps = traj_eps.u_values()
@@ -197,12 +189,12 @@ def _study_errors(traj_eps, traj_hom, cells_by_key, tensor, field, p, r, eps):
         du = u_eps[n] - u_hom[n]
         sol2 += dt * (hN * np.sum(np.abs(du) ** (p + 1.0))) ** (2.0 / (p + 1.0))
         # face gradients and fast-variable samples
-        g_e = _face_gradient_1d(v_e, h)[:, None]
-        g_0 = _face_gradient_1d(v_0, h)[:, None]
+        g_e = grid.face_difference(v_e, 0)[:, None]
+        g_0 = grid.face_difference(v_0, 0)[:, None]
         y = np.mod(xf / eps, 1.0)
         s = np.mod(t / eps**r, 1.0)
-        u0_faces = np.sign(_face_values_1d(v_0)) * np.abs(_face_values_1d(v_0)) ** (1.0 / p)
-        corr = _corrector_grad_at(cells_by_key, u0_faces, g_0, y, np.full(len(xf), s))
+        u0_faces = pde._u_of(grid.face_average(v_0, 0), p)
+        corr = corrector(u0_faces, g_0, y, np.full(len(xf), s))
         a_eps = field.sample(y, np.full(len(xf), s))[:, 0, 0][:, None]
         ahom_f = tensor.entries_at(np.abs(u0_faces))[:, 0, 0][:, None]
         defect = g_e - g_0 - corr
@@ -226,8 +218,7 @@ def _study_errors(traj_eps, traj_hom, cells_by_key, tensor, field, p, r, eps):
 
 
 def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
-                          eps_list, data=None, cell_grid=None,
-                          newton_tol=pde.NEWTON_TOL) -> ConvergenceReport:
+                          eps_list, data=None, cell_grid=None) -> ConvergenceReport:
     """Solve micro problems along eps and the effective problem once, and
     collect the error functionals. eps_list must be strictly decreasing
     dyadic fractions."""
@@ -241,6 +232,7 @@ def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
     grid = MacroGrid(dim=field.dim, n_x=data["n_x"], n_t=data["n_t"], T=data["T"])
     regime = cs.regime_for(r, p)
     tensor, cells_by_key = prepare_effective(field, p, r, cell_grid)
+    corrector = corrector_gradient(cells_by_key)
 
     # the effective solve shares the finest micro substep so that the
     # time-discretization bias cancels where the errors are smallest
@@ -250,7 +242,7 @@ def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
     hom_prob = pde.HomogenizedProblem(
         tensor=tensor, p=p, f=data["f"], u0=data["u0"], grid=grid,
         mode=mode, substeps=finest.auto_substeps())
-    traj_hom = pde.solve_homogenized(hom_prob, newton_tol=newton_tol)
+    traj_hom = pde.solve_homogenized(hom_prob)
 
     report = ConvergenceReport(
         eps_list=eps_list, p=p, r=r,
@@ -262,9 +254,8 @@ def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
         try:
             prob = pde.MicroProblem(field=field, eps=eps, r=r, p=p,
                                     f=data["f"], u0=data["u0"], grid=grid)
-            traj = pde.solve_micro(prob, newton_tol=newton_tol)
-            errs = _study_errors(traj, traj_hom, cells_by_key, tensor,
-                                 field, p, r, eps)
+            traj = pde.solve_micro(prob)
+            errs = _study_errors(traj, traj_hom, corrector, tensor, field, p, r, eps)
         except Exception as err:  # partial reports are allowed
             report.partial = True
             report.cause = f"eps={eps}: {err}"

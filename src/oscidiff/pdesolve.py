@@ -68,8 +68,7 @@ class SpaceTimeField:
 
     def u_values(self):
         """Recover u = sign(v) |v|^(1/p) at every stored step."""
-        v = self.values
-        return np.sign(v) * np.abs(v) ** (1.0 / self.p)
+        return _u_of(self.values, self.p)
 
 
 @dataclass(frozen=True)
@@ -123,11 +122,6 @@ class HomogenizedProblem:
 
 # ---------------------------------------------------------------------------
 # Discrete elliptic operators (homogeneous Dirichlet)
-
-
-def face_points_1d(grid: MacroGrid):
-    """Face midpoints (i + 1/2) h for i = 0..n_x, shape (n_x+1, 1)."""
-    return ((np.arange(grid.n_x + 1) + 0.5) * grid.h)[:, np.newaxis]
 
 
 class Operator1D:
@@ -236,57 +230,41 @@ class Operator2D:
         return BandCholesky(self.band.shifted(dt, extra_diag)).solve(rhs)
 
 
+def _operator(grid, faces, a12=0.0):
+    """Dirichlet operator from per-axis face coefficients ``faces[d]`` of
+    ``grid.face_shape(d)``: tridiagonal in 1D, banded in 2D."""
+    if grid.dim == 1:
+        return Operator1D(faces[0], grid.h)
+    return Operator2D(*faces, grid.h, a12=a12)
+
+
 def _micro_operator(field, grid, eps, r, t):
     """Operator with a sampled at face midpoints at time t."""
     s = (t / eps**r) % 1.0
-    if grid.dim == 1:
-        xf = face_points_1d(grid)
-        af = field.sample(xf / eps, np.full(len(xf), s))[:, 0, 0]
-        return Operator1D(af, grid.h)
-    n, h = grid.n_x, grid.h
-    xi = np.arange(1, n + 1) * h
-    xfc = (np.arange(n + 1) + 0.5) * h
-    X1, X2 = np.meshgrid(xfc, xi, indexing="ij")
-    pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    a1 = field.sample(pts / eps, np.full(len(pts), s))[:, 0, 0].reshape(n + 1, n)
-    X1, X2 = np.meshgrid(xi, xfc, indexing="ij")
-    pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    A2 = field.sample(pts / eps, np.full(len(pts), s))
-    a2 = A2[:, 1, 1].reshape(n, n + 1)
-    if np.max(np.abs(A2[:, 0, 1])) > 0:
-        raise ConfigError("2D micro solves support diagonal coefficient fields only")
-    return Operator2D(a1, a2, h)
+    faces = []
+    for d in range(grid.dim):
+        x = grid.face_points(d)
+        a = field.sample(x / eps, np.full(len(x), s))
+        if np.any(a[:, ~np.eye(grid.dim, dtype=bool)]):
+            raise ConfigError("2D micro solves support diagonal coefficient fields only")
+        faces.append(a[:, d, d].reshape(grid.face_shape(d)))
+    return _operator(grid, faces)
 
 
 def _constant_operator(matrix, grid):
     matrix = np.atleast_2d(matrix)
-    if grid.dim == 1:
-        return Operator1D(np.full(grid.n_x + 1, matrix[0, 0]), grid.h)
-    n = grid.n_x
-    a1 = np.full((n + 1, n), matrix[0, 0])
-    a2 = np.full((n, n + 1), matrix[1, 1])
-    a12 = 0.5 * (matrix[0, 1] + matrix[1, 0])
-    return Operator2D(a1, a2, grid.h, a12=a12)
+    faces = [np.full(grid.face_shape(d), matrix[d, d]) for d in range(grid.dim)]
+    # symmetric part of the off-diagonal entries; 0 in 1D, which has none
+    a12 = 0.5 * matrix[~np.eye(grid.dim, dtype=bool)].sum()
+    return _operator(grid, faces, a12)
 
 
 def _table_operator(tensor, grid, v_nodes, p):
     """Operator with the tabulated matrix looked up from |u| at each face
     (u interpolated from the adjacent nodes, boundary value 0)."""
-    u = np.sign(v_nodes) * np.abs(v_nodes) ** (1.0 / p)
-    if grid.dim == 1:
-        ue = np.concatenate([[0.0], u, [0.0]])
-        uf = 0.5 * (ue[:-1] + ue[1:])
-        mats = tensor.entries_at(np.abs(uf))
-        return Operator1D(mats[:, 0, 0], grid.h)
-    n = grid.n_x
-    U = u.reshape(n, n)
-    Ue = np.zeros((n + 2, n + 2))
-    Ue[1:-1, 1:-1] = U
-    uf1 = 0.5 * (Ue[:-1, 1:-1] + Ue[1:, 1:-1])
-    uf2 = 0.5 * (Ue[1:-1, :-1] + Ue[1:-1, 1:])
-    m1 = tensor.entries_at(np.abs(uf1))
-    m2 = tensor.entries_at(np.abs(uf2))
-    return Operator2D(m1[..., 0, 0], m2[..., 1, 1], grid.h)
+    u = _u_of(v_nodes, p)
+    return _operator(grid, [tensor.entries_at(np.abs(grid.face_average(u, d)))[..., d, d]
+                            for d in range(grid.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +309,10 @@ def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
                         step=step_id, residual=float(res))
 
 
-def _march(grid, p, f, u0, op_at, substeps, newton_tol=NEWTON_TOL,
-           table_lagged=None):
-    """Shared implicit-Euler driver. op_at(t, v_current) yields the elliptic
-    operator for the step targeting time t; with table_lagged the operator
-    is rebuilt from the previous iterate once per step (lagged coefficient)."""
+def _march(grid, p, f, u0, op_at, substeps):
+    """Shared implicit-Euler driver. op_at(t, v) yields the elliptic operator
+    for the step targeting time t, given v of the previous step (from which
+    the table mode lags its coefficient)."""
     x = grid.interior_nodes()
     uinit = np.asarray(u0(x), dtype=float).ravel()
     v = np.sign(uinit) * np.abs(uinit) ** p
@@ -346,7 +323,7 @@ def _march(grid, p, f, u0, op_at, substeps, newton_tol=NEWTON_TOL,
     dissipation = np.zeros(n_store + 1)
     dt_sub = grid.dt / substeps
     scale = max(float(np.linalg.norm(un)), 1.0)
-    tol_abs = newton_tol * scale
+    tol_abs = NEWTON_TOL * scale
     newton_counts = []
     diss = 0.0
     for n in range(grid.n_t):
@@ -366,7 +343,7 @@ def _march(grid, p, f, u0, op_at, substeps, newton_tol=NEWTON_TOL,
                                  "newton_max": int(np.max(newton_counts))}
 
 
-def solve_micro(prob: MicroProblem, newton_tol=NEWTON_TOL) -> SpaceTimeField:
+def solve_micro(prob: MicroProblem) -> SpaceTimeField:
     """Backward-Euler / damped-Newton solve of the oscillating problem.
 
     The coefficient depends on t only through the fast phase
@@ -386,14 +363,13 @@ def solve_micro(prob: MicroProblem, newton_tol=NEWTON_TOL) -> SpaceTimeField:
             builds += 1
         return op
 
-    values, diss, stats = _march(prob.grid, prob.p, prob.f, prob.u0, op_at,
-                                 substeps, newton_tol)
+    values, diss, stats = _march(prob.grid, prob.p, prob.f, prob.u0, op_at, substeps)
     stats.update(eps=prob.eps, r=prob.r, operator_builds=builds)
     return SpaceTimeField(grid=prob.grid, p=prob.p, values=values,
                           dissipation=diss, stats=stats)
 
 
-def solve_homogenized(prob: HomogenizedProblem, newton_tol=NEWTON_TOL) -> SpaceTimeField:
+def solve_homogenized(prob: HomogenizedProblem) -> SpaceTimeField:
     """Solve the effective problem; at the critical scaling the matrix is
     looked up from the |u0| table, frozen per step (lagged coefficient)."""
     clamp_count = 0
@@ -414,8 +390,7 @@ def solve_homogenized(prob: HomogenizedProblem, newton_tol=NEWTON_TOL) -> SpaceT
                                if issubclass(w.category, TableClampWarning))
             return op
 
-    values, diss, stats = _march(prob.grid, prob.p, prob.f, prob.u0, op_at,
-                                 prob.substeps, newton_tol)
+    values, diss, stats = _march(prob.grid, prob.p, prob.f, prob.u0, op_at, prob.substeps)
     stats.update(mode=prob.mode, clamp_warnings=clamp_count)
     return SpaceTimeField(grid=prob.grid, p=prob.p, values=values,
                           dissipation=diss, stats=stats)
@@ -445,17 +420,8 @@ def lp_norm(w, grid: MacroGrid, q: float) -> float:
 
 def grad_sq_integral(v, grid: MacroGrid) -> float:
     """Discrete integral of |grad v|^2 over Omega (zero boundary)."""
-    v = np.asarray(v, dtype=float).ravel()
-    h = grid.h
-    if grid.dim == 1:
-        dv = np.diff(np.concatenate([[0.0], v, [0.0]])) / h
-        return h * float(dv @ dv)
-    n = grid.n_x
-    V = np.zeros((n + 2, n + 2))
-    V[1:-1, 1:-1] = v.reshape(n, n)
-    d1 = np.diff(V, axis=0)[:, 1:-1] / h
-    d2 = np.diff(V, axis=1)[1:-1, :] / h
-    return h * h * (float(np.sum(d1**2)) + float(np.sum(d2**2)))
+    return grid.h**grid.dim * sum(float(np.sum(grid.face_difference(v, d)**2))
+                                  for d in range(grid.dim))
 
 
 def energy_functionals(traj: SpaceTimeField, p: float = None):

@@ -8,8 +8,8 @@ import scipy.sparse.linalg as spla
 
 from conftest import l2_cell_time, monolithic_critical_solve
 from oscidiff import cellsolve as cs
-from oscidiff.errors import ConfigError, SolverDiverged
-from oscidiff.fields import CellGrid, MacroGrid, make_field
+from oscidiff.errors import ConfigError, EllipticityViolation, SolverDiverged
+from oscidiff.fields import CellGrid, make_field
 
 STEP_FIELDS = [("trig1d_st", {}), ("trig2d_st", {}),
                ("constant", {"matrix": [[2.0, 0.7], [0.7, 1.0]]})]
@@ -174,6 +174,26 @@ def test_step_factor_not_positive_definite_names_slice():
         cs._step_factors([positive], np.inf, 1.5)
 
 
+@pytest.mark.parametrize("face_avg", ["geometric", "harmonic"])
+def test_face_average_rejects_non_positive_cells(face_avg):
+    # sqrt(a * a_nbr) of two negative values is the positive field's mean
+    grid = CellGrid(M_y=8, M_s=4, face_avg=face_avg)
+    with pytest.raises(EllipticityViolation, match=r"a_11 = -1 at cell 0 "):
+        cs.CellOperator.from_matrix_values(-np.ones((8, 1, 1)), 1, grid)
+    one_negative = np.ones((8, 1, 1))
+    one_negative[5] = -0.5
+    with pytest.raises(EllipticityViolation, match=r"a_11 = -0\.5 at cell 5 "):
+        cs.CellOperator.from_matrix_values(one_negative, 1, grid)
+    zero_a22 = np.tile(np.eye(2), (64, 1, 1))
+    zero_a22[10, 1, 1] = 0.0
+    with pytest.raises(EllipticityViolation, match=r"a_22 = 0 at cell 10 "):
+        cs.CellOperator.from_matrix_values(zero_a22, 2, grid)
+    # the arithmetic mean still builds the negative operator
+    arithmetic = CellGrid(M_y=8, M_s=4, face_avg="arithmetic")
+    op = cs.CellOperator.from_matrix_values(-np.ones((8, 1, 1)), 1, arithmetic)
+    assert np.all(op.face_coeffs[0] == -1.0)
+
+
 @pytest.mark.parametrize("p,u0abs", [(0.5, 1.0), (1.5, 1.0), (0.5, 0.3),
                                      (1.5, 2.7)])
 def test_critical_matches_monolithic_oracle(p, u0abs):
@@ -213,29 +233,6 @@ def test_cell_parameter_validation():
     with pytest.raises(ConfigError):
         cs.solve_critical_cell_fde(make_field("trig1d_st"), CellGrid(8, 8),
                                    cs.CellParameter(p=1.5, u0abs=1.0), k=1)
-
-
-def test_corrector_field_zero_gradient():
-    field = make_field("trig1d_st")
-    grid = CellGrid(M_y=16, M_s=8)
-    macro = MacroGrid(dim=1, n_x=8, n_t=4, T=0.25)
-    cells = cs.solve_cells(field, grid, "subcritical")
-    grad_v0 = np.zeros((macro.n_t + 1, macro.n_x, 1))
-    z = cs.CorrectorField(cells, grad_v0, macro)
-    assert z(0.5, 0.1, 0.3, 0.7) == 0.0
-
-
-def test_corrector_field_unit_gradient_reproduces_phi():
-    field = make_field("trig1d_st")
-    grid = CellGrid(M_y=32, M_s=32)
-    macro = MacroGrid(dim=1, n_x=8, n_t=4, T=0.25)
-    cells = cs.solve_cells(field, grid, "subcritical")
-    grad_v0 = np.ones((macro.n_t + 1, macro.n_x, 1))
-    z = cs.CorrectorField(cells, grad_v0, macro)
-    phi_eval, _ = cells[0].interpolators()
-    for y, s in [(0.0, 0.0), (0.25, 0.5), (0.8, 0.9)]:
-        assert z(0.5, 0.1, y, s) == pytest.approx(
-            float(phi_eval(np.array([[y]]), np.array([s]))[0]), abs=1e-12)
 
 
 def test_cell_roundtrip(tmp_path):

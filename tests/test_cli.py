@@ -62,6 +62,20 @@ def test_regime_key_is_config_error(tmp_path, capsys):
     assert "'regime'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, key", [
+    ({"field": {"name": "trig1d_st", "bse": 2.0}}, "'bse'"),
+    ({"field": {"file": "field.txt", "name": "trig1d"}}, "'field.name'"),
+    ({"grids": {"My": 8}}, "'grids.My'"),
+    ({"dat": {"u0": "sine"}}, "'dat'"),
+    ({"data": {"u0": "sine", "g": "one"}}, "'data.g'"),
+])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, override, key):
+    cfg = write_config(tmp_path, **override)
+    assert run("ahom", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_malformed_field_file_is_config_error(tmp_path, capsys):
     golden = os.path.join(os.path.dirname(__file__), "fixtures", "artifacts", "field.txt")
     with open(golden) as fh:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from oscidiff import harness as hz, pdesolve as pde
+from oscidiff import cellsolve as cs, harness as hz, pdesolve as pde
 from oscidiff.errors import ConfigError
 from oscidiff.fields import CellGrid, MacroGrid, make_field
 
@@ -41,6 +41,46 @@ def test_subcritical_study_monotone():
     for name in ("sol_err", "grad_corr_err", "flux_corr_err",
                  "dtime_corr_err"):
         assert report.monotone[name], name
+
+
+def test_corrector_gradient_zero_gradient():
+    cells = cs.solve_cells(make_field("trig1d_st"), CellGrid(M_y=16, M_s=8), "subcritical")
+    corrector = hz.corrector_gradient({None: cells})
+    y, s = np.array([[0.3], [0.8]]), np.array([0.7, 0.1])
+    assert np.array_equal(corrector(np.ones(2), np.zeros((2, 1)), y, s), np.zeros((2, 1)))
+
+
+def test_corrector_gradient_unit_gradient_reproduces_cell_gradient():
+    grid = CellGrid(M_y=32, M_s=32)
+    cells = cs.solve_cells(make_field("trig1d_st"), grid, "subcritical")
+    corrector = hz.corrector_gradient({None: cells})
+    y, s = np.array([[0.0], [0.25], [0.8]]), np.array([0.0, 0.5, 0.9])
+    assert np.array_equal(corrector(np.zeros(3), np.ones((3, 1)), y, s),
+                          cells[0].grad_interpolant()(y, s))
+    # at a cell center and a slice node the interpolant is the nodal gradient
+    node = corrector(np.zeros(1), np.ones((1, 1)), np.array([[3.5 / 32]]), np.array([5 / 32]))
+    assert node[0, 0] == cells[0].grad_y()[5, 3, 0]
+
+
+def test_corrector_gradient_uses_nearest_key():
+    field, grid = make_field("trig2d_st"), CellGrid(M_y=8, M_s=4)
+    cells_by_key = {key: cs.solve_cells(field, grid, "critical_pme",
+                                        param=cs.CellParameter(p=1.5, u0abs=key))
+                    for key in (0.1, 1.0)}
+    corrector = hz.corrector_gradient(cells_by_key)
+    # log1p(0.1) and log1p(1) are nearest for |u0| below and above 0.483
+    u0 = np.array([0.05, -0.3, 0.6, -4.0])
+    rng = np.random.default_rng(3)
+    grad_v0, y, s = rng.standard_normal((4, 2)), rng.uniform(0, 1, (4, 2)), rng.uniform(0, 1, 4)
+    out = corrector(u0, grad_v0, y, s)
+
+    def expected(key, i):
+        return sum(grad_v0[i, k] * cell.grad_interpolant()(y[i], s[i])
+                   for k, cell in enumerate(cells_by_key[key]))
+
+    for i, (key, other) in enumerate([(0.1, 1.0), (0.1, 1.0), (1.0, 0.1), (1.0, 0.1)]):
+        assert np.allclose(out[i], expected(key, i), rtol=1e-14, atol=1e-14)
+        assert not np.allclose(out[i], expected(other, i))
 
 
 def test_solution_error_rho_robust():

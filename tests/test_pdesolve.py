@@ -258,6 +258,77 @@ def test_operator2d_solve_shifted_failures_are_typed():
         op.solve_shifted(np.full(36, -1e4), 0.1, np.ones(36))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_face_layer_matches_loops(dim):
+    grid = MacroGrid(dim=dim, n_x=9, n_t=4, T=0.1)
+    n, h = grid.n_x, grid.h
+    v = np.random.default_rng(dim).standard_normal(n**dim)
+    padded = np.zeros((n + 2,) * dim)
+    padded[(slice(1, -1),) * dim] = v.reshape((n,) * dim)
+    for d in range(dim):
+        shape = grid.face_shape(d)
+        assert shape == tuple(n + 1 if i == d else n for i in range(dim))
+        points = grid.face_points(d).reshape(shape + (dim,))
+        average, difference = grid.face_average(v, d), grid.face_difference(v, d)
+        assert average.shape == difference.shape == shape
+        for idx in np.ndindex(*shape):
+            # face idx separates the padded nodes lo and lo + e_d
+            lo = tuple(i if a == d else i + 1 for a, i in enumerate(idx))
+            hi = tuple(i + 1 for i in idx)
+            want = [(i + 0.5) * h if a == d else (i + 1) * h for a, i in enumerate(idx)]
+            assert np.allclose(points[idx], want, rtol=0, atol=1e-15)
+            assert average[idx] == 0.5 * (padded[lo] + padded[hi])
+            assert difference[idx] == (padded[hi] - padded[lo]) / h
+
+
+def _dense(op, N):
+    return np.column_stack([op.matvec(e) for e in np.eye(N)])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operator_from_face_points_matches_loop_stencil(dim):
+    # coefficients sampled at face_points(d) and reshaped to face_shape(d)
+    # must land on the faces the operator couples them to
+    grid = MacroGrid(dim=dim, n_x=8, n_t=4, T=0.1)
+    n, h = grid.n_x, grid.h
+    coef = [lambda x: 1.0 + x[..., 0] + 2.0 * x[..., -1] ** 2,
+            lambda x: 2.0 + np.sin(3.0 * x[..., 0]) * x[..., 1]]
+    op = pde._operator(grid, [coef[d](grid.face_points(d)).reshape(grid.face_shape(d))
+                              for d in range(dim)])
+    nodes = list(np.ndindex(*(n,) * dim))
+    K = np.zeros((n**dim, n**dim))
+    for row, node in enumerate(nodes):
+        x = (np.array(node) + 1.0) * h
+        for d in range(dim):
+            e = np.eye(dim)[d]
+            for side in (-1, 1):
+                a_face = coef[d](x + side * 0.5 * h * e) / h**2
+                K[row, row] += a_face
+                nbr = tuple(np.array(node) + side * e.astype(int))
+                if all(0 <= i < n for i in nbr):
+                    K[row, nodes.index(nbr)] -= a_face
+    assert np.allclose(_dense(op, n**dim), K, rtol=1e-13, atol=0)
+
+
+def test_constant_operator_cross_term_matches_hand_built():
+    grid = MacroGrid(dim=2, n_x=8, n_t=4, T=0.1)
+    n, h2 = grid.n_x, grid.h**2
+    a11, a12, a22 = 0.7, 0.2, 1.3
+    op = pde._constant_operator(np.array([[a11, a12], [a12, a22]]), grid)
+    K = np.zeros((n * n, n * n))
+    for p in range(n):
+        for q in range(n):
+            row = p * n + q
+            K[row, row] = (2 * a11 + 2 * a22) / h2
+            # -a11 d11 - a22 d22 - 2 a12 d12, centered differences
+            for dp, dq, c in [(1, 0, -a11), (-1, 0, -a11), (0, 1, -a22), (0, -1, -a22),
+                              (1, 1, -a12 / 2), (-1, -1, -a12 / 2),
+                              (1, -1, a12 / 2), (-1, 1, a12 / 2)]:
+                if 0 <= p + dp < n and 0 <= q + dq < n:
+                    K[row, (p + dp) * n + q + dq] = c / h2
+    assert np.allclose(_dense(op, n * n), K, rtol=1e-14, atol=0)
+
+
 def test_micro_operator_2d_samples_once_per_face_set(monkeypatch):
     grid = MacroGrid(dim=2, n_x=8, n_t=4, T=0.1)
     field = make_field("laminate2d")
