@@ -96,11 +96,11 @@ class CellParameter:
 class CellSolution:
     """Discrete corrector for one direction e_k.
 
-    ``phi`` has shape (n_slices, M_y**dim). For the slice-elliptic regimes
-    the slices sit at s = j/M_s, j = 0..M_s-1 (a single slice for the
-    s-independent regimes); for the critical regimes they sit at
-    s = j/M_s, j = 0..M_s, with phi[0] and phi[-1] matching to within
-    ``periodic_defect``.
+    ``phi`` has shape (n_slices, M_y**dim), and row j sits at s = j h_s
+    (``s_nodes``) in every layout: one row for the s-independent
+    problems, M_s rows covering one s-period for the slice-elliptic ones,
+    and M_s + 1 rows for the marched critical ones, with phi[0] and
+    phi[-1] matching to within ``periodic_defect``.
     """
 
     regime: str
@@ -108,15 +108,14 @@ class CellSolution:
     grid: CellGrid
     k: int
     phi: np.ndarray
-    s_nodes: np.ndarray
     residual: float
     periodic_defect: float = 0.0
     psi: Optional[np.ndarray] = None
     param: Optional[CellParameter] = None
 
     @property
-    def n_cells(self):
-        return self.grid.M_y ** self.dim
+    def s_nodes(self):
+        return np.arange(len(self.phi)) * self.grid.h_s
 
     def mean_defect(self):
         """Largest cell-average magnitude over slices (should be ~0)."""
@@ -132,14 +131,13 @@ class CellSolution:
     def grad_interpolant(self):
         """Periodic multilinear interpolant of ``grad_y`` in (y, s): called
         with y of shape (..., dim) and s, it returns shape (..., dim).
-        Cell values sit at y = (i + 1/2)/M_y; the critical layout already
+        Cell values sit at y = (i + 1/2)/M_y; the M_s + 1 row layout already
         carries both ends of the s-period, the others wrap in s.
         """
-        shape = (len(self.s_nodes),) + (self.grid.M_y,) * self.dim + (self.dim,)
-        h_s = self.s_nodes[1] - self.s_nodes[0] if len(self.s_nodes) > 1 else 1.0
+        shape = (len(self.phi),) + (self.grid.M_y,) * self.dim + (self.dim,)
         return PeriodicInterpolant(
-            self.grad_y().reshape(shape), dim=self.dim, h_s=h_s, y_offset=0.5,
-            s_periodic=self.regime not in ("critical_fde", "critical_pme"))
+            self.grad_y().reshape(shape), dim=self.dim, h_s=self.grid.h_s, y_offset=0.5,
+            s_periodic=len(self.phi) != self.grid.M_s + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,49 +341,24 @@ def projected_cg(K, b):
 # Regime solvers
 
 
-def _check_k(field, k):
-    if not 1 <= k <= field.dim:
-        raise ConfigError(f"direction k={k} out of range for dim={field.dim}")
+def cell_operators(field: PeriodicMatrixField, grid: CellGrid, regime: str):
+    """The operators a regime's cell problem is posed on, as a list ops.
 
-
-def solve_classical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
-    """Elliptic cell problem for an s-independent coefficient field."""
-    _check_k(field, k)
-    if not field.s_independent:
-        raise ConfigError("classical cell problem requires an s-independent field")
-    op = CellOperator(field, grid, s=0.0)
-    phi, res = projected_cg(op.K, op.b[k - 1])
-    return CellSolution(
-        regime="classical", dim=field.dim, grid=grid, k=k,
-        phi=phi[np.newaxis, :], s_nodes=np.array([0.0]), residual=res,
-    )
-
-
-def solve_subcritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
-    """Per-slice elliptic cell problem Phi_k(y, s), slices at s = j/M_s."""
-    _check_k(field, k)
-    s_nodes = grid.slice_times()
-    phi, worst = _solve_slices((CellOperator(field, grid, s=sj) for sj in s_nodes),
-                               s_nodes, k)
-    return CellSolution(
-        regime="subcritical", dim=field.dim, grid=grid, k=k,
-        phi=phi, s_nodes=s_nodes, residual=worst,
-    )
-
-
-def _solve_slices(ops, s_nodes, k):
-    """Elliptic solve for direction k on each slice operator in turn.
-    Returns (phi of shape (len(s_nodes), n), worst relative residual)."""
-    phis = []
-    worst = 0.0
-    for j, (sj, op) in enumerate(zip(s_nodes, ops)):
-        try:
-            phi, res = projected_cg(op.K, op.b[k - 1])
-        except SolverDiverged as err:
-            raise SolverDiverged(f"slice {j} (s={sj:.4f}): {err}", residual=err.residual) from err
-        phis.append(phi)
-        worst = max(worst, res)
-    return np.array(phis), worst
+    Row j of every cell solution of the regime pairs with ops[j - 1]:
+    the s = 0 slice for ``classical``, the s-averaged operator for
+    ``supercritical``, and ``_slice_operators`` for the slice-elliptic
+    and critical regimes. This is the one place that maps a regime to
+    its operators; ``solve_cells`` and ``effmat.assemble_ahom`` take the
+    same set."""
+    if regime not in REGIMES:
+        raise ConfigError(f"unknown regime {regime!r}")
+    if regime == "classical":
+        if not field.s_independent:
+            raise ConfigError("classical cell problem requires an s-independent field")
+        return [CellOperator(field, grid, s=0.0)]
+    if regime == "supercritical":
+        return [s_averaged_operator(field, grid)]
+    return _slice_operators(field, grid)
 
 
 def s_averaged_operator(field: PeriodicMatrixField, grid: CellGrid) -> CellOperator:
@@ -399,15 +372,39 @@ def s_averaged_operator(field: PeriodicMatrixField, grid: CellGrid) -> CellOpera
     return CellOperator.from_matrix_values(acc, field.dim, grid)
 
 
-def solve_supercritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
-    """Elliptic cell problem for the s-averaged coefficient."""
-    _check_k(field, k)
-    op = s_averaged_operator(field, grid)
-    phi, res = projected_cg(op.K, op.b[k - 1])
-    return CellSolution(
-        regime="supercritical", dim=field.dim, grid=grid, k=k,
-        phi=phi[np.newaxis, :], s_nodes=np.array([0.0]), residual=res,
-    )
+def _slice_operators(field, grid):
+    """Operators and drives at the step targets s = (j+1)/M_s, wrapped.
+
+    The slice at s = j/M_s is therefore ops[j - 1]."""
+    M_s = grid.M_s
+    ops = []
+    for j in range(M_s):
+        sj = ((j + 1) % M_s) * grid.h_s
+        ops.append(CellOperator(field, grid, s=sj))
+    return ops
+
+
+def _solve_elliptic(ops, field, grid, regime, ks, param):
+    """Elliptic cell solutions for every direction in ks: row j of phi
+    solves K phi = b_k on ops[j - 1]. A CG failure on a slice layout
+    names its slice."""
+    out = []
+    for k in ks:
+        phis, worst = [], 0.0
+        for j in range(len(ops)):
+            op = ops[j - 1]
+            try:
+                phi, res = projected_cg(op.K, op.b[k - 1])
+            except SolverDiverged as err:
+                if len(ops) == 1:
+                    raise
+                raise SolverDiverged(f"slice {j} (s={j * grid.h_s:.4f}): {err}",
+                                     residual=err.residual) from err
+            phis.append(phi)
+            worst = max(worst, res)
+        out.append(CellSolution(regime=regime, dim=field.dim, grid=grid, k=k,
+                                phi=np.array(phis), residual=worst, param=param))
+    return out
 
 
 def _march_periodic(factors, rhs, capacity, h_s, n_cells):
@@ -443,18 +440,6 @@ def _march_periodic(factors, rhs, capacity, h_s, n_cells):
     )
 
 
-def _slice_operators(field, grid):
-    """Operators and drives at the step targets s = (j+1)/M_s, wrapped.
-
-    The slice at s = j/M_s is therefore ops[j - 1]."""
-    M_s = grid.M_s
-    ops = []
-    for j in range(M_s):
-        sj = ((j + 1) % M_s) * grid.h_s
-        ops.append(CellOperator(field, grid, s=sj))
-    return ops
-
-
 def _step_factors(ops, shift, kappa):
     """Banded Cholesky factors of shift I + kappa K for every operator of
     ``_slice_operators``, in folded order. A factor that fails names its
@@ -469,52 +454,61 @@ def _step_factors(ops, shift, kappa):
     return factors
 
 
-def _solve_critical(field, grid, regime, param, ks, ops=None):
-    """Critical cell solutions for every direction in ks.
+def _solve_cells(field, grid, regime, ks, param=None, ops=None):
+    """Cell solutions of a regime for every direction in ks, on ``ops``
+    (from ``cell_operators``, built here when not given).
 
-    The M_s step matrices are factored once and every direction marches
-    on the same factors; ``ops`` is the set from ``_slice_operators``,
-    built here when not given."""
+    The critical regimes factor their M_s step matrices once, and every
+    direction marches on the same factors."""
     for k in ks:
-        _check_k(field, k)
-    if regime != regime_for(2.0, param.p):
-        raise ConfigError(f"{regime} cell problem does not apply at p={param.p}")
-    fde = regime == "critical_fde"
-    n = grid.M_y**field.dim
-    s_nodes = np.arange(grid.M_s + 1) * grid.h_s
-    if not fde and param.u0abs == 0.0:
-        zeros = np.zeros((grid.M_s + 1, n))
-        return [CellSolution(
-            regime=regime, dim=field.dim, grid=grid, k=k,
-            phi=zeros, s_nodes=s_nodes, residual=0.0, psi=zeros, param=param,
-        ) for k in ks]
+        if not 1 <= k <= field.dim:
+            raise ConfigError(f"direction k={k} out of range for dim={field.dim}")
+    critical = regime in ("critical_fde", "critical_pme")
+    if critical:
+        if param is None:
+            raise ConfigError("critical regimes need a CellParameter")
+        if regime != regime_for(2.0, param.p):
+            raise ConfigError(f"{regime} cell problem does not apply at p={param.p}")
+        if regime == "critical_pme" and param.u0abs == 0.0:
+            zeros = np.zeros((grid.M_s + 1, grid.M_y**field.dim))
+            return [CellSolution(regime=regime, dim=field.dim, grid=grid, k=k, phi=zeros,
+                                 residual=0.0, psi=zeros, param=param) for k in ks]
     if ops is None:
-        ops = _slice_operators(field, grid)
+        ops = cell_operators(field, grid, regime)
+    if not critical:
+        return _solve_elliptic(ops, field, grid, regime, ks, None)
+    fde = regime == "critical_fde"
     capacity, kappa = (param.mu_fde, 1.0) if fde else (1.0, param.kappa_pme)
     if capacity == 0.0:  # FDE at u0 = 0: the slice-elliptic problem
-        slices, times = [ops[j - 1] for j in range(grid.M_s)], grid.slice_times()
-        out = []
-        for k in ks:
-            phi, res = _solve_slices(slices, times, k)
-            out.append(CellSolution(
-                regime=regime, dim=field.dim, grid=grid, k=k, phi=phi,
-                s_nodes=times, residual=res, param=param,
-            ))
-        return out
+        return _solve_elliptic(ops, field, grid, regime, ks, param)
     factors = _step_factors(ops, capacity / grid.h_s, kappa)
     order, pos = _folded_order(field.dim, grid.M_y)
     out = []
     for k in ks:
         traj, defect = _march_periodic(factors, [op.b[k - 1][order] for op in ops],
-                                       capacity, grid.h_s, n)
+                                       capacity, grid.h_s, grid.M_y**field.dim)
         traj = traj[:, pos]
         out.append(CellSolution(
             regime=regime, dim=field.dim, grid=grid, k=k,
-            phi=traj if fde else kappa * traj, s_nodes=s_nodes,
-            residual=0.0, periodic_defect=defect,
+            phi=traj if fde else kappa * traj, residual=0.0, periodic_defect=defect,
             psi=None if fde else traj, param=param,
         ))
     return out
+
+
+def solve_classical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
+    """Elliptic cell problem for an s-independent coefficient field."""
+    return _solve_cells(field, grid, "classical", [k])[0]
+
+
+def solve_subcritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
+    """Per-slice elliptic cell problem Phi_k(y, s), slices at s = j/M_s."""
+    return _solve_cells(field, grid, "subcritical", [k])[0]
+
+
+def solve_supercritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
+    """Elliptic cell problem for the s-averaged coefficient."""
+    return _solve_cells(field, grid, "supercritical", [k])[0]
 
 
 def solve_critical_cell_fde(field: PeriodicMatrixField, grid: CellGrid,
@@ -523,7 +517,7 @@ def solve_critical_cell_fde(field: PeriodicMatrixField, grid: CellGrid,
 
     mu d_s Phi = div_y(a [grad Phi + e_k]) with mu = (1/p)|u0|^(1-p);
     at u0 = 0 the problem degenerates to the slice-elliptic one."""
-    return _solve_critical(field, grid, "critical_fde", param, [k])[0]
+    return _solve_cells(field, grid, "critical_fde", [k], param)[0]
 
 
 def solve_critical_cell_pme(field: PeriodicMatrixField, grid: CellGrid,
@@ -532,27 +526,17 @@ def solve_critical_cell_pme(field: PeriodicMatrixField, grid: CellGrid,
 
     d_s Psi = div_y(a [kappa grad Psi + e_k]) with kappa = p|u0|^(p-1)
     and Phi = kappa Psi; at u0 = 0 the corrector vanishes identically."""
-    return _solve_critical(field, grid, "critical_pme", param, [k])[0]
+    return _solve_cells(field, grid, "critical_pme", [k], param)[0]
 
 
 def solve_cells(field, grid, regime, param=None, ops=None):
     """Solve the cell problem for every direction; returns a list per k.
 
-    The critical regimes use ``ops`` (prebuilt ``_slice_operators``) when
-    given, and factor their step matrices once for all directions."""
+    ``ops`` is the regime's ``cell_operators`` set, built here once for
+    all directions when not given."""
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
-    ks = range(1, field.dim + 1)
-    solver = {
-        "classical": solve_classical_cell,
-        "subcritical": solve_subcritical_cell,
-        "supercritical": solve_supercritical_cell,
-    }.get(regime)
-    if solver is not None:
-        return [solver(field, grid, k) for k in ks]
-    if param is None:
-        raise ConfigError("critical regimes need a CellParameter")
-    return _solve_critical(field, grid, regime, param, ks, ops)
+    return _solve_cells(field, grid, regime, range(1, field.dim + 1), param, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +563,8 @@ def load_cell(path) -> CellSolution:
     dim, k = int(meta["N"]), int(meta["k"])
     grid = CellGrid(int(meta["My"]), int(meta["Ms"]), face_avg=meta.get("faceavg", "geometric"))
     n_slices = int(meta["nslices"])
-    regime = meta["regime"]
+    if n_slices not in (1, grid.M_s, grid.M_s + 1):
+        raise ConfigError(f"{path}: nslices={n_slices} is none of 1, Ms and Ms + 1")
     has_psi = bool(int(meta["psi"]))
     n = grid.M_y**dim
     want = n_slices * (2 if has_psi else 1)
@@ -589,14 +574,8 @@ def load_cell(path) -> CellSolution:
     psi = raw[n_slices:] if has_psi else None
     p, u0 = float(meta["p"]), float(meta["u0abs"])
     param = None if np.isnan(p) else CellParameter(p=p, u0abs=u0)
-    if regime in ("critical_fde", "critical_pme") and n_slices == grid.M_s + 1:
-        s_nodes = np.arange(grid.M_s + 1) * grid.h_s
-    elif n_slices == 1:
-        s_nodes = np.array([0.0])
-    else:
-        s_nodes = np.arange(n_slices) / n_slices
     return CellSolution(
-        regime=regime, dim=dim, grid=grid, k=k, phi=phi, s_nodes=s_nodes,
+        regime=meta["regime"], dim=dim, grid=grid, k=k, phi=phi,
         residual=float(meta["residual"]), periodic_defect=float(meta["defect"]),
         psi=psi, param=param,
     )

@@ -142,8 +142,9 @@ def _tensor(cfg):
     """Effective tensor of the config: the |u0| table at r = 2, else one matrix."""
     if cfg.regime.startswith("critical"):
         return em.tabulate_ahom_critical(cfg.field, cfg.cell_grid, cfg.p)
-    cells = cs.solve_cells(cfg.field, cfg.cell_grid, cfg.regime)
-    return em.assemble_ahom(cells, cfg.field, cfg.cell_grid)
+    ops = cs.cell_operators(cfg.field, cfg.cell_grid, cfg.regime)
+    cells = cs.solve_cells(cfg.field, cfg.cell_grid, cfg.regime, ops=ops)
+    return em.assemble_ahom(cells, cfg.field, cfg.cell_grid, ops=ops)
 
 
 def _table(rows, header):

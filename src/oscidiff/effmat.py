@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -72,6 +73,10 @@ class EffectiveTensor:
             raise RegimeMismatch("tabulated tensor has no single matrix; use entry_at()")
         return self.matrices[0]
 
+    @cached_property
+    def _log_keys(self):
+        return np.log1p(self.u0abs_keys)
+
     def entry_at(self, u0val):
         """Matrix at one |u0| value: ``entries_at`` at a single point."""
         return self.entries_at(float(u0val))
@@ -84,40 +89,25 @@ class EffectiveTensor:
             return np.broadcast_to(self.matrices[0],
                                    np.shape(u0vals) + (self.dim, self.dim))
         x = np.log1p(np.abs(np.asarray(u0vals, dtype=float)))
-        keys = np.log1p(self.u0abs_keys)
+        keys = self._log_keys
         n_out = int(np.sum((x < keys[0] - 1e-15) | (x > keys[-1] + 1e-15)))
         if n_out:
             warnings.warn(f"{n_out} |u0| values clamped to the table hull",
                           TableClampWarning, stacklevel=3)
         x = np.clip(x, keys[0], keys[-1])
         i = np.clip(np.searchsorted(keys, x, side="right") - 1, 0, len(keys) - 2)
-        theta = np.clip((x - keys[i]) / (keys[i + 1] - keys[i]), 0.0, 1.0)
+        theta = (x - keys[i]) / (keys[i + 1] - keys[i])  # in [0, 1] after the clip of x
         return ((1.0 - theta)[..., None, None] * self.matrices[i]
                 + theta[..., None, None] * self.matrices[i + 1])
-
-
-def _slice_ops_for(cells, field, grid, ops=None):
-    """Per-slice operators matching the layout of the given cell solutions;
-    ``ops`` are prebuilt ``cs._slice_operators(field, grid)``."""
-    n_slices = cells[0].phi.shape[0]
-    if n_slices == 1:
-        if cells[0].regime == "supercritical":
-            return [cs.s_averaged_operator(field, grid)], [0]
-        return [cs.CellOperator(field, grid, s=0.0)], [0]
-    if ops is None:
-        ops = cs._slice_operators(field, grid)
-    if n_slices == grid.M_s:  # slice-elliptic layout at s = j/M_s
-        return [ops[j - 1] for j in range(n_slices)], list(range(n_slices))
-    # critical layout: steps target s = j/M_s for j = 1..M_s (wrapped)
-    return ops, list(range(1, grid.M_s + 1))
 
 
 def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
                   ops=None) -> EffectiveTensor:
     """Assemble the homogenized matrix from one cell solution per direction.
 
-    ``ops`` are prebuilt ``cs._slice_operators(field, grid)``, used by the
-    slice layouts."""
+    ``ops`` is the ``cs.cell_operators`` set the cells were solved on,
+    built here when not given. Row j of each cell pairs with ops[j - 1],
+    and the pairing sums over the last len(ops) rows."""
     dim = field.dim
     if len(cells) != dim or sorted(c.k for c in cells) != list(range(1, dim + 1)):
         raise RegimeMismatch(f"need cell solutions for k = 1..{dim}")
@@ -138,12 +128,15 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
             provenance={"field": field.name, "M_y": grid.M_y, "M_s": grid.M_s,
                         "u0abs": 0.0},
         )
-    ops, rows = _slice_ops_for(cells, field, grid, ops)
+    if ops is None:
+        ops = cs.cell_operators(field, grid, cells[0].regime)
+    n_rows = len(cells[0].phi)
     hN = 1.0 / (grid.M_y**dim)
     A = np.zeros((dim, dim))
     norms = np.zeros(dim)
     gram = np.zeros((dim, dim))
-    for op, row in zip(ops, rows):
+    for row in range(n_rows - len(ops), n_rows):
+        op = ops[row - 1]
         phis = [c.phi[row] for c in cells]
         for j in range(dim):
             for k in range(dim):
@@ -177,7 +170,7 @@ def _tabulate_critical(field, grid, p, u0abs_grid=None, keep_cells=True):
     keys = np.asarray(default_u0abs_grid() if u0abs_grid is None else u0abs_grid, dtype=float)
     if len(keys) < 4 or np.any(np.diff(keys) <= 0) or keys[0] != 0.0:
         raise ConfigError("u0abs grid must be sorted, have >= 4 entries, and include 0")
-    ops = cs._slice_operators(field, grid)
+    ops = cs.cell_operators(field, grid, regime)
     tensors, cells_by_key = [], {}
     for u0 in keys:
         try:
@@ -275,8 +268,6 @@ def skew_integral(cells, p: float):
     for j in range(dim):
         for k in range(dim):
             F_k, F_j = fields_[k], fields_[j]
-            if F_k.shape[0] == 1:  # stationary (s-independent) solutions
-                continue
             dF = np.diff(F_k, axis=0)
             S[j, k] = scale * hN * float(np.sum(dF * F_j[1:]))
     return S

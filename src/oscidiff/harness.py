@@ -134,8 +134,9 @@ def prepare_effective(field: PeriodicMatrixField, p: float, r: float,
         cell_grid = CellGrid(g["M_y"], g["M_s"])
     regime = cs.regime_for(r, p)
     if regime in ("subcritical", "supercritical"):
-        cells = cs.solve_cells(field, cell_grid, regime)
-        return em.assemble_ahom(cells, field, cell_grid), {None: cells}
+        ops = cs.cell_operators(field, cell_grid, regime)
+        cells = cs.solve_cells(field, cell_grid, regime, ops=ops)
+        return em.assemble_ahom(cells, field, cell_grid, ops=ops), {None: cells}
     return em._tabulate_critical(field, cell_grid, p, u0abs_grid)
 
 

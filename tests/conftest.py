@@ -3,6 +3,7 @@
 import os
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -57,3 +58,23 @@ def l2_cell_time(diff, grid, dim):
     rectangle rule over slices 1..M_s."""
     hN = (1.0 / grid.M_y) ** dim
     return float(np.sqrt(grid.h_s * hN * np.sum(diff[1:] ** 2)))
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """Counts, while the test runs, of ``CellOperator`` builds from a field
+    slice ("slice") and of ``s_averaged_operator`` calls ("average")."""
+    built = {"slice": 0, "average": 0}
+    init, average = cs.CellOperator.__init__, cs.s_averaged_operator
+
+    def counting_init(self, *args, **kwargs):
+        built["slice"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_average(*args):
+        built["average"] += 1
+        return average(*args)
+
+    monkeypatch.setattr(cs.CellOperator, "__init__", counting_init)
+    monkeypatch.setattr(cs, "s_averaged_operator", counting_average)
+    return built

@@ -267,3 +267,69 @@ def test_classical_flux_constancy_random_1d(vals):
     sol = cs.solve_classical_cell(field, CellGrid(M_y=8, M_s=2), k=1)
     flux = face_flux_1d(field, sol, 0)
     assert np.max(np.abs(flux - flux[0])) < 1e-8 * max(1.0, np.max(np.abs(flux)))
+
+
+def test_fde_zero_datum_interpolant_wraps_like_subcritical():
+    # the M_s slices of the FDE |u0| = 0 cell cover one s-period, so on
+    # the last slice interval the interpolant runs towards slice 0
+    field = make_field("trig1d_st")
+    grid = CellGrid(M_y=32, M_s=32)
+    (fde,) = cs.solve_cells(field, grid, "critical_fde", param=cs.CellParameter(p=0.5, u0abs=0.0))
+    (sub,) = cs.solve_cells(field, grid, "subcritical")
+    rng = np.random.default_rng(7)
+    y = rng.uniform(0, 1, (64, 1))
+    s = 1.0 - grid.h_s * rng.uniform(0, 1, 64)
+    assert np.array_equal(fde.grad_interpolant()(y, s), sub.grad_interpolant()(y, s))
+    assert np.array_equal(fde.s_nodes, sub.s_nodes)
+
+
+ROUNDTRIP_LAYOUTS = [  # (field, regime, p, u0abs, rows)
+    ("trig1d", "classical", None, None, 1),
+    ("trig2d_st", "subcritical", None, None, 4),
+    ("trig1d_st", "supercritical", None, None, 1),
+    ("trig1d_st", "critical_fde", 0.5, 0.0, 4),
+    ("trig2d_st", "critical_fde", 0.5, 0.7, 5),
+    ("trig1d_st", "critical_pme", 1.5, 0.7, 5),
+]
+
+
+@pytest.mark.parametrize("name,regime,p,u0abs,rows", ROUNDTRIP_LAYOUTS)
+def test_cell_roundtrip_keeps_slice_layout(tmp_path, name, regime, p, u0abs, rows):
+    field = make_field(name)
+    grid = CellGrid(M_y=8, M_s=4)
+    param = None if p is None else cs.CellParameter(p=p, u0abs=u0abs)
+    sol = cs.solve_cells(field, grid, regime, param=param)[-1]
+    cs.save_cell(tmp_path / "cell.txt", sol)
+    loaded = cs.load_cell(tmp_path / "cell.txt")
+    assert len(sol.s_nodes) == rows
+    assert np.array_equal(loaded.s_nodes, sol.s_nodes)
+    assert np.array_equal(sol.s_nodes, np.arange(rows) * grid.h_s)
+    rng = np.random.default_rng(11)
+    y, s = rng.uniform(0, 1, (50, field.dim)), rng.uniform(0, 1, 50)
+    assert np.array_equal(loaded.grad_interpolant()(y, s), sol.grad_interpolant()(y, s))
+
+
+def test_load_cell_rejects_unknown_slice_layout(tmp_path):
+    sol = cs.solve_subcritical_cell(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4), k=1)
+    cut = cs.CellSolution(regime=sol.regime, dim=1, grid=sol.grid, k=1,
+                          phi=sol.phi[:3], residual=sol.residual)
+    cs.save_cell(tmp_path / "cell.txt", cut)
+    with pytest.raises(ConfigError, match="nslices=3"):
+        cs.load_cell(tmp_path / "cell.txt")
+
+
+@pytest.mark.parametrize("regime,param,prefix", [
+    ("subcritical", None, "slice 0 (s=0.0000): "),
+    ("critical_fde", cs.CellParameter(p=0.5, u0abs=0.0), "slice 0 (s=0.0000): "),
+    ("classical", None, ""),
+    ("supercritical", None, ""),
+])
+def test_cg_failure_names_slice_only_on_slice_layouts(monkeypatch, regime, param, prefix):
+    def stalled(K, b):
+        raise SolverDiverged("CG stalled", residual=0.5)
+
+    monkeypatch.setattr(cs, "projected_cg", stalled)
+    with pytest.raises(SolverDiverged) as info:
+        cs.solve_cells(make_field("trig1d"), CellGrid(M_y=8, M_s=4), regime, param=param)
+    assert str(info.value) == prefix + "CG stalled"
+    assert info.value.residual == 0.5

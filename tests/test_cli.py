@@ -179,3 +179,12 @@ def test_fixture_floor_enforced_via_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OSCIDIFF_FIXTURES", FIXTURE_DIR)
     cfg = write_config(tmp_path)
     assert run("converge", cfg, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("r,slice_builds,averages", [(1.0, 4, 0), (3.0, 0, 1)])
+def test_ahom_builds_operators_once(tmp_path, operator_builds, r, slice_builds, averages):
+    # the solve and the assembly share one operator set
+    cfg = write_config(tmp_path, field={"name": "trig2d_st"}, r=r,
+                       grids={"M_y": 8, "M_s": 4, "n_x": 8, "n_t": 4, "T": 0.1})
+    assert run("ahom", cfg, tmp_path / "out") == 0
+    assert operator_builds == {"slice": slice_builds, "average": averages}

@@ -131,7 +131,7 @@ def test_table_2d_pme_matches_monolithic_oracle():
         cells = [cs.CellSolution(
             regime="critical_pme", dim=2, grid=grid, k=k,
             phi=monolithic_critical_solve(field, grid, 1.5, u0, k),
-            s_nodes=np.arange(grid.M_s + 1) * grid.h_s, residual=0.0,
+            residual=0.0,
             param=param) for k in (1, 2)]
         oracle = em.assemble_ahom(cells, field, grid).matrices[0]
         assert np.max(np.abs(table.matrices[i] - oracle)) <= 1e-8
@@ -363,3 +363,41 @@ def test_export_table_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 5  # header + 4 entries
     assert lines[0].startswith("u0abs")
+
+
+def _entries_at_reference(tensor, u0vals):
+    """The |u0| lookup with its log keys recomputed per call and theta clipped."""
+    x = np.log1p(np.abs(np.asarray(u0vals, dtype=float)))
+    keys = np.log1p(tensor.u0abs_keys)
+    n_out = int(np.sum((x < keys[0] - 1e-15) | (x > keys[-1] + 1e-15)))
+    if n_out:
+        warnings.warn(f"{n_out} |u0| values clamped to the table hull", em.TableClampWarning)
+    x = np.clip(x, keys[0], keys[-1])
+    i = np.clip(np.searchsorted(keys, x, side="right") - 1, 0, len(keys) - 2)
+    theta = np.clip((x - keys[i]) / (keys[i + 1] - keys[i]), 0.0, 1.0)
+    return ((1.0 - theta)[..., None, None] * tensor.matrices[i]
+            + theta[..., None, None] * tensor.matrices[i + 1])
+
+
+def test_entries_at_matches_reference_lookup():
+    keys = em.default_u0abs_grid()
+    rng = np.random.default_rng(5)
+    table = em.EffectiveTensor(
+        regime="critical", dim=2, lam=0.25, Lam=1.0, matrices=rng.uniform(0.3, 0.9, (17, 2, 2)),
+        corrector_norms=np.zeros((17, 2)), grad_grams=np.zeros((17, 2, 2)), u0abs_keys=keys, p=1.5)
+    inside = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), 200))
+    probes = [inside, -inside[:5], keys, keys[:1], keys[-1:], np.nextafter(keys[-1], 0.0),
+              np.array([12.0, -40.0, 3.0]), np.array([1e-300, 5e-4])]
+    for u0 in probes:
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            out = table.entries_at(u0)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            ref = _entries_at_reference(table, u0)
+        assert np.array_equal(out, ref)
+        assert [(w.category, str(w.message)) for w in got] == \
+            [(w.category, str(w.message)) for w in want]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(table.entry_at(0.7), _entries_at_reference(table, 0.7))

@@ -175,3 +175,10 @@ def test_fixture_floor_still_respected():
     report = hz.run_convergence_study(field, 0.5, 1.0, [1 / 8, 1 / 16],
                                       data=small_data(), cell_grid=SMALL_GRID)
     assert min(report.grad_plain_err) > fix["grad_plain_floor"]
+
+
+@pytest.mark.parametrize("r,slice_builds,averages", [(1.0, 4, 0), (3.0, 0, 1)])
+def test_prepare_effective_builds_operators_once(operator_builds, r, slice_builds, averages):
+    # the solve and the assembly share one operator set
+    hz.prepare_effective(make_field("trig2d_st"), 0.5, r, cell_grid=CellGrid(M_y=8, M_s=4))
+    assert operator_builds == {"slice": slice_builds, "average": averages}
