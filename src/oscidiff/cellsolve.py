@@ -5,10 +5,12 @@ Four problems are covered, all driven by a unit direction e_k:
 * classical:      -div_y(a(y) [grad Phi + e_k]) = 0
 * subcritical:    the same, slice by slice in the fast time s
 * supercritical:  the same, with a replaced by its s-average
-* critical:       mu d_s Phi = div_y(a(y,s) [grad Phi + e_k]), s-periodic
-                  (fast-diffusion form), and the porous-medium variant
-                  d_s Psi = div_y(a [kappa grad Psi + e_k]) with
-                  Phi = kappa Psi.
+* critical:       c d_s Phi = div_y(a(y,s) [grad Phi + e_k]), s-periodic,
+                  with the capacity c = (1/p)|u0|^(1-p). This is one
+                  problem for the fast-diffusion (p < 1) and the
+                  porous-medium (p > 1) branch; the porous-medium form,
+                  whose unknown is c Phi and whose diffusivity is
+                  p|u0|^(p-1) = 1/c, is the same problem rescaled.
 
 Spatial discretization is a conservative flux form on the periodic cell
 grid: diagonal coefficients live on faces (averaged from the two
@@ -16,11 +18,11 @@ adjacent cell values per the grid's face convention), off-diagonal
 couplings use centered differences,
 which keeps the discrete operator symmetric. The elliptic solves use
 conjugate gradients with an explicit zero-mean projection every
-iteration; the parabolic problems march an implicit-Euler period map to
-its fixed point. Each step matrix (capacity/h_s) I + kappa K is
-symmetric positive definite and is factored by banded Cholesky with the
-cells numbered in folded order (``_folded_order``), in which periodic
-neighbours sit within two places of each other on every axis.
+iteration; the critical problem marches an implicit-Euler period map to
+its fixed point. Each step matrix (c/h_s) I + K is symmetric positive
+definite and is factored by banded Cholesky with the cells numbered in
+folded order (``_folded_order``), in which periodic neighbours sit
+within two places of each other on every axis.
 """
 
 from __future__ import annotations
@@ -62,11 +64,11 @@ def regime_for(r: float, p: float) -> str:
 
 @dataclass(frozen=True)
 class CellParameter:
-    """Macroscopic data entering the critical cell problems.
+    """Macroscopic data entering the critical cell problem.
 
-    The fast-diffusion capacity coefficient is mu = (1/p) |u0|^(1-p)
-    (requires 0 < p < 1) and the porous-medium diffusivity scale is
-    kappa = p |u0|^(p-1) (requires 1 < p < 2).
+    ``capacity`` is c = (1/p) |u0|^(1-p), the coefficient of d_s Phi. At
+    |u0| = 0 it is 0 for p < 1 (the slice-elliptic problem) and inf for
+    p > 1 (the corrector vanishes).
     """
 
     p: float
@@ -78,18 +80,10 @@ class CellParameter:
         regime_for(2.0, self.p)  # raises unless p is in (0,2) with p != 1
 
     @property
-    def mu_fde(self):
-        if not self.p < 1:
-            raise ConfigError("mu_fde only defined for 0 < p < 1")
+    def capacity(self):
         if self.u0abs == 0.0:
-            return 0.0
+            return 0.0 if self.p < 1 else np.inf
         return (1.0 / self.p) * self.u0abs ** (1.0 - self.p)
-
-    @property
-    def kappa_pme(self):
-        if not self.p > 1:
-            raise ConfigError("kappa_pme only defined for 1 < p < 2")
-        return self.p * self.u0abs ** (self.p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -99,8 +93,10 @@ class CellSolution:
     ``phi`` has shape (n_slices, M_y**dim), and row j sits at s = j h_s
     (``s_nodes``) in every layout: one row for the s-independent
     problems, M_s rows covering one s-period for the slice-elliptic ones,
-    and M_s + 1 rows for the marched critical ones, with phi[0] and
-    phi[-1] matching to within ``periodic_defect``.
+    and M_s + 1 rows for the marched critical ones. There
+    ``periodic_defect`` is c |phi[-1] - phi[0]| (discrete L2 norm over
+    the cell), which equals the norm of the period-averaged residual
+    h_s sum_j (b_k - K_j phi[j]).
     """
 
     regime: str
@@ -110,7 +106,6 @@ class CellSolution:
     phi: np.ndarray
     residual: float
     periodic_defect: float = 0.0
-    psi: Optional[np.ndarray] = None
     param: Optional[CellParameter] = None
 
     @property
@@ -416,6 +411,8 @@ def _march_periodic(factors, rhs, capacity, h_s, n_cells):
     with factors[j] the banded Cholesky factor of (capacity/h_s) I + K^{j+1}
     in folded order (``_step_factors``); rhs and the trajectory are in the
     same order, which the zero-mean projection and the defect ignore.
+    The defect capacity |phi^{M_s} - phi^0| is the norm of the
+    period-averaged residual h_s sum_j (b^j - K^j phi^j).
     Returns (trajectory of shape (M_s+1, n), periodic defect)."""
     M_s = len(factors)
     hN_sqrt = np.sqrt(1.0 / n_cells)
@@ -428,26 +425,27 @@ def _march_periodic(factors, rhs, capacity, h_s, n_cells):
         for j in range(M_s):
             cur = factors[j].solve((capacity / h_s) * cur + rhs[j])
             traj[j + 1] = cur
-        defect = float(np.linalg.norm(traj[-1] - traj[0]) * hN_sqrt)
+        defect = capacity * float(np.linalg.norm(traj[-1] - traj[0]) * hN_sqrt)
         if defect <= PERIODIC_TOL:
             for row in traj:
                 _project_mean(row)
             return traj, defect
         phi0 = _project_mean(traj[-1].copy())
     raise PeriodicityNotReached(
-        f"period map not converged after {MAX_SWEEPS} sweeps (defect {defect:.3e})",
+        f"period map not converged after {MAX_SWEEPS} sweeps (periodic defect "
+        f"c |Phi(1) - Phi(0)| = {defect:.3e}, the period-averaged residual)",
         defect=defect,
     )
 
 
-def _step_factors(ops, shift, kappa):
-    """Banded Cholesky factors of shift I + kappa K for every operator of
+def _step_factors(ops, shift):
+    """Banded Cholesky factors of shift I + K for every operator of
     ``_slice_operators``, in folded order. A factor that fails names its
     slice."""
     factors = []
     for j, op in enumerate(ops):
         try:
-            factors.append(BandCholesky(op.band.shifted(kappa, shift)))
+            factors.append(BandCholesky(op.band.shifted(1.0, shift)))
         except SolverDiverged as err:
             s = ((j + 1) % len(ops)) / len(ops)
             raise SolverDiverged(f"slice {j} (s={s:.4f}): {err}") from err
@@ -458,8 +456,9 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
     """Cell solutions of a regime for every direction in ks, on ``ops``
     (from ``cell_operators``, built here when not given).
 
-    The critical regimes factor their M_s step matrices once, and every
-    direction marches on the same factors."""
+    Both critical branches march Phi at the capacity of ``param``: they
+    factor their M_s step matrices once, and every direction marches on
+    the same factors."""
     for k in ks:
         if not 1 <= k <= field.dim:
             raise ConfigError(f"direction k={k} out of range for dim={field.dim}")
@@ -469,30 +468,26 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
             raise ConfigError("critical regimes need a CellParameter")
         if regime != regime_for(2.0, param.p):
             raise ConfigError(f"{regime} cell problem does not apply at p={param.p}")
-        if regime == "critical_pme" and param.u0abs == 0.0:
+        if param.capacity == np.inf:  # PME at u0 = 0: the corrector vanishes
             zeros = np.zeros((grid.M_s + 1, grid.M_y**field.dim))
             return [CellSolution(regime=regime, dim=field.dim, grid=grid, k=k, phi=zeros,
-                                 residual=0.0, psi=zeros, param=param) for k in ks]
+                                 residual=0.0, param=param) for k in ks]
     if ops is None:
         ops = cell_operators(field, grid, regime)
     if not critical:
         return _solve_elliptic(ops, field, grid, regime, ks, None)
-    fde = regime == "critical_fde"
-    capacity, kappa = (param.mu_fde, 1.0) if fde else (1.0, param.kappa_pme)
+    capacity = param.capacity
     if capacity == 0.0:  # FDE at u0 = 0: the slice-elliptic problem
         return _solve_elliptic(ops, field, grid, regime, ks, param)
-    factors = _step_factors(ops, capacity / grid.h_s, kappa)
+    factors = _step_factors(ops, capacity / grid.h_s)
     order, pos = _folded_order(field.dim, grid.M_y)
     out = []
     for k in ks:
         traj, defect = _march_periodic(factors, [op.b[k - 1][order] for op in ops],
                                        capacity, grid.h_s, grid.M_y**field.dim)
-        traj = traj[:, pos]
-        out.append(CellSolution(
-            regime=regime, dim=field.dim, grid=grid, k=k,
-            phi=traj if fde else kappa * traj, residual=0.0, periodic_defect=defect,
-            psi=None if fde else traj, param=param,
-        ))
+        out.append(CellSolution(regime=regime, dim=field.dim, grid=grid, k=k,
+                                phi=traj[:, pos], residual=0.0, periodic_defect=defect,
+                                param=param))
     return out
 
 
@@ -513,19 +508,16 @@ def solve_supercritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int)
 
 def solve_critical_cell_fde(field: PeriodicMatrixField, grid: CellGrid,
                             param: CellParameter, k: int) -> CellSolution:
-    """Time-periodic parabolic cell problem, fast-diffusion form.
-
-    mu d_s Phi = div_y(a [grad Phi + e_k]) with mu = (1/p)|u0|^(1-p);
-    at u0 = 0 the problem degenerates to the slice-elliptic one."""
+    """Critical cell problem for 0 < p < 1: capacity mu = (1/p)|u0|^(1-p);
+    at u0 = 0 it degenerates to the slice-elliptic problem."""
     return _solve_cells(field, grid, "critical_fde", [k], param)[0]
 
 
 def solve_critical_cell_pme(field: PeriodicMatrixField, grid: CellGrid,
                             param: CellParameter, k: int) -> CellSolution:
-    """Time-periodic parabolic cell problem, porous-medium form.
-
-    d_s Psi = div_y(a [kappa grad Psi + e_k]) with kappa = p|u0|^(p-1)
-    and Phi = kappa Psi; at u0 = 0 the corrector vanishes identically."""
+    """Critical cell problem for 1 < p < 2: capacity (1/p)|u0|^(1-p), the
+    reciprocal of the porous-medium diffusivity p|u0|^(p-1); at u0 = 0 the
+    capacity is infinite and the corrector vanishes identically."""
     return _solve_cells(field, grid, "critical_pme", [k], param)[0]
 
 
@@ -546,18 +538,21 @@ CELL_MAGIC = "oscidiff-cell v1"
 
 
 def save_cell(path, sol: CellSolution):
-    """Write a cell solution as a self-describing text file."""
+    """Write a cell solution as a self-describing text file (phi rows
+    only, ``psi=0``)."""
     p = sol.param.p if sol.param is not None else float("nan")
     u0 = sol.param.u0abs if sol.param is not None else float("nan")
     meta = {"regime": sol.regime, "N": sol.dim, "k": sol.k, "My": sol.grid.M_y,
             "Ms": sol.grid.M_s, "nslices": sol.phi.shape[0], "p": p, "u0abs": u0,
             "residual": sol.residual, "defect": sol.periodic_defect,
-            "psi": int(sol.psi is not None), "faceavg": sol.grid.face_avg}
-    write_artifact(path, CELL_MAGIC, meta,
-                   sol.phi if sol.psi is None else np.vstack([sol.phi, sol.psi]))
+            "psi": 0, "faceavg": sol.grid.face_avg}
+    write_artifact(path, CELL_MAGIC, meta, sol.phi)
 
 
 def load_cell(path) -> CellSolution:
+    """Read a cell file. A legacy ``psi=1`` file stores the porous-medium
+    unknown c phi after the phi rows; those rows are checked for shape
+    and dropped."""
     meta, raw = read_artifact(path, CELL_MAGIC, ("regime", "N", "k", "My", "Ms", "nslices",
                                                 "p", "u0abs", "residual", "defect", "psi"))
     dim, k = int(meta["N"]), int(meta["k"])
@@ -565,17 +560,14 @@ def load_cell(path) -> CellSolution:
     n_slices = int(meta["nslices"])
     if n_slices not in (1, grid.M_s, grid.M_s + 1):
         raise ConfigError(f"{path}: nslices={n_slices} is none of 1, Ms and Ms + 1")
-    has_psi = bool(int(meta["psi"]))
     n = grid.M_y**dim
-    want = n_slices * (2 if has_psi else 1)
+    want = n_slices * (2 if int(meta["psi"]) else 1)
     if raw.shape != (want, n):
         raise ConfigError(f"{path}: expected {want} rows x {n} cols, got {raw.shape}")
-    phi = raw[:n_slices]
-    psi = raw[n_slices:] if has_psi else None
     p, u0 = float(meta["p"]), float(meta["u0abs"])
     param = None if np.isnan(p) else CellParameter(p=p, u0abs=u0)
     return CellSolution(
-        regime=meta["regime"], dim=dim, grid=grid, k=k, phi=phi,
+        regime=meta["regime"], dim=dim, grid=grid, k=k, phi=raw[:n_slices],
         residual=float(meta["residual"]), periodic_defect=float(meta["defect"]),
-        psi=psi, param=param,
+        param=param,
     )

@@ -139,12 +139,9 @@ def _echo_config(cfg: ExperimentConfig, out_dir):
 
 
 def _tensor(cfg):
-    """Effective tensor of the config: the |u0| table at r = 2, else one matrix."""
-    if cfg.regime.startswith("critical"):
-        return em.tabulate_ahom_critical(cfg.field, cfg.cell_grid, cfg.p)
-    ops = cs.cell_operators(cfg.field, cfg.cell_grid, cfg.regime)
-    cells = cs.solve_cells(cfg.field, cfg.cell_grid, cfg.regime, ops=ops)
-    return em.assemble_ahom(cells, cfg.field, cfg.cell_grid, ops=ops)
+    """Effective tensor of the config: the |u0| table at r = 2, else one
+    matrix. The critical cells are not kept."""
+    return hz.prepare_effective(cfg.field, cfg.p, cfg.r, cfg.cell_grid, keep_cells=False)[0]
 
 
 def _table(rows, header):

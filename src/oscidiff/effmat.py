@@ -117,12 +117,11 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
         raise RegimeMismatch("cell solutions were computed on a different grid")
     cells = sorted(cells, key=lambda c: c.k)
     param = cells[0].param
-    if (cells[0].regime == "critical_pme" and param is not None
-            and param.u0abs == 0.0):
+    if param is not None and param.capacity == np.inf:
         # the corrector vanishes and the matrix is the plain average
         A = mean_ys(field, grid)
         return EffectiveTensor(
-            regime="critical_pme", dim=dim, lam=field.lam, Lam=field.Lam,
+            regime=cells[0].regime, dim=dim, lam=field.lam, Lam=field.Lam,
             matrices=A[np.newaxis], corrector_norms=np.zeros((1, dim)),
             grad_grams=np.zeros((1, dim, dim)), p=param.p,
             provenance={"field": field.name, "M_y": grid.M_y, "M_s": grid.M_s,
@@ -244,9 +243,9 @@ def ellipticity_report(tensor: EffectiveTensor, n_probes: int = 64, seed: int = 
 def skew_integral(cells, p: float):
     """Discrete time-coupling integral predicting the skew part at r = 2.
 
-    FDE branch: S[j,k] = mu * sum over steps of <Phi_k^m - Phi_k^{m-1},
-    Phi_j^m> h^N; PME branch: the same with Psi in place of Phi and the
-    kappa scale. Both equal (a_hom - a_hom^T)/2 up to discretization error.
+    S[j,k] = c * sum over steps of <Phi_k^m - Phi_k^{m-1}, Phi_j^m> h^N
+    with the capacity c of the cells (0 where the corrector vanishes,
+    at c = inf); it equals (a_hom - a_hom^T)/2 up to discretization error.
     """
     dim = cells[0].dim
     cells = sorted(cells, key=lambda c: c.k)
@@ -257,19 +256,15 @@ def skew_integral(cells, p: float):
     if regime != expected:
         raise RegimeMismatch(
             f"skew integral at p={p} needs {expected} cells, got {regime} cells")
-    if regime == "critical_fde":
-        scale = param.mu_fde
-        fields_ = [c.phi for c in cells]
-    else:
-        scale = param.kappa_pme
-        fields_ = [c.psi if c.psi is not None else c.phi for c in cells]
-    hN = 1.0 / (cells[0].grid.M_y**dim)
     S = np.zeros((dim, dim))
+    capacity = param.capacity
+    if capacity == np.inf:
+        return S
+    hN = 1.0 / (cells[0].grid.M_y**dim)
     for j in range(dim):
         for k in range(dim):
-            F_k, F_j = fields_[k], fields_[j]
-            dF = np.diff(F_k, axis=0)
-            S[j, k] = scale * hN * float(np.sum(dF * F_j[1:]))
+            dF = np.diff(cells[k].phi, axis=0)
+            S[j, k] = capacity * hN * float(np.sum(dF * cells[j].phi[1:]))
     return S
 
 

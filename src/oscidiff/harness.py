@@ -122,12 +122,13 @@ def fit_rate(eps_list, errs):
 
 
 def prepare_effective(field: PeriodicMatrixField, p: float, r: float,
-                      cell_grid: CellGrid = None, u0abs_grid=None):
+                      cell_grid: CellGrid = None, keep_cells: bool = True):
     """Cell solutions and effective tensor for the given scaling.
 
     Returns (tensor, cells_by_key) where cells_by_key maps a |u0| key to
     the per-direction cell solutions (a single key None for the constant
-    regimes).
+    regimes). With keep_cells=False the critical table drops each key's
+    cells once assembled, and cells_by_key is empty at r = 2.
     """
     if cell_grid is None:
         g = DEFAULTS["grids"][field.dim]
@@ -137,7 +138,7 @@ def prepare_effective(field: PeriodicMatrixField, p: float, r: float,
         ops = cs.cell_operators(field, cell_grid, regime)
         cells = cs.solve_cells(field, cell_grid, regime, ops=ops)
         return em.assemble_ahom(cells, field, cell_grid, ops=ops), {None: cells}
-    return em._tabulate_critical(field, cell_grid, p, u0abs_grid)
+    return em._tabulate_critical(field, cell_grid, p, keep_cells=keep_cells)
 
 
 # ---------------------------------------------------------------------------

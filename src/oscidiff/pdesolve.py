@@ -114,8 +114,9 @@ class HomogenizedProblem:
     def __post_init__(self):
         if self.mode not in ("constant", "critical_table"):
             raise ConfigError(f"unknown coupling mode {self.mode!r}")
-        if self.mode == "critical_table" and not self.tensor.is_table:
-            raise ConfigError("critical_table mode needs a tabulated tensor")
+        if (self.mode == "critical_table") != self.tensor.is_table:
+            raise ConfigError(f"{self.mode} mode needs a "
+                              f"{'constant' if self.tensor.is_table else 'tabulated'} tensor")
         if self.tensor.dim != self.grid.dim:
             raise ConfigError("tensor and grid dimensions differ")
 
@@ -374,9 +375,7 @@ def solve_homogenized(prob: HomogenizedProblem) -> SpaceTimeField:
     looked up from the |u0| table, frozen per step (lagged coefficient)."""
     clamp_count = 0
     if prob.mode == "constant":
-        op_const = _constant_operator(
-            prob.tensor.entry_at(0.0) if prob.tensor.is_table else prob.tensor.matrix,
-            prob.grid)
+        op_const = _constant_operator(prob.tensor.matrix, prob.grid)
 
         def op_at(t, _v):
             return op_const

@@ -23,14 +23,18 @@ def monolithic_critical_solve(field, grid, p, u0abs, k):
     solves it in one shot. Returns the trajectory with the layout of
     CellSolution.phi: slices 0..M_s with slice 0 = slice M_s wrapped.
 
-    For the porous-medium branch the unknown is Psi and the returned
-    trajectory is Phi = kappa Psi.
+    The capacity mu and the diffusivity scale kappa are computed here from
+    p and u0abs, independently of ``CellParameter``. For the
+    fast-diffusion branch the unknown is Phi with capacity
+    mu = (1/p)|u0|^(1-p). For the porous-medium branch the system is kept
+    in its own form, d_s Psi = div_y(a [kappa grad Psi + e_k]) with
+    kappa = p|u0|^(p-1), and the returned trajectory is Phi = kappa Psi;
+    this checks that the solver's capacity form is that rescaling.
     """
-    param = cs.CellParameter(p=p, u0abs=u0abs)
     if p < 1:
-        capacity, kappa = param.mu_fde, 1.0
+        capacity, kappa = (1.0 / p) * u0abs ** (1.0 - p), 1.0
     else:
-        capacity, kappa = 1.0, param.kappa_pme
+        capacity, kappa = 1.0, p * u0abs ** (p - 1.0)
     ops = cs._slice_operators(field, grid)
     n = grid.M_y**field.dim
     M_s = grid.M_s

@@ -5,6 +5,9 @@ The files in ``tests/fixtures/artifacts/`` were written once by calling
 (``save_gridded``, ``save_cell``, ``save_tensor``, ``save_traj``) as they
 stood before the formats shared one header writer and reader. They are
 never regenerated: a writer that changes a byte on disk fails here.
+The one deliberate change since is the cell writer's: it now writes
+``psi=0`` and the phi rows only, and ``written_golden`` derives those
+bytes from the legacy golden cell.txt.
 
 Resaving a loaded golden file is the writer check and is byte-exact for
 every kind. Rebuilding from the inputs is byte-exact for ``field`` and
@@ -86,17 +89,34 @@ def assert_same_artifact(path, golden, magic):
     assert np.all(np.abs(body - want_body) <= REBUILT_ATOL + REBUILT_RTOL * np.abs(want_body))
 
 
-@pytest.mark.parametrize("kind", sorted(FILES))
-def test_golden_bytes_and_roundtrip(kind, tmp_path):
+def written_golden(kind, tmp_path):
+    """Path and bytes of the golden file as the writer now emits it.
+
+    ``save_cell`` writes ``psi=0`` and the phi rows only. The golden
+    cell.txt is a legacy ``psi=1`` file, whose porous-medium rows follow
+    the phi rows; the reader drops them, so the expected bytes are the
+    golden ones without those rows and with ``psi=0``."""
     golden = os.path.join(ARTIFACT_DIR, FILES[kind])
     with open(golden, "rb") as fh:
         want = fh.read()
+    if kind == "cell":
+        header, *rows = want.decode().splitlines(keepends=True)
+        n_slices = int(header.split(" nslices=")[1].split()[0])
+        want = (header.replace(" psi=1 ", " psi=0 ") + "".join(rows[:n_slices])).encode()
+        golden = tmp_path / "golden.txt"
+        golden.write_bytes(want)
+    return golden, want
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_golden_bytes_and_roundtrip(kind, tmp_path):
+    golden, want = written_golden(kind, tmp_path)
     build(kind, tmp_path / "rebuilt.txt")
     if kind in SOLVER_ROUNDED:
         assert_same_artifact(tmp_path / "rebuilt.txt", golden, SOLVER_ROUNDED[kind])
     else:
         assert (tmp_path / "rebuilt.txt").read_bytes() == want
-    resave(kind, LOADERS[kind](golden), tmp_path / "resaved.txt")
+    resave(kind, LOADERS[kind](os.path.join(ARTIFACT_DIR, FILES[kind])), tmp_path / "resaved.txt")
     assert (tmp_path / "resaved.txt").read_bytes() == want
 
 

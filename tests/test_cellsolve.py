@@ -143,14 +143,13 @@ def test_folded_order_is_permutation_with_stated_half_width(name, params, M):
 @pytest.mark.parametrize("M", [4, 5, 7, 24])
 @pytest.mark.parametrize("name,params", STEP_FIELDS)
 def test_step_factors_match_spsolve(name, params, M, shift):
-    # shift I + kappa K in folded order against a sparse direct solve
+    # shift I + K in folded order against a sparse direct solve
     field = make_field(name, **params)
     grid = CellGrid(M_y=M, M_s=4)
     ops = [cs.CellOperator(field, grid, s=s) for s in (0.25, 0.5)]
-    kappa = 1.7
     order, pos = cs._folded_order(field.dim, M)
-    for op, factor in zip(ops, cs._step_factors(ops, shift, kappa)):
-        A = (shift * sp.eye(op.n) + kappa * op.K).tocsc()
+    for op, factor in zip(ops, cs._step_factors(ops, shift)):
+        A = (shift * sp.eye(op.n) + op.K).tocsc()
         wave = np.cos(np.arange(op.n))
         rhs = op.b[-1] + wave - wave.mean()  # mean-zero, as the march's
         x = factor.solve(rhs[order])[pos]
@@ -166,12 +165,12 @@ def test_step_factor_not_positive_definite_names_slice():
         -np.ones((8, 1, 1)), 1, CellGrid(M_y=8, M_s=4, face_avg="arithmetic"))
     positive = cs.CellOperator(make_field("trig1d_st"), grid, s=0.25)
     with pytest.raises(SolverDiverged, match=r"slice 1 \(s=0\.5000\).*leading minor"):
-        cs._step_factors([positive, negative, positive, positive], 4.0, 1.5)
-    factor = cs._step_factors([positive], 4.0, 1.5)[0]
+        cs._step_factors([positive, negative, positive, positive], 4.0)
+    factor = cs._step_factors([positive], 4.0)[0]
     with pytest.raises(ValueError):
         factor.solve(np.full(8, np.nan))
     with pytest.raises(ValueError):
-        cs._step_factors([positive], np.inf, 1.5)
+        cs._step_factors([positive], np.inf)
 
 
 @pytest.mark.parametrize("face_avg", ["geometric", "harmonic"])
@@ -245,7 +244,6 @@ def test_cell_roundtrip(tmp_path):
     loaded = cs.load_cell(path)
     assert loaded.regime == sol.regime
     assert np.allclose(loaded.phi, sol.phi, atol=1e-15)
-    assert np.allclose(loaded.psi, sol.psi, atol=1e-15)
     assert loaded.param.p == sol.param.p
 
 
@@ -333,3 +331,52 @@ def test_cg_failure_names_slice_only_on_slice_layouts(monkeypatch, regime, param
         cs.solve_cells(make_field("trig1d"), CellGrid(M_y=8, M_s=4), regime, param=param)
     assert str(info.value) == prefix + "CG stalled"
     assert info.value.residual == 0.5
+
+
+CRITERION_3_GRIDS = [("trig1d_st", CellGrid(M_y=16, M_s=16)),
+                     ("trig2d_st", CellGrid(M_y=12, M_s=16))]
+
+
+@pytest.mark.parametrize("u0abs", [1e-3, 1.0, 10.0])
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.5])
+@pytest.mark.parametrize("name,grid", CRITERION_3_GRIDS)
+def test_criterion_3_grid_matches_monolithic_oracle(name, grid, p, u0abs):
+    # criterion 3 over the ends of the capacity range, every direction
+    field = make_field(name)
+    cells = cs.solve_cells(field, grid, cs.regime_for(2.0, p),
+                           param=cs.CellParameter(p=p, u0abs=u0abs))
+    for sol in cells:
+        oracle = monolithic_critical_solve(field, grid, p, u0abs, k=sol.k)
+        dev = l2_cell_time(sol.phi - oracle, grid, field.dim)
+        assert dev <= 1e-8 * l2_cell_time(oracle, grid, field.dim)
+
+
+def u0_at_capacity(p, capacity):
+    """An |u0| whose capacity (1/p)|u0|^(1-p) is exactly ``capacity``."""
+    u0 = (p * capacity) ** (1.0 / (1.0 - p))
+    for _ in range(64):
+        got = cs.CellParameter(p=p, u0abs=u0).capacity
+        if got == capacity:
+            return u0
+        # the capacity grows with |u0| for p < 1 and falls for p > 1
+        u0 = np.nextafter(u0, np.inf if (got < capacity) == (p < 1) else 0.0)
+    raise AssertionError(f"no |u0| near {u0} has capacity {capacity} at p={p}")
+
+
+@pytest.mark.parametrize("capacity", [0.05, 1.0, 20.0])
+@pytest.mark.parametrize("name,grid", CRITERION_3_GRIDS)
+def test_fde_and_pme_cells_agree_at_matched_capacity(name, grid, capacity):
+    # both branches are one problem in the capacity c: equal c, equal cells
+    field = make_field(name)
+    fde, pme = (cs.solve_cells(field, grid, cs.regime_for(2.0, p),
+                               param=cs.CellParameter(p=p, u0abs=u0_at_capacity(p, capacity)))
+                for p in (0.5, 1.5))
+    for a, b in zip(fde, pme):
+        assert np.array_equal(a.phi, b.phi)
+        assert a.periodic_defect == b.periodic_defect
+
+
+def test_capacity_limits_at_zero_datum():
+    assert cs.CellParameter(p=0.5, u0abs=0.0).capacity == 0.0
+    assert cs.CellParameter(p=1.5, u0abs=0.0).capacity == np.inf
+    assert cs.CellParameter(p=1.5, u0abs=4.0).capacity == pytest.approx(1.0 / 3.0, rel=1e-15)

@@ -84,6 +84,14 @@ def test_pme_table_zero_entry_is_mean():
     assert np.max(np.abs(table.matrices[0] - mean)) < 1e-12
 
 
+def test_pme_zero_datum_has_no_skew():
+    # infinite capacity: the corrector vanishes, and the integral is 0, not nan
+    field = make_field("trig2d_st")
+    cells = cs.solve_cells(field, CellGrid(M_y=8, M_s=4), "critical_pme",
+                           param=cs.CellParameter(p=1.5, u0abs=0.0))
+    assert np.array_equal(em.skew_integral(cells, 1.5), np.zeros((2, 2)))
+
+
 def test_s_independent_field_all_regimes_agree():
     field = make_field("trig1d")
     grid = CellGrid(M_y=32, M_s=16)

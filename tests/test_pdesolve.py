@@ -386,12 +386,24 @@ def test_critical_table_mode_requires_table():
     grid_c = CellGrid(M_y=8, M_s=4)
     cells = cs.solve_cells(field, grid_c, "subcritical")
     tensor = em.assemble_ahom(cells, field, grid_c)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="critical_table mode needs a tabulated tensor"):
         pde.HomogenizedProblem(tensor=tensor, p=0.5,
                                f=lambda x, t: np.zeros(len(x)),
                                u0=lambda x: np.zeros(len(x)),
-                               grid=MacroGrid(dim=1, n_x=8, n_t=2, T=0.1),
+                               grid=MacroGrid(dim=1, n_x=8, n_t=4, T=0.1),
                                mode="critical_table")
+
+
+def test_constant_mode_rejects_table():
+    # a table in constant mode would solve with a(|u0| = 0)
+    table = em.tabulate_ahom_critical(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4),
+                                      p=1.5, u0abs_grid=[0.0, 0.5, 1.0, 2.0])
+    with pytest.raises(ConfigError, match="constant mode needs a constant tensor"):
+        pde.HomogenizedProblem(tensor=table, p=1.5,
+                               f=lambda x, t: np.zeros(len(x)),
+                               u0=lambda x: np.zeros(len(x)),
+                               grid=MacroGrid(dim=1, n_x=8, n_t=4, T=0.1),
+                               mode="constant")
 
 
 @given(st.floats(0.3, 1.9), st.integers(1, 6))
