@@ -5,10 +5,11 @@ u = sign(v)|v|^(1/p) is solved in the transformed unknown v = |u|^(p-1)u,
 for which the elliptic operator is linear and the Dirichlet condition is
 v = 0. Time stepping is backward Euler with the coefficient frozen at the
 step target time; each step is a damped Newton solve in v with the
-derivative of the inverse transform regularized away from v = 0. The
-homogenized problem uses the same machinery with the effective matrix,
-which at the critical scaling is looked up from the |u0| table and frozen
-per Newton sweep.
+derivative of the inverse transform regularized away from v = 0; its
+residual is one pass over u(w) and the dt-scaled operator. The homogenized
+problem uses the same machinery with the effective matrix, which at the
+critical scaling is looked up from the |u0| table and frozen per Newton
+sweep.
 
 Oscillating coefficients are resolved by internal substepping: output is
 stored on the coarse step grid while the marching step stays below a
@@ -125,41 +126,50 @@ class HomogenizedProblem:
 # Discrete elliptic operators (homogeneous Dirichlet)
 
 
+def _tridiag_matvec(diag, off, v):
+    """Symmetric tridiagonal product with bands ``diag`` and ``off``."""
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
 class Operator1D:
     """Tridiagonal -d/dx(a(x) d/dx .) with face coefficients a: ``diag`` and
     the symmetric off-diagonal ``off``."""
 
     def __init__(self, aface, h):
         self.n = len(aface) - 1
-        self.h2 = h * h
-        self.aface = np.asarray(aface, dtype=float)
-        al, ar = self.aface[:-1], self.aface[1:]
-        self.diag = (al + ar) / self.h2
-        self.off = -ar[:-1] / self.h2  # coupling i <-> i+1
+        h2 = h * h
+        aface = np.asarray(aface, dtype=float)
+        al, ar = aface[:-1], aface[1:]
+        self.diag = (al + ar) / h2
+        self.off = -ar[:-1] / h2  # coupling i <-> i+1
         self._scaled = (None, None, None)  # (dt, dt * diag, dt * off)
 
     def matvec(self, v):
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
-        return out
+        return _tridiag_matvec(self.diag, self.off, v)
 
-    def energy(self, v, h):
-        """h * sum over faces of a (Dv)^2 (boundary values 0)."""
-        dv = np.diff(np.concatenate([[0.0], v, [0.0]])) / h
-        return h * float(self.aface @ dv**2)
+    def _scaled_bands(self, dt):
+        """(dt * diag, dt * off) for the last dt; ValueError if not finite."""
+        dt_cached, dt_diag, dt_off = self._scaled
+        if dt_cached != dt:
+            dt_diag, dt_off = dt * self.diag, dt * self.off
+            if not (np.isfinite(dt_diag).all() and np.isfinite(dt_off).all()):
+                raise ValueError("array must not contain infs or NaNs")
+            self._scaled = (dt, dt_diag, dt_off)
+        return dt_diag, dt_off
+
+    def dt_matvec(self, dt, v):
+        """dt * L v from the scaled bands that shifted solves share."""
+        return _tridiag_matvec(*self._scaled_bands(dt), v)
 
     def solve_shifted(self, extra_diag, dt, rhs):
         """Solve (diag(extra_diag) + dt * L) x = rhs with LAPACK gtsv.
 
         Raises ValueError for non-finite input and LinAlgError when the
         shifted matrix is singular."""
-        dt_cached, dt_diag, dt_off = self._scaled
-        if dt_cached != dt:
-            dt_diag, dt_off = dt * self.diag, dt * self.off
-            if not np.isfinite(dt_off).all():
-                raise ValueError("array must not contain infs or NaNs")
-            self._scaled = (dt, dt_diag, dt_off)
+        dt_diag, dt_off = self._scaled_bands(dt)
         d = extra_diag + dt_diag
         b = np.asarray(rhs, dtype=float)
         if not (np.isfinite(d).all() and np.isfinite(b).all()):
@@ -182,7 +192,6 @@ class Operator2D:
         # a1face: (n_x+1, n_x) coefficients on x1-faces; a2face: (n_x, n_x+1)
         n = a1face.shape[1]
         self.n = n
-        self.h = h
         h2 = h * h
         N = n * n
         idx = np.arange(N).reshape(n, n)
@@ -210,13 +219,12 @@ class Operator2D:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(N, N),
         )
-        self.a1face, self.a2face = a1face, a2face
 
     def matvec(self, v):
         return self.K @ v
 
-    def energy(self, v, h):
-        return h * h * float(v @ (self.K @ v))
+    def dt_matvec(self, dt, v):
+        return dt * (self.K @ v)
 
     @cached_property
     def band(self):
@@ -282,30 +290,40 @@ def _uprime_of(v, p):
 
 
 def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
-    """Solve u(w) + dt L w = un + dt f for w by damped Newton."""
+    """Solve u(w) + dt L w = un + dt f for w by damped Newton.
+
+    A trial residual F = u(w) + dt L w - target is one pass: u(w), dt L w
+    from the operator's scaled bands, F in place and its norm as one dot.
+    Returns w with its u(w) and dt L w, the iterations and the halvings."""
     target = un + dt * fval
+
+    def residual(w):
+        u = np.copysign(np.abs(w) ** (1.0 / p), w)
+        dtLw = op.dt_matvec(dt, w)
+        F = u + dtLw
+        F -= target
+        return u, dtLw, F, math.sqrt(F @ F)
+
     w = v_init.copy()
-    F = _u_of(w, p) + dt * op.matvec(w) - target
-    res = np.linalg.norm(F)
-    iters = 0
-    for it in range(MAX_NEWTON):
+    u, dtLw, F, res = residual(w)
+    backtracks = 0
+    for iters in range(MAX_NEWTON):
         if res <= tol_abs:
-            return w, res, iters
+            return w, u, dtLw, iters, backtracks
         d = op.solve_shifted(_uprime_of(w, p), dt, -F)
         alpha = 1.0
         for _ in range(MAX_BACKTRACK):
             w_try = w + alpha * d
-            F_try = _u_of(w_try, p) + dt * op.matvec(w_try) - target
-            res_try = np.linalg.norm(F_try)
+            u_try, dtLw_try, F_try, res_try = residual(w_try)
             if res_try <= (1.0 - 1e-4 * alpha) * res:
-                w, F, res = w_try, F_try, res_try
+                w, u, dtLw, F, res = w_try, u_try, dtLw_try, F_try, res_try
                 break
             alpha *= 0.5
+            backtracks += 1
         else:
             raise StepRejected(
                 f"step {step_id}: line search failed {MAX_BACKTRACK} times "
                 f"(residual {res:.3e})")
-        iters = it + 1
     raise NewtonStalled(f"step {step_id}: residual {res:.3e} > tol {tol_abs:.3e}",
                         step=step_id, residual=float(res))
 
@@ -313,35 +331,34 @@ def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
 def _march(grid, p, f, u0, op_at, substeps):
     """Shared implicit-Euler driver. op_at(t, v) yields the elliptic operator
     for the step targeting time t, given v of the previous step (from which
-    the table mode lags its coefficient)."""
+    the table mode lags its coefficient). The dissipation increment
+    h^N v . (dt L v) reuses the accepted residual's dt L v."""
     x = grid.interior_nodes()
-    uinit = np.asarray(u0(x), dtype=float).ravel()
-    v = np.sign(uinit) * np.abs(uinit) ** p
-    un = uinit.copy()
-    n_store = grid.n_t
-    values = np.empty((n_store + 1, len(v)))
+    un = np.asarray(u0(x), dtype=float).ravel()
+    v = np.sign(un) * np.abs(un) ** p
+    values = np.empty((grid.n_t + 1, len(v)))
     values[0] = v
-    dissipation = np.zeros(n_store + 1)
+    dissipation = np.zeros(grid.n_t + 1)
     dt_sub = grid.dt / substeps
-    scale = max(float(np.linalg.norm(un)), 1.0)
-    tol_abs = NEWTON_TOL * scale
-    newton_counts = []
+    tol_abs = NEWTON_TOL * max(float(np.linalg.norm(un)), 1.0)
+    newton_counts, backtracks = [], 0
     diss = 0.0
     for n in range(grid.n_t):
         for m in range(substeps):
             t_next = (n * substeps + m + 1) * dt_sub
             op = op_at(t_next, v)
             fval = np.asarray(f(x, t_next), dtype=float).ravel()
-            v, res, iters = _newton_step(op, un, fval, dt_sub, p, v,
-                                         tol_abs, step_id=(n, m))
-            un = _u_of(v, p)
+            v, un, dtLv, iters, halvings = _newton_step(op, un, fval, dt_sub, p, v,
+                                                        tol_abs, step_id=(n, m))
             newton_counts.append(iters)
-            diss += dt_sub * op.energy(v, grid.h)
+            backtracks += halvings
+            diss += grid.h**grid.dim * float(v @ dtLv)
         values[n + 1] = v
         dissipation[n + 1] = diss
     return values, dissipation, {"substeps": substeps,
                                  "newton_mean": float(np.mean(newton_counts)),
-                                 "newton_max": int(np.max(newton_counts))}
+                                 "newton_max": int(np.max(newton_counts)),
+                                 "newton_backtracks": backtracks}
 
 
 def solve_micro(prob: MicroProblem) -> SpaceTimeField:

@@ -10,10 +10,12 @@ The one deliberate change since is the cell writer's: it now writes
 bytes from the legacy golden cell.txt.
 
 Resaving a loaded golden file is the writer check and is byte-exact for
-every kind. Rebuilding from the inputs is byte-exact for ``field`` and
-``traj``; ``cell`` and ``ahom`` come out of the critical cell solver,
-whose factorization rounds in its own order, so their rebuilt files are
-compared number by number (REBUILT_RTOL, REBUILT_ATOL).
+every kind. Rebuilding from the inputs is byte-exact for ``field`` only.
+``cell`` and ``ahom`` come out of the critical cell solver, whose
+factorization rounds in its own order, and the ``traj`` dissipation is
+summed as v . (dt L v) from the accepted Newton residual rather than over
+the faces, which moves its last digit. So those rebuilt files are compared
+number by number (REBUILT_RTOL, REBUILT_ATOL).
 """
 
 import os
@@ -27,7 +29,7 @@ from oscidiff.errors import ConfigError
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "artifacts")
 GRID = fields.CellGrid(8, 4)
 FILES = {"field": "field.txt", "cell": "cell.txt", "ahom": "ahom.txt", "traj": "traj.txt"}
-SOLVER_ROUNDED = {"cell": cs.CELL_MAGIC, "ahom": em.AHOM_MAGIC}
+SOLVER_ROUNDED = {"cell": cs.CELL_MAGIC, "ahom": em.AHOM_MAGIC, "traj": pde.TRAJ_MAGIC}
 REBUILT_RTOL, REBUILT_ATOL = 1e-12, 1e-14
 
 
@@ -66,11 +68,18 @@ LOADERS = {"field": fields.load_gridded, "cell": cs.load_cell,
            "ahom": em.load_tensor, "traj": pde.load_traj}
 
 
-def _number(text):
+def _numbers(text):
+    """A header value as an array of numbers (one, or a comma list such as
+    ``diss``), or None when it is not numeric."""
     try:
-        return float(text)
+        return np.array([float(t) for t in text.split(",")])
     except ValueError:
         return None
+
+
+def _close(got, want):
+    return got.shape == want.shape and bool(
+        np.all(np.abs(got - want) <= REBUILT_ATOL + REBUILT_RTOL * np.abs(want)))
 
 
 def assert_same_artifact(path, golden, magic):
@@ -80,13 +89,12 @@ def assert_same_artifact(path, golden, magic):
     want_meta, want_body = fields.read_artifact(golden, magic, ())
     assert list(meta) == list(want_meta)
     for key, want in want_meta.items():
-        got, ref = _number(meta[key]), _number(want)
+        got, ref = _numbers(meta[key]), _numbers(want)
         if ref is None:
             assert meta[key] == want, key
         else:
-            assert got is not None and abs(got - ref) <= REBUILT_ATOL + REBUILT_RTOL * abs(ref), key
-    assert body.shape == want_body.shape
-    assert np.all(np.abs(body - want_body) <= REBUILT_ATOL + REBUILT_RTOL * np.abs(want_body))
+            assert got is not None and _close(got, ref), key
+    assert _close(body, want_body)
 
 
 def written_golden(kind, tmp_path):

@@ -157,6 +157,18 @@ def test_micro_json_records_operator_builds(tmp_path, capsys):
     assert summary.read_bytes() == first  # counts only, no timings
 
 
+def test_json_summaries_count_newton_backtracks(tmp_path, capsys):
+    cfg = write_config(tmp_path, eps=[0.125])
+    assert run("micro", cfg, tmp_path / "m", "--json") == 0
+    assert run("homog", cfg, tmp_path / "h", "--json") == 0
+    (micro,) = json.loads((tmp_path / "m" / "micro_summary.json").read_text())["runs"]
+    homog = json.loads((tmp_path / "h" / "homog_summary.json").read_text())
+    for stats in (micro, homog):
+        assert isinstance(stats["newton_backtracks"], int)
+        assert stats["newton_backtracks"] >= 0
+        assert stats["newton_max"] >= 1
+
+
 def test_audit_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, eps=[0.125])
     assert run("audit", cfg, tmp_path / "out", "--json") == 0

@@ -151,6 +151,131 @@ def test_newton_quadratic_tail():
     assert tail[1] / tail[0] <= 0.3
 
 
+def _constant_tensor(matrix):
+    """A constant effective tensor with the given matrix."""
+    dim = len(matrix)
+    return em.EffectiveTensor(regime="subcritical", dim=dim, lam=1.0, Lam=1.0,
+                              matrices=np.asarray(matrix, dtype=float)[None],
+                              corrector_norms=np.zeros((1, dim)),
+                              grad_grams=np.zeros((1, dim, dim)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dissipation_is_the_face_gradient_quadrature(dim):
+    # with the identity tensor h^N v . L v is the face-layer quadrature of
+    # |grad v|^2; the quadrature, not the operator, is the oracle
+    grid = MacroGrid(dim=dim, n_x=31 if dim == 1 else 12, n_t=8, T=0.25)
+    traj = pde.solve_homogenized(pde.HomogenizedProblem(
+        tensor=_constant_tensor(np.eye(dim)), p=0.5, f=lambda x, t: np.ones(len(x)),
+        u0=lambda x: np.prod(np.sin(np.pi * x), axis=1), grid=grid, substeps=1))
+    increments = [grid.dt * pde.grad_sq_integral(v, grid) for v in traj.values[1:]]
+    expected = np.concatenate([[0.0], np.cumsum(increments)])
+    assert expected[-1] > 0.0
+    assert np.allclose(traj.dissipation, expected, rtol=1e-12, atol=0.0)
+
+
+def _three_pass_march(grid, p, f, u0, op_at, substeps):
+    """Reference stepper: each residual in three passes (u(w), L w, the
+    norm), dissipation dt h^N v . L v. Returns the stored values, the
+    dissipation and the line-search halvings."""
+    x = grid.interior_nodes()
+    un = np.asarray(u0(x), dtype=float).ravel()
+    v = np.sign(un) * np.abs(un) ** p
+    dt = grid.dt / substeps
+    tol = pde.NEWTON_TOL * max(float(np.linalg.norm(un)), 1.0)
+    values, diss, halvings = [v], [0.0], 0
+    for k in range(grid.n_t * substeps):
+        t = (k + 1) * dt
+        op = op_at(t, v)
+        target = un + dt * np.asarray(f(x, t), dtype=float).ravel()
+
+        def residual(w):
+            return pde._u_of(w, p) + dt * op.matvec(w) - target
+
+        F = residual(v)
+        while np.linalg.norm(F) > tol:
+            d = op.solve_shifted(pde._uprime_of(v, p), dt, -F)
+            alpha = 1.0
+            while np.linalg.norm(residual(v + alpha * d)) > (1.0 - 1e-4 * alpha) * np.linalg.norm(F):
+                alpha *= 0.5
+                halvings += 1
+            v = v + alpha * d
+            F = residual(v)
+        un = pde._u_of(v, p)
+        diss.append(diss[-1] + dt * grid.h**grid.dim * float(v @ op.matvec(v)))
+        if (k + 1) % substeps == 0:
+            values.append(v)
+    return np.array(values), np.array(diss[::substeps]), halvings
+
+
+def _fused_and_reference(case, T=0.25):
+    """One solve through the package and the same problem through the
+    reference stepper."""
+    sine = lambda x: np.prod(np.sin(np.pi * x), axis=1)
+    one = lambda x, t: np.ones(len(x))
+    if case == "micro":
+        prob = pde.MicroProblem(field=make_field("trig1d_st"), eps=0.125, r=2.0, p=0.5,
+                                f=one, u0=sine, grid=MacroGrid(dim=1, n_x=32, n_t=8, T=T))
+        op_at = lambda t, _v: pde._micro_operator(prob.field, prob.grid, prob.eps, prob.r, t)
+        return pde.solve_micro(prob), _three_pass_march(
+            prob.grid, prob.p, one, sine, op_at, prob.auto_substeps())
+    if case == "backtracking":
+        # porous-medium data of size 1e-2 and dt = 1/2 make the line search halve
+        small = lambda x: 0.01 * np.sign(x[:, 0] - 0.5) * np.abs(np.sin(3 * np.pi * x[:, 0]))
+        prob = pde.MicroProblem(field=make_field("trig1d_st"), eps=0.125, r=1.0, p=1.5,
+                                f=one, u0=small, grid=MacroGrid(dim=1, n_x=32, n_t=4, T=2.0),
+                                substeps=1)
+        op_at = lambda t, _v: pde._micro_operator(prob.field, prob.grid, prob.eps, prob.r, t)
+        return pde.solve_micro(prob), _three_pass_march(prob.grid, prob.p, one, small, op_at, 1)
+    if case == "table":
+        tensor = em.tabulate_ahom_critical(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4),
+                                           p=0.5, u0abs_grid=[0.0, 0.5, 1.0, 2.0])
+        grid = MacroGrid(dim=1, n_x=32, n_t=8, T=T)
+        op_at = lambda _t, v: pde._table_operator(tensor, grid, v, 0.5)
+        prob = pde.HomogenizedProblem(tensor=tensor, p=0.5, f=one, u0=sine, grid=grid,
+                                      mode="critical_table", substeps=2)
+        return pde.solve_homogenized(prob), _three_pass_march(grid, 0.5, one, sine, op_at, 2)
+    matrix = np.array([[0.6, 0.1], [0.1, 0.4]])
+    grid = MacroGrid(dim=2, n_x=10, n_t=8, T=T)
+    op = pde._constant_operator(matrix, grid)
+    prob = pde.HomogenizedProblem(tensor=_constant_tensor(matrix), p=1.5, f=one, u0=sine,
+                                  grid=grid)
+    return pde.solve_homogenized(prob), _three_pass_march(grid, 1.5, one, sine,
+                                                          lambda _t, _v: op, 1)
+
+
+@pytest.mark.parametrize("case", ["micro", "backtracking", "table", "constant_2d"])
+def test_fused_march_matches_three_pass_reference(case):
+    # every dt here is a power of 2, so scaling the bands by dt is exact
+    traj, (values, diss, halvings) = _fused_and_reference(case)
+    assert np.array_equal(traj.values, values)
+    assert np.allclose(traj.dissipation, diss, rtol=1e-12, atol=0.0)
+    assert traj.stats["newton_backtracks"] == halvings
+    assert (halvings > 0) == (case == "backtracking")
+
+
+def test_fused_march_near_three_pass_reference_for_non_dyadic_dt():
+    traj, (values, diss, halvings) = _fused_and_reference("micro", T=0.3)
+    assert np.max(np.abs(traj.values - values)) <= 1e-12 * np.max(np.abs(values))
+    assert np.allclose(traj.dissipation, diss, rtol=1e-12, atol=0.0)
+
+
+def test_dt_matvec_matches_matvec_and_checks_bands():
+    rng = np.random.default_rng(3)
+    op = pde.Operator1D(rng.uniform(0.5, 2.0, 9), 0.125)
+    v = rng.standard_normal(8)
+    assert np.array_equal(op.dt_matvec(0.25, v), 0.25 * op.matvec(v))
+    with pytest.raises(ValueError):
+        op.dt_matvec(np.inf, v)
+    with pytest.raises(ValueError):
+        op.solve_shifted(np.ones(8), np.inf, v)
+    for bad in (0, 4, 8):  # an end face reaches the diagonal only
+        aface = np.ones(9)
+        aface[bad] = np.nan
+        with pytest.raises(ValueError):
+            pde.Operator1D(aface, 0.125).dt_matvec(1.0, v)
+
+
 def _banded_reference(op, extra_diag, dt):
     ab = np.zeros((3, op.n))
     ab[1] = extra_diag + dt * op.diag
