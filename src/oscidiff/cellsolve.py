@@ -90,12 +90,13 @@ class CellParameter:
 class CellSolution:
     """Discrete corrector for one direction e_k.
 
-    ``phi`` has shape (n_slices, M_y**dim), and row j sits at s = j h_s
-    (``s_nodes``) in every layout: one row for the s-independent
-    problems, M_s rows covering one s-period for the slice-elliptic ones,
-    and M_s + 1 rows for the marched critical ones. There
-    ``periodic_defect`` is c |phi[-1] - phi[0]| (discrete L2 norm over
-    the cell), which equals the norm of the period-averaged residual
+    ``phi`` has one row per operator of ``cell_operators`` for the
+    regime, shape (len(ops), M_y**dim): one row for the s-independent
+    problems, M_s rows covering one s-period otherwise. Row j sits at
+    s = j h_s (``s_nodes``), solves on ops[j], and the rows are periodic
+    in s. For the marched critical problem ``periodic_defect`` is
+    c |Phi(1) - Phi(0)| of the final sweep (discrete L2 norm over the
+    cell), which equals the norm of the period-averaged residual
     h_s sum_j (b_k - K_j phi[j]).
     """
 
@@ -126,13 +127,11 @@ class CellSolution:
     def grad_interpolant(self):
         """Periodic multilinear interpolant of ``grad_y`` in (y, s): called
         with y of shape (..., dim) and s, it returns shape (..., dim).
-        Cell values sit at y = (i + 1/2)/M_y; the M_s + 1 row layout already
-        carries both ends of the s-period, the others wrap in s.
+        Cell values sit at y = (i + 1/2)/M_y and rows at s = j h_s; on the
+        last slice interval s runs from row M_s - 1 back to row 0.
         """
         shape = (len(self.phi),) + (self.grid.M_y,) * self.dim + (self.dim,)
-        return PeriodicInterpolant(
-            self.grad_y().reshape(shape), dim=self.dim, h_s=self.grid.h_s, y_offset=0.5,
-            s_periodic=len(self.phi) != self.grid.M_s + 1)
+        return PeriodicInterpolant(self.grad_y().reshape(shape), dim=self.dim, y_offset=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +338,12 @@ def projected_cg(K, b):
 def cell_operators(field: PeriodicMatrixField, grid: CellGrid, regime: str):
     """The operators a regime's cell problem is posed on, as a list ops.
 
-    Row j of every cell solution of the regime pairs with ops[j - 1]:
-    the s = 0 slice for ``classical``, the s-averaged operator for
-    ``supercritical``, and ``_slice_operators`` for the slice-elliptic
-    and critical regimes. This is the one place that maps a regime to
-    its operators; ``solve_cells`` and ``effmat.assemble_ahom`` take the
-    same set."""
+    Row j of every cell solution of the regime solves on ops[j]: the
+    s = 0 slice for ``classical``, the s-averaged operator for
+    ``supercritical``, and the slice at s = j h_s (``_slice_operators``)
+    for the slice-elliptic and critical regimes. This is the one place
+    that maps a regime to its operators; ``solve_cells`` and
+    ``effmat.assemble_ahom`` take the same set."""
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
     if regime == "classical":
@@ -368,26 +367,18 @@ def s_averaged_operator(field: PeriodicMatrixField, grid: CellGrid) -> CellOpera
 
 
 def _slice_operators(field, grid):
-    """Operators and drives at the step targets s = (j+1)/M_s, wrapped.
-
-    The slice at s = j/M_s is therefore ops[j - 1]."""
-    M_s = grid.M_s
-    ops = []
-    for j in range(M_s):
-        sj = ((j + 1) % M_s) * grid.h_s
-        ops.append(CellOperator(field, grid, s=sj))
-    return ops
+    """Operators and drives at the slice times: ops[j] at s = j h_s."""
+    return [CellOperator(field, grid, s=sj) for sj in grid.slice_times()]
 
 
 def _solve_elliptic(ops, field, grid, regime, ks, param):
     """Elliptic cell solutions for every direction in ks: row j of phi
-    solves K phi = b_k on ops[j - 1]. A CG failure on a slice layout
-    names its slice."""
+    solves K phi = b_k on ops[j]. A CG failure on a slice layout names
+    its slice j (s = j h_s)."""
     out = []
     for k in ks:
         phis, worst = [], 0.0
-        for j in range(len(ops)):
-            op = ops[j - 1]
+        for j, op in enumerate(ops):
             try:
                 phi, res = projected_cg(op.K, op.b[k - 1])
             except SolverDiverged as err:
@@ -406,31 +397,32 @@ def _march_periodic(factors, rhs, capacity, h_s, n_cells):
     """Implicit-Euler period map iterated to its fixed point: at most
     MAX_SWEEPS sweeps, until the periodic defect is at most PERIODIC_TOL.
 
-    factors[j], rhs[j] (j = 0..M_s-1) describe the step towards slice j+1:
-    (capacity/h_s) (phi^{j+1} - phi^j) + K^{j+1} phi^{j+1} = b^{j+1},
-    with factors[j] the banded Cholesky factor of (capacity/h_s) I + K^{j+1}
-    in folded order (``_step_factors``); rhs and the trajectory are in the
-    same order, which the zero-mean projection and the defect ignore.
-    The defect capacity |phi^{M_s} - phi^0| is the norm of the
-    period-averaged residual h_s sum_j (b^j - K^j phi^j).
-    Returns (trajectory of shape (M_s+1, n), periodic defect)."""
+    factors[j], rhs[j] (j = 0..M_s-1) belong to row j, whose step reads
+    (capacity/h_s) (phi^j - phi^{j-1}) + K^j phi^j = b^j with j - 1 taken
+    mod M_s; factors[j] is the banded Cholesky factor of
+    (capacity/h_s) I + K^j in folded order (``_step_factors``), and rhs
+    and the rows are in the same order, which the zero-mean projection and
+    the defect ignore. A sweep runs from a start row 0 to rows 1..M_s-1
+    and back to row 0; its defect capacity |end - start| is the norm of
+    the period-averaged residual h_s sum_j (b^j - K^j phi^j). Row 0 is
+    the end of the final sweep. Returns (rows of shape (M_s, n), periodic
+    defect)."""
     M_s = len(factors)
     hN_sqrt = np.sqrt(1.0 / n_cells)
-    phi0 = np.zeros(n_cells)
-    traj = np.empty((M_s + 1, n_cells))
+    phi = np.empty((M_s, n_cells))
+    start = np.zeros(n_cells)
     defect = np.inf
     for _ in range(MAX_SWEEPS):
-        traj[0] = phi0
-        cur = phi0
-        for j in range(M_s):
+        cur = start
+        for j in (*range(1, M_s), 0):
             cur = factors[j].solve((capacity / h_s) * cur + rhs[j])
-            traj[j + 1] = cur
-        defect = capacity * float(np.linalg.norm(traj[-1] - traj[0]) * hN_sqrt)
+            phi[j] = cur
+        defect = capacity * float(np.linalg.norm(phi[0] - start) * hN_sqrt)
         if defect <= PERIODIC_TOL:
-            for row in traj:
+            for row in phi:
                 _project_mean(row)
-            return traj, defect
-        phi0 = _project_mean(traj[-1].copy())
+            return phi, defect
+        start = _project_mean(phi[0].copy())
     raise PeriodicityNotReached(
         f"period map not converged after {MAX_SWEEPS} sweeps (periodic defect "
         f"c |Phi(1) - Phi(0)| = {defect:.3e}, the period-averaged residual)",
@@ -441,14 +433,13 @@ def _march_periodic(factors, rhs, capacity, h_s, n_cells):
 def _step_factors(ops, shift):
     """Banded Cholesky factors of shift I + K for every operator of
     ``_slice_operators``, in folded order. A factor that fails names its
-    slice."""
+    slice j (s = j h_s)."""
     factors = []
     for j, op in enumerate(ops):
         try:
             factors.append(BandCholesky(op.band.shifted(1.0, shift)))
         except SolverDiverged as err:
-            s = ((j + 1) % len(ops)) / len(ops)
-            raise SolverDiverged(f"slice {j} (s={s:.4f}): {err}") from err
+            raise SolverDiverged(f"slice {j} (s={j / len(ops):.4f}): {err}") from err
     return factors
 
 
@@ -469,7 +460,7 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
         if regime != regime_for(2.0, param.p):
             raise ConfigError(f"{regime} cell problem does not apply at p={param.p}")
         if param.capacity == np.inf:  # PME at u0 = 0: the corrector vanishes
-            zeros = np.zeros((grid.M_s + 1, grid.M_y**field.dim))
+            zeros = np.zeros((grid.M_s, grid.M_y**field.dim))
             return [CellSolution(regime=regime, dim=field.dim, grid=grid, k=k, phi=zeros,
                                  residual=0.0, param=param) for k in ks]
     if ops is None:
@@ -483,10 +474,10 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
     order, pos = _folded_order(field.dim, grid.M_y)
     out = []
     for k in ks:
-        traj, defect = _march_periodic(factors, [op.b[k - 1][order] for op in ops],
-                                       capacity, grid.h_s, grid.M_y**field.dim)
+        phi, defect = _march_periodic(factors, [op.b[k - 1][order] for op in ops],
+                                      capacity, grid.h_s, grid.M_y**field.dim)
         out.append(CellSolution(regime=regime, dim=field.dim, grid=grid, k=k,
-                                phi=traj[:, pos], residual=0.0, periodic_defect=defect,
+                                phi=phi[:, pos], residual=0.0, periodic_defect=defect,
                                 param=param))
     return out
 
@@ -538,8 +529,8 @@ CELL_MAGIC = "oscidiff-cell v1"
 
 
 def save_cell(path, sol: CellSolution):
-    """Write a cell solution as a self-describing text file (phi rows
-    only, ``psi=0``)."""
+    """Write a cell solution as a self-describing text file: its
+    ``nslices`` phi rows (1 or M_s) and ``psi=0``."""
     p = sol.param.p if sol.param is not None else float("nan")
     u0 = sol.param.u0abs if sol.param is not None else float("nan")
     meta = {"regime": sol.regime, "N": sol.dim, "k": sol.k, "My": sol.grid.M_y,
@@ -552,7 +543,9 @@ def save_cell(path, sol: CellSolution):
 def load_cell(path) -> CellSolution:
     """Read a cell file. A legacy ``psi=1`` file stores the porous-medium
     unknown c phi after the phi rows; those rows are checked for shape
-    and dropped."""
+    and dropped. A legacy marched file holds M_s + 1 rows at s = j h_s,
+    j = 0..M_s: its start row is dropped and its end row, at s = 1, put
+    first."""
     meta, raw = read_artifact(path, CELL_MAGIC, ("regime", "N", "k", "My", "Ms", "nslices",
                                                 "p", "u0abs", "residual", "defect", "psi"))
     dim, k = int(meta["N"]), int(meta["k"])
@@ -566,8 +559,11 @@ def load_cell(path) -> CellSolution:
         raise ConfigError(f"{path}: expected {want} rows x {n} cols, got {raw.shape}")
     p, u0 = float(meta["p"]), float(meta["u0abs"])
     param = None if np.isnan(p) else CellParameter(p=p, u0abs=u0)
+    phi = raw[:n_slices]
+    if n_slices == grid.M_s + 1:
+        phi = np.concatenate([phi[-1:], phi[1:-1]])
     return CellSolution(
-        regime=meta["regime"], dim=dim, grid=grid, k=k, phi=raw[:n_slices],
+        regime=meta["regime"], dim=dim, grid=grid, k=k, phi=phi,
         residual=float(meta["residual"]), periodic_defect=float(meta["defect"]),
         param=param,
     )

@@ -285,6 +285,18 @@ def _converge_checks(report, strict_rates=False):
     return failures
 
 
+def _study_exit(report, strict_rates):
+    """Exit code of a study command: EXIT_SOLVER for a partial report,
+    else EXIT_ASSERT when a ``_converge_checks`` check fails."""
+    if report.partial:
+        print(f"partial report: {report.cause}", file=sys.stderr)
+        return EXIT_SOLVER
+    failures = _converge_checks(report, strict_rates)
+    for msg in failures:
+        print(f"FAIL: {msg}", file=sys.stderr)
+    return EXIT_ASSERT if failures else EXIT_OK
+
+
 def _find_fixture(fixdir, report):
     name = f"study_p{report.p:g}_r{report.r:g}.json".replace("/", "_")
     path = os.path.join(fixdir, name)
@@ -303,16 +315,11 @@ def cmd_converge(cfg: ExperimentConfig, out_dir, as_json=False,
     with open(os.path.join(out_dir, "plot.gp"), "w") as fh:
         fh.write(_PLOT_SCRIPT)
     sys.stdout.write(report.to_csv())
-    if report.partial:
-        print(f"partial report: {report.cause}", file=sys.stderr)
-        return EXIT_SOLVER
-    failures = _converge_checks(report, strict_rates)
-    for msg in failures:
-        print(f"FAIL: {msg}", file=sys.stderr)
-    return EXIT_ASSERT if failures else EXIT_OK
+    return _study_exit(report, strict_rates)
 
 
-def cmd_corrector(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
+def cmd_corrector(cfg: ExperimentConfig, out_dir, as_json=False,
+                  strict_rates=False, **_kw):
     """Corrector-error table; recomputes cells and trajectories."""
     _echo_config(cfg, out_dir)
     report = hz.run_convergence_study(cfg.field, cfg.p, cfg.r, cfg.eps_list,
@@ -326,13 +333,7 @@ def cmd_corrector(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
     print(_table(rows, ["eps", "grad corr", "flux corr", "dtime corr",
                         "grad plain"]))
     hz.write_report(report, out_dir, stem="corrector", json_mirror=as_json)
-    if report.partial:
-        print(f"partial report: {report.cause}", file=sys.stderr)
-        return EXIT_SOLVER
-    failures = _converge_checks(report)
-    for msg in failures:
-        print(f"FAIL: {msg}", file=sys.stderr)
-    return EXIT_ASSERT if failures else EXIT_OK
+    return _study_exit(report, strict_rates)
 
 
 def cmd_audit(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):

@@ -106,8 +106,7 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
     """Assemble the homogenized matrix from one cell solution per direction.
 
     ``ops`` is the ``cs.cell_operators`` set the cells were solved on,
-    built here when not given. Row j of each cell pairs with ops[j - 1],
-    and the pairing sums over the last len(ops) rows."""
+    built here when not given. Row j of each cell pairs with ops[j]."""
     dim = field.dim
     if len(cells) != dim or sorted(c.k for c in cells) != list(range(1, dim + 1)):
         raise RegimeMismatch(f"need cell solutions for k = 1..{dim}")
@@ -129,13 +128,13 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
         )
     if ops is None:
         ops = cs.cell_operators(field, grid, cells[0].regime)
-    n_rows = len(cells[0].phi)
+    if any(len(c.phi) != len(ops) for c in cells):
+        raise RegimeMismatch(f"cell solutions need one row per operator, {len(ops)}")
     hN = 1.0 / (grid.M_y**dim)
     A = np.zeros((dim, dim))
     norms = np.zeros(dim)
     gram = np.zeros((dim, dim))
-    for row in range(n_rows - len(ops), n_rows):
-        op = ops[row - 1]
+    for row, op in enumerate(ops):
         phis = [c.phi[row] for c in cells]
         for j in range(dim):
             for k in range(dim):
@@ -243,9 +242,10 @@ def ellipticity_report(tensor: EffectiveTensor, n_probes: int = 64, seed: int = 
 def skew_integral(cells, p: float):
     """Discrete time-coupling integral predicting the skew part at r = 2.
 
-    S[j,k] = c * sum over steps of <Phi_k^m - Phi_k^{m-1}, Phi_j^m> h^N
-    with the capacity c of the cells (0 where the corrector vanishes,
-    at c = inf); it equals (a_hom - a_hom^T)/2 up to discretization error.
+    S[j,k] = c * sum over rows m of <Phi_k^m - Phi_k^{m-1}, Phi_j^m> h^N,
+    with m - 1 taken mod M_s and the capacity c of the cells (0 where the
+    corrector vanishes, at c = inf); it equals (a_hom - a_hom^T)/2 up to
+    discretization error.
     """
     dim = cells[0].dim
     cells = sorted(cells, key=lambda c: c.k)
@@ -263,8 +263,8 @@ def skew_integral(cells, p: float):
     hN = 1.0 / (cells[0].grid.M_y**dim)
     for j in range(dim):
         for k in range(dim):
-            dF = np.diff(cells[k].phi, axis=0)
-            S[j, k] = capacity * hN * float(np.sum(dF * cells[j].phi[1:]))
+            dF = cells[k].phi - np.roll(cells[k].phi, 1, axis=0)
+            S[j, k] = capacity * hN * float(np.sum(dF * cells[j].phi))
     return S
 
 

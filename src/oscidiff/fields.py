@@ -463,15 +463,14 @@ class PeriodicInterpolant:
     """Multilinear interpolation of nodal data, periodic in y and in s.
 
     ``values`` has shape (n_s,) + (M_y,) * dim + value shape. The y nodes
-    sit at (i + y_offset)/M_y, the s nodes at j h_s. With ``s_periodic``
-    the nodes cover one period (n_s h_s = 1) and s wraps; otherwise they
-    also carry its end ((n_s - 1) h_s = 1) and s is clamped to them. A
-    single s node makes the data s-independent."""
+    sit at (i + y_offset)/M_y, the s nodes at j h_s with h_s = 1/n_s, so
+    they cover one period and s wraps. A single s node makes the data
+    s-independent."""
 
-    def __init__(self, values, dim, h_s, y_offset=0.0, s_periodic=True):
+    def __init__(self, values, dim, y_offset=0.0):
         self.vals = np.asarray(values)
         self.dim, self.M = dim, self.vals.shape[1]
-        self.h_s, self.y_offset, self.s_periodic = h_s, y_offset, s_periodic
+        self.h_s, self.y_offset = 1.0 / len(self.vals), y_offset
 
     def __call__(self, y, s):
         """Interpolate at y of shape (..., dim) and s broadcastable to (...)."""
@@ -487,16 +486,11 @@ class PeriodicInterpolant:
             j0 = np.zeros(s.shape, dtype=int)
             j1 = j0
             fs = np.zeros(s.shape)
-        elif self.s_periodic:
+        else:
             jj = np.mod(s, 1.0) / self.h_s
             j0 = np.floor(jj).astype(int) % ns
             fs = jj - np.floor(jj)
             j1 = (j0 + 1) % ns
-        else:
-            jj = np.clip(np.mod(s, 1.0) / self.h_s, 0.0, ns - 1.0 - 1e-12)
-            j0 = np.floor(jj).astype(int)
-            fs = jj - j0
-            j1 = j0 + 1
         trail = (1,) * (self.vals.ndim - 1 - self.dim)
         out = np.zeros(y.shape[:-1] + self.vals.shape[1 + self.dim:])
         corners = [(0,), (1,)] if self.dim == 1 else [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -554,6 +548,6 @@ def load_gridded(path):
     # rows run over y (y1 slowest), then s; the interpolant wants s first
     table = np.moveaxis(full.reshape(([My] * dim) + [Ms, dim, dim]), dim, 0)
     return PeriodicMatrixField(
-        dim=dim, entries=PeriodicInterpolant(table, dim, h_s=1.0 / Ms), lam=lam, Lam=Lam,
+        dim=dim, entries=PeriodicInterpolant(table, dim), lam=lam, Lam=Lam,
         s_independent=(Ms == 1), smoothness="continuous", name=f"gridded:{path}",
     )

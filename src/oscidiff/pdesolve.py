@@ -281,7 +281,7 @@ def _table_operator(tensor, grid, v_nodes, p):
 
 
 def _u_of(v, p):
-    return np.sign(v) * np.abs(v) ** (1.0 / p)
+    return np.copysign(np.abs(v) ** (1.0 / p), v)
 
 
 def _uprime_of(v, p):
@@ -298,7 +298,7 @@ def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
     target = un + dt * fval
 
     def residual(w):
-        u = np.copysign(np.abs(w) ** (1.0 / p), w)
+        u = _u_of(w, p)
         dtLw = op.dt_matvec(dt, w)
         F = u + dtLw
         F -= target
@@ -335,7 +335,7 @@ def _march(grid, p, f, u0, op_at, substeps):
     h^N v . (dt L v) reuses the accepted residual's dt L v."""
     x = grid.interior_nodes()
     un = np.asarray(u0(x), dtype=float).ravel()
-    v = np.sign(un) * np.abs(un) ** p
+    v = np.copysign(np.abs(un) ** p, un)
     values = np.empty((grid.n_t + 1, len(v)))
     values[0] = v
     dissipation = np.zeros(grid.n_t + 1)

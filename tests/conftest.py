@@ -19,9 +19,9 @@ def monolithic_critical_solve(field, grid, p, u0abs, k):
 
     Assembles the same implicit-Euler discretization the marching solver
     steps through, but as one (M_s n + 1) x (M_s n + 1) linear system with
-    a Lagrange multiplier enforcing zero mean on the first slice, and
-    solves it in one shot. Returns the trajectory with the layout of
-    CellSolution.phi: slices 0..M_s with slice 0 = slice M_s wrapped.
+    a Lagrange multiplier enforcing zero mean on slice 0, and solves it in
+    one shot. Returns the trajectory with the layout of CellSolution.phi:
+    M_s rows, row i the slice at s = i h_s, solved with ops[i].
 
     The capacity mu and the diffusivity scale kappa are computed here from
     p and u0abs, independently of ``CellParameter``. For the
@@ -45,23 +45,19 @@ def monolithic_critical_solve(field, grid, p, u0abs, k):
         blocks[i][(i - 1) % M_s] = sp.eye(n) * (-c)
     A = sp.bmat(blocks, format="lil")
     rhs = np.concatenate([op.b[k - 1] for op in ops])
-    # one global constant in the kernel: pin the mean of the last slice
-    # (the one that wraps to s = 0)
+    # one global constant in the kernel: pin the mean of slice 0
     ones = np.zeros(M_s * n)
-    ones[(M_s - 1) * n:] = 1.0 / n
+    ones[:n] = 1.0 / n
     A_aug = sp.bmat([[A, ones[:, None]], [ones[None, :], None]], format="csc")
     sol = spla.spsolve(A_aug, np.concatenate([rhs, [0.0]]))[:-1]
-    traj = np.empty((M_s + 1, n))
-    traj[1:] = kappa * sol.reshape(M_s, n)
-    traj[0] = traj[-1]
-    return traj
+    return kappa * sol.reshape(M_s, n)
 
 
 def l2_cell_time(diff, grid, dim):
-    """L2(cell x period) norm of a (M_s+1, n) slice trajectory difference,
-    rectangle rule over slices 1..M_s."""
+    """L2(cell x period) norm of a (M_s, n) slice trajectory difference,
+    rectangle rule over its slices."""
     hN = (1.0 / grid.M_y) ** dim
-    return float(np.sqrt(grid.h_s * hN * np.sum(diff[1:] ** 2)))
+    return float(np.sqrt(grid.h_s * hN * np.sum(diff ** 2)))
 
 
 @pytest.fixture

@@ -96,7 +96,7 @@ def test_criterion_2_s_averaging():
 def test_criterion_3_monolithic_oracle():
     field = make_field("trig1d_st")
     grid = CellGrid(M_y=16, M_s=16)
-    devs = []
+    devs, rels = [], []
     for p in (0.5, 1.5):
         param = cs.CellParameter(p=p, u0abs=1.0)
         if p < 1:
@@ -105,8 +105,10 @@ def test_criterion_3_monolithic_oracle():
             sol = cs.solve_critical_cell_pme(field, grid, param, k=1)
         oracle = monolithic_critical_solve(field, grid, p, 1.0, k=1)
         devs.append(l2_cell_time(sol.phi - oracle, grid, field.dim))
-    report(3, max(devs) <= 1e-8,
-           f"FDE dev {devs[0]:.2e}, PME dev {devs[1]:.2e} (tol 1e-8)")
+        rels.append(devs[-1] / l2_cell_time(oracle, grid, field.dim))
+    report(3, max(devs) <= 1e-8 and max(rels) <= 1e-8,
+           f"FDE dev {devs[0]:.2e}, PME dev {devs[1]:.2e} (tol 1e-8); relative to "
+           f"|oracle|: FDE {rels[0]:.2e}, PME {rels[1]:.2e} (tol 1e-8)")
 
 
 def test_criterion_4_regime_degenerations():

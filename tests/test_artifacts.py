@@ -5,9 +5,9 @@ The files in ``tests/fixtures/artifacts/`` were written once by calling
 (``save_gridded``, ``save_cell``, ``save_tensor``, ``save_traj``) as they
 stood before the formats shared one header writer and reader. They are
 never regenerated: a writer that changes a byte on disk fails here.
-The one deliberate change since is the cell writer's: it now writes
-``psi=0`` and the phi rows only, and ``written_golden`` derives those
-bytes from the legacy golden cell.txt.
+The deliberate changes since are the cell writer's: it writes ``psi=0``
+and the phi rows only, one row per slice operator, and ``written_golden``
+derives those bytes from the legacy golden cell.txt.
 
 Resaving a loaded golden file is the writer check and is byte-exact for
 every kind. Rebuilding from the inputs is byte-exact for ``field`` only.
@@ -100,17 +100,21 @@ def assert_same_artifact(path, golden, magic):
 def written_golden(kind, tmp_path):
     """Path and bytes of the golden file as the writer now emits it.
 
-    ``save_cell`` writes ``psi=0`` and the phi rows only. The golden
-    cell.txt is a legacy ``psi=1`` file, whose porous-medium rows follow
-    the phi rows; the reader drops them, so the expected bytes are the
-    golden ones without those rows and with ``psi=0``."""
+    ``save_cell`` writes ``psi=0`` and the phi rows only, one per slice
+    operator. The golden cell.txt is a legacy ``psi=1`` file with M_s + 1
+    phi rows at s = j h_s, j = 0..M_s, followed by its porous-medium rows.
+    The reader drops the porous-medium rows and the start row and puts the
+    end row (s = 1) first, so the expected bytes are those M_s rows with
+    ``nslices=M_s`` and ``psi=0``."""
     golden = os.path.join(ARTIFACT_DIR, FILES[kind])
     with open(golden, "rb") as fh:
         want = fh.read()
     if kind == "cell":
         header, *rows = want.decode().splitlines(keepends=True)
         n_slices = int(header.split(" nslices=")[1].split()[0])
-        want = (header.replace(" psi=1 ", " psi=0 ") + "".join(rows[:n_slices])).encode()
+        header = header.replace(" psi=1 ", " psi=0 ").replace(
+            f" nslices={n_slices} ", f" nslices={n_slices - 1} ")
+        want = (header + rows[n_slices - 1] + "".join(rows[1:n_slices - 1])).encode()
         golden = tmp_path / "golden.txt"
         golden.write_bytes(want)
     return golden, want

@@ -164,7 +164,7 @@ def test_step_factor_not_positive_definite_names_slice():
     negative = cs.CellOperator.from_matrix_values(
         -np.ones((8, 1, 1)), 1, CellGrid(M_y=8, M_s=4, face_avg="arithmetic"))
     positive = cs.CellOperator(make_field("trig1d_st"), grid, s=0.25)
-    with pytest.raises(SolverDiverged, match=r"slice 1 \(s=0\.5000\).*leading minor"):
+    with pytest.raises(SolverDiverged, match=r"slice 1 \(s=0\.2500\).*leading minor"):
         cs._step_factors([positive, negative, positive, positive], 4.0)
     factor = cs._step_factors([positive], 4.0)[0]
     with pytest.raises(ValueError):
@@ -204,7 +204,26 @@ def test_critical_matches_monolithic_oracle(p, u0abs):
     else:
         sol = cs.solve_critical_cell_pme(field, grid, param, k=1)
     oracle = monolithic_critical_solve(field, grid, p, u0abs, k=1)
-    assert l2_cell_time(sol.phi - oracle, grid, field.dim) <= 1e-8
+    dev = l2_cell_time(sol.phi - oracle, grid, field.dim)
+    assert dev <= 1e-8
+    assert dev <= 1e-8 * l2_cell_time(oracle, grid, field.dim)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5])
+@pytest.mark.parametrize("name,grid", [("trig1d_st", CellGrid(M_y=16, M_s=16)),
+                                       ("trig2d_st", CellGrid(M_y=8, M_s=16))])
+def test_critical_interpolant_sits_on_rows_and_wraps(name, grid, p):
+    field = make_field(name)
+    sol = cs.solve_cells(field, grid, cs.regime_for(2.0, p),
+                         param=cs.CellParameter(p=p, u0abs=1.0))[0]
+    grad, rows = sol.grad_interpolant(), sol.grad_y()
+    y = grid.centers(field.dim)
+    for j in range(grid.M_s):
+        assert np.array_equal(grad(y, j * grid.h_s), rows[j])
+    for theta in np.random.default_rng(3).uniform(0, 1, 8):
+        want = (1.0 - theta) * rows[-1] + theta * rows[0]
+        assert np.allclose(grad(y, 1.0 - (1.0 - theta) * grid.h_s), want,
+                           rtol=1e-12, atol=1e-14 * np.max(np.abs(rows)))
 
 
 def test_fde_zero_datum_delegates_to_subcritical():
@@ -286,8 +305,9 @@ ROUNDTRIP_LAYOUTS = [  # (field, regime, p, u0abs, rows)
     ("trig2d_st", "subcritical", None, None, 4),
     ("trig1d_st", "supercritical", None, None, 1),
     ("trig1d_st", "critical_fde", 0.5, 0.0, 4),
-    ("trig2d_st", "critical_fde", 0.5, 0.7, 5),
-    ("trig1d_st", "critical_pme", 1.5, 0.7, 5),
+    ("trig2d_st", "critical_fde", 0.5, 0.7, 4),
+    ("trig1d_st", "critical_pme", 1.5, 0.7, 4),
+    ("trig1d_st", "critical_pme", 1.5, 0.0, 4),
 ]
 
 
@@ -299,6 +319,7 @@ def test_cell_roundtrip_keeps_slice_layout(tmp_path, name, regime, p, u0abs, row
     sol = cs.solve_cells(field, grid, regime, param=param)[-1]
     cs.save_cell(tmp_path / "cell.txt", sol)
     loaded = cs.load_cell(tmp_path / "cell.txt")
+    assert len(sol.phi) == len(cs.cell_operators(field, grid, regime)) == rows
     assert len(sol.s_nodes) == rows
     assert np.array_equal(loaded.s_nodes, sol.s_nodes)
     assert np.array_equal(sol.s_nodes, np.arange(rows) * grid.h_s)
@@ -349,6 +370,27 @@ def test_criterion_3_grid_matches_monolithic_oracle(name, grid, p, u0abs):
         oracle = monolithic_critical_solve(field, grid, p, u0abs, k=sol.k)
         dev = l2_cell_time(sol.phi - oracle, grid, field.dim)
         assert dev <= 1e-8 * l2_cell_time(oracle, grid, field.dim)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5])
+@pytest.mark.parametrize("name,grid", CRITERION_3_GRIDS)
+def test_critical_rows_solve_their_step_equation(name, grid, p):
+    # row j: (c/h_s)(phi_j - phi_{j-1}) + K_j phi_j = b_k with j - 1 mod M_s
+    # and K_j, b_k from ops[j]; row 1 steps from the final sweep's start,
+    # c |end - start| <= PERIODIC_TOL away from row 0
+    field = make_field(name)
+    regime = cs.regime_for(2.0, p)
+    param = cs.CellParameter(p=p, u0abs=1.0)
+    ops = cs.cell_operators(field, grid, regime)
+    for sj, op in zip(grid.slice_times(), ops):
+        assert (op.K != cs.CellOperator(field, grid, s=sj).K).nnz == 0
+    shift = param.capacity / grid.h_s
+    for sol in cs.solve_cells(field, grid, regime, param=param, ops=ops):
+        assert len(sol.phi) == len(ops) == grid.M_s
+        prev = np.roll(sol.phi, 1, axis=0)
+        residual = np.array([shift * (phi - before) + op.K @ phi - op.b[sol.k - 1]
+                             for phi, before, op in zip(sol.phi, prev, ops)])
+        assert l2_cell_time(residual, grid, field.dim) <= grid.M_s * cs.PERIODIC_TOL
 
 
 def u0_at_capacity(p, capacity):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from oscidiff import cellsolve as cs, cli, effmat as em, pdesolve as pde
+from oscidiff import cellsolve as cs, cli, effmat as em, harness as hz, pdesolve as pde
 from oscidiff.fields import CellGrid
 
 BASE = {
@@ -200,3 +200,22 @@ def test_ahom_builds_operators_once(tmp_path, operator_builds, r, slice_builds, 
                        grids={"M_y": 8, "M_s": 4, "n_x": 8, "n_t": 4, "T": 0.1})
     assert run("ahom", cfg, tmp_path / "out") == 0
     assert operator_builds == {"slice": slice_builds, "average": averages}
+
+
+def slow_report(field, p, r, eps_list, **_kw):
+    """A complete, strictly decreasing study whose fitted rates are 0.15."""
+    errs = [0.01 * 0.9**i for i in range(len(eps_list))]
+    curves = {name: list(errs) for name in hz.ConvergenceReport._CURVES}
+    return hz.ConvergenceReport(eps_list=list(eps_list), p=p, r=r, **curves).finalize()
+
+
+@pytest.mark.parametrize("cmd", ["converge", "corrector"])
+def test_strict_rates_fails_a_slow_study(tmp_path, capsys, monkeypatch, cmd):
+    monkeypatch.setattr(hz, "run_convergence_study", slow_report)
+    monkeypatch.delenv("OSCIDIFF_FIXTURES", raising=False)
+    cfg = write_config(tmp_path)
+    assert run(cmd, cfg, tmp_path / "lax") == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().err
+    assert run(cmd, cfg, tmp_path / "strict", "--strict-rates") == cli.EXIT_ASSERT
+    assert "fitted rate" in capsys.readouterr().err
+    assert (tmp_path / "strict" / f"{cmd}.csv").exists()

@@ -193,7 +193,7 @@ def test_table_not_positive_definite_names_key_and_slice(monkeypatch):
         -np.ones((8, 1, 1)), 1, CellGrid(M_y=8, M_s=4, face_avg="arithmetic"))
     monkeypatch.setattr(cs, "_slice_operators", lambda field, grid: [negative] * grid.M_s)
     with pytest.raises(SolverDiverged,
-                       match=r"u0abs=0\.01: slice 0 \(s=0\.2500\): .*leading minor"):
+                       match=r"u0abs=0\.01: slice 0 \(s=0\.0000\): .*leading minor"):
         em.tabulate_ahom_critical(make_field("trig1d_st"), grid, p=1.5,
                                   u0abs_grid=SHARED_TABLE_KEYS)
 
@@ -287,6 +287,11 @@ def test_critical_skew_matches_integral_2d():
     tensor = em.assemble_ahom(cells, field, grid)
     rep = em.skew_report(tensor, cells=cells, p=0.5, u0abs=1.0)
     assert rep["mismatch"] <= rep["tol"]
+    # over a whole period of rows, the step equation makes the skew part of
+    # the pairing the antisymmetric part of S, up to the periodic defect
+    S, skew = rep["integral"], rep["skew"]
+    row_norm = max(float(np.max(np.linalg.norm(c.phi, axis=1))) for c in cells) / grid.M_y
+    assert np.max(np.abs(skew - 0.5 * (S - S.T))) <= cs.PERIODIC_TOL * row_norm + 1e-14
 
 
 def test_critical_skew_zero_for_s_independent():
@@ -307,6 +312,15 @@ def test_skew_integral_regime_mismatch():
     with pytest.raises(RegimeMismatch, match="critical_fde.*critical_pme"):
         em.skew_integral(cells, 0.5)
     assert em.skew_integral(cells, 1.5).shape == (1, 1)
+
+
+def test_assemble_needs_one_row_per_operator():
+    field, grid = make_field("trig1d_st"), CellGrid(M_y=8, M_s=4)
+    (sol,) = cs.solve_cells(field, grid, "subcritical")
+    cut = cs.CellSolution(regime=sol.regime, dim=1, grid=grid, k=1,
+                          phi=sol.phi[:3], residual=sol.residual)
+    with pytest.raises(RegimeMismatch, match="one row per operator, 4"):
+        em.assemble_ahom([cut], field, grid)
 
 
 def test_oracle_rejects_2d():
