@@ -3,7 +3,8 @@
 The implicit-Euler step matrices of the critical cell problems (periodic
 stencils, numbered in folded order) and the Newton Jacobians of the 2D
 macroscopic solves (Dirichlet stencils in row-major order) are narrowly
-banded. LAPACK ``pbtrf`` factors them in place and ``pbtrs`` solves.
+banded. LAPACK ``pbtrf`` factors them in place and ``pbtrs`` solves, also
+again and again with one kept factor (the 2D chord Newton steps).
 """
 
 from __future__ import annotations
@@ -24,17 +25,14 @@ def _check_finite(a):
 class Band:
     """Upper band of a symmetric sparse matrix K in LAPACK storage.
 
-    Row and column r of K are numbered ``pos[r]`` (the identity when
-    ``pos`` is None). Entry (i, j), i <= j, sits at ab[kd + i - j, j],
-    where the half-width kd is what the stored pattern needs, so the
-    diagonal is the last row. Only the rows of ab that hold a nonzero are
+    Row and column r of K are numbered ``pos[r]``. Entry (i, j), i <= j,
+    sits at ab[kd + i - j, j], where the half-width kd is what the stored
+    pattern needs, so the diagonal is the last row. Only the rows of ab that hold a nonzero are
     kept: a stencil fills a few diagonals of a much wider band."""
 
-    def __init__(self, K, pos=None):
+    def __init__(self, K, pos):
         coo = K.tocoo()
-        i, j = coo.row, coo.col
-        if pos is not None:
-            i, j = pos[i], pos[j]
+        i, j = pos[coo.row], pos[coo.col]
         up = i <= j
         i, j = i[up], j[up]
         self.kd = int(np.max(j - i, initial=0))
@@ -43,6 +41,16 @@ class Band:
         np.add.at(ab, (self.kd + i - j, j), coo.data[up])
         self.rows = np.flatnonzero(np.any(ab != 0.0, axis=1))
         self.values = ab[self.rows]
+
+    @classmethod
+    def from_diagonals(cls, diagonals):
+        """The band of the nonzero upper diagonals of K: ``diagonals[o]``
+        holds K[j - o, j] at place j (its first o places unused)."""
+        self = cls.__new__(cls)
+        self.kd, self.n = max(diagonals), len(diagonals[0])
+        self.rows = self.kd - np.array(list(diagonals))
+        self.values = np.array(list(diagonals.values()))
+        return self
 
     def shifted(self, scale, diag):
         """The band of scale * K + diag(diag), Fortran-ordered so that

@@ -15,14 +15,16 @@ Four problems are covered, all driven by a unit direction e_k:
 Spatial discretization is a conservative flux form on the periodic cell
 grid: diagonal coefficients live on faces (averaged from the two
 adjacent cell values per the grid's face convention), off-diagonal
-couplings use centered differences,
-which keeps the discrete operator symmetric. The elliptic solves use
-conjugate gradients with an explicit zero-mean projection every
-iteration; the critical problem marches an implicit-Euler period map to
-its fixed point. Each step matrix (c/h_s) I + K is symmetric positive
-definite and is factored by banded Cholesky with the cells numbered in
-folded order (``_folded_order``), in which periodic neighbours sit
-within two places of each other on every axis.
+couplings use centered differences, which keeps the discrete operator
+symmetric. ``CellOperator`` builds K, the drives b_k and the gradient
+Gram straight from that face stencil with precomputed periodic
+neighbour indices. The elliptic solves use conjugate gradients with an
+explicit zero-mean projection every iteration; the critical problem
+marches an implicit-Euler period map to its fixed point. Each step
+matrix (c/h_s) I + K is symmetric positive definite and is factored by
+banded Cholesky with the cells numbered in folded order
+(``_folded_order``), in which periodic neighbours sit within two places
+of each other on every axis.
 """
 
 from __future__ import annotations
@@ -118,11 +120,11 @@ class CellSolution:
         return float(np.max(np.abs(self.phi.mean(axis=1))))
 
     def grad_y(self):
-        """Cell-centered gradients, shape (n_slices, n_cells, dim)."""
-        return np.stack(
-            [_centered_diff(self.phi, self.dim, self.grid.M_y, d) for d in range(self.dim)],
-            axis=-1,
-        )
+        """Cell-centered gradients, shape (n_slices, n_cells, dim): centered
+        differences (M/2)(phi[i + e_d] - phi[i - e_d])."""
+        up, down = _neighbours(self.dim, self.grid.M_y)
+        return np.stack([(self.phi[:, u] - self.phi[:, dn]) * (0.5 * self.grid.M_y)
+                         for u, dn in zip(up, down)], axis=-1)
 
     def grad_interpolant(self):
         """Periodic multilinear interpolant of ``grad_y`` in (y, s): called
@@ -138,38 +140,14 @@ class CellSolution:
 # Discrete operators
 
 
-def _centered_diff(vals, dim, M, d):
-    """Centered difference along grid direction d of flattened cell data."""
-    shape = vals.shape[:-1] + (M,) * dim
-    v = vals.reshape(shape)
-    ax = len(vals.shape) - 1 + d
-    out = (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) * (0.5 * M)
-    return out.reshape(vals.shape)
-
-
-def _face_difference_matrix(dim, M, d):
-    """Sparse D_d: cell values -> face differences / h along direction d.
-
-    Face f(i) separates cell i from cell i + e_d (periodic wrap)."""
-    n = M**dim
-    idx = np.arange(n).reshape((M,) * dim)
-    nb = np.roll(idx, -1, axis=d)
-    rows = np.arange(n)
-    data = np.concatenate([np.full(n, -M, dtype=float), np.full(n, M, dtype=float)])
-    cols = np.concatenate([idx.ravel(), nb.ravel()])
-    return sp.csr_matrix((data, (np.concatenate([rows, rows]), cols)), shape=(n, n))
-
-
-def _centered_matrix(dim, M, d):
-    """Sparse centered difference G_d (antisymmetric on the periodic grid)."""
-    n = M**dim
-    idx = np.arange(n).reshape((M,) * dim)
-    up = np.roll(idx, -1, axis=d)
-    dn = np.roll(idx, 1, axis=d)
-    rows = np.arange(n)
-    data = np.concatenate([np.full(n, 0.5 * M), np.full(n, -0.5 * M)])
-    cols = np.concatenate([up.ravel(), dn.ravel()])
-    return sp.csr_matrix((data, (np.concatenate([rows, rows]), cols)), shape=(n, n))
+@lru_cache(maxsize=None)
+def _neighbours(dim, M):
+    """Periodic neighbours of the flattened cells: (up, down), where
+    up[d][i] is the cell i + e_d and down[d][i] the cell i - e_d."""
+    idx = np.arange(M**dim).reshape((M,) * dim)
+    up = tuple(np.roll(idx, -1, axis=d).ravel() for d in range(dim))
+    down = tuple(np.roll(idx, 1, axis=d).ravel() for d in range(dim))
+    return up, down
 
 
 @lru_cache(maxsize=None)
@@ -199,27 +177,19 @@ class CellOperator:
     """
 
     def __init__(self, field: PeriodicMatrixField, grid: CellGrid, s: float):
-        dim, M = field.dim, grid.M_y
-        self.dim, self.M = dim, M
-        self.n = M**dim
-        centers = grid.centers(dim)
-        a = field.sample(centers, np.full(self.n, float(s)))
-        self._build(a, dim, M, grid)
+        centers = grid.centers(field.dim)
+        self._build(field.sample(centers, np.full(len(centers), float(s))), field.dim, grid)
 
     @classmethod
     def from_matrix_values(cls, a, dim, grid: CellGrid):
         """Build from precomputed cell-center matrices a, shape (n, dim, dim)."""
         self = cls.__new__(cls)
-        self.dim, self.M = dim, grid.M_y
-        self.n = grid.M_y**dim
-        self._build(np.asarray(a), dim, grid.M_y, grid)
+        self._build(np.asarray(a), dim, grid)
         return self
 
-    def _build(self, a, dim, M, grid):
-        n = self.n
-        K = sp.csr_matrix((n, n))
-        self.face_coeffs = []
-        self.cell_offdiag = None
+    def _build(self, a, dim, grid):
+        self.dim, self.M, self.n = dim, grid.M_y, grid.M_y**dim
+        M, n = self.M, self.n
         mode = getattr(grid, "face_avg", "geometric")
         diag = a[:, range(dim), range(dim)]
         if mode != "arithmetic" and not np.all(diag > 0):
@@ -231,43 +201,46 @@ class CellOperator:
                 f"{mode} face average needs positive cell coefficients: "
                 f"a_{d + 1}{d + 1} = {diag[i, d]:.6g} at cell {i} "
                 f"(y = {grid.centers(dim)[i]})")
-        self._D = [_face_difference_matrix(dim, M, d) for d in range(dim)]
-        for d, D in enumerate(self._D):
-            add = a[:, d, d].reshape((M,) * dim)
-            nbr = np.roll(add, -1, axis=d)
+        up, down = _neighbours(dim, M)
+        cells = np.arange(n)
+        # face i along d joins cell i to up[d][i]; its weight c = (M a_f) M is
+        # -K on that pair and adds to both diagonals; b_k = div_y(a e_k)
+        self.face_coeffs, self.b = [], []
+        rows, cols, vals = [cells], [cells], [0.0]
+        for d in range(dim):
+            add = a[:, d, d]
+            nbr = add[up[d]]
             if mode == "geometric":
                 af = np.sqrt(add * nbr)
             elif mode == "harmonic":
                 af = 2.0 * add * nbr / (add + nbr)
             else:
                 af = 0.5 * (add + nbr)
-            self.face_coeffs.append(af.ravel())
-            K = K + D.T @ sp.diags(af.ravel()) @ D
+            self.face_coeffs.append(af)
+            c = (M * af) * M
+            vals[0] = vals[0] + (c[down[d]] + c)
+            rows += [cells, up[d]]
+            cols += [up[d], cells]
+            vals += [-c, -c]
+            self.b.append(M * af - M * af[down[d]])
+        self.cell_offdiag = None
         if dim == 2 and np.max(np.abs(a[:, 0, 1])) > 0:
-            a12 = a[:, 0, 1]
-            self.cell_offdiag = a12
-            G0 = _centered_matrix(dim, M, 0)
-            G1 = _centered_matrix(dim, M, 1)
-            A12 = sp.diags(a12)
-            K = K + G0.T @ A12 @ G1 + G1.T @ A12 @ G0
-            self._G = (G0, G1)
-        self.K = K.tocsr()
-        # b_k = div_y(a e_k): apply the flux form to the affine slope e_k
-        self.b = []
-        for k in range(dim):
-            bk = -(self._D[k].T @ self.face_coeffs[k])
-            if self.cell_offdiag is not None:
-                other = 1 - k
-                bk = bk - self._G[other].T @ self.cell_offdiag
-            self.b.append(bk)
+            # 2 a12 d1 d2 with centered differences (M/2)(phi[up] - phi[down])
+            a12 = self.cell_offdiag = a[:, 0, 1]
+            q = (0.5 * M * a12) * (0.5 * M)
+            for s0, i in ((1, up[0]), (-1, down[0])):
+                for s1, j in ((1, up[1]), (-1, down[1])):
+                    rows += [i, j]
+                    cols += [j, i]
+                    vals += [s0 * s1 * q] * 2
+            for k, o in ((0, 1), (1, 0)):
+                self.b[k] = self.b[k] - (0.5 * M * a12[down[o]] - 0.5 * M * a12[up[o]])
+        self.K = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                       np.concatenate(cols))), shape=(n, n))
         # constant energy pairings B(y_j, y_k)
-        self.pair_const = np.zeros((dim, dim))
-        for d in range(dim):
-            self.pair_const[d, d] = np.mean(self.face_coeffs[d])
+        self.pair_const = np.diag([np.mean(af) for af in self.face_coeffs])
         if self.cell_offdiag is not None:
-            m12 = float(np.mean(self.cell_offdiag))
-            self.pair_const[0, 1] = m12
-            self.pair_const[1, 0] = m12
+            self.pair_const[0, 1] = self.pair_const[1, 0] = float(np.mean(self.cell_offdiag))
 
     @cached_property
     def band(self):
@@ -286,7 +259,8 @@ class CellOperator:
         m = len(phis)
         hN = 1.0 / self.n
         out = np.zeros((m, m))
-        dphis = [[D @ p for D in self._D] for p in phis]
+        up = _neighbours(self.dim, self.M)[0]
+        dphis = [[Mp[u] - Mp for u in up] for Mp in (self.M * p for p in phis)]
         for i in range(m):
             for j in range(i, m):
                 v = hN * sum(float(dphis[i][d] @ dphis[j][d]) for d in range(self.dim))
@@ -541,18 +515,22 @@ def save_cell(path, sol: CellSolution):
 
 
 def load_cell(path) -> CellSolution:
-    """Read a cell file. A legacy ``psi=1`` file stores the porous-medium
-    unknown c phi after the phi rows; those rows are checked for shape
-    and dropped. A legacy marched file holds M_s + 1 rows at s = j h_s,
-    j = 0..M_s: its start row is dropped and its end row, at s = 1, put
-    first."""
+    """Read a cell file; its ``nslices`` must fit the regime: 1 for
+    ``classical`` and ``supercritical``, M_s otherwise. A legacy ``psi=1``
+    file stores the porous-medium unknown c phi after the phi rows; those
+    rows are checked for shape and dropped. A legacy marched (critical)
+    file holds M_s + 1 rows at s = j h_s, j = 0..M_s: its start row is
+    dropped and its end row, at s = 1, put first."""
     meta, raw = read_artifact(path, CELL_MAGIC, ("regime", "N", "k", "My", "Ms", "nslices",
                                                 "p", "u0abs", "residual", "defect", "psi"))
     dim, k = int(meta["N"]), int(meta["k"])
     grid = CellGrid(int(meta["My"]), int(meta["Ms"]), face_avg=meta.get("faceavg", "geometric"))
-    n_slices = int(meta["nslices"])
-    if n_slices not in (1, grid.M_s, grid.M_s + 1):
-        raise ConfigError(f"{path}: nslices={n_slices} is none of 1, Ms and Ms + 1")
+    n_slices, regime = int(meta["nslices"]), meta["regime"]
+    allowed = {"classical": (1,), "supercritical": (1,), "subcritical": (grid.M_s,)}.get(
+        regime, (grid.M_s, grid.M_s + 1) if regime in REGIMES else ())
+    if n_slices not in allowed:
+        raise ConfigError(f"{path}: a {regime!r} cell file cannot hold nslices={n_slices} "
+                          f"(allowed: {allowed or 'none, unknown regime'})")
     n = grid.M_y**dim
     want = n_slices * (2 if int(meta["psi"]) else 1)
     if raw.shape != (want, n):
@@ -563,7 +541,7 @@ def load_cell(path) -> CellSolution:
     if n_slices == grid.M_s + 1:
         phi = np.concatenate([phi[-1:], phi[1:-1]])
     return CellSolution(
-        regime=meta["regime"], dim=dim, grid=grid, k=k, phi=phi,
+        regime=regime, dim=dim, grid=grid, k=k, phi=phi,
         residual=float(meta["residual"]), periodic_defect=float(meta["defect"]),
         param=param,
     )

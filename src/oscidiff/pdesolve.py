@@ -6,10 +6,12 @@ for which the elliptic operator is linear and the Dirichlet condition is
 v = 0. Time stepping is backward Euler with the coefficient frozen at the
 step target time; each step is a damped Newton solve in v with the
 derivative of the inverse transform regularized away from v = 0; its
-residual is one pass over u(w) and the dt-scaled operator. The homogenized
-problem uses the same machinery with the effective matrix, which at the
-critical scaling is looked up from the |u0| table and frozen per Newton
-sweep.
+residual is one pass over u(w) and the dt-scaled operator. A 1D step
+solves a fresh tridiagonal Jacobian every iteration; a 2D step is a chord
+Newton, reusing one banded Jacobian factor while its steps halve the
+residual. The homogenized problem uses the same machinery with the
+effective matrix, which at the critical scaling is looked up from the
+|u0| table and frozen per step.
 
 Oscillating coefficients are resolved by internal substepping: output is
 stored on the coarse step grid while the marching step stays below a
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +39,7 @@ NEWTON_TOL = 1e-9
 DELTA_REG = 1e-10
 MAX_NEWTON = 60
 MAX_BACKTRACK = 20
+CHORD_RATE = 0.5  # a slower chord step ends the reuse (rsham of Kelley's nsold)
 # Micro operators kept per solve, keyed by fast phase. Dyadic eps and
 # substeps visit 8 phases under the eps^r/8 rule; the cache is cleared
 # when full, so phases that never repeat cost one build per substep.
@@ -186,39 +189,27 @@ class Operator2D:
     """Sparse 5-point (plus optional constant cross term) Dirichlet operator
     on the n_x x n_x interior grid. In its row-major order the matrix has
     half-width n_x (n_x + 1 with the cross term), so shifted solves factor
-    it by banded Cholesky."""
+    it by banded Cholesky. The factor is kept for chord Newton steps."""
 
     def __init__(self, a1face, a2face, h, a12=0.0):
         # a1face: (n_x+1, n_x) coefficients on x1-faces; a2face: (n_x, n_x+1)
-        n = a1face.shape[1]
-        self.n = n
+        n = self.n = a1face.shape[1]
         h2 = h * h
-        N = n * n
-        idx = np.arange(N).reshape(n, n)
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(v.ravel())
-
-        diag = (a1face[:-1] + a1face[1:] + a2face[:, :-1] + a2face[:, 1:]) / h2
-        add(idx, idx, diag)
-        add(idx[:-1], idx[1:], -a1face[1:-1] / h2)
-        add(idx[1:], idx[:-1], -a1face[1:-1] / h2)
-        add(idx[:, :-1], idx[:, 1:], -a2face[:, 1:-1] / h2)
-        add(idx[:, 1:], idx[:, :-1], -a2face[:, 1:-1] / h2)
+        # diagonal o of K in row-major order: K[j - o, j] at place j
+        upper = {o: np.zeros((n, n)) for o in (0, 1, n) + ((n - 1, n + 1) if a12 else ())}
+        upper[0][:] = (a1face[:-1] + a1face[1:] + a2face[:, :-1] + a2face[:, 1:]) / h2
+        upper[1][:, 1:] = -a2face[:, 1:-1] / h2
+        upper[n][1:] = -a1face[1:-1] / h2
         if a12:
             # -2 a12 d1 d2 with centered differences, zero past the boundary
             c = 2.0 * a12 / (4.0 * h2)
-            add(idx[:-1, :-1], idx[1:, 1:], -c * np.ones((n - 1, n - 1)))
-            add(idx[1:, 1:], idx[:-1, :-1], -c * np.ones((n - 1, n - 1)))
-            add(idx[:-1, 1:], idx[1:, :-1], c * np.ones((n - 1, n - 1)))
-            add(idx[1:, :-1], idx[:-1, 1:], c * np.ones((n - 1, n - 1)))
-        self.K = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N, N),
-        )
+            upper[n + 1][1:, 1:] -= c
+            upper[n - 1][1:, :-1] += c
+        self.band = Band.from_diagonals({o: d.ravel() for o, d in upper.items()})
+        offsets = list(upper) + [-o for o in upper if o]
+        self.K = sp.diags([upper[abs(o)].ravel()[abs(o):] for o in offsets], offsets,
+                          shape=(n * n, n * n), format="csr")
+        self.factor = None
 
     def matvec(self, v):
         return self.K @ v
@@ -226,17 +217,14 @@ class Operator2D:
     def dt_matvec(self, dt, v):
         return dt * (self.K @ v)
 
-    @cached_property
-    def band(self):
-        """Upper band of K in row-major order (a ``banded.Band``)."""
-        return Band(self.K)
-
     def solve_shifted(self, extra_diag, dt, rhs):
-        """Solve (diag(extra_diag) + dt * K) x = rhs by banded Cholesky.
-
-        Raises ValueError for non-finite input and SolverDiverged when the
-        shifted matrix is not positive definite."""
-        return BandCholesky(self.band.shifted(dt, extra_diag)).solve(rhs)
+        """Solve (diag(extra_diag) + dt * K) x = rhs by banded Cholesky,
+        keeping the factor as ``factor``; extra_diag None solves with it
+        again. Raises ValueError for non-finite input and SolverDiverged
+        when the shifted matrix is not positive definite."""
+        if extra_diag is not None:
+            self.factor = BandCholesky(self.band.shifted(dt, extra_diag))
+        return self.factor.solve(rhs)
 
 
 def _operator(grid, faces, a12=0.0):
@@ -294,7 +282,14 @@ def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
 
     A trial residual F = u(w) + dt L w - target is one pass: u(w), dt L w
     from the operator's scaled bands, F in place and its norm as one dot.
-    Returns w with its u(w) and dt L w, the iterations and the halvings."""
+    On an ``Operator2D``, which keeps its factor, Newton takes chord steps
+    (in 1D a gtsv solve costs what a factor does): the Jacobian
+    diag(u'(w)) + dt L factored at an earlier iterate is reused while the
+    full step passes the Armijo test and the step before shrank the
+    residual by ``CHORD_RATE``; a chord step that fails the test is
+    dropped and the Jacobian refactored at the current iterate.
+    Returns w with its u(w) and dt L w, the iterations, the halvings and
+    the factorizations."""
     target = un + dt * fval
 
     def residual(w):
@@ -306,11 +301,22 @@ def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
 
     w = v_init.copy()
     u, dtLw, F, res = residual(w)
-    backtracks = 0
+    backtracks, factorizations, chord = 0, 0, False
     for iters in range(MAX_NEWTON):
         if res <= tol_abs:
-            return w, u, dtLw, iters, backtracks
+            if isinstance(op, Operator2D):  # a cached operator keeps no factor
+                op.factor = None
+            return w, u, dtLw, iters, backtracks, factorizations
+        if chord:
+            w_try = w + op.solve_shifted(None, dt, -F)
+            u_try, dtLw_try, F_try, res_try = residual(w_try)
+            if res_try <= (1.0 - 1e-4) * res:
+                chord = res_try <= CHORD_RATE * res
+                w, u, dtLw, F, res = w_try, u_try, dtLw_try, F_try, res_try
+                continue
         d = op.solve_shifted(_uprime_of(w, p), dt, -F)
+        factorizations += 1
+        chord = isinstance(op, Operator2D)
         alpha = 1.0
         for _ in range(MAX_BACKTRACK):
             w_try = w + alpha * d
@@ -341,24 +347,25 @@ def _march(grid, p, f, u0, op_at, substeps):
     dissipation = np.zeros(grid.n_t + 1)
     dt_sub = grid.dt / substeps
     tol_abs = NEWTON_TOL * max(float(np.linalg.norm(un)), 1.0)
-    newton_counts, backtracks = [], 0
+    newton_counts, backtracks, factorizations = [], 0, 0
     diss = 0.0
     for n in range(grid.n_t):
         for m in range(substeps):
             t_next = (n * substeps + m + 1) * dt_sub
             op = op_at(t_next, v)
             fval = np.asarray(f(x, t_next), dtype=float).ravel()
-            v, un, dtLv, iters, halvings = _newton_step(op, un, fval, dt_sub, p, v,
-                                                        tol_abs, step_id=(n, m))
+            v, un, dtLv, iters, halvings, factors = _newton_step(
+                op, un, fval, dt_sub, p, v, tol_abs, step_id=(n, m))
             newton_counts.append(iters)
             backtracks += halvings
+            factorizations += factors
             diss += grid.h**grid.dim * float(v @ dtLv)
         values[n + 1] = v
         dissipation[n + 1] = diss
-    return values, dissipation, {"substeps": substeps,
-                                 "newton_mean": float(np.mean(newton_counts)),
-                                 "newton_max": int(np.max(newton_counts)),
-                                 "newton_backtracks": backtracks}
+    return values, dissipation, {
+        "substeps": substeps, "newton_mean": float(np.mean(newton_counts)),
+        "newton_max": int(np.max(newton_counts)), "newton_backtracks": backtracks,
+        "factorizations": factorizations}
 
 
 def solve_micro(prob: MicroProblem) -> SpaceTimeField:
@@ -416,13 +423,20 @@ def solve_homogenized(prob: HomogenizedProblem) -> SpaceTimeField:
 # Norms and energies
 
 
+@lru_cache(maxsize=8)
+def _laplacian_solve(grid):
+    """Solver of -Laplace(phi) = w, zero on the boundary: gtsv or a kept factor."""
+    op, zeros = _constant_operator(np.eye(grid.dim), grid), np.zeros(grid.n_x**grid.dim)
+    if grid.dim == 2:
+        return BandCholesky(op.band.shifted(1.0, zeros)).solve
+    return lambda w: op.solve_shifted(zeros, 1.0, w)
+
+
 def hminus1_norm(w, grid: MacroGrid) -> float:
     """Dual norm: solve -Laplace(phi) = w with zero boundary values and
     return the energy norm of phi, i.e. sqrt(h^N w . phi)."""
     w = np.asarray(w, dtype=float).ravel()
-    op = _constant_operator(np.eye(grid.dim), grid)
-    phi = op.solve_shifted(np.zeros(len(w)), 1.0, w)
-    val = grid.h**grid.dim * float(w @ phi)
+    val = grid.h**grid.dim * float(w @ _laplacian_solve(grid)(w))
     if val < -1e-12:
         raise SolverDiverged(f"indefinite H^-1 energy {val:.3e}")
     return math.sqrt(max(val, 0.0))

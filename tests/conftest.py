@@ -53,6 +53,71 @@ def monolithic_critical_solve(field, grid, p, u0abs, k):
     return kappa * sol.reshape(M_s, n)
 
 
+def _face_difference_matrix(dim, M, d):
+    """Sparse D_d: cell values -> face differences / h along direction d.
+
+    Face f(i) separates cell i from cell i + e_d (periodic wrap)."""
+    n = M**dim
+    idx = np.arange(n).reshape((M,) * dim)
+    nb = np.roll(idx, -1, axis=d)
+    rows = np.arange(n)
+    data = np.concatenate([np.full(n, -M, dtype=float), np.full(n, M, dtype=float)])
+    cols = np.concatenate([idx.ravel(), nb.ravel()])
+    return sp.csr_matrix((data, (np.concatenate([rows, rows]), cols)), shape=(n, n))
+
+
+def _centered_matrix(dim, M, d):
+    """Sparse centered difference G_d (antisymmetric on the periodic grid)."""
+    n = M**dim
+    idx = np.arange(n).reshape((M,) * dim)
+    up = np.roll(idx, -1, axis=d)
+    dn = np.roll(idx, 1, axis=d)
+    rows = np.arange(n)
+    data = np.concatenate([np.full(n, 0.5 * M), np.full(n, -0.5 * M)])
+    cols = np.concatenate([up.ravel(), dn.ravel()])
+    return sp.csr_matrix((data, (np.concatenate([rows, rows]), cols)), shape=(n, n))
+
+
+def sparse_product_operator(a, dim, M, face_avg):
+    """Cell operator from sparse difference products, an oracle for the
+    stencil build of ``CellOperator``: K = sum_d D_d^T diag(a_f) D_d plus
+    G_0^T diag(a12) G_1 + G_1^T diag(a12) G_0, b_k = -D_k^T a_f (minus
+    G^T a12 along the other axis) and the identity-coefficient Gram
+    sum_d h^N (D_d phi_i) . (D_d phi_j). Returns (K, b, pair_const, gram)
+    with gram a function of the list of phis."""
+    n = M**dim
+    K = sp.csr_matrix((n, n))
+    D = [_face_difference_matrix(dim, M, d) for d in range(dim)]
+    faces = []
+    for d in range(dim):
+        add = a[:, d, d].reshape((M,) * dim)
+        nbr = np.roll(add, -1, axis=d)
+        if face_avg == "geometric":
+            af = np.sqrt(add * nbr)
+        elif face_avg == "harmonic":
+            af = 2.0 * add * nbr / (add + nbr)
+        else:
+            af = 0.5 * (add + nbr)
+        faces.append(af.ravel())
+        K = K + D[d].T @ sp.diags(af.ravel()) @ D[d]
+    b = [-(D[k].T @ faces[k]) for k in range(dim)]
+    pair_const = np.diag([np.mean(af) for af in faces])
+    if dim == 2 and np.max(np.abs(a[:, 0, 1])) > 0:
+        a12 = a[:, 0, 1]
+        G = [_centered_matrix(dim, M, d) for d in range(dim)]
+        A12 = sp.diags(a12)
+        K = K + G[0].T @ A12 @ G[1] + G[1].T @ A12 @ G[0]
+        b = [b[k] - G[1 - k].T @ a12 for k in range(dim)]
+        pair_const[0, 1] = pair_const[1, 0] = float(np.mean(a12))
+
+    def gram(phis):
+        dphis = [[Dd @ p for Dd in D] for p in phis]
+        return np.array([[(1.0 / n) * sum(float(dphis[i][d] @ dphis[j][d]) for d in range(dim))
+                          for j in range(len(phis))] for i in range(len(phis))])
+
+    return K.tocsr(), b, pair_const, gram
+
+
 def l2_cell_time(diff, grid, dim):
     """L2(cell x period) norm of a (M_s, n) slice trajectory difference,
     rectangle rule over its slices."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import l2_cell_time, monolithic_critical_solve
+from conftest import l2_cell_time, monolithic_critical_solve, sparse_product_operator
 from oscidiff import cellsolve as cs
 from oscidiff.errors import ConfigError, EllipticityViolation, SolverDiverged
 from oscidiff.fields import CellGrid, make_field
@@ -173,6 +175,35 @@ def test_step_factor_not_positive_definite_names_slice():
         cs._step_factors([positive], np.inf)
 
 
+STENCIL_CASES = [("trig1d_st", {}, 8), ("trig1d_st", {}, 64), ("trig2d_st", {}, 7),
+                 ("trig2d_st", {}, 24), ("constant", {"matrix": [[2.0, 0.7], [0.7, 1.0]]}, 7),
+                 ("constant", {"matrix": [[2.0, 0.7], [0.7, 1.0]]}, 24)]
+
+
+@pytest.mark.parametrize("face_avg", ["geometric", "harmonic", "arithmetic"])
+@pytest.mark.parametrize("name,params,M", STENCIL_CASES)
+def test_stencil_build_matches_sparse_products(name, params, M, face_avg):
+    # bitwise for diagonal fields, whose products the stencil repeats
+    # operation by operation; the cross term within 1e-14
+    field = make_field(name, **params)
+    grid = CellGrid(M_y=M, M_s=4, face_avg=face_avg)
+    op = cs.CellOperator(field, grid, s=0.3)
+    a = field.sample(grid.centers(field.dim), np.full(op.n, 0.3))
+    K, b, pair_const, gram = sparse_product_operator(a, field.dim, M, face_avg)
+    phis = list(np.random.default_rng(M).standard_normal((field.dim, op.n)))
+    got = [op.K.toarray(), *op.b, op.pair_const, op.gradient_gram(phis)]
+    want = [K.toarray(), *b, pair_const, gram(phis)]
+    if op.cell_offdiag is None:
+        assert name != "constant"
+        for arr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op.K, arr), getattr(K, arr))
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+    else:
+        for x, y in zip(got, want):
+            assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
+
+
 @pytest.mark.parametrize("face_avg", ["geometric", "harmonic"])
 def test_face_average_rejects_non_positive_cells(face_avg):
     # sqrt(a * a_nbr) of two negative values is the positive field's mean
@@ -335,6 +366,27 @@ def test_load_cell_rejects_unknown_slice_layout(tmp_path):
     cs.save_cell(tmp_path / "cell.txt", cut)
     with pytest.raises(ConfigError, match="nslices=3"):
         cs.load_cell(tmp_path / "cell.txt")
+
+
+@pytest.mark.parametrize("regime,rows", [("classical", 4), ("supercritical", 4),
+                                         ("subcritical", 1), ("subcritical", 5),
+                                         ("critical_fde", 1), ("classic", 1)])
+def test_load_cell_checks_slice_count_against_regime(tmp_path, regime, rows):
+    # a classical solution tiled over the M_s slices loaded before the
+    # regime was checked, and failed only in the tensor assembly
+    grid = CellGrid(M_y=8, M_s=4)
+    sol = cs.solve_classical_cell(make_field("trig1d"), grid, k=1)
+    param = cs.CellParameter(p=0.5, u0abs=1.0) if regime.startswith("critical") else None
+    tiled = cs.CellSolution(regime=regime, dim=1, grid=grid, k=1,
+                            phi=np.tile(sol.phi, (rows, 1)), residual=0.0, param=param)
+    path = tmp_path / "cell.txt"
+    cs.save_cell(path, tiled)
+    with pytest.raises(ConfigError, match=rf"cell\.txt: a '{regime}' cell file .*nslices={rows}"):
+        cs.load_cell(path)
+    ok = 1 if regime in ("classical", "supercritical") else grid.M_s
+    if regime != "classic":
+        cs.save_cell(path, dataclasses.replace(tiled, phi=np.tile(sol.phi, (ok, 1))))
+        assert len(cs.load_cell(path).phi) == ok
 
 
 @pytest.mark.parametrize("regime,param,prefix", [

@@ -162,29 +162,30 @@ def test_table_builds_each_slice_once(monkeypatch, name, p):
 
 
 @pytest.mark.parametrize("name,p", SHARED_TABLE_CASES)
-def test_table_difference_matrices_only_in_operator_builds(monkeypatch, name, p):
-    # the Gram assembly reuses the face-difference matrices of the build
+def test_table_assembly_builds_no_sparse_matrix(monkeypatch, name, p):
+    # the Gram and flux pairings work on the operator's face arrays; the
+    # one sparse matrix per slice is K, built with the operator
     calls, inside = [], []
-    face_difference = cs._face_difference_matrix
-    init = cs.CellOperator.__init__
+    csr_matrix = cs.sp.csr_matrix
+    assemble = em.assemble_ahom
 
-    def counting_difference(*args):
+    def counting_csr(*args, **kwargs):
         calls.append(bool(inside))
-        return face_difference(*args)
+        return csr_matrix(*args, **kwargs)
 
-    def tracking_init(self, *args, **kwargs):
+    def tracking_assemble(*args, **kwargs):
         inside.append(1)
         try:
-            init(self, *args, **kwargs)
+            return assemble(*args, **kwargs)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(cs, "_face_difference_matrix", counting_difference)
-    monkeypatch.setattr(cs.CellOperator, "__init__", tracking_init)
+    monkeypatch.setattr(cs.sp, "csr_matrix", counting_csr)
+    monkeypatch.setattr(em, "assemble_ahom", tracking_assemble)
     field, grid = make_field(name), CellGrid(M_y=8, M_s=4)
     em.tabulate_ahom_critical(field, grid, p=p, u0abs_grid=SHARED_TABLE_KEYS)
-    assert all(calls)
-    assert 0 < len(calls) <= 2 * field.dim * grid.M_s
+    assert not any(calls)
+    assert len(calls) == grid.M_s
 
 
 def test_table_not_positive_definite_names_key_and_slice(monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscidiff import cellsolve as cs, effmat as em, pdesolve as pde
-from oscidiff.banded import Band
 from oscidiff.errors import ConfigError, SolverDiverged
 from oscidiff.fields import CellGrid, MacroGrid, make_field
 
@@ -174,10 +173,13 @@ def test_dissipation_is_the_face_gradient_quadrature(dim):
     assert np.allclose(traj.dissipation, expected, rtol=1e-12, atol=0.0)
 
 
-def _three_pass_march(grid, p, f, u0, op_at, substeps):
+def _three_pass_march(grid, p, f, u0, op_at, substeps, full_newton=False):
     """Reference stepper: each residual in three passes (u(w), L w, the
-    norm), dissipation dt h^N v . L v. Returns the stored values, the
-    dissipation and the line-search halvings."""
+    norm), dissipation dt h^N v . L v. On an ``Operator2D`` it takes chord
+    steps on the last factor while the full step passes the Armijo test and
+    the one before shrank the residual by ``CHORD_RATE``, unless
+    ``full_newton``. Returns the stored values, the dissipation and the
+    line-search halvings."""
     x = grid.interior_nodes()
     un = np.asarray(u0(x), dtype=float).ravel()
     v = np.sign(un) * np.abs(un) ** p
@@ -193,8 +195,18 @@ def _three_pass_march(grid, p, f, u0, op_at, substeps):
             return pde._u_of(w, p) + dt * op.matvec(w) - target
 
         F = residual(v)
+        chord = False
         while np.linalg.norm(F) > tol:
+            if chord:
+                w = v + op.solve_shifted(None, dt, -F)
+                res, res_w = np.linalg.norm(F), np.linalg.norm(residual(w))
+                if res_w <= (1.0 - 1e-4) * res:
+                    chord = res_w <= pde.CHORD_RATE * res
+                    v = w
+                    F = residual(v)
+                    continue
             d = op.solve_shifted(pde._uprime_of(v, p), dt, -F)
+            chord = isinstance(op, pde.Operator2D) and not full_newton
             alpha = 1.0
             while np.linalg.norm(residual(v + alpha * d)) > (1.0 - 1e-4 * alpha) * np.linalg.norm(F):
                 alpha *= 0.5
@@ -235,16 +247,37 @@ def _fused_and_reference(case, T=0.25):
         prob = pde.HomogenizedProblem(tensor=tensor, p=0.5, f=one, u0=sine, grid=grid,
                                       mode="critical_table", substeps=2)
         return pde.solve_homogenized(prob), _three_pass_march(grid, 0.5, one, sine, op_at, 2)
-    matrix = np.array([[0.6, 0.1], [0.1, 0.4]])
-    grid = MacroGrid(dim=2, n_x=10, n_t=8, T=T)
-    op = pde._constant_operator(matrix, grid)
-    prob = pde.HomogenizedProblem(tensor=_constant_tensor(matrix), p=1.5, f=one, u0=sine,
-                                  grid=grid)
-    return pde.solve_homogenized(prob), _three_pass_march(grid, 1.5, one, sine,
-                                                          lambda _t, _v: op, 1)
+    prob, op_at = _problem_2d(case, T)
+    return pde.solve_homogenized(prob), _three_pass_march(prob.grid, prob.p, prob.f,
+                                                          prob.u0, op_at, 1)
 
 
-@pytest.mark.parametrize("case", ["micro", "backtracking", "table", "constant_2d"])
+def _problem_2d(case, T=0.25):
+    """A 2D homogenized problem and its operator for the step to time t
+    from v: a constant full matrix or a critical |u0| table. ``stiff_2d``
+    has porous-medium data of size 1e-3 and dt = 1/4, where chord steps
+    that only pass the Armijo test stall short of the tolerance."""
+    sine = lambda x: np.prod(np.sin(np.pi * x), axis=1)
+    one = lambda x, t: np.ones(len(x))
+    if case in ("constant_2d", "stiff_2d"):
+        matrix = np.array([[0.6, 0.1], [0.1, 0.4]])
+        stiff = case == "stiff_2d"
+        u0 = (lambda x: 1e-3 * np.sign(x[:, 0] - 0.5) * np.abs(np.sin(3 * np.pi * x[:, 0]))
+              * np.sin(np.pi * x[:, 1])) if stiff else sine
+        grid = MacroGrid(dim=2, n_x=10, n_t=4 if stiff else 8, T=1.0 if stiff else T)
+        op = pde._constant_operator(matrix, grid)
+        return pde.HomogenizedProblem(tensor=_constant_tensor(matrix), p=1.5, f=one,
+                                      u0=u0, grid=grid), lambda _t, _v: op
+    tensor = em.tabulate_ahom_critical(make_field("trig2d_st"), CellGrid(M_y=8, M_s=4),
+                                       p=1.5, u0abs_grid=[0.0, 0.5, 1.0, 2.0])
+    grid = MacroGrid(dim=2, n_x=12, n_t=8, T=T)
+    return (pde.HomogenizedProblem(tensor=tensor, p=1.5, f=one, u0=sine, grid=grid,
+                                   mode="critical_table"),
+            lambda _t, v: pde._table_operator(tensor, grid, v, 1.5))
+
+
+@pytest.mark.parametrize("case", ["micro", "backtracking", "table", "constant_2d",
+                                  "stiff_2d"])
 def test_fused_march_matches_three_pass_reference(case):
     # every dt here is a power of 2, so scaling the bands by dt is exact
     traj, (values, diss, halvings) = _fused_and_reference(case)
@@ -252,6 +285,82 @@ def test_fused_march_matches_three_pass_reference(case):
     assert np.allclose(traj.dissipation, diss, rtol=1e-12, atol=0.0)
     assert traj.stats["newton_backtracks"] == halvings
     assert (halvings > 0) == (case == "backtracking")
+
+
+@pytest.mark.parametrize("case", ["constant_2d", "table_2d", "stiff_2d"])
+def test_chord_march_meets_tolerance_and_full_newton(case):
+    prob, op_at = _problem_2d(case)
+    grid, p = prob.grid, prob.p
+    traj = pde.solve_homogenized(prob)
+    x = grid.interior_nodes()
+    tol = pde.NEWTON_TOL * max(float(np.linalg.norm(prob.u0(x))), 1.0)
+    for n in range(1, grid.n_t + 1):
+        t = n * grid.dt
+        v_prev, v = traj.values[n - 1], traj.values[n]
+        F = (pde._u_of(v, p) + grid.dt * op_at(t, v_prev).matvec(v)
+             - pde._u_of(v_prev, p) - grid.dt * prob.f(x, t))
+        assert np.linalg.norm(F) <= tol
+    full, _, _ = _three_pass_march(grid, p, prob.f, prob.u0, op_at, 1, full_newton=True)
+    assert np.max(np.abs(traj.values - full)) <= 1e-7 * np.max(np.abs(full))
+    iterations = traj.stats["newton_mean"] * grid.n_t
+    assert grid.n_t <= traj.stats["factorizations"] < iterations
+
+
+def test_chord_step_failing_armijo_is_dropped():
+    # a kept factor whose chord direction points uphill: every chord step
+    # fails the Armijo test and is dropped, so the march is full Newton
+    class Uphill(pde.Operator2D):
+        def solve_shifted(self, extra_diag, dt, rhs):
+            x = super().solve_shifted(extra_diag, dt, rhs)
+            return x if extra_diag is not None else -x
+
+    prob, _ = _problem_2d("constant_2d")
+    matrix, grid = prob.tensor.matrix, prob.grid
+    uphill = Uphill(*[np.full(grid.face_shape(d), matrix[d, d]) for d in range(2)], grid.h,
+                    a12=matrix[0, 1])
+    values, _, stats = pde._march(grid, prob.p, prob.f, prob.u0, lambda _t, _v: uphill, 1)
+    full, _, _ = _three_pass_march(grid, prob.p, prob.f, prob.u0,
+                                   lambda _t, _v: pde._constant_operator(matrix, grid), 1,
+                                   full_newton=True)
+    assert np.array_equal(values, full)
+    assert stats["factorizations"] == round(stats["newton_mean"] * grid.n_t)
+
+
+def test_newton_step_drops_the_kept_factor():
+    # a cached micro operator would otherwise hold a factor between steps
+    grid = MacroGrid(dim=2, n_x=10, n_t=4, T=0.25)
+    op = pde._constant_operator(np.eye(2), grid)
+    un = np.prod(np.sin(np.pi * grid.interior_nodes()), axis=1)
+    out = pde._newton_step(op, un, np.ones(len(un)), grid.dt, 1.5,
+                           np.copysign(np.abs(un) ** 1.5, un), 1e-9, step_id=(0, 0))
+    assert out[-1] >= 1
+    assert op.factor is None
+
+
+def test_one_dimensional_march_factors_every_iteration():
+    traj, _ = _fused_and_reference("micro")
+    steps = traj.stats["substeps"] * traj.grid.n_t
+    assert traj.stats["factorizations"] == round(traj.stats["newton_mean"] * steps)
+
+
+def test_hminus1_norm_factors_once_per_grid(monkeypatch):
+    factors = []
+    cholesky = pde.BandCholesky
+
+    def counting(ab):
+        factors.append(1)
+        return cholesky(ab)
+
+    monkeypatch.setattr(pde, "BandCholesky", counting)
+    pde._laplacian_solve.cache_clear()
+    grid = MacroGrid(dim=2, n_x=12, n_t=4, T=1.0)
+    rng = np.random.default_rng(5)
+    for w in rng.standard_normal((3, grid.n_x**2)):
+        op = pde._constant_operator(np.eye(2), grid)
+        phi = op.solve_shifted(np.zeros(len(w)), 1.0, w)
+        fresh = np.sqrt(grid.h**2 * float(w @ phi))
+        assert pde.hminus1_norm(w, grid) == fresh
+    assert len(factors) == 3 + 1
 
 
 def test_fused_march_near_three_pass_reference_for_non_dyadic_dt():
@@ -357,7 +466,7 @@ def _operator_2d(n, a12=0.0, seed=0):
 @pytest.mark.parametrize("n", [8, 13, 48])
 def test_operator2d_solve_shifted_matches_spsolve(n, a12):
     op = _operator_2d(n, a12, seed=n)
-    assert Band(op.K).kd == n + (1 if a12 else 0)
+    assert op.band.kd == n + (1 if a12 else 0)
     rng = np.random.default_rng(n + 1)
     for dt in (1e-3, 0.05):
         extra = rng.uniform(0.1, 3.0, n * n)
