@@ -16,15 +16,15 @@ Spatial discretization is a conservative flux form on the periodic cell
 grid: diagonal coefficients live on faces (averaged from the two
 adjacent cell values per the grid's face convention), off-diagonal
 couplings use centered differences, which keeps the discrete operator
-symmetric. ``CellOperator`` builds K, the drives b_k and the gradient
-Gram straight from that face stencil with precomputed periodic
-neighbour indices. The elliptic solves use conjugate gradients with an
-explicit zero-mean projection every iteration; the critical problem
-marches an implicit-Euler period map to its fixed point. Each step
-matrix (c/h_s) I + K is symmetric positive definite and is factored by
-banded Cholesky with the cells numbered in folded order
-(``_folded_order``), in which periodic neighbours sit within two places
-of each other on every axis.
+symmetric. ``CellOperator`` builds K and the drives b_k straight from
+that face stencil with precomputed periodic neighbour indices. The
+elliptic solves use conjugate gradients with an explicit zero-mean
+projection every iteration; the critical problem marches an
+implicit-Euler period map to its fixed point. Each step matrix
+(c/h_s) I + K is symmetric positive definite and is factored by banded
+Cholesky with the cells numbered in folded order (``_folded_order``),
+in which periodic neighbours sit within two places of each other on
+every axis.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class CellParameter:
     u0abs: float
 
     def __post_init__(self):
-        if self.u0abs < 0:
-            raise ConfigError("u0abs must be nonnegative")
+        if not self.u0abs >= 0:
+            raise ConfigError(f"u0abs must be nonnegative, got {self.u0abs}")
         regime_for(2.0, self.p)  # raises unless p is in (0,2) with p != 1
 
     @property
@@ -172,8 +172,10 @@ class CellOperator:
     """Discrete -div_y(a grad .) on the periodic cell for one time slice.
 
     Exposes the stiffness matrix K, the drive vectors b_k = div_y(a e_k)
-    (so the cell problem reads K phi = b_k), and the constant part of the
-    energy pairing B(y_j, y_k) used for tensor assembly.
+    (so the cell problem reads K phi = b_k), the constant part
+    ``pair_const`` of the energy pairing B(y_j, y_k), and the upper band
+    of K for the banded factors. ``effmat.assemble_ahom`` pairs the cell
+    solutions of all rows with b and ``pair_const``.
     """
 
     def __init__(self, field: PeriodicMatrixField, grid: CellGrid, s: float):
@@ -246,26 +248,6 @@ class CellOperator:
     def band(self):
         """Upper band of K in folded order (a ``banded.Band``)."""
         return Band(self.K, _folded_order(self.dim, self.M)[1])
-
-    def flux_pairing(self, j, phi):
-        """Discrete integral of a (grad phi + e_k) . e_j given K phi = b_k,
-        namely B(y_j, y_k + phi) = pair_const[j,k] - <b_j, phi> h^N."""
-        hN = 1.0 / self.n
-        return -hN * float(self.b[j] @ phi)
-
-    def gradient_gram(self, phis):
-        """Gram matrix of face-difference gradients: G[j,k] = q(phi_j, phi_k),
-        the identity-coefficient energy, used for the ellipticity sandwich."""
-        m = len(phis)
-        hN = 1.0 / self.n
-        out = np.zeros((m, m))
-        up = _neighbours(self.dim, self.M)[0]
-        dphis = [[Mp[u] - Mp for u in up] for Mp in (self.M * p for p in phis)]
-        for i in range(m):
-            for j in range(i, m):
-                v = hN * sum(float(dphis[i][d] @ dphis[j][d]) for d in range(self.dim))
-                out[i, j] = out[j, i] = v
-        return out
 
 
 def _project_mean(x):

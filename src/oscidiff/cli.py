@@ -78,6 +78,27 @@ def _check_keys(where, section, allowed):
                           f"choices: {sorted(allowed)}")
 
 
+def _section(doc, key, default):
+    """The config section ``key`` (``default`` when absent), a JSON object."""
+    section = doc.get(key, default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"config field '{key}': expected a JSON object, got {section!r}")
+    return section
+
+
+def _number(key, value, kind=float):
+    """``kind(value)`` for the config field ``key``, a finite float or an
+    int; ConfigError naming the key otherwise."""
+    try:
+        out = kind(value)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"config field '{key}': expected a finite {kind.__name__}, "
+                      f"got {value!r}")
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -85,40 +106,52 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("config field 'regime': not accepted; the regime follows "
                           "from r (and from p at r = 2)")
     _check_keys("", doc, CONFIG_KEYS)
-    fspec = doc.get("field", {"name": "trig1d_st"})
+    fspec = _section(doc, "field", {"name": "trig1d_st"})
     if "file" in fspec:
         _check_keys("field.", fspec, ("file",))
-        field = load_gridded(fspec["file"])
+        path = fspec["file"]
+        if not isinstance(path, str):
+            raise ConfigError(f"config field 'field.file': expected a path, got {path!r}")
+        try:
+            field = load_gridded(path)
+        except OSError as err:
+            raise ConfigError(f"config field 'field.file': cannot read {path!r}: {err}") from None
     elif "name" in fspec:
         params = {k: v for k, v in fspec.items() if k != "name"}
         field = make_field(fspec["name"], **params)
     else:
         raise ConfigError("field spec needs 'name' (builtin) or 'file' (gridded)")
 
-    p = float(doc.get("p", 1.0))
-    r = float(doc.get("r", 1.0))
+    p = _number("p", doc.get("p", 1.0))
+    r = _number("r", doc.get("r", 1.0))
     regime = cs.regime_for(r, p)
 
-    eps_list = [float(e) for e in doc.get("eps", [1 / 8, 1 / 16, 1 / 32])]
+    eps = doc.get("eps", [1 / 8, 1 / 16, 1 / 32])
+    if not isinstance(eps, list) or not eps:
+        raise ConfigError(f"config field 'eps': expected a non-empty list, got {eps!r}")
+    eps_list = [_number("eps", e) for e in eps]
     for e in eps_list:
         if not pde.is_dyadic(e):
             raise ConfigError(f"config field 'eps': {e} is not of the form 1/2^m")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("config field 'eps': must be strictly decreasing")
 
-    _check_keys("grids.", doc.get("grids", {}), [*hz.DEFAULTS["grids"][field.dim], "face_avg"])
-    g = {**hz.DEFAULTS["grids"][field.dim], **doc.get("grids", {})}
-    cell_grid = CellGrid(M_y=int(g["M_y"]), M_s=int(g["M_s"]),
+    grids = _section(doc, "grids", {})
+    _check_keys("grids.", grids, [*hz.DEFAULTS["grids"][field.dim], "face_avg"])
+    g = {**hz.DEFAULTS["grids"][field.dim], **grids}
+    cell_grid = CellGrid(M_y=_number("grids.M_y", g["M_y"], int),
+                         M_s=_number("grids.M_s", g["M_s"], int),
                          face_avg=g.get("face_avg", "geometric"))
-    macro_grid = MacroGrid(dim=field.dim, n_x=int(g["n_x"]), n_t=int(g["n_t"]),
-                           T=float(g["T"]))
+    macro_grid = MacroGrid(dim=field.dim, n_x=_number("grids.n_x", g["n_x"], int),
+                           n_t=_number("grids.n_t", g["n_t"], int),
+                           T=_number("grids.T", g["T"]))
 
-    d = doc.get("data", {})
+    d = _section(doc, "data", {})
     _check_keys("data.", d, ("u0", "f"))
     u0_name = d.get("u0", "sine")
     f_name = d.get("f", "one")
     for key, name in (("u0", u0_name), ("f", f_name)):
-        if name not in hz.DEFAULTS[key]:
+        if not isinstance(name, str) or name not in hz.DEFAULTS[key]:
             raise ConfigError(f"config field 'data.{key}': unknown builtin {name!r}; "
                               f"choices: {sorted(hz.DEFAULTS[key])}")
 
@@ -126,7 +159,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         field=field, p=p, r=r, regime=regime, eps_list=eps_list,
         cell_grid=cell_grid, macro_grid=macro_grid,
         u0_name=u0_name, f_name=f_name,
-        u0abs=float(doc.get("u0abs", 1.0)), seed=int(doc.get("seed", 0)),
+        u0abs=_number("u0abs", doc.get("u0abs", 1.0)),
+        seed=_number("seed", doc.get("seed", 0), int),
         raw=doc,
     )
 

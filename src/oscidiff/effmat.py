@@ -1,11 +1,13 @@
 """Effective (homogenized) diffusion matrices.
 
-The matrix is assembled column by column from cell solutions,
-a_hom e_k = integral of a (grad_y Phi_k + e_k) over the space-time cell,
-using the discrete energy pairing so that the result inherits the
-symmetry and ellipticity structure of the discrete operator. In the
-critical regime a_hom depends on the macroscopic solution through
-|u0| only, so it is tabulated against a grid of |u0| values and
+The matrix is assembled from cell solutions, a_hom e_k = integral of
+a (grad_y Phi_k + e_k) over the space-time cell, using the discrete
+energy pairing so that the result inherits the symmetry and ellipticity
+structure of the discrete operator. The pairing, the corrector-gradient
+Gram, the corrector norms and the skew integral are each one array pass
+over the cell rows of all directions, stacked with shape (N, rows,
+cells). In the critical regime a_hom depends on the macroscopic solution
+through |u0| only, so it is tabulated against a grid of |u0| values and
 interpolated linearly in log(1 + |u0|).
 """
 
@@ -106,7 +108,8 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
     """Assemble the homogenized matrix from one cell solution per direction.
 
     ``ops`` is the ``cs.cell_operators`` set the cells were solved on,
-    built here when not given. Row j of each cell pairs with ops[j]."""
+    built here when not given. Row j of each cell pairs with ops[j]; the
+    cells must share regime, grid and ``param``."""
     dim = field.dim
     if len(cells) != dim or sorted(c.k for c in cells) != list(range(1, dim + 1)):
         raise RegimeMismatch(f"need cell solutions for k = 1..{dim}")
@@ -114,6 +117,9 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
         raise RegimeMismatch("cell solutions mix regimes")
     if any(c.grid != grid for c in cells):
         raise RegimeMismatch("cell solutions were computed on a different grid")
+    if any(c.param != cells[0].param for c in cells):
+        raise RegimeMismatch("cell solutions mix cell parameters: "
+                             f"{sorted({str(c.param) for c in cells})}")
     cells = sorted(cells, key=lambda c: c.k)
     param = cells[0].param
     if param is not None and param.capacity == np.inf:
@@ -130,23 +136,21 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
         ops = cs.cell_operators(field, grid, cells[0].regime)
     if any(len(c.phi) != len(ops) for c in cells):
         raise RegimeMismatch(f"cell solutions need one row per operator, {len(ops)}")
-    hN = 1.0 / (grid.M_y**dim)
-    A = np.zeros((dim, dim))
-    norms = np.zeros(dim)
-    gram = np.zeros((dim, dim))
-    for row, op in enumerate(ops):
-        phis = [c.phi[row] for c in cells]
-        for j in range(dim):
-            for k in range(dim):
-                A[j, k] += op.pair_const[j, k] + op.flux_pairing(j, phis[k])
-        gram += op.gradient_gram(phis)
-        norms += np.array([hN * float(p @ p) for p in phis])
-    m = len(ops)
-    regime = cells[0].regime
+    m, M = len(ops), grid.M_y
+    hN = 1.0 / (M**dim)
+    phi = np.stack([c.phi for c in cells])  # (k, row, cell)
+    b = np.array([op.b for op in ops])  # (row, j, cell)
+    # B(y_j, y_k + phi_k) = pair_const[j,k] - <b_j, phi_k> h^N, given K phi_k = b_k
+    A = sum(op.pair_const for op in ops) - hN * np.einsum("rjn,krn->jk", b, phi)
+    # identity-coefficient energy of the forward face differences M(phi[i + e_d] - phi[i])
+    cube = M * phi.reshape(dim, m, *(M,) * dim)
+    gram = sum(D @ D.T for D in ((np.roll(cube, -1, axis=2 + d) - cube).reshape(dim, -1)
+                                 for d in range(dim)))
+    norms = np.einsum("krn,krn->k", phi, phi)
     return EffectiveTensor(
-        regime=regime, dim=dim, lam=field.lam, Lam=field.Lam,
-        matrices=(A / m)[np.newaxis], corrector_norms=(norms / m)[np.newaxis],
-        grad_grams=(gram / m)[np.newaxis],
+        regime=cells[0].regime, dim=dim, lam=field.lam, Lam=field.Lam,
+        matrices=(A / m)[np.newaxis], corrector_norms=(hN * norms / m)[np.newaxis],
+        grad_grams=(hN * gram / m)[np.newaxis],
         p=None if param is None else param.p,
         provenance={"field": field.name, "M_y": grid.M_y, "M_s": grid.M_s,
                     "u0abs": None if param is None else param.u0abs},
@@ -256,16 +260,13 @@ def skew_integral(cells, p: float):
     if regime != expected:
         raise RegimeMismatch(
             f"skew integral at p={p} needs {expected} cells, got {regime} cells")
-    S = np.zeros((dim, dim))
     capacity = param.capacity
     if capacity == np.inf:
-        return S
+        return np.zeros((dim, dim))
+    phi = np.stack([c.phi for c in cells])  # (k, row, cell)
+    dF = phi - np.roll(phi, 1, axis=1)
     hN = 1.0 / (cells[0].grid.M_y**dim)
-    for j in range(dim):
-        for k in range(dim):
-            dF = cells[k].phi - np.roll(cells[k].phi, 1, axis=0)
-            S[j, k] = capacity * hN * float(np.sum(dF * cells[j].phi))
-    return S
+    return capacity * hN * np.einsum("jrn,krn->jk", phi, dF)
 
 
 def skew_report(tensor: EffectiveTensor, cells=None, p=None, u0abs=None):

@@ -408,7 +408,7 @@ def make_field(name, **params):
     """Instantiate a built-in field by name."""
     try:
         factory = _BUILTINS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(
             f"unknown builtin field {name!r}; choices: {sorted(_BUILTINS)}"
         ) from None
@@ -417,10 +417,15 @@ def make_field(name, **params):
     if unknown:
         raise ConfigError(f"builtin field {name!r} has no parameter {unknown[0]!r}; "
                           f"choices: {sorted(allowed)}")
-    if name == "constant" and "matrix" not in params:
-        params = dict(params)
-        params.setdefault("matrix", np.eye(params.pop("dim", 1)))
-    return factory(**params)
+    kwargs = dict(params)
+    try:
+        if name == "constant" and "matrix" not in kwargs:
+            kwargs["matrix"] = np.eye(kwargs.pop("dim", 1))
+        return factory(**kwargs)
+    except (TypeError, ValueError) as err:
+        given = ", ".join(f"{k}={v!r}" for k, v in params.items())
+        raise ConfigError(f"builtin field {name!r}: bad parameter value ({given}): {err}"
+                          ) from None
 
 
 # ---------------------------------------------------------------------------

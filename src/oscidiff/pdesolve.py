@@ -50,8 +50,12 @@ _gtsv, = sla.get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 def is_dyadic(eps):
+    """True for eps = 1/2^m with m >= 1; False for any other value,
+    non-finite and non-positive ones included."""
+    if not 0.0 < eps <= 0.5:
+        return False
     m = math.log2(1.0 / eps)
-    return abs(m - round(m)) < 1e-12 and eps <= 0.5
+    return abs(m - round(m)) < 1e-12
 
 
 @dataclass(frozen=True)

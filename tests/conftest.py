@@ -118,6 +118,35 @@ def sparse_product_operator(a, dim, M, face_avg):
     return K.tocsr(), b, pair_const, gram
 
 
+def pairing_reference(cells, ops):
+    """Row-by-row energy pairing, an oracle for ``effmat.assemble_ahom``.
+
+    For each row r with operator ops[r]: A[j,k] += pair_const[j,k] -
+    h^N b_j . phi_k (the flux pairing B(y_j, y_k + phi_k), given
+    K phi_k = b_k), the identity-coefficient Gram G[i,j] += h^N sum_d
+    D_d phi_i . D_d phi_j of the forward differences
+    D_d phi = M(phi[i + e_d] - phi[i]), and the corrector norms
+    h^N phi_k . phi_k; each is divided by the number of rows. Returns
+    (A, norms, gram)."""
+    cells = sorted(cells, key=lambda c: c.k)
+    dim, M = cells[0].dim, cells[0].grid.M_y
+    hN = 1.0 / M**dim
+    up = cs._neighbours(dim, M)[0]
+    A, norms, gram = np.zeros((dim, dim)), np.zeros(dim), np.zeros((dim, dim))
+    for row, op in enumerate(ops):
+        phis = [c.phi[row] for c in cells]
+        for j in range(dim):
+            for k in range(dim):
+                A[j, k] += op.pair_const[j, k] - hN * float(op.b[j] @ phis[k])
+        dphis = [[M * p[u] - M * p for u in up] for p in phis]
+        for i in range(dim):
+            for j in range(dim):
+                gram[i, j] += hN * sum(float(dphis[i][d] @ dphis[j][d]) for d in range(dim))
+        norms += [hN * float(p @ p) for p in phis]
+    m = len(ops)
+    return A / m, norms / m, gram / m
+
+
 def l2_cell_time(diff, grid, dim):
     """L2(cell x period) norm of a (M_s, n) slice trajectory difference,
     rectangle rule over its slices."""

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import l2_cell_time, monolithic_critical_solve, sparse_product_operator
-from oscidiff import cellsolve as cs
+from oscidiff import cellsolve as cs, effmat as em
 from oscidiff.errors import ConfigError, EllipticityViolation, SolverDiverged
 from oscidiff.fields import CellGrid, make_field
 
@@ -183,16 +183,23 @@ STENCIL_CASES = [("trig1d_st", {}, 8), ("trig1d_st", {}, 64), ("trig2d_st", {}, 
 @pytest.mark.parametrize("face_avg", ["geometric", "harmonic", "arithmetic"])
 @pytest.mark.parametrize("name,params,M", STENCIL_CASES)
 def test_stencil_build_matches_sparse_products(name, params, M, face_avg):
-    # bitwise for diagonal fields, whose products the stencil repeats
-    # operation by operation; the cross term within 1e-14
+    # K, b and pair_const bitwise for diagonal fields, whose products the
+    # stencil repeats operation by operation; the cross term within 1e-14.
+    # The Gram of random rows, assembled by effmat in one matrix product
+    # per direction, sums in another order than the oracle's dot products
     field = make_field(name, **params)
     grid = CellGrid(M_y=M, M_s=4, face_avg=face_avg)
     op = cs.CellOperator(field, grid, s=0.3)
     a = field.sample(grid.centers(field.dim), np.full(op.n, 0.3))
     K, b, pair_const, gram = sparse_product_operator(a, field.dim, M, face_avg)
-    phis = list(np.random.default_rng(M).standard_normal((field.dim, op.n)))
-    got = [op.K.toarray(), *op.b, op.pair_const, op.gradient_gram(phis)]
-    want = [K.toarray(), *b, pair_const, gram(phis)]
+    phis = np.random.default_rng(M).standard_normal((field.dim, op.n))
+    cells = [cs.CellSolution(regime="classical", dim=field.dim, grid=grid, k=k + 1,
+                             phi=phis[k:k + 1], residual=0.0) for k in range(field.dim)]
+    got_gram = em.assemble_ahom(cells, field, grid, ops=[op]).grad_grams[0]
+    want_gram = gram(list(phis))
+    assert np.max(np.abs(got_gram - want_gram)) <= 1e-14 * np.max(np.abs(want_gram))
+    got = [op.K.toarray(), *op.b, op.pair_const]
+    want = [K.toarray(), *b, pair_const]
     if op.cell_offdiag is None:
         assert name != "constant"
         for arr in ("indptr", "indices", "data"):
@@ -279,6 +286,8 @@ def test_cell_parameter_validation():
         cs.CellParameter(p=2.5, u0abs=1.0)
     with pytest.raises(ConfigError):
         cs.CellParameter(p=0.5, u0abs=-1.0)
+    with pytest.raises(ConfigError):
+        cs.CellParameter(p=0.5, u0abs=float("nan"))
     with pytest.raises(ConfigError):
         cs.solve_critical_cell_fde(make_field("trig1d_st"), CellGrid(8, 8),
                                    cs.CellParameter(p=1.5, u0abs=1.0), k=1)

@@ -76,6 +76,28 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, override, key):
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ('{"p": "abc"}', "'p'"),
+    ('{"eps": 0.125}', "'eps'"),
+    ('{"eps": []}', "'eps'"),
+    ('{"eps": [0]}', "'eps'"),
+    ('{"eps": [-0.125]}', "'eps'"),
+    ('{"grids": 3}', "'grids'"),
+    ('{"grids": {"M_y": "x"}}', "'grids.M_y'"),
+    ('{"u0abs": NaN, "r": 2, "p": 0.5}', "'u0abs'"),
+    ('{"field": {"name": "trig1d_st", "base": "x"}}', "base='x'"),
+    ('{"data": {"u0": ["sine"]}}', "'data.u0'"),
+    ('{"field": {"file": 3}}', "'field.file'"),
+    ('{"field": {"file": "no-such-field.txt"}}', "'field.file'"),
+])
+def test_malformed_config_value_is_config_error(tmp_path, capsys, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    assert run("cell", str(path), tmp_path / "out") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err and "Traceback" not in err
+
+
 def test_malformed_field_file_is_config_error(tmp_path, capsys):
     golden = os.path.join(os.path.dirname(__file__), "fixtures", "artifacts", "field.txt")
     with open(golden) as fh:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import monolithic_critical_solve
+from conftest import monolithic_critical_solve, pairing_reference
 from oscidiff import cellsolve as cs, effmat as em
 from oscidiff.errors import (BoundViolated, ConfigError, DimensionMismatch,
                              PeriodicityNotReached, RegimeMismatch,
@@ -163,8 +163,8 @@ def test_table_builds_each_slice_once(monkeypatch, name, p):
 
 @pytest.mark.parametrize("name,p", SHARED_TABLE_CASES)
 def test_table_assembly_builds_no_sparse_matrix(monkeypatch, name, p):
-    # the Gram and flux pairings work on the operator's face arrays; the
-    # one sparse matrix per slice is K, built with the operator
+    # the assembly pairs stacked rows with dense arrays; the one sparse
+    # matrix per slice is K, built with the operator
     calls, inside = [], []
     csr_matrix = cs.sp.csr_matrix
     assemble = em.assemble_ahom
@@ -322,6 +322,33 @@ def test_assemble_needs_one_row_per_operator():
                           phi=sol.phi[:3], residual=sol.residual)
     with pytest.raises(RegimeMismatch, match="one row per operator, 4"):
         em.assemble_ahom([cut], field, grid)
+
+
+PAIRING_FIELDS = [("trig1d_st", {}), ("trig2d_st", {}),
+                  ("constant", {"matrix": [[2.0, 0.7], [0.7, 1.0]]})]
+PAIRING_REGIMES = [("subcritical", None), ("supercritical", None),
+                   ("critical_fde", cs.CellParameter(p=0.5, u0abs=1.0))]
+
+
+@pytest.mark.parametrize("regime,param", PAIRING_REGIMES)
+@pytest.mark.parametrize("name,params", PAIRING_FIELDS)
+def test_assembly_matches_row_by_row_pairing(name, params, regime, param):
+    field, grid = make_field(name, **params), CellGrid(M_y=8, M_s=4)
+    ops = cs.cell_operators(field, grid, regime)
+    cells = cs.solve_cells(field, grid, regime, param=param, ops=ops)
+    tensor = em.assemble_ahom(cells, field, grid, ops=ops)
+    got = (tensor.matrices[0], tensor.corrector_norms[0], tensor.grad_grams[0])
+    for x, y in zip(got, pairing_reference(cells, ops)):
+        assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
+
+
+def test_assemble_rejects_mixed_cell_parameters():
+    field, grid = make_field("trig2d_st"), CellGrid(M_y=8, M_s=4)
+    cells = [cs.solve_cells(field, grid, "critical_pme",
+                            param=cs.CellParameter(p=1.5, u0abs=u0))[k - 1]
+             for k, u0 in ((1, 1.0), (2, 2.0))]
+    with pytest.raises(RegimeMismatch, match="mix cell parameters"):
+        em.assemble_ahom(cells, field, grid)
 
 
 def test_oracle_rejects_2d():

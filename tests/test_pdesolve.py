@@ -654,3 +654,5 @@ def test_is_dyadic():
     assert pde.is_dyadic(0.5) and pde.is_dyadic(1 / 32)
     assert not pde.is_dyadic(1 / 3)
     assert not pde.is_dyadic(0.75)
+    for eps in (0.0, -0.125, float("nan"), float("inf"), -float("inf")):
+        assert not pde.is_dyadic(eps)
