@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from .banded import Band, BandCholesky
 from .errors import ConfigError, EllipticityViolation, PeriodicityNotReached, SolverDiverged
 from .fields import (CellGrid, PeriodicInterpolant, PeriodicMatrixField, read_artifact,
-                     write_artifact)
+                     sample_grid, write_artifact)
 
 SOLVER_TOL = 1e-10
 PERIODIC_TOL = 1e-10
@@ -179,8 +179,7 @@ class CellOperator:
     """
 
     def __init__(self, field: PeriodicMatrixField, grid: CellGrid, s: float):
-        centers = grid.centers(field.dim)
-        self._build(field.sample(centers, np.full(len(centers), float(s))), field.dim, grid)
+        self._build(field.sample(grid.centers(field.dim), float(s)), field.dim, grid)
 
     @classmethod
     def from_matrix_values(cls, a, dim, grid: CellGrid):
@@ -314,12 +313,9 @@ def cell_operators(field: PeriodicMatrixField, grid: CellGrid, regime: str):
 def s_averaged_operator(field: PeriodicMatrixField, grid: CellGrid) -> CellOperator:
     """Operator built from the slice-average of a (rectangle rule in s,
     spectrally accurate for smooth periodic fields)."""
-    centers = grid.centers(field.dim)
-    acc = np.zeros((len(centers), field.dim, field.dim))
-    for sj in grid.slice_times():
-        acc += field.sample(centers, np.full(len(centers), sj))
-    acc /= grid.M_s
-    return CellOperator.from_matrix_values(acc, field.dim, grid)
+    a = sample_grid(field, grid.centers(field.dim), grid.slice_times())
+    # summed over the slices in order: the leading axis reduces row by row
+    return CellOperator.from_matrix_values(np.sum(a, axis=0) / grid.M_s, field.dim, grid)
 
 
 def _slice_operators(field, grid):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cellsolve as cs, effmat as em, harness as hz, pdesolve as pde
 from .errors import ConfigError, OscidiffError
-from .fields import CellGrid, MacroGrid, load_gridded, make_field
+from .fields import CellGrid, MacroGrid, finite_number, load_gridded, make_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -86,19 +86,6 @@ def _section(doc, key, default):
     return section
 
 
-def _number(key, value, kind=float):
-    """``kind(value)`` for the config field ``key``, a finite float or an
-    int; ConfigError naming the key otherwise."""
-    try:
-        out = kind(value)
-        if math.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"config field '{key}': expected a finite {kind.__name__}, "
-                      f"got {value!r}")
-
-
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -122,14 +109,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
     else:
         raise ConfigError("field spec needs 'name' (builtin) or 'file' (gridded)")
 
-    p = _number("p", doc.get("p", 1.0))
-    r = _number("r", doc.get("r", 1.0))
+    p = finite_number("config field 'p'", doc.get("p", 1.0))
+    r = finite_number("config field 'r'", doc.get("r", 1.0))
     regime = cs.regime_for(r, p)
 
     eps = doc.get("eps", [1 / 8, 1 / 16, 1 / 32])
     if not isinstance(eps, list) or not eps:
         raise ConfigError(f"config field 'eps': expected a non-empty list, got {eps!r}")
-    eps_list = [_number("eps", e) for e in eps]
+    eps_list = [finite_number("config field 'eps'", e) for e in eps]
     for e in eps_list:
         if not pde.is_dyadic(e):
             raise ConfigError(f"config field 'eps': {e} is not of the form 1/2^m")
@@ -139,12 +126,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     grids = _section(doc, "grids", {})
     _check_keys("grids.", grids, [*hz.DEFAULTS["grids"][field.dim], "face_avg"])
     g = {**hz.DEFAULTS["grids"][field.dim], **grids}
-    cell_grid = CellGrid(M_y=_number("grids.M_y", g["M_y"], int),
-                         M_s=_number("grids.M_s", g["M_s"], int),
+    cell_grid = CellGrid(M_y=finite_number("config field 'grids.M_y'", g["M_y"], int),
+                         M_s=finite_number("config field 'grids.M_s'", g["M_s"], int),
                          face_avg=g.get("face_avg", "geometric"))
-    macro_grid = MacroGrid(dim=field.dim, n_x=_number("grids.n_x", g["n_x"], int),
-                           n_t=_number("grids.n_t", g["n_t"], int),
-                           T=_number("grids.T", g["T"]))
+    macro_grid = MacroGrid(dim=field.dim,
+                           n_x=finite_number("config field 'grids.n_x'", g["n_x"], int),
+                           n_t=finite_number("config field 'grids.n_t'", g["n_t"], int),
+                           T=finite_number("config field 'grids.T'", g["T"]))
 
     d = _section(doc, "data", {})
     _check_keys("data.", d, ("u0", "f"))
@@ -159,8 +147,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         field=field, p=p, r=r, regime=regime, eps_list=eps_list,
         cell_grid=cell_grid, macro_grid=macro_grid,
         u0_name=u0_name, f_name=f_name,
-        u0abs=_number("u0abs", doc.get("u0abs", 1.0)),
-        seed=_number("seed", doc.get("seed", 0), int),
+        u0abs=finite_number("config field 'u0abs'", doc.get("u0abs", 1.0)),
+        seed=finite_number("config field 'seed'", doc.get("seed", 0), int),
         raw=doc,
     )
 

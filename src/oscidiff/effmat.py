@@ -29,7 +29,8 @@ from .errors import (
     SkewFormulaMismatch,
     SymmetryViolated,
 )
-from .fields import CellGrid, PeriodicMatrixField, mean_ys, read_artifact, write_artifact
+from .fields import (CellGrid, PeriodicMatrixField, mean_ys, read_artifact, sample_grid,
+                     write_artifact)
 
 AHOM_MAGIC = "oscidiff-ahom v1"
 SYMMETRY_TOL = 1e-9
@@ -312,24 +313,18 @@ def harmonic_mean_oracle_1d(field: PeriodicMatrixField, grid: CellGrid,
     """
     if field.dim != 1:
         raise DimensionMismatch("1D oracle needs a one-dimensional field")
-    y = ((np.arange(n_quad) + 0.5) / n_quad)[:, np.newaxis]
+    mid = (np.arange(n_quad) + 0.5) / n_quad
     if regime == "classical" or field.s_independent:
-        vals = field.sample(y, np.zeros(n_quad))[..., 0, 0]
+        vals = field.sample(mid[:, np.newaxis], np.zeros(n_quad))[..., 0, 0]
         return float(1.0 / np.mean(1.0 / vals))
-    svals = (np.arange(n_quad) + 0.5) / n_quad
+    if regime not in ("subcritical", "supercritical"):
+        raise ConfigError(f"no 1D oracle for regime {regime!r}")
+    # vals[j, i] = a(y_i, s_j); the sums over s run in s order (cumsum, and
+    # the leading axis reduces row by row)
+    vals = sample_grid(field, mid[:, np.newaxis], mid)[..., 0, 0]
     if regime == "subcritical":
-        acc = 0.0
-        for sj in svals:
-            vals = field.sample(y, np.full(n_quad, sj))[..., 0, 0]
-            acc += 1.0 / np.mean(1.0 / vals)
-        return float(acc / n_quad)
-    if regime == "supercritical":
-        acc = np.zeros(n_quad)
-        for sj in svals:
-            acc += field.sample(y, np.full(n_quad, sj))[..., 0, 0]
-        acc /= n_quad
-        return float(1.0 / np.mean(1.0 / acc))
-    raise ConfigError(f"no 1D oracle for regime {regime!r}")
+        return float(np.cumsum(1.0 / np.mean(1.0 / vals, axis=1))[-1] / n_quad)
+    return float(1.0 / np.mean(1.0 / (np.sum(vals, axis=0) / n_quad)))
 
 
 # ---------------------------------------------------------------------------

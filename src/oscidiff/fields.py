@@ -9,6 +9,7 @@ before evaluation, so sampling a(x/eps, t/eps^r) is total.
 from __future__ import annotations
 
 import inspect
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -40,8 +41,8 @@ class PeriodicMatrixField:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
-        if not (0.0 < self.lam <= self.Lam):
-            raise ConfigError(f"need 0 < lambda <= Lambda, got ({self.lam}, {self.Lam})")
+        if not (0.0 < self.lam <= self.Lam < math.inf):
+            raise ConfigError(f"need 0 < lambda <= Lambda < inf, got ({self.lam}, {self.Lam})")
         if self.smoothness not in ("continuous", "C1_in_s", "smooth"):
             raise ConfigError(f"unknown smoothness tag {self.smoothness!r}")
         if self.smoothness == "continuous":
@@ -67,10 +68,8 @@ class PeriodicMatrixField:
         """sup over sampled y of the max-norm of d/ds a(y, s), by central differences."""
         if self.s_independent:
             return 0.0
-        ygrid = _cell_centers(self.dim, n_y)
-        s = float(s)
-        da = (self.sample(ygrid, np.full(len(ygrid), s + h))
-              - self.sample(ygrid, np.full(len(ygrid), s - h))) / (2.0 * h)
+        a = sample_grid(self, _cell_centers(self.dim, n_y), [float(s) + h, float(s) - h])
+        da = (a[0] - a[1]) / (2.0 * h)
         return float(np.max(np.sum(np.abs(da), axis=-1)))
 
 
@@ -144,11 +143,7 @@ class MacroGrid:
 
     def interior_nodes(self):
         """Interior node coordinates, shape (n_x**dim, dim), x1 varying slowest."""
-        x1 = np.arange(1, self.n_x + 1) * self.h
-        if self.dim == 1:
-            return x1[:, np.newaxis]
-        X1, X2 = np.meshgrid(x1, x1, indexing="ij")
-        return np.stack([X1.ravel(), X2.ravel()], axis=-1)
+        return _mesh(*[np.arange(1, self.n_x + 1) * self.h] * self.dim)
 
     # Face layer. The faces normal to axis d sit halfway between neighbouring
     # nodes along d, boundary nodes included, so face i along d separates
@@ -163,9 +158,7 @@ class MacroGrid:
         in the row-major order of ``face_shape(d)``."""
         x_node = np.arange(1, self.n_x + 1) * self.h
         x_face = (np.arange(self.n_x + 1) + 0.5) * self.h
-        axes = np.meshgrid(*(x_face if i == d else x_node for i in range(self.dim)),
-                           indexing="ij")
-        return np.stack([x.ravel() for x in axes], axis=-1)
+        return _mesh(*(x_face if i == d else x_node for i in range(self.dim)))
 
     def _padded(self, v, d):
         """Node values v on the grid, padded along d with the zero boundary
@@ -189,12 +182,20 @@ class MacroGrid:
         return np.arange(self.n_t + 1) * self.dt
 
 
+def _mesh(*axes):
+    """Points of the tensor grid of the 1D ``axes``, shape
+    (prod of their lengths, len(axes)), the first axis varying slowest."""
+    return np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def _cell_centers(dim, m):
-    c = (np.arange(m) + 0.5) / m
-    if dim == 1:
-        return c[:, np.newaxis]
-    Y1, Y2 = np.meshgrid(c, c, indexing="ij")
-    return np.stack([Y1.ravel(), Y2.ravel()], axis=-1)
+    return _mesh(*[(np.arange(m) + 0.5) / m] * dim)
+
+
+def sample_grid(field, y, s):
+    """a at every pair (y[i], s[j]) in one ``field.sample`` call, shape
+    (len(s), len(y), dim, dim)."""
+    return field.sample(np.broadcast_to(y, (len(s),) + y.shape), np.asarray(s)[:, np.newaxis])
 
 
 # ---------------------------------------------------------------------------
@@ -233,38 +234,22 @@ def validate_ellipticity(field: PeriodicMatrixField, n_samples: int = 4096, seed
 
     rq = np.einsum("ni,nij,nj->n", xi, a, xi)
     lo, hi = int(np.argmin(rq)), int(np.argmax(rq))
-    if rq[lo] < field.lam - 1e-12:
-        raise EllipticityViolation(
-            f"Rayleigh quotient {rq[lo]:.12f} < lambda={field.lam} "
-            f"at y={y[lo]}, s={s[lo]:.6f}, xi={xi[lo]}",
-            witness=(y[lo].copy(), float(s[lo]), xi[lo].copy()),
-        )
-    if rq[hi] > field.Lam + 1e-12:
-        raise EllipticityViolation(
-            f"Rayleigh quotient {rq[hi]:.12f} > Lambda={field.Lam} "
-            f"at y={y[hi]}, s={s[hi]:.6f}, xi={xi[hi]}",
-            witness=(y[hi].copy(), float(s[hi]), xi[hi].copy()),
-        )
+    for i, violated, bound in ((lo, rq[lo] < field.lam - 1e-12, f"< lambda={field.lam}"),
+                               (hi, rq[hi] > field.Lam + 1e-12, f"> Lambda={field.Lam}")):
+        if violated:
+            raise EllipticityViolation(
+                f"Rayleigh quotient {rq[i]:.12f} {bound} at y={y[i]}, s={s[i]:.6f}, xi={xi[i]}",
+                witness=(y[i].copy(), float(s[i]), xi[i].copy()),
+            )
     return {"lambda_est": float(rq[lo]), "Lambda_est": float(rq[hi])}
 
 
-def sample_oscillating(field: PeriodicMatrixField, x, t, eps: float, r: float):
-    """a(x/eps, t/eps^r); wrapping makes this total for any eps, r > 0."""
-    if not (eps > 0 and r > 0):
-        raise ConfigError("eps and r must be positive")
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return field.sample(x / eps, t / eps**r)
-
-
 def mean_ys(field: PeriodicMatrixField, grid: CellGrid):
-    """Midpoint-rule average of a over the space-time cell."""
-    y = grid.centers(field.dim)
-    smid = (np.arange(grid.M_s) + 0.5) * grid.h_s
-    acc = np.zeros((field.dim, field.dim))
-    for sj in smid:
-        acc += np.mean(field.sample(y, np.full(len(y), sj)), axis=0)
-    return acc / grid.M_s
+    """Midpoint-rule average of a over the space-time cell: the means over y
+    at the midpoints in s, summed in s order (``np.sum`` would pair them)."""
+    means = np.mean(sample_grid(field, grid.centers(field.dim),
+                                (np.arange(grid.M_s) + 0.5) * grid.h_s), axis=1)
+    return np.cumsum(means, axis=0)[-1] / grid.M_s
 
 
 # ---------------------------------------------------------------------------
@@ -289,60 +274,60 @@ def constant_field(matrix, name="constant"):
     )
 
 
-def trig_field_1d(base=2.0, amp=1.0, scale=0.25):
-    """1D scalar a(y) = scale * (base + amp * sin(2 pi y)); s-independent."""
-    if not base - abs(amp) > 0:
-        raise ConfigError("trig1d needs base > |amp| for ellipticity")
+def _diagonal_field(dim, diagonal, **kw):
+    """Field a(y, s) = diag(diagonal(y, s)): ``diagonal`` returns the dim
+    diagonal entries, each of the shape of s; ``kw`` are the remaining
+    ``PeriodicMatrixField`` attributes."""
 
     def entries(y, s):
-        return (scale * (base + amp * np.sin(2 * np.pi * y[..., 0])))[..., None, None]
+        out = np.zeros(y.shape[:-1] + (dim, dim))
+        for d, value in enumerate(diagonal(y, s)):
+            out[..., d, d] = value
+        return out
 
-    return PeriodicMatrixField(
-        dim=1, entries=entries,
+    return PeriodicMatrixField(dim=dim, entries=entries, **kw)
+
+
+def _trig_field(name, dim, swing, base, amp, scale, s_independent, **flags):
+    """Diagonal field with entries scale * (base + w) for the w in
+    swing(y, s), each |w| <= |amp|, so lambda = scale (base - |amp|) and
+    Lambda = scale (base + |amp|); ``flags`` join the params."""
+    if not base - abs(amp) > 0:
+        raise ConfigError(f"{name} needs base > |amp| for ellipticity")
+    return _diagonal_field(
+        dim, lambda y, s: [scale * (base + w) for w in swing(y, s)],
         lam=scale * (base - abs(amp)), Lam=scale * (base + abs(amp)),
-        s_independent=True, name="trig1d",
-        params={"base": base, "amp": amp, "scale": scale},
+        s_independent=s_independent, name=name,
+        params={"base": base, "amp": amp, "scale": scale, **flags},
     )
+
+
+def trig_field_1d(base=2.0, amp=1.0, scale=0.25):
+    """1D scalar a(y) = scale * (base + amp * sin(2 pi y)); s-independent."""
+    return _trig_field("trig1d", 1, lambda y, s: [amp * np.sin(math.tau * y[..., 0])],
+                       base, amp, scale, s_independent=True)
 
 
 def trig_field_1d_st(base=2.0, amp=1.0, scale=0.25):
     """1D scalar a(y,s) = scale * (base + amp * sin(2 pi y) cos(2 pi s))."""
-    if not base - abs(amp) > 0:
-        raise ConfigError("trig1d_st needs base > |amp| for ellipticity")
-
-    def entries(y, s):
-        osc = np.sin(2 * np.pi * y[..., 0]) * np.cos(2 * np.pi * s)
-        return (scale * (base + amp * osc))[..., None, None]
-
-    return PeriodicMatrixField(
-        dim=1, entries=entries,
-        lam=scale * (base - abs(amp)), Lam=scale * (base + abs(amp)),
-        s_independent=False, name="trig1d_st",
-        params={"base": base, "amp": amp, "scale": scale},
-    )
+    return _trig_field(
+        "trig1d_st", 1, lambda y, s: [amp * (np.sin(math.tau * y[..., 0]) * np.cos(math.tau * s))],
+        base, amp, scale, s_independent=False)
 
 
 def laminate_field_2d(base=2.0, amp=1.0, scale=0.25, s_dependent=False):
-    """2D laminate alpha(y1[, s]) * I; separates in y for oracle checks."""
-    if not base - abs(amp) > 0:
-        raise ConfigError("laminate2d needs base > |amp| for ellipticity")
+    """2D laminate alpha(y1[, s]) * I; separates in y for oracle checks.
 
-    def entries(y, s):
-        osc = np.sin(2 * np.pi * y[..., 0])
-        if s_dependent:
-            osc = osc * np.cos(2 * np.pi * s)
-        alpha = scale * (base + amp * osc)
-        out = np.zeros(y.shape[:-1] + (2, 2))
-        out[..., 0, 0] = alpha
-        out[..., 1, 1] = alpha
-        return out
+    alpha = scale * (base + amp sin(2 pi y1) [cos(2 pi s) if s_dependent])
+    """
 
-    return PeriodicMatrixField(
-        dim=2, entries=entries,
-        lam=scale * (base - abs(amp)), Lam=scale * (base + abs(amp)),
-        s_independent=not s_dependent, name="laminate2d",
-        params={"base": base, "amp": amp, "scale": scale, "s_dependent": s_dependent},
-    )
+    def swing(y, s):
+        osc = np.sin(math.tau * y[..., 0])
+        w = amp * (osc * np.cos(math.tau * s) if s_dependent else osc)
+        return [w, w]
+
+    return _trig_field("laminate2d", 2, swing, base, amp, scale,
+                       s_independent=not s_dependent, s_dependent=s_dependent)
 
 
 def trig_field_2d_st(base=2.0, amp=1.0, scale=0.25, s_dependent=True):
@@ -350,46 +335,35 @@ def trig_field_2d_st(base=2.0, amp=1.0, scale=0.25, s_dependent=True):
 
     a = scale * diag(base + amp sin(2 pi y1) cos(2 pi y2) c(s),
                      base + amp cos(2 pi y1) sin(2 pi y2) c(s + 1/4))
-    with c = cos(2 pi .). Diagonal entries stay inside [lam, Lam].
+    with c = cos(2 pi .), or c = 1 without s_dependent. Diagonal entries
+    stay inside [lam, Lam].
     """
-    if not base - abs(amp) > 0:
-        raise ConfigError("trig2d_st needs base > |amp| for ellipticity")
 
-    def entries(y, s):
-        c1 = np.cos(2 * np.pi * s) if s_dependent else 1.0
-        c2 = np.cos(2 * np.pi * (s + 0.25)) if s_dependent else 1.0
-        a11 = base + amp * np.sin(2 * np.pi * y[..., 0]) * np.cos(2 * np.pi * y[..., 1]) * c1
-        a22 = base + amp * np.cos(2 * np.pi * y[..., 0]) * np.sin(2 * np.pi * y[..., 1]) * c2
-        out = np.zeros(y.shape[:-1] + (2, 2))
-        out[..., 0, 0] = scale * a11
-        out[..., 1, 1] = scale * a22
-        return out
+    def swing(y, s):
+        c1 = np.cos(math.tau * s) if s_dependent else 1.0
+        c2 = np.cos(math.tau * (s + 0.25)) if s_dependent else 1.0
+        return [amp * np.sin(math.tau * y[..., 0]) * np.cos(math.tau * y[..., 1]) * c1,
+                amp * np.cos(math.tau * y[..., 0]) * np.sin(math.tau * y[..., 1]) * c2]
 
-    return PeriodicMatrixField(
-        dim=2, entries=entries,
-        lam=scale * (base - abs(amp)), Lam=scale * (base + abs(amp)),
-        s_independent=not s_dependent, name="trig2d_st",
-        params={"base": base, "amp": amp, "scale": scale, "s_dependent": s_dependent},
-    )
+    return _trig_field("trig2d_st", 2, swing, base, amp, scale,
+                       s_independent=not s_dependent, s_dependent=s_dependent)
 
 
 def checkerboard_field_2d(low=0.25, high=0.75, sharpness=4.0):
-    """Smoothed checkerboard: scalar between low and high, tanh profile."""
+    """Smoothed checkerboard: scalar between low and high, tanh profile,
+    alpha = mid + half tanh(sharpness sin(2 pi y1) sin(2 pi y2)) times I
+    with mid = (low + high)/2 and half = (high - low)/2."""
     if not 0 < low < high:
         raise ConfigError("checkerboard2d needs 0 < low < high")
     mid, half = 0.5 * (low + high), 0.5 * (high - low)
 
-    def entries(y, s):
-        patt = np.sin(2 * np.pi * y[..., 0]) * np.sin(2 * np.pi * y[..., 1])
+    def diagonal(y, s):
+        patt = np.sin(math.tau * y[..., 0]) * np.sin(math.tau * y[..., 1])
         alpha = mid + half * np.tanh(sharpness * patt)
-        out = np.zeros(y.shape[:-1] + (2, 2))
-        out[..., 0, 0] = alpha
-        out[..., 1, 1] = alpha
-        return out
+        return [alpha, alpha]
 
-    return PeriodicMatrixField(
-        dim=2, entries=entries, lam=low, Lam=high,
-        s_independent=True, name="checkerboard2d",
+    return _diagonal_field(
+        2, diagonal, lam=low, Lam=high, s_independent=True, name="checkerboard2d",
         params={"low": low, "high": high, "sharpness": sharpness},
     )
 
@@ -404,25 +378,48 @@ _BUILTINS = {
 }
 
 
-def make_field(name, **params):
-    """Instantiate a built-in field by name."""
+def finite_number(where, value, kind=float):
+    """``kind(value)`` for a JSON number (not a bool or a string) that is
+    finite and, for ``kind`` int, integral; the one rule for numeric config
+    values, builtin field parameters included."""
     try:
-        factory = _BUILTINS[name]
-    except (KeyError, TypeError):
-        raise ConfigError(
-            f"unknown builtin field {name!r}; choices: {sorted(_BUILTINS)}"
-        ) from None
-    allowed = [*inspect.signature(factory).parameters, *(["dim"] if name == "constant" else [])]
-    unknown = sorted(set(params) - set(allowed))
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and (kind is float or value == int(value))):
+            return kind(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ConfigError(f"{where}={value!r}: expected "
+                      + ("a finite number" if kind is float else "an integer"))
+
+
+def make_field(name, **params):
+    """Instantiate a built-in field by name. Each parameter is checked by the
+    kind of its default: a float by ``finite_number``, a flag as a bool, and
+    ``constant``'s ``dim`` as an integer."""
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise ConfigError(f"unknown builtin field {name!r}; choices: {sorted(_BUILTINS)}")
+    factory = _BUILTINS[name]
+    defaults = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
+    if name == "constant":
+        defaults["dim"] = 1
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ConfigError(f"builtin field {name!r} has no parameter {unknown[0]!r}; "
-                          f"choices: {sorted(allowed)}")
+                          f"choices: {sorted(defaults)}")
+    for key, value in params.items():
+        where, kind = f"builtin field {name!r}: parameter {key}", type(defaults[key])
+        if kind is bool and not isinstance(value, bool):
+            raise ConfigError(f"{where}={value!r}: expected true or false")
+        if kind in (int, float):
+            finite_number(where, value, kind)
     kwargs = dict(params)
     try:
         if name == "constant" and "matrix" not in kwargs:
-            kwargs["matrix"] = np.eye(kwargs.pop("dim", 1))
+            kwargs["matrix"] = np.eye(int(kwargs.pop("dim", 1)))
         return factory(**kwargs)
     except (TypeError, ValueError) as err:
+        # constant's matrix is not typed above: np.asarray raises these for a
+        # string, ragged or object matrix, and the factory for matrix and dim
         given = ", ".join(f"{k}={v!r}" for k, v in params.items())
         raise ConfigError(f"builtin field {name!r}: bad parameter value ({given}): {err}"
                           ) from None
@@ -517,14 +514,11 @@ class PeriodicInterpolant:
 def save_gridded(path, field: PeriodicMatrixField, grid: CellGrid):
     """Sample a field at grid nodes (i/M_y, j/M_s) and write the v1 format."""
     dim = field.dim
-    ynodes = np.arange(grid.M_y) / grid.M_y
-    snodes = np.arange(grid.M_s) / grid.M_s
-    rows = []
-    for idx in np.ndindex(*([grid.M_y] * dim)):
-        y = np.array([ynodes[i] for i in idx])
-        for sj in snodes:
-            a = field.sample(y, sj)
-            rows.append([a[i, j] for i in range(dim) for j in range(i + 1)])
+    a = sample_grid(field, _mesh(*[np.arange(grid.M_y) / grid.M_y] * dim),
+                    np.arange(grid.M_s) / grid.M_s)
+    # rows run over y (y1 slowest), then s; columns are the lower triangle
+    i, j = np.tril_indices(dim)
+    rows = np.swapaxes(a, 0, 1)[..., i, j].reshape(-1, len(i))
     write_artifact(path, FILE_MAGIC, {"N": dim, "My": grid.M_y, "Ms": grid.M_s}, rows)
 
 
@@ -532,20 +526,13 @@ def load_gridded(path):
     """Load a gridded field; values interpolate linearly and periodically."""
     meta, raw = read_artifact(path, FILE_MAGIC, ("N", "My", "Ms"))
     dim, My, Ms = int(meta["N"]), int(meta["My"]), int(meta["Ms"])
-    n_tri = dim * (dim + 1) // 2
+    i, j = np.tril_indices(dim)
     expected = My**dim * Ms
-    if raw.shape != (expected, n_tri):
-        raise ConfigError(
-            f"{path}: expected {expected} rows x {n_tri} cols, got {raw.shape}"
-        )
-    # lower-triangle-completed by symmetry
+    if raw.shape != (expected, len(i)):
+        raise ConfigError(f"{path}: expected {expected} rows x {len(i)} cols, got {raw.shape}")
+    # the lower triangle, completed by symmetry
     full = np.zeros((expected, dim, dim))
-    col = 0
-    for i in range(dim):
-        for j in range(i + 1):
-            full[:, i, j] = raw[:, col]
-            full[:, j, i] = raw[:, col]
-            col += 1
+    full[:, i, j] = full[:, j, i] = raw
     eigs = np.linalg.eigvalsh(full)
     lam, Lam = float(eigs.min()), float(eigs.max())
     if lam <= 0:

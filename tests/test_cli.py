@@ -89,6 +89,19 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, override, key):
     ('{"data": {"u0": ["sine"]}}', "'data.u0'"),
     ('{"field": {"file": 3}}', "'field.file'"),
     ('{"field": {"file": "no-such-field.txt"}}', "'field.file'"),
+    # builtin parameters are checked by kind before the field is built
+    ('{"field": {"name": "checkerboard2d", "sharpness": "x"}}', "sharpness='x'"),
+    ('{"field": {"name": "checkerboard2d", "sharpness": Infinity}}', "sharpness=inf"),
+    ('{"field": {"name": "trig2d_st", "s_dependent": "no"}}', "s_dependent='no'"),
+    ('{"field": {"name": "laminate2d", "s_dependent": 1}}', "s_dependent=1"),
+    ('{"field": {"name": "trig1d", "base": true}}', "base=True"),
+    ('{"field": {"name": "constant", "dim": 1.5}}', "dim=1.5"),
+    # scalars are JSON numbers, integral where an integer is read
+    ('{"seed": 1.5}', "'seed'"),
+    ('{"grids": {"n_t": 32.9}}', "'grids.n_t'"),
+    ('{"p": "0.5"}', "'p'"),
+    ('{"grids": {"M_y": "64"}}', "'grids.M_y'"),
+    ('{"p": true, "r": 1}', "'p'"),
 ])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, doc, key):
     path = tmp_path / "cfg.json"
@@ -96,6 +109,24 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, doc, key):
     assert run("cell", str(path), tmp_path / "out") == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err and "Traceback" not in err
+
+
+def test_integral_numbers_are_accepted_where_integers_are_read():
+    cfg = cli.parse_config({"grids": {"M_y": 16.0, "M_s": 8, "n_x": 32, "n_t": 8.0},
+                            "p": 1, "seed": 3.0,
+                            "field": {"name": "constant", "dim": 2.0}})
+    assert (cfg.cell_grid.M_y, cfg.macro_grid.n_t, cfg.seed) == (16, 8, 3)
+    assert all(type(v) is int for v in (cfg.cell_grid.M_y, cfg.macro_grid.n_t, cfg.seed))
+    assert type(cfg.p) is float and cfg.field.dim == 2
+
+
+def test_readme_example_config_parses():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = cli.parse_config(json.loads(block))
+    assert cfg.raw == json.loads(block) and cfg.field.name == cfg.raw["field"]["name"]
 
 
 def test_malformed_field_file_is_config_error(tmp_path, capsys):

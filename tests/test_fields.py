@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscidiff import cellsolve as cs
 from oscidiff.errors import ConfigError, EllipticityViolation
-from oscidiff.fields import (CellGrid, MacroGrid, load_gridded, make_field,
-                             mean_ys, sample_oscillating, save_gridded,
-                             validate_ellipticity)
+from oscidiff.fields import (CellGrid, MacroGrid, PeriodicMatrixField, load_gridded,
+                             make_field, mean_ys, save_gridded, validate_ellipticity)
 
 FIELD_NAMES = ["constant", "trig1d", "trig1d_st", "laminate2d", "trig2d_st",
                "checkerboard2d"]
@@ -54,12 +54,13 @@ def test_oscillating_periodicity_space_and_time():
     eps, r = 1 / 8, 2.0
     x = np.array([[0.3]])
     t = 0.1
-    a0 = sample_oscillating(field, x, t, eps, r)
+    def oscillating(x, t):  # a(x/eps, t/eps^r)
+        return field.sample(x / eps, t / eps**r)
+
+    a0 = oscillating(x, t)
     for k in (1, -2, 5):
-        assert np.allclose(sample_oscillating(field, x + k * eps, t, eps, r),
-                           a0, atol=1e-14)
-    assert np.allclose(sample_oscillating(field, x, t + 3 * eps**r, eps, r),
-                       a0, atol=1e-12)
+        assert np.allclose(oscillating(x + k * eps, t), a0, atol=1e-14)
+    assert np.allclose(oscillating(x, t + 3 * eps**r), a0, atol=1e-12)
 
 
 def test_validate_ellipticity_rejects_bad_constants():
@@ -74,6 +75,13 @@ def test_validate_ellipticity_rejects_bad_constants():
 def test_unknown_builtin_raises():
     with pytest.raises(ConfigError):
         make_field("does_not_exist")
+
+
+@pytest.mark.parametrize("params", [{"base": 1e300, "scale": 1e10}, {"scale": -1.0}])
+def test_builtin_bounds_must_be_positive_and_finite(params):
+    # finite parameters can still overflow lambda and Lambda to inf
+    with pytest.raises(ConfigError, match="lambda"):
+        make_field("trig1d", **params)
 
 
 @given(y=st.floats(0, 1, allow_nan=False), s=st.floats(0, 1, allow_nan=False),
@@ -137,3 +145,118 @@ def test_macro_grid_spacing():
 def test_cell_grid_rejects_bad_face_average():
     with pytest.raises(ConfigError):
         CellGrid(M_y=8, M_s=8, face_avg="median")
+
+
+# The builtins' docstring formulas, evaluated here as an independent oracle:
+# name -> (defaults, diagonal entries at (y, s), (lambda, Lambda), s_independent).
+TAU = 2.0 * np.pi
+
+
+def _trig_bounds(p):
+    return p["scale"] * (p["base"] - abs(p["amp"])), p["scale"] * (p["base"] + abs(p["amp"]))
+
+
+def _checker_alpha(p, y):
+    mid, half = (p["low"] + p["high"]) / 2, (p["high"] - p["low"]) / 2
+    return mid + half * np.tanh(p["sharpness"] * np.sin(TAU * y[:, 0]) * np.sin(TAU * y[:, 1]))
+
+
+TRIG = {"base": 2.0, "amp": 1.0, "scale": 0.25}
+CLOSED_FORMS = {
+    "trig1d": (TRIG, lambda p, y, s: [p["scale"] * (p["base"] + p["amp"] * np.sin(TAU * y[:, 0]))],
+               _trig_bounds, lambda p: True),
+    "trig1d_st": (TRIG, lambda p, y, s: [
+        p["scale"] * (p["base"] + p["amp"] * np.sin(TAU * y[:, 0]) * np.cos(TAU * s))],
+        _trig_bounds, lambda p: False),
+    "laminate2d": ({**TRIG, "s_dependent": False}, lambda p, y, s: 2 * [
+        p["scale"] * (p["base"] + p["amp"] * np.sin(TAU * y[:, 0])
+                      * (np.cos(TAU * s) if p["s_dependent"] else 1.0))],
+        _trig_bounds, lambda p: not p["s_dependent"]),
+    "trig2d_st": ({**TRIG, "s_dependent": True}, lambda p, y, s: [
+        p["scale"] * (p["base"] + p["amp"] * np.sin(TAU * y[:, 0]) * np.cos(TAU * y[:, 1])
+                      * (np.cos(TAU * s) if p["s_dependent"] else 1.0)),
+        p["scale"] * (p["base"] + p["amp"] * np.cos(TAU * y[:, 0]) * np.sin(TAU * y[:, 1])
+                      * (np.cos(TAU * (s + 0.25)) if p["s_dependent"] else 1.0))],
+        _trig_bounds, lambda p: not p["s_dependent"]),
+    "checkerboard2d": ({"low": 0.25, "high": 0.75, "sharpness": 4.0},
+                       lambda p, y, s: 2 * [_checker_alpha(p, y)],
+                       lambda p: (p["low"], p["high"]), lambda p: True),
+}
+PERTURBED = {"base": 3.0, "amp": -1.7, "scale": 0.6}
+CLOSED_FORM_CASES = [
+    ("trig1d", {}), ("trig1d", PERTURBED), ("trig1d_st", {}), ("trig1d_st", PERTURBED),
+    *[(name, {**params, "s_dependent": flag}) for name in ("laminate2d", "trig2d_st")
+      for params in ({}, PERTURBED) for flag in (False, True)],
+    ("checkerboard2d", {}), ("checkerboard2d", {"low": 0.1, "high": 2.0, "sharpness": 7.5}),
+]
+
+
+@pytest.mark.parametrize("name,params", CLOSED_FORM_CASES)
+def test_builtin_matches_its_closed_form(name, params):
+    defaults, diagonal, bounds, s_independent = CLOSED_FORMS[name]
+    p = {**defaults, **params}
+    field = make_field(name, **params)
+    rng = np.random.default_rng(5)
+    y, s = rng.random((500, field.dim)), rng.random(500)
+    want = np.zeros((500, field.dim, field.dim))
+    for d, entry in enumerate(diagonal(p, y, s)):
+        want[:, d, d] = entry
+    got = field.sample(y, s)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want) / np.abs(want).max(axis=(1, 2))[:, None, None]) <= 1e-15
+    assert np.allclose([field.lam, field.Lam], bounds(p), rtol=1e-15, atol=0)
+    assert field.s_independent is s_independent(p)
+    assert field.name == name and field.params == p
+
+
+def test_constant_builtin_is_its_matrix():
+    matrix = [[1.0, 0.2], [0.2, 0.7]]
+    field = make_field("constant", matrix=matrix)
+    a = field.sample(np.random.default_rng(6).random((20, 2)), 0.3)
+    assert np.array_equal(a, np.broadcast_to(matrix, (20, 2, 2)))
+    assert np.allclose([field.lam, field.Lam], np.linalg.eigvalsh(matrix), rtol=1e-15, atol=0)
+    assert field.s_independent and np.array_equal(make_field("constant", dim=2).sample(
+        [[0.1, 0.2]], 0.0)[0], np.eye(2))
+
+
+def _s_ramp_field():
+    # a 1D field whose mean over y moves with s, so the order in which the
+    # slice means are summed shows in the last bits
+    def entries(y, s):
+        return (1.0 + 0.4 * np.sin(TAU * s) * (1.0 + y[..., 0]))[..., None, None]
+    return PeriodicMatrixField(dim=1, entries=entries, lam=0.2, Lam=1.8, name="s_ramp")
+
+
+@pytest.mark.parametrize("name,M_y,M_s", [("trig1d_st", 64, 64), ("trig2d_st", 24, 32),
+                                          ("trig2d_st", 48, 64), ("laminate2d", 8, 5),
+                                          ("s_ramp", 64, 64)])
+def test_s_averages_match_per_slice_loops(name, M_y, M_s):
+    # s_averaged_operator and mean_ys sample all slices in one call; their
+    # sums must be the per-slice loops' sums bit for bit
+    field = _s_ramp_field() if name == "s_ramp" else make_field(name)
+    grid = CellGrid(M_y=M_y, M_s=M_s)
+    y = grid.centers(field.dim)
+    acc, mean = np.zeros((len(y), field.dim, field.dim)), np.zeros((field.dim, field.dim))
+    for j in range(M_s):
+        acc += field.sample(y, np.full(len(y), j * grid.h_s))
+        mean += np.mean(field.sample(y, np.full(len(y), (j + 0.5) * grid.h_s)), axis=0)
+    op = cs.s_averaged_operator(field, grid)
+    ref = cs.CellOperator.from_matrix_values(acc / M_s, field.dim, grid)
+    assert all(np.array_equal(u, v) for u, v in zip(op.face_coeffs + op.b,
+                                                   ref.face_coeffs + ref.b))
+    assert (op.K != ref.K).nnz == 0
+    assert np.array_equal(mean_ys(field, grid), mean / M_s)
+
+
+@pytest.mark.parametrize("name", ["trig1d_st", "trig2d_st"])
+def test_save_gridded_matches_per_node_loop(tmp_path, name):
+    field, grid = make_field(name), CellGrid(M_y=6, M_s=5)
+    nodes = np.arange(grid.M_y) / grid.M_y
+    rows = []
+    for idx in np.ndindex(*[grid.M_y] * field.dim):
+        for sj in np.arange(grid.M_s) / grid.M_s:
+            a = field.sample(nodes[list(idx)], sj)
+            rows.append([a[i, j] for i in range(field.dim) for j in range(i + 1)])
+    save_gridded(tmp_path / "batched.txt", field, grid)
+    body = np.loadtxt(tmp_path / "batched.txt", skiprows=1, ndmin=2)
+    assert np.array_equal(body, np.array(rows))
