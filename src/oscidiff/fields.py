@@ -394,8 +394,9 @@ def finite_number(where, value, kind=float):
 
 def make_field(name, **params):
     """Instantiate a built-in field by name. Each parameter is checked by the
-    kind of its default: a float by ``finite_number``, a flag as a bool, and
-    ``constant``'s ``dim`` as an integer."""
+    kind of its default: a float by ``finite_number``, a flag as a bool,
+    ``constant``'s ``dim`` as an integer and every entry of its ``matrix`` by
+    ``finite_number``."""
     if not isinstance(name, str) or name not in _BUILTINS:
         raise ConfigError(f"unknown builtin field {name!r}; choices: {sorted(_BUILTINS)}")
     factory = _BUILTINS[name]
@@ -413,13 +414,21 @@ def make_field(name, **params):
         if kind in (int, float):
             finite_number(where, value, kind)
     kwargs = dict(params)
+    if "matrix" in kwargs:  # constant's: a square list of finite numbers
+        where, rows = f"builtin field {name!r}: parameter matrix", kwargs["matrix"]
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(row, list) and len(row) == len(rows) for row in rows)):
+            raise ConfigError(f"{where}={rows!r}: expected a square list of rows")
+        kwargs["matrix"] = [[finite_number(f"{where}[{i}][{j}]", value)
+                             for j, value in enumerate(row)] for i, row in enumerate(rows)]
     try:
         if name == "constant" and "matrix" not in kwargs:
             kwargs["matrix"] = np.eye(int(kwargs.pop("dim", 1)))
         return factory(**kwargs)
     except (TypeError, ValueError) as err:
-        # constant's matrix is not typed above: np.asarray raises these for a
-        # string, ragged or object matrix, and the factory for matrix and dim
+        # np.eye raises these for a negative dim, the factory for matrix and
+        # dim given together
         given = ", ".join(f"{k}={v!r}" for k, v in params.items())
         raise ConfigError(f"builtin field {name!r}: bad parameter value ({given}): {err}"
                           ) from None

@@ -13,6 +13,13 @@ residual. The homogenized problem uses the same machinery with the
 effective matrix, which at the critical scaling is looked up from the
 |u0| table and frozen per step.
 
+Newton starts each step from v plus the last accepted increment made at
+the same phase key: the fast phase s of an s-dependent micro field, one
+key for everything else (linear extrapolation). A key not seen yet starts
+from v. A step whose predicted start ends in StepRejected or NewtonStalled
+is redone from v, the unpredicted path, and counted as
+``predictor_restarts`` in the run stats.
+
 Oscillating coefficients are resolved by internal substepping: output is
 stored on the coarse step grid while the marching step stays below a
 fraction of the fast period eps^r.
@@ -40,9 +47,10 @@ DELTA_REG = 1e-10
 MAX_NEWTON = 60
 MAX_BACKTRACK = 20
 CHORD_RATE = 0.5  # a slower chord step ends the reuse (rsham of Kelley's nsold)
-# Micro operators kept per solve, keyed by fast phase. Dyadic eps and
-# substeps visit 8 phases under the eps^r/8 rule; the cache is cleared
-# when full, so phases that never repeat cost one build per substep.
+# Micro operators, and Newton increments, kept per solve, keyed by fast
+# phase. Dyadic eps and substeps visit 8 phases under the eps^r/8 rule;
+# each store is cleared when full, so phases that never repeat cost one
+# build per substep and start Newton from the previous step.
 MICRO_OPERATOR_CACHE = 32
 
 # LAPACK dgtsv, the routine solve_banded uses for (1, 1) bands
@@ -341,7 +349,9 @@ def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
 def _march(grid, p, f, u0, op_at, substeps):
     """Shared implicit-Euler driver. op_at(t, v) yields the elliptic operator
     for the step targeting time t, given v of the previous step (from which
-    the table mode lags its coefficient). The dissipation increment
+    the table mode lags its coefficient), and its phase key, which picks
+    the Newton start (module docstring); the iterations of a discarded
+    predicted start are not counted. The dissipation increment
     h^N v . (dt L v) reuses the accepted residual's dt L v."""
     x = grid.interior_nodes()
     un = np.asarray(u0(x), dtype=float).ravel()
@@ -351,15 +361,28 @@ def _march(grid, p, f, u0, op_at, substeps):
     dissipation = np.zeros(grid.n_t + 1)
     dt_sub = grid.dt / substeps
     tol_abs = NEWTON_TOL * max(float(np.linalg.norm(un)), 1.0)
-    newton_counts, backtracks, factorizations = [], 0, 0
+    newton_counts, backtracks, factorizations, restarts = [], 0, 0, 0
+    increments = {}  # phase -> last accepted v_new - v_old at that phase
     diss = 0.0
     for n in range(grid.n_t):
         for m in range(substeps):
             t_next = (n * substeps + m + 1) * dt_sub
-            op = op_at(t_next, v)
+            op, phase = op_at(t_next, v)
             fval = np.asarray(f(x, t_next), dtype=float).ravel()
-            v, un, dtLv, iters, halvings, factors = _newton_step(
-                op, un, fval, dt_sub, p, v, tol_abs, step_id=(n, m))
+            delta = increments.get(phase)
+            try:
+                out = _newton_step(op, un, fval, dt_sub, p,
+                                   v if delta is None else v + delta, tol_abs, (n, m))
+            except (StepRejected, NewtonStalled):
+                if delta is None:
+                    raise
+                restarts += 1
+                out = _newton_step(op, un, fval, dt_sub, p, v, tol_abs, (n, m))
+            w, un, dtLv, iters, halvings, factors = out
+            if phase not in increments and len(increments) >= MICRO_OPERATOR_CACHE:
+                increments.clear()
+            increments[phase] = w - v
+            v = w
             newton_counts.append(iters)
             backtracks += halvings
             factorizations += factors
@@ -369,28 +392,30 @@ def _march(grid, p, f, u0, op_at, substeps):
     return values, dissipation, {
         "substeps": substeps, "newton_mean": float(np.mean(newton_counts)),
         "newton_max": int(np.max(newton_counts)), "newton_backtracks": backtracks,
-        "factorizations": factorizations}
+        "factorizations": factorizations, "predictor_restarts": restarts}
 
 
 def solve_micro(prob: MicroProblem) -> SpaceTimeField:
     """Backward-Euler / damped-Newton solve of the oscillating problem.
 
     The coefficient depends on t only through the fast phase
-    s = t/eps^r mod 1, so operators are cached by s for the solve."""
+    s = t/eps^r mod 1, so operators are cached by s for the solve and s is
+    the phase key of the Newton start; an s-independent field has one
+    operator and one key (None)."""
     substeps = prob.auto_substeps()
     cache = {}
     builds = 0
 
     def op_at(t, _v):
         nonlocal builds
-        s = (t / prob.eps**prob.r) % 1.0
+        s = None if prob.field.s_independent else (t / prob.eps**prob.r) % 1.0
         op = cache.get(s)
         if op is None:
             if len(cache) >= MICRO_OPERATOR_CACHE:
                 cache.clear()
             op = cache[s] = _micro_operator(prob.field, prob.grid, prob.eps, prob.r, t)
             builds += 1
-        return op
+        return op, s
 
     values, diss, stats = _march(prob.grid, prob.p, prob.f, prob.u0, op_at, substeps)
     stats.update(eps=prob.eps, r=prob.r, operator_builds=builds)
@@ -406,7 +431,7 @@ def solve_homogenized(prob: HomogenizedProblem) -> SpaceTimeField:
         op_const = _constant_operator(prob.tensor.matrix, prob.grid)
 
         def op_at(t, _v):
-            return op_const
+            return op_const, None
     else:
         def op_at(t, v):
             nonlocal clamp_count
@@ -415,7 +440,7 @@ def solve_homogenized(prob: HomogenizedProblem) -> SpaceTimeField:
                 op = _table_operator(prob.tensor, prob.grid, v, prob.p)
             clamp_count += sum(1 for w in caught
                                if issubclass(w.category, TableClampWarning))
-            return op
+            return op, None
 
     values, diss, stats = _march(prob.grid, prob.p, prob.f, prob.u0, op_at, prob.substeps)
     stats.update(mode=prob.mode, clamp_warnings=clamp_count)

@@ -111,6 +111,17 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, doc, key):
     assert err.startswith("config error") and key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("matrix", ["[[true]]", '[["1"]]', "[[Infinity]]", "[1.0]",
+                                    "[[1.0, 0.0]]"])
+def test_malformed_constant_matrix_is_config_error(tmp_path, capsys, recwarn, matrix):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"field": {"name": "constant", "matrix": %s}}' % matrix)
+    assert run("cell", str(path), tmp_path / "out") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "matrix" in err and "Traceback" not in err
+    assert "Warning" not in err and len(recwarn) == 0
+
+
 def test_integral_numbers_are_accepted_where_integers_are_read():
     cfg = cli.parse_config({"grids": {"M_y": 16.0, "M_s": 8, "n_x": 32, "n_t": 8.0},
                             "p": 1, "seed": 3.0,
@@ -220,6 +231,7 @@ def test_json_summaries_count_newton_backtracks(tmp_path, capsys):
         assert isinstance(stats["newton_backtracks"], int)
         assert stats["newton_backtracks"] >= 0
         assert stats["newton_max"] >= 1
+        assert stats["predictor_restarts"] == 0
 
 
 def test_audit_passes(tmp_path, capsys):

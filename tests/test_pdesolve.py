@@ -173,27 +173,33 @@ def test_dissipation_is_the_face_gradient_quadrature(dim):
     assert np.allclose(traj.dissipation, expected, rtol=1e-12, atol=0.0)
 
 
-def _three_pass_march(grid, p, f, u0, op_at, substeps, full_newton=False):
+def _three_pass_march(grid, p, f, u0, op_at, substeps, full_newton=False, predict=True):
     """Reference stepper: each residual in three passes (u(w), L w, the
-    norm), dissipation dt h^N v . L v. On an ``Operator2D`` it takes chord
-    steps on the last factor while the full step passes the Armijo test and
-    the one before shrank the residual by ``CHORD_RATE``, unless
-    ``full_newton``. Returns the stored values, the dissipation and the
-    line-search halvings."""
+    norm), dissipation dt h^N v . L v. ``op_at(t, v)`` gives the operator
+    and its phase key; unless ``predict`` is false, Newton starts from v
+    plus the last increment made at the same phase (from v at a new phase;
+    a new phase clears a store of ``MICRO_OPERATOR_CACHE`` phases).
+    On an ``Operator2D`` it takes chord steps on the last factor while the
+    full step passes the Armijo test and the one before shrank the residual
+    by ``CHORD_RATE``, unless ``full_newton``. Returns the stored values,
+    the dissipation and the line-search halvings."""
     x = grid.interior_nodes()
     un = np.asarray(u0(x), dtype=float).ravel()
     v = np.sign(un) * np.abs(un) ** p
     dt = grid.dt / substeps
     tol = pde.NEWTON_TOL * max(float(np.linalg.norm(un)), 1.0)
-    values, diss, halvings = [v], [0.0], 0
+    values, diss, halvings, increments = [v], [0.0], 0, {}
     for k in range(grid.n_t * substeps):
         t = (k + 1) * dt
-        op = op_at(t, v)
+        op, phase = op_at(t, v)
         target = un + dt * np.asarray(f(x, t), dtype=float).ravel()
 
         def residual(w):
             return pde._u_of(w, p) + dt * op.matvec(w) - target
 
+        v_old = v
+        if predict and phase in increments:
+            v = v + increments[phase]
         F = residual(v)
         chord = False
         while np.linalg.norm(F) > tol:
@@ -213,11 +219,22 @@ def _three_pass_march(grid, p, f, u0, op_at, substeps, full_newton=False):
                 halvings += 1
             v = v + alpha * d
             F = residual(v)
+        if phase not in increments and len(increments) >= pde.MICRO_OPERATOR_CACHE:
+            increments.clear()
+        increments[phase] = v - v_old
         un = pde._u_of(v, p)
         diss.append(diss[-1] + dt * grid.h**grid.dim * float(v @ op.matvec(v)))
         if (k + 1) % substeps == 0:
             values.append(v)
     return np.array(values), np.array(diss[::substeps]), halvings
+
+
+def _micro_op_at(prob):
+    """A micro operator built afresh for every step, with its fast phase."""
+    def op_at(t, _v):
+        op = pde._micro_operator(prob.field, prob.grid, prob.eps, prob.r, t)
+        return op, (t / prob.eps**prob.r) % 1.0
+    return op_at
 
 
 def _fused_and_reference(case, T=0.25):
@@ -228,22 +245,21 @@ def _fused_and_reference(case, T=0.25):
     if case == "micro":
         prob = pde.MicroProblem(field=make_field("trig1d_st"), eps=0.125, r=2.0, p=0.5,
                                 f=one, u0=sine, grid=MacroGrid(dim=1, n_x=32, n_t=8, T=T))
-        op_at = lambda t, _v: pde._micro_operator(prob.field, prob.grid, prob.eps, prob.r, t)
         return pde.solve_micro(prob), _three_pass_march(
-            prob.grid, prob.p, one, sine, op_at, prob.auto_substeps())
+            prob.grid, prob.p, one, sine, _micro_op_at(prob), prob.auto_substeps())
     if case == "backtracking":
         # porous-medium data of size 1e-2 and dt = 1/2 make the line search halve
         small = lambda x: 0.01 * np.sign(x[:, 0] - 0.5) * np.abs(np.sin(3 * np.pi * x[:, 0]))
         prob = pde.MicroProblem(field=make_field("trig1d_st"), eps=0.125, r=1.0, p=1.5,
                                 f=one, u0=small, grid=MacroGrid(dim=1, n_x=32, n_t=4, T=2.0),
                                 substeps=1)
-        op_at = lambda t, _v: pde._micro_operator(prob.field, prob.grid, prob.eps, prob.r, t)
-        return pde.solve_micro(prob), _three_pass_march(prob.grid, prob.p, one, small, op_at, 1)
+        return pde.solve_micro(prob), _three_pass_march(prob.grid, prob.p, one, small,
+                                                        _micro_op_at(prob), 1)
     if case == "table":
         tensor = em.tabulate_ahom_critical(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4),
                                            p=0.5, u0abs_grid=[0.0, 0.5, 1.0, 2.0])
         grid = MacroGrid(dim=1, n_x=32, n_t=8, T=T)
-        op_at = lambda _t, v: pde._table_operator(tensor, grid, v, 0.5)
+        op_at = lambda _t, v: (pde._table_operator(tensor, grid, v, 0.5), None)
         prob = pde.HomogenizedProblem(tensor=tensor, p=0.5, f=one, u0=sine, grid=grid,
                                       mode="critical_table", substeps=2)
         return pde.solve_homogenized(prob), _three_pass_march(grid, 0.5, one, sine, op_at, 2)
@@ -267,13 +283,13 @@ def _problem_2d(case, T=0.25):
         grid = MacroGrid(dim=2, n_x=10, n_t=4 if stiff else 8, T=1.0 if stiff else T)
         op = pde._constant_operator(matrix, grid)
         return pde.HomogenizedProblem(tensor=_constant_tensor(matrix), p=1.5, f=one,
-                                      u0=u0, grid=grid), lambda _t, _v: op
+                                      u0=u0, grid=grid), lambda _t, _v: (op, None)
     tensor = em.tabulate_ahom_critical(make_field("trig2d_st"), CellGrid(M_y=8, M_s=4),
                                        p=1.5, u0abs_grid=[0.0, 0.5, 1.0, 2.0])
     grid = MacroGrid(dim=2, n_x=12, n_t=8, T=T)
     return (pde.HomogenizedProblem(tensor=tensor, p=1.5, f=one, u0=sine, grid=grid,
                                    mode="critical_table"),
-            lambda _t, v: pde._table_operator(tensor, grid, v, 1.5))
+            lambda _t, v: (pde._table_operator(tensor, grid, v, 1.5), None))
 
 
 @pytest.mark.parametrize("case", ["micro", "backtracking", "table", "constant_2d",
@@ -297,7 +313,7 @@ def test_chord_march_meets_tolerance_and_full_newton(case):
     for n in range(1, grid.n_t + 1):
         t = n * grid.dt
         v_prev, v = traj.values[n - 1], traj.values[n]
-        F = (pde._u_of(v, p) + grid.dt * op_at(t, v_prev).matvec(v)
+        F = (pde._u_of(v, p) + grid.dt * op_at(t, v_prev)[0].matvec(v)
              - pde._u_of(v_prev, p) - grid.dt * prob.f(x, t))
         assert np.linalg.norm(F) <= tol
     full, _, _ = _three_pass_march(grid, p, prob.f, prob.u0, op_at, 1, full_newton=True)
@@ -318,10 +334,11 @@ def test_chord_step_failing_armijo_is_dropped():
     matrix, grid = prob.tensor.matrix, prob.grid
     uphill = Uphill(*[np.full(grid.face_shape(d), matrix[d, d]) for d in range(2)], grid.h,
                     a12=matrix[0, 1])
-    values, _, stats = pde._march(grid, prob.p, prob.f, prob.u0, lambda _t, _v: uphill, 1)
+    values, _, stats = pde._march(grid, prob.p, prob.f, prob.u0,
+                                  lambda _t, _v: (uphill, None), 1)
     full, _, _ = _three_pass_march(grid, prob.p, prob.f, prob.u0,
-                                   lambda _t, _v: pde._constant_operator(matrix, grid), 1,
-                                   full_newton=True)
+                                   lambda _t, _v: (pde._constant_operator(matrix, grid), None),
+                                   1, full_newton=True)
     assert np.array_equal(values, full)
     assert stats["factorizations"] == round(stats["newton_mean"] * grid.n_t)
 
@@ -437,9 +454,8 @@ def test_micro_phase_cache_is_exact(monkeypatch, r, n_t, substeps, builds):
                             u0=lambda x: np.sin(np.pi * x[:, 0]), grid=grid,
                             substeps=substeps)
     build = pde._micro_operator
-    values, diss, _ = pde._march(
-        grid, prob.p, prob.f, prob.u0,
-        lambda t, _v: build(prob.field, grid, prob.eps, r, t), prob.auto_substeps())
+    values, diss, _ = pde._march(grid, prob.p, prob.f, prob.u0, _micro_op_at(prob),
+                                 prob.auto_substeps())
     live, peak = [], [0]
 
     def counted(*args):
@@ -454,6 +470,78 @@ def test_micro_phase_cache_is_exact(monkeypatch, r, n_t, substeps, builds):
     assert np.array_equal(traj.dissipation, diss)
     assert traj.stats["operator_builds"] == len(live) == builds
     assert peak[0] <= pde.MICRO_OPERATOR_CACHE
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_s_independent_micro_is_one_operator_and_the_homogenized_solve(dim):
+    # one phase key: one build, and the Newton starts of the constant-tensor
+    # homogenized solve, so the two trajectories are equal bit for bit
+    matrix = np.diag([0.6, 0.3][:dim])
+    grid = MacroGrid(dim=dim, n_x=32 if dim == 1 else 10, n_t=16, T=0.25)
+    sine = lambda x: np.prod(np.sin(np.pi * x), axis=1)
+    one = lambda x, t: np.ones(len(x))
+    micro = pde.solve_micro(pde.MicroProblem(field=make_field("constant", matrix=matrix),
+                                             eps=0.125, r=1.0, p=0.5, f=one, u0=sine,
+                                             grid=grid))
+    homog = pde.solve_homogenized(pde.HomogenizedProblem(
+        tensor=_constant_tensor(matrix), p=0.5, f=one, u0=sine, grid=grid))
+    assert micro.stats["operator_builds"] == 1
+    assert np.array_equal(micro.values, homog.values)
+    assert np.array_equal(micro.dissipation, homog.dissipation)
+
+
+def test_phase_keyed_start_takes_one_newton_iteration_per_substep():
+    # dt = eps^r / 8 exactly, so every substep is a stored step and the
+    # march visits the 8 fast phases 512 times
+    grid = MacroGrid(dim=1, n_x=32, n_t=1024, T=0.25)
+    prob = pde.MicroProblem(field=make_field("trig1d_st"), eps=0.125, r=3.0, p=0.5,
+                            f=lambda x, t: np.ones(len(x)),
+                            u0=lambda x: np.sin(np.pi * x[:, 0]), grid=grid)
+    assert prob.auto_substeps() == 1
+    traj = pde.solve_micro(prob)
+    assert traj.stats["newton_mean"] <= 1.3
+    assert traj.stats["predictor_restarts"] == 0
+    x = grid.interior_nodes()
+    tol = pde.NEWTON_TOL * max(float(np.linalg.norm(prob.u0(x))), 1.0)
+    for n in range(1, grid.n_t + 1):
+        t = n * grid.dt
+        op = pde._micro_operator(prob.field, grid, prob.eps, prob.r, t)
+        v_prev, v = traj.values[n - 1], traj.values[n]
+        F = (pde._u_of(v, prob.p) + grid.dt * op.matvec(v)
+             - pde._u_of(v_prev, prob.p) - grid.dt * prob.f(x, t))
+        assert np.linalg.norm(F) <= tol
+    from_v, _, _ = _three_pass_march(grid, prob.p, prob.f, prob.u0, _micro_op_at(prob), 1,
+                                     predict=False)
+    assert np.max(np.abs(traj.values - from_v)) <= 1e-7 * np.max(np.abs(from_v))
+
+
+@pytest.mark.parametrize("failure", [pde.StepRejected, pde.NewtonStalled])
+def test_failed_predicted_start_is_redone_from_v(monkeypatch, failure):
+    matrix, p = np.array([[0.5]]), 0.5
+    prob = pde.HomogenizedProblem(tensor=_constant_tensor(matrix), p=p,
+                                  f=lambda x, t: np.ones(len(x)),
+                                  u0=lambda x: np.sin(np.pi * x[:, 0]),
+                                  grid=MacroGrid(dim=1, n_x=32, n_t=4, T=0.25))
+    newton, starts = pde._newton_step, []
+
+    def predicted_start_fails(op, un, fval, dt, p, v_init, tol_abs, step_id):
+        # step 1 is the first with an increment to extrapolate from
+        starts.append((step_id, v_init.copy()))
+        if step_id == (1, 0) and len(starts) == 2:
+            raise failure("predicted start fails")
+        return newton(op, un, fval, dt, p, v_init, tol_abs, step_id)
+
+    monkeypatch.setattr(pde, "_newton_step", predicted_start_fails)
+    traj = pde.solve_homogenized(prob)
+    assert traj.stats["predictor_restarts"] == 1
+    v1 = traj.values[1]
+    assert [step for step, _ in starts] == [(0, 0), (1, 0), (1, 0), (2, 0), (3, 0)]
+    assert not np.array_equal(starts[1][1], v1) and np.array_equal(starts[2][1], v1)
+    x, dt = prob.grid.interior_nodes(), prob.grid.dt
+    tol = pde.NEWTON_TOL * max(float(np.linalg.norm(prob.u0(x))), 1.0)
+    from_v = newton(pde._constant_operator(matrix, prob.grid), pde._u_of(v1, p),
+                    prob.f(x, 2 * dt), dt, p, v1, tol, (1, 0))[0]
+    assert np.array_equal(traj.values[2], from_v)
 
 
 def _operator_2d(n, a12=0.0, seed=0):
