@@ -91,17 +91,32 @@ class EffectiveTensor:
         if not self.is_table:
             return np.broadcast_to(self.matrices[0],
                                    np.shape(u0vals) + (self.dim, self.dim))
-        x = np.log1p(np.abs(np.asarray(u0vals, dtype=float)))
-        keys = self._log_keys
-        n_out = int(np.sum((x < keys[0] - 1e-15) | (x > keys[-1] + 1e-15)))
+        i, theta, n_out = _key_segment(self._log_keys, u0vals)
         if n_out:
             warnings.warn(f"{n_out} |u0| values clamped to the table hull",
                           TableClampWarning, stacklevel=3)
-        x = np.clip(x, keys[0], keys[-1])
-        i = np.clip(np.searchsorted(keys, x, side="right") - 1, 0, len(keys) - 2)
-        theta = (x - keys[i]) / (keys[i + 1] - keys[i])  # in [0, 1] after the clip of x
         return ((1.0 - theta)[..., None, None] * self.matrices[i]
                 + theta[..., None, None] * self.matrices[i + 1])
+
+
+def _key_segment(log_keys, u0vals):
+    """The |u0| key rule: segment i and weight theta of x = log(1 + |u0|) clamped
+    to the hull of the sorted ``log_keys``, and the number of values clamped."""
+    x = np.log1p(np.abs(np.asarray(u0vals, dtype=float)))
+    n_out = int(np.sum((x < log_keys[0] - 1e-15) | (x > log_keys[-1] + 1e-15)))
+    x = np.clip(x, log_keys[0], log_keys[-1])
+    i = np.clip(np.searchsorted(log_keys, x, side="right") - 1, 0, len(log_keys) - 2)
+    theta = (x - log_keys[i]) / (log_keys[i + 1] - log_keys[i])  # in [0, 1] after the clip of x
+    return i, theta, n_out
+
+
+def nearest_key(log_keys, u0vals):
+    """Index of the key nearest each |u0|: the nearer end of its
+    ``_key_segment``, ties to the lower key (0 for a single key)."""
+    if len(log_keys) == 1:
+        return np.zeros(np.shape(u0vals), dtype=np.intp)
+    i, theta, _ = _key_segment(log_keys, u0vals)
+    return i + (theta > 0.5)
 
 
 def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
@@ -286,8 +301,7 @@ def skew_report(tensor: EffectiveTensor, cells=None, p=None, u0abs=None):
     if tensor.is_table:
         if u0abs is None:
             raise RegimeMismatch("tabulated tensor: pass the u0abs of the cells")
-        i = int(np.argmin(np.abs(tensor.u0abs_keys - u0abs)))
-        M = tensor.matrices[i]
+        M = tensor.matrices[int(nearest_key(tensor._log_keys, u0abs))]
     else:
         M = tensor.matrices[0]
     S = skew_integral(cells, p)

@@ -65,12 +65,13 @@ class PeriodicMatrixField:
         return self.entries(np.mod(y, 1.0), np.mod(s, 1.0))
 
     def sup_ds_inf(self, s, n_y=64, h=1e-6):
-        """sup over sampled y of the max-norm of d/ds a(y, s), by central differences."""
+        """sup over sampled y of the max-norm of d/ds a(y, s), by central
+        differences, at each value of the 1D array s, in one sampling call."""
         if self.s_independent:
-            return 0.0
-        a = sample_grid(self, _cell_centers(self.dim, n_y), [float(s) + h, float(s) - h])
-        da = (a[0] - a[1]) / (2.0 * h)
-        return float(np.max(np.sum(np.abs(da), axis=-1)))
+            return np.zeros(len(s))
+        a = sample_grid(self, _cell_centers(self.dim, n_y), np.concatenate([s + h, s - h]))
+        da = (a[:len(s)] - a[len(s):]) / (2.0 * h)
+        return np.max(np.sum(np.abs(da), axis=-1), axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -161,21 +162,22 @@ class MacroGrid:
         return _mesh(*(x_face if i == d else x_node for i in range(self.dim)))
 
     def _padded(self, v, d):
-        """Node values v on the grid, padded along d with the zero boundary
-        values."""
-        nodes = np.reshape(v, (self.n_x,) * self.dim)
-        zero = np.zeros(nodes.shape[:d] + (1,) + nodes.shape[d + 1:])
-        return np.concatenate([zero, nodes, zero], axis=d)
+        """Node vectors v of shape (..., n_x**dim), as (..., n_x, ...) node
+        arrays padded along axis d with the zero boundary values."""
+        nodes = np.reshape(v, np.shape(v)[:-1] + (self.n_x,) * self.dim)
+        zero = np.zeros_like(nodes.take([0], axis=d - self.dim))
+        return np.concatenate([zero, nodes, zero], axis=d - self.dim)
 
     def face_average(self, v, d):
-        """Mean of the two node values adjacent to each face normal to d."""
-        ve = self._padded(v, d)
-        before = (slice(None),) * d
-        return 0.5 * (ve[before + (slice(None, -1),)] + ve[before + (slice(1, None),)])
+        """Mean of the two node values adjacent to each face normal to d, for
+        node vectors of shape (..., n_x**dim): shape (..., *face_shape(d))."""
+        ve, tail = self._padded(v, d), (slice(None),) * (self.dim - 1 - d)
+        return 0.5 * (ve[(..., slice(None, -1)) + tail] + ve[(..., slice(1, None)) + tail])
 
     def face_difference(self, v, d):
-        """Difference quotient (v_{i+1} - v_i)/h across each face normal to d."""
-        return np.diff(self._padded(v, d), axis=d) / self.h
+        """Difference quotient (v_{i+1} - v_i)/h across each face normal to d,
+        with the shapes of ``face_average``."""
+        return np.diff(self._padded(v, d), axis=d - self.dim) / self.h
 
     def times(self):
         """Step times t^n for n = 0..n_t (t^0 = 0)."""

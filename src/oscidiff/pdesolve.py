@@ -247,9 +247,14 @@ def _operator(grid, faces, a12=0.0):
     return Operator2D(*faces, grid.h, a12=a12)
 
 
-def _micro_operator(field, grid, eps, r, t):
-    """Operator with a sampled at face midpoints at time t."""
-    s = (t / eps**r) % 1.0
+def _fast_phase(t, eps, r):
+    """Fast phase t/eps^r mod 1, rounded to a multiple of 2^-40 so that a phase
+    revisited by substeps that are not dyadic fractions of eps^r is one key."""
+    return round((t / eps**r) % 1.0 * 2**40) / 2**40 % 1.0
+
+
+def _micro_operator(field, grid, eps, s):
+    """Operator with a sampled at face midpoints at fast phase s."""
     faces = []
     for d in range(grid.dim):
         x = grid.face_points(d)
@@ -398,22 +403,22 @@ def _march(grid, p, f, u0, op_at, substeps):
 def solve_micro(prob: MicroProblem) -> SpaceTimeField:
     """Backward-Euler / damped-Newton solve of the oscillating problem.
 
-    The coefficient depends on t only through the fast phase
-    s = t/eps^r mod 1, so operators are cached by s for the solve and s is
-    the phase key of the Newton start; an s-independent field has one
-    operator and one key (None)."""
+    The coefficient depends on t only through the fast phase s
+    (``_fast_phase``), so operators are built at and cached by s for the
+    solve and s is the phase key of the Newton start; an s-independent
+    field has one operator and one key (None)."""
     substeps = prob.auto_substeps()
     cache = {}
     builds = 0
 
     def op_at(t, _v):
         nonlocal builds
-        s = None if prob.field.s_independent else (t / prob.eps**prob.r) % 1.0
+        s = None if prob.field.s_independent else _fast_phase(t, prob.eps, prob.r)
         op = cache.get(s)
         if op is None:
             if len(cache) >= MICRO_OPERATOR_CACHE:
                 cache.clear()
-            op = cache[s] = _micro_operator(prob.field, prob.grid, prob.eps, prob.r, t)
+            op = cache[s] = _micro_operator(prob.field, prob.grid, prob.eps, s or 0.0)
             builds += 1
         return op, s
 
@@ -461,26 +466,34 @@ def _laplacian_solve(grid):
     return lambda w: op.solve_shifted(zeros, 1.0, w)
 
 
-def hminus1_norm(w, grid: MacroGrid) -> float:
-    """Dual norm: solve -Laplace(phi) = w with zero boundary values and
-    return the energy norm of phi, i.e. sqrt(h^N w . phi)."""
-    w = np.asarray(w, dtype=float).ravel()
-    val = grid.h**grid.dim * float(w @ _laplacian_solve(grid)(w))
-    if val < -1e-12:
-        raise SolverDiverged(f"indefinite H^-1 energy {val:.3e}")
-    return math.sqrt(max(val, 0.0))
+def hminus1_norm(w, grid: MacroGrid):
+    """Dual norm per node vector of w (..., n_x**dim), a float for one: solve
+    -Laplace(phi) = w, zero on the boundary, for all w in one multi-RHS call
+    and return the energy norm of phi, sqrt(h^N w . phi)."""
+    rows = np.ascontiguousarray(w, dtype=float).reshape(-1, np.shape(w)[-1])
+    phi = _laplacian_solve(grid)(rows.T).T
+    # one dot per row, as for a single vector; a batched reduction rounds differently
+    val = grid.h**grid.dim * np.array([row @ phi_row for row, phi_row in zip(rows, phi)])
+    if np.any(val < -1e-12):
+        raise SolverDiverged(f"indefinite H^-1 energy {np.min(val):.3e}")
+    norm = np.sqrt(np.maximum(val, 0.0)).reshape(np.shape(w)[:-1])
+    return float(norm) if np.ndim(w) == 1 else norm
 
 
-def lp_norm(w, grid: MacroGrid, q: float) -> float:
-    """Discrete L^q(Omega) norm of interior node values."""
-    w = np.asarray(w, dtype=float).ravel()
-    return float((grid.h**grid.dim * np.sum(np.abs(w) ** q)) ** (1.0 / q))
+def lp_norm(w, grid: MacroGrid, q: float):
+    """Discrete L^q(Omega) norm per node vector of w (..., n_x**dim), a float for one."""
+    # float_power is libm pow, as for a scalar; np.power's SIMD loop rounds differently
+    norm = np.float_power(grid.h**grid.dim * np.sum(np.abs(w) ** q, axis=-1), 1.0 / q)
+    return float(norm) if np.ndim(w) == 1 else norm
 
 
-def grad_sq_integral(v, grid: MacroGrid) -> float:
-    """Discrete integral of |grad v|^2 over Omega (zero boundary)."""
-    return grid.h**grid.dim * sum(float(np.sum(grid.face_difference(v, d)**2))
-                                  for d in range(grid.dim))
+def grad_sq_integral(v, grid: MacroGrid):
+    """Discrete integral of |grad v|^2 over Omega (zero boundary) per node
+    vector of v (..., n_x**dim), a float for one."""
+    out = grid.h**grid.dim * sum(
+        np.sum(grid.face_difference(v, d).reshape(np.shape(v)[:-1] + (-1,)) ** 2, axis=-1)
+        for d in range(grid.dim))
+    return float(out) if np.ndim(v) == 1 else out
 
 
 def energy_functionals(traj: SpaceTimeField, p: float = None):
@@ -500,7 +513,7 @@ def contraction_constant(field: PeriodicMatrixField, eps: float, r: float,
     (Lam/lam) * exp((1/(lam eps^r)) integral of ||d_s a||_inf over (0,T)).
     The integral reduces to T times the s-average of the sup norm."""
     svals = (np.arange(n_s) + 0.5) / n_s
-    mean_ds = float(np.mean([field.sup_ds_inf(s) for s in svals]))
+    mean_ds = float(np.mean(field.sup_ds_inf(svals)))
     return (field.Lam / field.lam) * math.exp(T * mean_ds / (field.lam * eps**r))
 
 

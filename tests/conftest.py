@@ -1,5 +1,6 @@
 """Shared oracles and helpers for the test suite."""
 
+import math
 import os
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oscidiff import cellsolve as cs
+from oscidiff import cellsolve as cs, pdesolve as pde
+from oscidiff.errors import ConfigError, RegimeMismatch
 
 FIXTURE_DIR = os.environ.get(
     "OSCIDIFF_FIXTURES",
@@ -145,6 +147,131 @@ def pairing_reference(cells, ops):
         norms += [hN * float(p @ p) for p in phis]
     m = len(ops)
     return A / m, norms / m, gram / m
+
+
+def study_errors_reference(traj_eps, traj_hom, corrector, tensor, field, p, r, eps):
+    """Step-by-step error functionals, an oracle for ``harness._study_errors``
+    (the per-step loop it replaced): all six for one eps (1D grids);
+    ``corrector`` is the study's ``corrector_gradient``."""
+    grid = traj_eps.grid
+    if grid.dim != 1:
+        raise RegimeMismatch("error functionals are implemented for 1D studies")
+    h, dt = grid.h, grid.dt
+    xf = grid.face_points(0)
+    n_t = grid.n_t
+    sol2 = grad_c2 = flux_c2 = dt2 = grad_p2 = flux_p2 = 0.0
+    u_eps = traj_eps.u_values()
+    u_hom = traj_hom.u_values()
+    hN = h**grid.dim
+    for n in range(1, n_t + 1):
+        t = n * dt
+        v_e, v_0 = traj_eps.values[n], traj_hom.values[n]
+        # solution error, L^{p+1}(Omega) per step
+        du = u_eps[n] - u_hom[n]
+        sol2 += dt * (hN * np.sum(np.abs(du) ** (p + 1.0))) ** (2.0 / (p + 1.0))
+        # face gradients and fast-variable samples
+        g_e = grid.face_difference(v_e, 0)[:, None]
+        g_0 = grid.face_difference(v_0, 0)[:, None]
+        y = np.mod(xf / eps, 1.0)
+        s = np.mod(t / eps**r, 1.0)
+        u0_faces = pde._u_of(grid.face_average(v_0, 0), p)
+        corr = corrector(u0_faces, g_0, y, np.full(len(xf), s))
+        a_eps = field.sample(y, np.full(len(xf), s))[:, 0, 0][:, None]
+        ahom_f = tensor.entries_at(np.abs(u0_faces))[:, 0, 0][:, None]
+        defect = g_e - g_0 - corr
+        grad_c2 += dt * h * float(np.sum(defect**2))
+        grad_p2 += dt * h * float(np.sum((g_e - g_0) ** 2))
+        j_eps = a_eps * g_e
+        j_hom = ahom_f * g_0
+        flux_model = a_eps * (g_0 + corr)
+        flux_c2 += dt * h * float(np.sum((j_eps - flux_model) ** 2))
+        flux_p2 += dt * h * float(np.sum((j_eps - j_hom) ** 2))
+        # time-derivative corrector: H^-1 norm of div of the flux defect
+        w = np.diff((j_eps - flux_model)[:, 0]) / h
+        dt2 += dt * pde.hminus1_norm(w, grid) ** 2
+    return {"sol_err": math.sqrt(sol2), "grad_corr_err": grad_c2,
+            "flux_corr_err": flux_c2, "dtime_corr_err": dt2,
+            "grad_plain_err": grad_p2, "flux_plain_err": flux_p2}
+
+
+def audit_reference(trajs, p: float, data=None, slack: float = 0.10):
+    """Step-by-step uniform-estimate audit, an oracle for
+    ``harness.audit_uniform_estimates`` (the per-step loops it replaced).
+
+    Checks the data-only a priori bounds on every trajectory.
+
+    Both bounds hold at every intermediate time with the integrals taken
+    over (0, t), and are checked in that per-step form.
+    Energy bound: (1/(p+1)) ||u(t)||_{p+1}^{p+1} + (lam/2) int_0^t ||grad v||^2
+    <= (1/(p+1)) ||u0||_{p+1}^{p+1} + (1/(2 lam)) int_0^t ||f||_{H^-1}^2.
+    Gradient bound (p < 2): with q = 3-p and nu = 1/(2q),
+    (1/q) ||u(t)||_q^q + lam p (2-p) int_0^t ||grad u||^2
+    <= nu sup_t ||u||_q^q + C_nu ||f||_{L^1(0,t;L^q)}^q + (1/q) ||u0||_q^q.
+    The lam entering both is the field's lower ellipticity constant,
+    passed via data["lam"].
+    """
+    data = dict(data or {})
+    if "lam" not in data:
+        raise ConfigError("audit needs data['lam'] (lower ellipticity constant)")
+    lam = float(data["lam"])
+    report = {"items": [], "passed": True}
+    for traj in trajs:
+        grid = traj.grid
+        dt, hN = grid.dt, grid.h**grid.dim
+        u = traj.u_values()
+        v = traj.values
+        f = data.get("f")
+        times = grid.times()
+        # data-side quantities
+        u0 = u[0]
+        q = 3.0 - p
+        n_t = grid.n_t
+        if f is None:
+            fH1_cum = fLq_cum = np.zeros(n_t + 1)
+        else:
+            x = grid.interior_nodes()
+            fvals = [np.asarray(f(x, t), dtype=float).ravel() for t in times[1:]]
+            fH1_cum = np.concatenate(
+                [[0.0], np.cumsum([dt * pde.hminus1_norm(fv, grid) ** 2
+                                   for fv in fvals])])
+            fLq_cum = np.concatenate(
+                [[0.0], np.cumsum([dt * pde.lp_norm(fv, grid, q)
+                                   for fv in fvals])])
+        # energy bound, checked at every step: for each n,
+        # E^n + (lam/2) sum_{m<=n} dt |grad v^m|^2
+        #   <= E^0 + (1/(2 lam)) sum_{m<=n} dt ||f^m||_{H^-1}^2
+        E = np.array([hN * np.sum(np.abs(u[n]) ** (p + 1.0)) / (p + 1.0)
+                      for n in range(n_t + 1)])
+        gv2_cum = np.concatenate(
+            [[0.0], np.cumsum([dt * pde.grad_sq_integral(v[n], grid)
+                               for n in range(1, n_t + 1)])])
+        lhs1 = E + 0.5 * lam * gv2_cum
+        rhs1 = E[0] + fH1_cum / (2.0 * lam)
+        n1 = int(np.argmax(lhs1 - (1.0 + slack) * rhs1))
+        ok1 = bool(lhs1[n1] <= (1.0 + slack) * rhs1[n1])
+        report["items"].append({"bound": "energy", "lhs": float(lhs1[n1]),
+                                "rhs": float(rhs1[n1]), "step": n1,
+                                "passed": ok1})
+        # gradient bound for u itself, per step, with the nu sup term kept
+        # on the right as in the Young step that produces it:
+        # (1/q) ||u^n||_q^q + lam p (2-p) sum_{m<=n} dt |grad u^m|^2
+        #   <= nu max_m ||u^m||_q^q + C_nu (sum dt ||f||_q)^q + (1/q)||u0||_q^q
+        nu = 1.0 / (2.0 * q)
+        qp = q / (q - 1.0)  # conjugate of q in the Young step: q' = q/(q-1)
+        C_nu = (1.0 / q) * (nu * qp) ** (-q / qp)
+        uq = np.array([hN * np.sum(np.abs(u[n]) ** q) for n in range(n_t + 1)])
+        gu2_cum = np.concatenate(
+            [[0.0], np.cumsum([dt * pde.grad_sq_integral(u[n], grid)
+                               for n in range(1, n_t + 1)])])
+        lhs2 = uq / q + lam * p * (2.0 - p) * gu2_cum
+        rhs2 = nu * np.max(uq) + C_nu * fLq_cum**q + uq[0] / q
+        n2 = int(np.argmax(lhs2 - (1.0 + slack) * rhs2))
+        ok2 = bool(lhs2[n2] <= (1.0 + slack) * rhs2[n2])
+        report["items"].append({"bound": "gradient", "lhs": float(lhs2[n2]),
+                                "rhs": float(rhs2[n2]), "step": n2,
+                                "passed": ok2})
+        report["passed"] = report["passed"] and ok1 and ok2
+    return report
 
 
 def l2_cell_time(diff, grid, dim):

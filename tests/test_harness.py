@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from oscidiff import cellsolve as cs, harness as hz, pdesolve as pde
+from oscidiff import cellsolve as cs, effmat as em, harness as hz, pdesolve as pde
 from oscidiff.errors import ConfigError
 from oscidiff.fields import CellGrid, MacroGrid, make_field
 
@@ -182,3 +182,62 @@ def test_prepare_effective_builds_operators_once(operator_builds, r, slice_build
     # the solve and the assembly share one operator set
     hz.prepare_effective(make_field("trig2d_st"), 0.5, r, cell_grid=CellGrid(M_y=8, M_s=4))
     assert operator_builds == {"slice": slice_builds, "average": averages}
+
+
+def _study_inputs(p, r, eps_list):
+    """What ``run_convergence_study`` hands ``_study_errors`` for each eps, on
+    a small 1D study whose step is not a power of 2."""
+    field, grid = make_field("trig1d_st"), MacroGrid(dim=1, n_x=32, n_t=8, T=0.3)
+    data = small_data()
+    tensor, cells_by_key = hz.prepare_effective(field, p, r, cell_grid=CellGrid(M_y=16, M_s=8))
+    corrector = hz.corrector_gradient(cells_by_key)
+    micro = [pde.MicroProblem(field=field, eps=eps, r=r, p=p, f=data["f"],
+                              u0=data["u0"], grid=grid) for eps in eps_list]
+    homog = pde.solve_homogenized(pde.HomogenizedProblem(
+        tensor=tensor, p=p, f=data["f"], u0=data["u0"], grid=grid,
+        mode="critical_table" if tensor.is_table else "constant",
+        substeps=micro[-1].auto_substeps()))
+    return [(pde.solve_micro(prob), homog, corrector, tensor, field, p, r, prob.eps)
+            for prob in micro]
+
+
+@pytest.mark.parametrize("p, r", [(0.5, 1.0), (1.5, 1.0), (0.5, 3.0), (1.5, 3.0),
+                                  (0.5, 2.0), (1.5, 2.0)])
+def test_study_errors_equal_the_per_step_loop(p, r):
+    # one array pass over (steps, faces), summed in step order: the same bits
+    from conftest import study_errors_reference
+    for args in _study_inputs(p, r, [1 / 4, 1 / 8]):
+        assert hz._study_errors(*args) == study_errors_reference(*args)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_audit_matches_the_per_step_loop(dim):
+    from conftest import audit_reference
+    field = make_field("trig1d_st" if dim == 1 else "trig2d_st")
+    grid = MacroGrid(dim=dim, n_x=32 if dim == 1 else 10, n_t=8, T=0.25)
+    sine = lambda x: np.prod(np.sin(np.pi * x), axis=1)
+    data = {"lam": field.lam, "f": lambda x, t: np.exp(-t) * np.ones(len(x))}
+    trajs = [pde.solve_micro(pde.MicroProblem(field=field, eps=eps, r=1.0, p=p,
+                                              f=data["f"], u0=sine, grid=grid))
+             for eps, p in ((1 / 4, 0.5), (1 / 8, 1.5))]
+    for p in (0.5, 1.5):
+        for traj in trajs:
+            for f in (data["f"], None):
+                got = hz.audit_uniform_estimates([traj], p, data={**data, "f": f})
+                want = audit_reference([traj], p, data={**data, "f": f})
+                assert got["passed"] == want["passed"]
+                for a, b in zip(got["items"], want["items"], strict=True):
+                    assert (a["bound"], a["step"], a["passed"]) == \
+                        (b["bound"], b["step"], b["passed"])
+                    for key in ("lhs", "rhs"):
+                        assert a[key] == pytest.approx(b[key], rel=1e-14, abs=0.0)
+
+
+def test_nearest_key_is_the_log_argmin_on_the_default_keys():
+    keys = em.default_u0abs_grid()
+    log_keys = np.log1p(keys)
+    u0 = np.random.default_rng(11).uniform(0.0, 30.0, 10_000)
+    argmin = np.argmin(np.abs(np.log1p(u0)[:, None] - log_keys), axis=1)
+    assert np.array_equal(em.nearest_key(log_keys, u0), argmin)
+    assert np.array_equal(em.nearest_key(log_keys, keys), np.arange(len(keys)))
+    assert np.array_equal(em.nearest_key(log_keys[:1], u0), np.zeros(len(u0)))

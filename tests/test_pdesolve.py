@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from oscidiff import cellsolve as cs, effmat as em, pdesolve as pde
 from oscidiff.errors import ConfigError, SolverDiverged
-from oscidiff.fields import CellGrid, MacroGrid, make_field
+from oscidiff.fields import CellGrid, MacroGrid, make_field, sample_grid
 
 IDENTITY_1D = make_field("constant", matrix=np.eye(1))
 
@@ -232,8 +233,8 @@ def _three_pass_march(grid, p, f, u0, op_at, substeps, full_newton=False, predic
 def _micro_op_at(prob):
     """A micro operator built afresh for every step, with its fast phase."""
     def op_at(t, _v):
-        op = pde._micro_operator(prob.field, prob.grid, prob.eps, prob.r, t)
-        return op, (t / prob.eps**prob.r) % 1.0
+        s = pde._fast_phase(t, prob.eps, prob.r)
+        return pde._micro_operator(prob.field, prob.grid, prob.eps, s), s
     return op_at
 
 
@@ -442,6 +443,40 @@ def test_solve_shifted_checks_like_solve_banded():
         op.solve_shifted(extra, 1.0, np.ones(2))
 
 
+def test_phase_key_repeats_for_non_dyadic_substeps():
+    # 160 substeps of phase step 0.12: 25 distinct phases, which the float
+    # t / eps^r mod 1 missed (110 builds, 2.62 Newton iterations per substep)
+    grid = MacroGrid(dim=1, n_x=32, n_t=8, T=0.3)
+    prob = pde.MicroProblem(field=make_field("trig1d_st"), eps=0.125, r=2.0, p=0.5,
+                            f=lambda x, t: np.ones(len(x)),
+                            u0=lambda x: np.sin(np.pi * x[:, 0]), grid=grid)
+    traj = pde.solve_micro(prob)
+    assert traj.stats["operator_builds"] == 25
+    assert traj.stats["newton_mean"] <= 2.3
+    assert pde._fast_phase(0.1, 1.0, 1.0) == round(0.1 * 2**40) / 2**40
+    assert pde._fast_phase(1.0 - 2.0**-45, 1.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("name", ["trig1d_st", "trig2d_st"])
+def test_contraction_constant_samples_once(monkeypatch, name):
+    field = make_field(name)
+    svals = (np.arange(64) + 0.5) / 64
+    # the per-s loop: one sampling call per s
+    y, h = CellGrid(M_y=64, M_s=4).centers(field.dim), 1e-6
+    sups = []
+    for s in svals:
+        a = sample_grid(field, y, [float(s) + h, float(s) - h])
+        sups.append(float(np.max(np.sum(np.abs((a[0] - a[1]) / (2.0 * h)), axis=-1))))
+    mean_ds = float(np.mean(sups))
+    per_s = (field.Lam / field.lam) * math.exp(0.25 * mean_ds / (field.lam * 0.125))
+    calls = []
+    sample = type(field).sample
+    monkeypatch.setattr(type(field), "sample",
+                        lambda self, *a: calls.append(1) or sample(self, *a))
+    assert pde.contraction_constant(field, 0.125, 1.0, 0.25) == per_s
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("r, n_t, substeps, builds", [
     (3.0, 8, None, 8),     # 128 substeps per step, phases k/8
     (2.0, 8, None, 8),     # 16 substeps per step, phases k/8
@@ -505,7 +540,8 @@ def test_phase_keyed_start_takes_one_newton_iteration_per_substep():
     tol = pde.NEWTON_TOL * max(float(np.linalg.norm(prob.u0(x))), 1.0)
     for n in range(1, grid.n_t + 1):
         t = n * grid.dt
-        op = pde._micro_operator(prob.field, grid, prob.eps, prob.r, t)
+        s = pde._fast_phase(t, prob.eps, prob.r)
+        op = pde._micro_operator(prob.field, grid, prob.eps, s)
         v_prev, v = traj.values[n - 1], traj.values[n]
         F = (pde._u_of(v, prob.p) + grid.dt * op.matvec(v)
              - pde._u_of(v_prev, prob.p) - grid.dt * prob.f(x, t))
@@ -603,6 +639,27 @@ def test_face_layer_matches_loops(dim):
             assert difference[idx] == (padded[hi] - padded[lo]) / h
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_face_layer_and_norms_equal_per_vector_calls(dim):
+    # a (steps, nodes) stack gives each row's single-vector result, bit for bit
+    grid = MacroGrid(dim=dim, n_x=9 if dim == 1 else 12, n_t=4, T=0.1)
+    stack = np.random.default_rng(dim).standard_normal((2, 3, grid.n_x**dim))
+    rows = stack.reshape(-1, grid.n_x**dim)
+    for d in range(dim):
+        for layer in (grid.face_average, grid.face_difference):
+            stacked = layer(stack, d)
+            assert stacked.shape == (2, 3) + grid.face_shape(d)
+            assert np.array_equal(stacked.reshape((-1,) + grid.face_shape(d)),
+                                  [layer(row, d) for row in rows])
+    for norm in (pde.grad_sq_integral, pde.hminus1_norm,
+                 lambda w, g: pde.lp_norm(w, g, 1.5), lambda w, g: pde.lp_norm(w, g, 2.5)):
+        per_row = [norm(row, grid) for row in rows]
+        assert all(type(val) is float for val in per_row)
+        stacked = norm(stack, grid)
+        assert stacked.shape == (2, 3)
+        assert np.array_equal(stacked.ravel(), per_row)
+
+
 def _dense(op, N):
     return np.column_stack([op.matvec(e) for e in np.eye(N)])
 
@@ -658,11 +715,11 @@ def test_micro_operator_2d_samples_once_per_face_set(monkeypatch):
     sample = type(field).sample
     monkeypatch.setattr(type(field), "sample",
                         lambda self, *a: calls.append(1) or sample(self, *a))
-    op = pde._micro_operator(field, grid, 0.125, 2.0, 0.01)
+    op = pde._micro_operator(field, grid, 0.125, 0.64)
     assert len(calls) == 2 and op.K.shape == (64, 64)
     full = make_field("constant", matrix=np.array([[1.0, 0.2], [0.2, 1.0]]))
     with pytest.raises(ConfigError, match="diagonal"):
-        pde._micro_operator(full, grid, 0.125, 2.0, 0.01)
+        pde._micro_operator(full, grid, 0.125, 0.64)
 
 
 def test_dyadic_validation():
