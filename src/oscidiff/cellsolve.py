@@ -19,12 +19,13 @@ couplings use centered differences, which keeps the discrete operator
 symmetric. ``CellOperator`` builds K and the drives b_k straight from
 that face stencil with precomputed periodic neighbour indices. The
 elliptic solves use conjugate gradients with an explicit zero-mean
-projection every iteration; the critical problem marches an
-implicit-Euler period map to its fixed point. Each step matrix
-(c/h_s) I + K is symmetric positive definite and is factored by banded
-Cholesky with the cells numbered in folded order (``_folded_order``),
-in which periodic neighbours sit within two places of each other on
-every axis.
+projection every iteration. The critical problem is discretized by
+implicit Euler in s, and its periodic start row, the fixed point of the
+period map (one sweep of the M_s steps), is found by GMRES on that map.
+Each step matrix (c/h_s) I + K is symmetric positive definite and is
+factored by banded Cholesky with the cells numbered in folded order
+(``_folded_order``), in which periodic neighbours sit within two places
+of each other on every axis.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .banded import Band, BandCholesky
 from .errors import ConfigError, EllipticityViolation, PeriodicityNotReached, SolverDiverged
@@ -43,7 +45,6 @@ from .fields import (CellGrid, PeriodicInterpolant, PeriodicMatrixField, read_ar
 
 SOLVER_TOL = 1e-10
 PERIODIC_TOL = 1e-10
-MAX_SWEEPS = 500
 
 REGIMES = ("classical", "subcritical", "critical_fde", "critical_pme", "supercritical")
 
@@ -96,10 +97,10 @@ class CellSolution:
     regime, shape (len(ops), M_y**dim): one row for the s-independent
     problems, M_s rows covering one s-period otherwise. Row j sits at
     s = j h_s (``s_nodes``), solves on ops[j], and the rows are periodic
-    in s. For the marched critical problem ``periodic_defect`` is
-    c |Phi(1) - Phi(0)| of the final sweep (discrete L2 norm over the
-    cell), which equals the norm of the period-averaged residual
-    h_s sum_j (b_k - K_j phi[j]).
+    in s. For the critical problem with c > 0 ``periodic_defect`` is
+    c |Phi(1) - Phi(0)| of the final sweep from the GMRES start row
+    (discrete L2 norm over the cell), which equals the norm of the
+    period-averaged residual h_s sum_j (b_k - K_j phi[j]).
     """
 
     regime: str
@@ -345,41 +346,46 @@ def _solve_elliptic(ops, field, grid, regime, ks, param):
     return out
 
 
-def _march_periodic(factors, rhs, capacity, h_s, n_cells):
-    """Implicit-Euler period map iterated to its fixed point: at most
-    MAX_SWEEPS sweeps, until the periodic defect is at most PERIODIC_TOL.
+def _solve_periodic(factors, rhs, capacity, h_s, n_cells, k):
+    """Periodic implicit-Euler rows (M_s, n) and periodic defect, by GMRES on the period map.
 
-    factors[j], rhs[j] (j = 0..M_s-1) belong to row j, whose step reads
-    (capacity/h_s) (phi^j - phi^{j-1}) + K^j phi^j = b^j with j - 1 taken
-    mod M_s; factors[j] is the banded Cholesky factor of
-    (capacity/h_s) I + K^j in folded order (``_step_factors``), and rhs
-    and the rows are in the same order, which the zero-mean projection and
-    the defect ignore. A sweep runs from a start row 0 to rows 1..M_s-1
-    and back to row 0; its defect capacity |end - start| is the norm of
-    the period-averaged residual h_s sum_j (b^j - K^j phi^j). Row 0 is
-    the end of the final sweep. Returns (rows of shape (M_s, n), periodic
-    defect)."""
-    M_s = len(factors)
-    hN_sqrt = np.sqrt(1.0 / n_cells)
-    phi = np.empty((M_s, n_cells))
-    start = np.zeros(n_cells)
-    defect = np.inf
-    for _ in range(MAX_SWEEPS):
-        cur = start
+    Row j steps (capacity/h_s)(phi^j - phi^{j-1}) + K^j phi^j = rhs[j],
+    j - 1 mod M_s, on factors[j] of (capacity/h_s) I + K^j, all in folded
+    order (``_step_factors``), which the zero-mean projection and the
+    defect ignore. A sweep runs from a start row 0 through rows 1..M_s-1
+    back to row 0. The periodic start x solves (I - P) x = g, P the sweep
+    without drive and g the sweep from 0. GMRES (Saad & Schultz 1986)
+    starts at x = g and takes at most n iterations, until its true residual,
+    Phi(1) - Phi(0) of a sweep from x, has the periodic defect capacity
+    |Phi(1) - Phi(0)| <= PERIODIC_TOL: the norm of the period-averaged
+    residual h_s sum_j (rhs[j] - K^j phi^j)."""
+    M_s, shift, hN_sqrt = len(factors), capacity / h_s, np.sqrt(1.0 / n_cells)
+    phi, swept = np.empty((M_s, n_cells)), np.full(n_cells, np.nan)
+
+    def sweep(start, drive=None):
+        swept[:] = start
         for j in (*range(1, M_s), 0):
-            cur = factors[j].solve((capacity / h_s) * cur + rhs[j])
-            phi[j] = cur
-        defect = capacity * float(np.linalg.norm(phi[0] - start) * hN_sqrt)
-        if defect <= PERIODIC_TOL:
-            for row in phi:
-                _project_mean(row)
-            return phi, defect
-        start = _project_mean(phi[0].copy())
-    raise PeriodicityNotReached(
-        f"period map not converged after {MAX_SWEEPS} sweeps (periodic defect "
-        f"c |Phi(1) - Phi(0)| = {defect:.3e}, the period-averaged residual)",
-        defect=defect,
-    )
+            step = shift * start if drive is None else shift * start + drive[j]
+            start = phi[j] = factors[j].solve(step)
+        return start
+
+    g = sweep(np.zeros(n_cells), rhs)
+    g_rows = phi.copy()
+    period_map = spla.LinearOperator((n_cells, n_cells), lambda x: x - sweep(x), dtype=float)
+    start, info = spla.gmres(period_map, g, x0=g, rtol=0.0, restart=n_cells, maxiter=1,
+                             atol=PERIODIC_TOL / (capacity * hN_sqrt))
+    if not np.array_equal(swept, start):  # GMRES checks its last iterate by a sweep
+        sweep(start)
+    phi += g_rows  # the sweep is linear: rows from start with drive = P rows + g rows
+    defect = capacity * float(np.linalg.norm(phi[0] - start) * hN_sqrt)
+    if info != 0:
+        raise PeriodicityNotReached(
+            f"direction k={k}, capacity c={capacity:.6g}: GMRES on the period map did not "
+            f"converge in {n_cells} iterations (periodic defect c |Phi(1) - Phi(0)| = "
+            f"{defect:.3e}, the period-averaged residual)", defect=defect)
+    for row in phi:
+        _project_mean(row)
+    return phi, defect
 
 
 def _step_factors(ops, shift):
@@ -399,9 +405,9 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
     """Cell solutions of a regime for every direction in ks, on ``ops``
     (from ``cell_operators``, built here when not given).
 
-    Both critical branches march Phi at the capacity of ``param``: they
-    factor their M_s step matrices once, and every direction marches on
-    the same factors."""
+    Both critical branches solve for Phi at the capacity of ``param``:
+    they factor their M_s step matrices once, and every direction solves
+    its period problem on the same factors."""
     for k in ks:
         if not 1 <= k <= field.dim:
             raise ConfigError(f"direction k={k} out of range for dim={field.dim}")
@@ -417,17 +423,14 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
                                  residual=0.0, param=param) for k in ks]
     if ops is None:
         ops = cell_operators(field, grid, regime)
-    if not critical:
-        return _solve_elliptic(ops, field, grid, regime, ks, None)
-    capacity = param.capacity
-    if capacity == 0.0:  # FDE at u0 = 0: the slice-elliptic problem
-        return _solve_elliptic(ops, field, grid, regime, ks, param)
-    factors = _step_factors(ops, capacity / grid.h_s)
+    if not critical or param.capacity == 0.0:  # c = 0, FDE at u0 = 0: slice-elliptic
+        return _solve_elliptic(ops, field, grid, regime, ks, param if critical else None)
+    factors = _step_factors(ops, param.capacity / grid.h_s)
     order, pos = _folded_order(field.dim, grid.M_y)
     out = []
     for k in ks:
-        phi, defect = _march_periodic(factors, [op.b[k - 1][order] for op in ops],
-                                      capacity, grid.h_s, grid.M_y**field.dim)
+        phi, defect = _solve_periodic(factors, [op.b[k - 1][order] for op in ops],
+                                      param.capacity, grid.h_s, grid.M_y**field.dim, k)
         out.append(CellSolution(regime=regime, dim=field.dim, grid=grid, k=k,
                                 phi=phi[:, pos], residual=0.0, periodic_defect=defect,
                                 param=param))
@@ -494,30 +497,26 @@ def save_cell(path, sol: CellSolution):
 
 def load_cell(path) -> CellSolution:
     """Read a cell file; its ``nslices`` must fit the regime: 1 for
-    ``classical`` and ``supercritical``, M_s otherwise. A legacy ``psi=1``
-    file stores the porous-medium unknown c phi after the phi rows; those
-    rows are checked for shape and dropped. A legacy marched (critical)
-    file holds M_s + 1 rows at s = j h_s, j = 0..M_s: its start row is
-    dropped and its end row, at s = 1, put first."""
-    meta, raw = read_artifact(path, CELL_MAGIC, ("regime", "N", "k", "My", "Ms", "nslices",
+    ``classical`` and ``supercritical``, M_s otherwise, and its ``psi``
+    must be 0 (the phi rows only)."""
+    meta, phi = read_artifact(path, CELL_MAGIC, ("regime", "N", "k", "My", "Ms", "nslices",
                                                 "p", "u0abs", "residual", "defect", "psi"))
     dim, k = int(meta["N"]), int(meta["k"])
     grid = CellGrid(int(meta["My"]), int(meta["Ms"]), face_avg=meta.get("faceavg", "geometric"))
     n_slices, regime = int(meta["nslices"]), meta["regime"]
-    allowed = {"classical": (1,), "supercritical": (1,), "subcritical": (grid.M_s,)}.get(
-        regime, (grid.M_s, grid.M_s + 1) if regime in REGIMES else ())
+    allowed = {"classical": (1,), "supercritical": (1,)}.get(
+        regime, (grid.M_s,) if regime in REGIMES else ())
     if n_slices not in allowed:
         raise ConfigError(f"{path}: a {regime!r} cell file cannot hold nslices={n_slices} "
                           f"(allowed: {allowed or 'none, unknown regime'})")
+    if meta["psi"] != "0":
+        raise ConfigError(f"{path}: header key 'psi' must be 0 (phi rows only), "
+                          f"got psi={meta['psi']}")
     n = grid.M_y**dim
-    want = n_slices * (2 if int(meta["psi"]) else 1)
-    if raw.shape != (want, n):
-        raise ConfigError(f"{path}: expected {want} rows x {n} cols, got {raw.shape}")
+    if phi.shape != (n_slices, n):
+        raise ConfigError(f"{path}: expected {n_slices} rows x {n} cols, got {phi.shape}")
     p, u0 = float(meta["p"]), float(meta["u0abs"])
     param = None if np.isnan(p) else CellParameter(p=p, u0abs=u0)
-    phi = raw[:n_slices]
-    if n_slices == grid.M_s + 1:
-        phi = np.concatenate([phi[-1:], phi[1:-1]])
     return CellSolution(
         regime=regime, dim=dim, grid=grid, k=k, phi=phi,
         residual=float(meta["residual"]), periodic_defect=float(meta["defect"]),

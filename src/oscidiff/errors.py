@@ -34,7 +34,7 @@ class SolverDiverged(OscidiffError):
 
 
 class PeriodicityNotReached(OscidiffError):
-    """Period-map fixed point did not converge within the sweep budget."""
+    """GMRES on the critical period map missed its tolerance; ``defect`` is the true one."""
 
     def __init__(self, message, defect=None):
         super().__init__(message)

@@ -10,7 +10,8 @@ import scipy.sparse.linalg as spla
 
 from conftest import l2_cell_time, monolithic_critical_solve, sparse_product_operator
 from oscidiff import cellsolve as cs, effmat as em
-from oscidiff.errors import ConfigError, EllipticityViolation, SolverDiverged
+from oscidiff.errors import (ConfigError, EllipticityViolation, PeriodicityNotReached,
+                             SolverDiverged)
 from oscidiff.fields import CellGrid, make_field
 
 STEP_FIELDS = [("trig1d_st", {}), ("trig2d_st", {}),
@@ -379,13 +380,16 @@ def test_load_cell_rejects_unknown_slice_layout(tmp_path):
 
 @pytest.mark.parametrize("regime,rows", [("classical", 4), ("supercritical", 4),
                                          ("subcritical", 1), ("subcritical", 5),
-                                         ("critical_fde", 1), ("classic", 1)])
+                                         ("critical_fde", 1), ("critical_pme", 5),
+                                         ("classic", 1)])
 def test_load_cell_checks_slice_count_against_regime(tmp_path, regime, rows):
     # a classical solution tiled over the M_s slices loaded before the
-    # regime was checked, and failed only in the tensor assembly
+    # regime was checked, and failed only in the tensor assembly; a
+    # critical file with M_s + 1 rows is the older start-and-end layout
     grid = CellGrid(M_y=8, M_s=4)
     sol = cs.solve_classical_cell(make_field("trig1d"), grid, k=1)
-    param = cs.CellParameter(p=0.5, u0abs=1.0) if regime.startswith("critical") else None
+    param = cs.CellParameter(p=1.5 if regime == "critical_pme" else 0.5, u0abs=1.0) \
+        if regime.startswith("critical") else None
     tiled = cs.CellSolution(regime=regime, dim=1, grid=grid, k=1,
                             phi=np.tile(sol.phi, (rows, 1)), residual=0.0, param=param)
     path = tmp_path / "cell.txt"
@@ -396,6 +400,18 @@ def test_load_cell_checks_slice_count_against_regime(tmp_path, regime, rows):
     if regime != "classic":
         cs.save_cell(path, dataclasses.replace(tiled, phi=np.tile(sol.phi, (ok, 1))))
         assert len(cs.load_cell(path).phi) == ok
+
+
+def test_load_cell_rejects_psi_rows(tmp_path):
+    # the older psi=1 layout stored the porous-medium rows c phi after phi
+    sol = cs.solve_cells(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4), "critical_pme",
+                         param=cs.CellParameter(p=1.5, u0abs=1.0))[0]
+    path = tmp_path / "cell.txt"
+    cs.save_cell(path, sol)
+    header, body = path.read_text().split("\n", 1)
+    path.write_text(header.replace(" psi=0 ", " psi=1 ") + "\n" + body + body)
+    with pytest.raises(ConfigError, match=r"cell\.txt: header key 'psi' must be 0"):
+        cs.load_cell(path)
 
 
 @pytest.mark.parametrize("regime,param,prefix", [
@@ -419,18 +435,19 @@ CRITERION_3_GRIDS = [("trig1d_st", CellGrid(M_y=16, M_s=16)),
                      ("trig2d_st", CellGrid(M_y=12, M_s=16))]
 
 
-@pytest.mark.parametrize("u0abs", [1e-3, 1.0, 10.0])
-@pytest.mark.parametrize("p", [0.05, 0.5, 1.5])
+@pytest.mark.parametrize("u0abs", [1e-5, 1e-3, 1.0, 10.0])
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.5, 1.9])
 @pytest.mark.parametrize("name,grid", CRITERION_3_GRIDS)
 def test_criterion_3_grid_matches_monolithic_oracle(name, grid, p, u0abs):
-    # criterion 3 over the ends of the capacity range, every direction
+    # criterion 3 over the ends of the capacity range (c from 3.6e-4 to
+    # 1.7e4), every direction, absolute and relative
     field = make_field(name)
     cells = cs.solve_cells(field, grid, cs.regime_for(2.0, p),
                            param=cs.CellParameter(p=p, u0abs=u0abs))
     for sol in cells:
         oracle = monolithic_critical_solve(field, grid, p, u0abs, k=sol.k)
         dev = l2_cell_time(sol.phi - oracle, grid, field.dim)
-        assert dev <= 1e-8 * l2_cell_time(oracle, grid, field.dim)
+        assert dev <= 1e-8 * min(1.0, l2_cell_time(oracle, grid, field.dim))
 
 
 @pytest.mark.parametrize("p", [0.5, 1.5])
@@ -452,6 +469,50 @@ def test_critical_rows_solve_their_step_equation(name, grid, p):
         residual = np.array([shift * (phi - before) + op.K @ phi - op.b[sol.k - 1]
                              for phi, before, op in zip(sol.phi, prev, ops)])
         assert l2_cell_time(residual, grid, field.dim) <= grid.M_s * cs.PERIODIC_TOL
+
+
+@pytest.mark.parametrize("p", [1.9, 1.99])
+@pytest.mark.parametrize("name,grid", [("trig1d_st", CellGrid(M_y=64, M_s=64)),
+                                       ("trig2d_st", CellGrid(M_y=24, M_s=32))])
+def test_critical_cell_solves_at_large_capacity(name, grid, p):
+    # |u0| = 1e-5 gives c = 1.7e4 (p = 1.9) and 4.5e4 (p = 1.99), where one
+    # period-map sweep contracts by about exp(-lambda_min / c)
+    field = make_field(name)
+    param = cs.CellParameter(p=p, u0abs=1e-5)
+    cells = cs.solve_cells(field, grid, "critical_pme", param=param)
+    assert len(cells) == field.dim
+    for sol in cells:
+        assert 0.0 < sol.periodic_defect <= cs.PERIODIC_TOL
+        assert sol.mean_defect() <= 1e-12 * np.max(np.abs(sol.phi))
+
+
+def test_period_solve_budget_error_carries_true_defect(monkeypatch):
+    # GMRES stops at its budget with its start, g = the sweep from 0: the
+    # error carries c |Phi(1) - Phi(0)| of a sweep from g, computed here
+    # with sparse solves of the step equation
+    def exhausted(A, b, x0, **kwargs):
+        return x0.copy(), kwargs["maxiter"]
+
+    monkeypatch.setattr(cs.spla, "gmres", exhausted)
+    field, grid = make_field("trig1d_st"), CellGrid(M_y=8, M_s=4)
+    param = cs.CellParameter(p=1.5, u0abs=0.01)
+    with pytest.raises(PeriodicityNotReached) as info:
+        cs.solve_cells(field, grid, "critical_pme", param=param)
+    ops, c = cs.cell_operators(field, grid, "critical_pme"), param.capacity
+    shift = c / grid.h_s
+
+    def sweep(start):
+        for j in (*range(1, grid.M_s), 0):
+            start = spla.spsolve((shift * sp.identity(grid.M_y) + ops[j].K).tocsc(),
+                                 shift * start + ops[j].b[0])
+        return start
+
+    g = sweep(np.zeros(grid.M_y))
+    defect = c * np.linalg.norm(sweep(g) - g) * np.sqrt(1.0 / grid.M_y)
+    assert info.value.defect == pytest.approx(defect, rel=1e-8)
+    assert info.value.defect > cs.PERIODIC_TOL
+    assert f"k=1, capacity c={c:.6g}" in str(info.value)
+    assert f"{info.value.defect:.3e}" in str(info.value)
 
 
 def u0_at_capacity(p, capacity):

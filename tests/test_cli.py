@@ -35,6 +35,16 @@ def test_cell_identity_field_zero_corrector(tmp_path, capsys):
     assert float(row[1]) <= 1e-10  # max |Phi|
 
 
+def test_cell_solves_at_large_critical_capacity(tmp_path):
+    # p = 1.9, |u0| = 1e-5: capacity 1.7e4, where the period map contracts
+    # by about exp(-lambda_min / c) per sweep
+    cfg = write_config(tmp_path, p=1.9, r=2, u0abs=1e-5)
+    assert run("cell", cfg, tmp_path / "out", "--json") == cli.EXIT_OK
+    with open(tmp_path / "out" / "cell_summary.json") as fh:
+        (cell,) = json.load(fh)["cells"]
+    assert 0.0 < cell["periodic_defect"] <= cs.PERIODIC_TOL
+
+
 def test_nondyadic_eps_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, eps=[1 / 3])
     assert run("converge", cfg, tmp_path / "out") == 1

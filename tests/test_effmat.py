@@ -203,7 +203,7 @@ def test_table_error_keeps_context(monkeypatch):
     def stalled(*args, **kwargs):
         raise PeriodicityNotReached("period map stalled", defect=0.5)
 
-    monkeypatch.setattr(cs, "_march_periodic", stalled)
+    monkeypatch.setattr(cs, "_solve_periodic", stalled)
     with pytest.raises(PeriodicityNotReached) as info:
         em.tabulate_ahom_critical(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4),
                                   p=0.5, u0abs_grid=SHARED_TABLE_KEYS)
