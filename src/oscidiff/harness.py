@@ -45,6 +45,8 @@ DEFAULTS = {
         2: {"M_y": 48, "M_s": 64, "n_x": 48, "n_t": 32, "T": 0.25},
     },
 }
+# sources that do not vary with t, which a march samples once per solve
+DEFAULTS["f"]["one"].t_independent = DEFAULTS["f"]["zero"].t_independent = True
 
 
 def default_data(dim: int = 1):

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from .banded import Band, BandCholesky
 from .effmat import EffectiveTensor, TableClampWarning
 from .errors import ConfigError, NewtonStalled, SolverDiverged, StepRejected
-from .fields import MacroGrid, PeriodicMatrixField, read_artifact, write_artifact
+from .fields import MacroGrid, PeriodicMatrixField, finite_number, read_artifact, write_artifact
 
 NEWTON_TOL = 1e-9
 DELTA_REG = 1e-10
@@ -64,6 +64,13 @@ def is_dyadic(eps):
         return False
     m = math.log2(1.0 / eps)
     return abs(m - round(m)) < 1e-12
+
+
+def _positive_substeps(n):
+    """n if it is a positive integer by the ``finite_number`` rule, else ConfigError."""
+    if (k := finite_number("substeps", n, int)) < 1:
+        raise ConfigError(f"substeps={n!r}: expected a positive integer")
+    return k
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,8 @@ class MicroProblem:
             raise ConfigError(f"p must lie in (0,2), got {self.p}")
         if self.field.dim != self.grid.dim:
             raise ConfigError("field and grid dimensions differ")
+        if self.substeps is not None:
+            object.__setattr__(self, "substeps", _positive_substeps(self.substeps))
 
     def auto_substeps(self):
         """Substeps per output step so the marching step resolves the fast
@@ -135,6 +144,7 @@ class HomogenizedProblem:
                               f"{'constant' if self.tensor.is_table else 'tabulated'} tensor")
         if self.tensor.dim != self.grid.dim:
             raise ConfigError("tensor and grid dimensions differ")
+        object.__setattr__(self, "substeps", _positive_substeps(self.substeps))
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +189,18 @@ class Operator1D:
         """dt * L v from the scaled bands that shifted solves share."""
         return _tridiag_matvec(*self._scaled_bands(dt), v)
 
-    def solve_shifted(self, extra_diag, dt, rhs):
+    def solve_shifted(self, extra_diag, dt, rhs, overwrite_rhs=False):
         """Solve (diag(extra_diag) + dt * L) x = rhs with LAPACK gtsv.
 
         Raises ValueError for non-finite input and LinAlgError when the
-        shifted matrix is singular."""
+        shifted matrix is singular. ``overwrite_rhs`` hands over a rhs shown
+        finite (by a finite norm): gtsv solves in it without a check."""
         dt_diag, dt_off = self._scaled_bands(dt)
         d = extra_diag + dt_diag
         b = np.asarray(rhs, dtype=float)
-        if not (np.isfinite(d).all() and np.isfinite(b).all()):
+        if not (np.isfinite(d).all() and (overwrite_rhs or np.isfinite(b).all())):
             raise ValueError("array must not contain infs or NaNs")
-        _, _, _, x, info = _gtsv(dt_off, d, dt_off, b, overwrite_d=1)
+        _, _, _, x, info = _gtsv(dt_off, d, dt_off, b, overwrite_d=1, overwrite_b=overwrite_rhs)
         if info > 0:
             raise sla.LinAlgError("singular matrix")
         if info < 0:
@@ -289,57 +300,56 @@ def _u_of(v, p):
     return np.copysign(np.abs(v) ** (1.0 / p), v)
 
 
-def _uprime_of(v, p):
-    av = np.maximum(np.abs(v), DELTA_REG)
-    return (1.0 / p) * av ** (1.0 / p - 1.0)
-
-
 def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
     """Solve u(w) + dt L w = un + dt f for w by damped Newton.
 
-    A trial residual F = u(w) + dt L w - target is one pass: u(w), dt L w
-    from the operator's scaled bands, F in place and its norm as one dot.
-    On an ``Operator2D``, which keeps its factor, Newton takes chord steps
-    (in 1D a gtsv solve costs what a factor does): the Jacobian
-    diag(u'(w)) + dt L factored at an earlier iterate is reused while the
-    full step passes the Armijo test and the step before shrank the
-    residual by ``CHORD_RATE``; a chord step that fails the test is
-    dropped and the Jacobian refactored at the current iterate.
-    Returns w with its u(w) and dt L w, the iterations, the halvings and
-    the factorizations."""
+    A trial residual F = u(w) + dt L w - target is one pass: |w| and u(w),
+    dt L w from the operator's scaled bands, F in place and its norm as one
+    dot. The Jacobian J = diag(u'(w)) + dt L takes u' = (1/p)|w|^(1/p-1),
+    regularized at w = 0, from that |w|; the step is w - J^-1 F. A finite
+    norm shows F finite, so the 1D solve (gtsv) works in F unchecked; a
+    non-finite F is checked (ValueError). On an ``Operator2D``, which keeps
+    its factor, Newton takes chord steps (in 1D a gtsv solve costs what a
+    factor does): J factored at an earlier iterate is reused while the full
+    step passes the Armijo test and the step before shrank the residual by
+    ``CHORD_RATE``; a chord step that fails the test is dropped and J
+    refactored at the current iterate. Returns w with its u(w) and dt L w,
+    the iterations, the halvings and the factorizations."""
     target = un + dt * fval
+    kept = isinstance(op, Operator2D)
 
     def residual(w):
-        u = _u_of(w, p)
+        aw = np.abs(w)
+        u = np.copysign(aw ** (1.0 / p), w)
         dtLw = op.dt_matvec(dt, w)
         F = u + dtLw
         F -= target
-        return u, dtLw, F, math.sqrt(F @ F)
+        return w, aw, u, dtLw, F, math.sqrt(F.dot(F))
 
-    w = v_init.copy()
-    u, dtLw, F, res = residual(w)
+    it = residual(v_init)
     backtracks, factorizations, chord = 0, 0, False
     for iters in range(MAX_NEWTON):
+        w, aw, u, dtLw, F, res = it
         if res <= tol_abs:
-            if isinstance(op, Operator2D):  # a cached operator keeps no factor
+            if kept:  # a cached operator keeps no factor
                 op.factor = None
             return w, u, dtLw, iters, backtracks, factorizations
         if chord:
-            w_try = w + op.solve_shifted(None, dt, -F)
-            u_try, dtLw_try, F_try, res_try = residual(w_try)
-            if res_try <= (1.0 - 1e-4) * res:
-                chord = res_try <= CHORD_RATE * res
-                w, u, dtLw, F, res = w_try, u_try, dtLw_try, F_try, res_try
+            trial = residual(w - op.solve_shifted(None, dt, F))
+            if trial[-1] <= (1.0 - 1e-4) * res:
+                chord = trial[-1] <= CHORD_RATE * res
+                it = trial
                 continue
-        d = op.solve_shifted(_uprime_of(w, p), dt, -F)
+        uprime = (1.0 / p) * np.maximum(aw, DELTA_REG) ** (1.0 / p - 1.0)
+        d = (op.solve_shifted(uprime, dt, F) if kept else
+             op.solve_shifted(uprime, dt, F, overwrite_rhs=math.isfinite(res)))
         factorizations += 1
-        chord = isinstance(op, Operator2D)
+        chord = kept
         alpha = 1.0
         for _ in range(MAX_BACKTRACK):
-            w_try = w + alpha * d
-            u_try, dtLw_try, F_try, res_try = residual(w_try)
-            if res_try <= (1.0 - 1e-4 * alpha) * res:
-                w, u, dtLw, F, res = w_try, u_try, dtLw_try, F_try, res_try
+            trial = residual(w - d if alpha == 1.0 else w - alpha * d)
+            if trial[-1] <= (1.0 - 1e-4 * alpha) * res:
+                it = trial
                 break
             alpha *= 0.5
             backtracks += 1
@@ -347,8 +357,8 @@ def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
             raise StepRejected(
                 f"step {step_id}: line search failed {MAX_BACKTRACK} times "
                 f"(residual {res:.3e})")
-    raise NewtonStalled(f"step {step_id}: residual {res:.3e} > tol {tol_abs:.3e}",
-                        step=step_id, residual=float(res))
+    raise NewtonStalled(f"step {step_id}: residual {it[-1]:.3e} > tol {tol_abs:.3e}",
+                        step=step_id, residual=float(it[-1]))
 
 
 def _march(grid, p, f, u0, op_at, substeps):
@@ -356,15 +366,18 @@ def _march(grid, p, f, u0, op_at, substeps):
     for the step targeting time t, given v of the previous step (from which
     the table mode lags its coefficient), and its phase key, which picks
     the Newton start (module docstring); the iterations of a discarded
-    predicted start are not counted. The dissipation increment
-    h^N v . (dt L v) reuses the accepted residual's dt L v."""
+    predicted start are not counted. A source f marked ``t_independent``
+    is sampled once per solve. The dissipation increment h^N v . (dt L v)
+    reuses the accepted residual's dt L v."""
     x = grid.interior_nodes()
     un = np.asarray(u0(x), dtype=float).ravel()
     v = np.copysign(np.abs(un) ** p, un)
     values = np.empty((grid.n_t + 1, len(v)))
     values[0] = v
     dissipation = np.zeros(grid.n_t + 1)
-    dt_sub = grid.dt / substeps
+    dt_sub, hN = grid.dt / substeps, grid.h**grid.dim
+    sample = lambda t: np.asarray(f(x, t), dtype=float).ravel()
+    f_fixed = sample(dt_sub) if getattr(f, "t_independent", False) else None
     tol_abs = NEWTON_TOL * max(float(np.linalg.norm(un)), 1.0)
     newton_counts, backtracks, factorizations, restarts = [], 0, 0, 0
     increments = {}  # phase -> last accepted v_new - v_old at that phase
@@ -373,7 +386,7 @@ def _march(grid, p, f, u0, op_at, substeps):
         for m in range(substeps):
             t_next = (n * substeps + m + 1) * dt_sub
             op, phase = op_at(t_next, v)
-            fval = np.asarray(f(x, t_next), dtype=float).ravel()
+            fval = sample(t_next) if f_fixed is None else f_fixed
             delta = increments.get(phase)
             try:
                 out = _newton_step(op, un, fval, dt_sub, p,
@@ -391,7 +404,7 @@ def _march(grid, p, f, u0, op_at, substeps):
             newton_counts.append(iters)
             backtracks += halvings
             factorizations += factors
-            diss += grid.h**grid.dim * float(v @ dtLv)
+            diss += hN * float(v.dot(dtLv))
         values[n + 1] = v
         dissipation[n + 1] = diss
     return values, dissipation, {

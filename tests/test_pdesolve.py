@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -9,11 +11,16 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscidiff import cellsolve as cs, effmat as em, pdesolve as pde
+from oscidiff import cellsolve as cs, effmat as em, harness as hz, pdesolve as pde
 from oscidiff.errors import ConfigError, SolverDiverged
 from oscidiff.fields import CellGrid, MacroGrid, make_field, sample_grid
 
 IDENTITY_1D = make_field("constant", matrix=np.eye(1))
+
+
+def _uprime(v, p):
+    """u'(v) = (1/p)|v|^(1/p - 1), regularized at v = 0, as the reference steppers take it."""
+    return (1.0 / p) * np.maximum(np.abs(v), pde.DELTA_REG) ** (1.0 / p - 1.0)
 
 
 def heat_error(n_x, n_t, T=0.1):
@@ -146,7 +153,7 @@ def test_newton_quadratic_tail():
         res_hist.append(np.linalg.norm(F))
         if res_hist[-1] < 1e-13:
             break
-        w = w + op.solve_shifted(pde._uprime_of(w, p), dt, -F)
+        w = w + op.solve_shifted(_uprime(w, p), dt, -F)
     tail = [r for r in res_hist if r > 1e-13][-2:]
     assert tail[1] / tail[0] <= 0.3
 
@@ -212,7 +219,7 @@ def _three_pass_march(grid, p, f, u0, op_at, substeps, full_newton=False, predic
                     v = w
                     F = residual(v)
                     continue
-            d = op.solve_shifted(pde._uprime_of(v, p), dt, -F)
+            d = op.solve_shifted(_uprime(v, p), dt, -F)
             chord = isinstance(op, pde.Operator2D) and not full_newton
             alpha = 1.0
             while np.linalg.norm(residual(v + alpha * d)) > (1.0 - 1e-4 * alpha) * np.linalg.norm(F):
@@ -248,6 +255,15 @@ def _fused_and_reference(case, T=0.25):
                                 f=one, u0=sine, grid=MacroGrid(dim=1, n_x=32, n_t=8, T=T))
         return pde.solve_micro(prob), _three_pass_march(
             prob.grid, prob.p, one, sine, _micro_op_at(prob), prob.auto_substeps())
+    if case in ("benchmark_fde", "benchmark_pme"):
+        # the benchmark's micro substep (n_x = 256, r = 3, eps = 1/16, the
+        # builtin f = 1 sampled once) over 64 substeps of eps^r / 8
+        f = hz.DEFAULTS["f"]["one"]
+        prob = pde.MicroProblem(field=make_field("trig1d_st"), eps=0.0625, r=3.0,
+                                p=0.5 if case == "benchmark_fde" else 1.5, f=f, u0=sine,
+                                grid=MacroGrid(dim=1, n_x=256, n_t=4, T=2.0**-9))
+        return pde.solve_micro(prob), _three_pass_march(
+            prob.grid, prob.p, f, sine, _micro_op_at(prob), prob.auto_substeps())
     if case == "backtracking":
         # porous-medium data of size 1e-2 and dt = 1/2 make the line search halve
         small = lambda x: 0.01 * np.sign(x[:, 0] - 0.5) * np.abs(np.sin(3 * np.pi * x[:, 0]))
@@ -294,7 +310,7 @@ def _problem_2d(case, T=0.25):
 
 
 @pytest.mark.parametrize("case", ["micro", "backtracking", "table", "constant_2d",
-                                  "stiff_2d"])
+                                  "stiff_2d", "benchmark_fde", "benchmark_pme"])
 def test_fused_march_matches_three_pass_reference(case):
     # every dt here is a power of 2, so scaling the bands by dt is exact
     traj, (values, diss, halvings) = _fused_and_reference(case)
@@ -321,6 +337,70 @@ def test_chord_march_meets_tolerance_and_full_newton(case):
     assert np.max(np.abs(traj.values - full)) <= 1e-7 * np.max(np.abs(full))
     iterations = traj.stats["newton_mean"] * grid.n_t
     assert grid.n_t <= traj.stats["factorizations"] < iterations
+
+
+@pytest.mark.parametrize("kind", ["micro", "homogenized"])
+@pytest.mark.parametrize("name", ["one", "zero", "decaying"])
+def test_builtin_source_is_sampled_once_unless_it_varies_with_t(name, kind):
+    builtin, times = hz.DEFAULTS["f"][name], []
+
+    @functools.wraps(builtin)  # keeps the builtin's t_independent mark
+    def counted(x, t):
+        times.append(t)
+        return builtin(x, t)
+
+    sine = lambda x: np.sin(np.pi * x[:, 0])
+    grid = MacroGrid(dim=1, n_x=32, n_t=4, T=0.25)
+    if kind == "micro":
+        prob = pde.MicroProblem(field=make_field("trig1d_st"), eps=0.125, r=2.0, p=0.5,
+                                f=counted, u0=sine, grid=grid)
+        traj, substeps, op_at = pde.solve_micro(prob), prob.auto_substeps(), _micro_op_at(prob)
+    else:
+        matrix = np.array([[0.6]])
+        op = pde._constant_operator(matrix, grid)
+        traj = pde.solve_homogenized(pde.HomogenizedProblem(
+            tensor=_constant_tensor(matrix), p=0.5, f=counted, u0=sine, grid=grid, substeps=2))
+        substeps, op_at = 2, lambda _t, _v: (op, None)
+    assert len(times) == (substeps * grid.n_t if name == "decaying" else 1)
+    values, diss, _ = _three_pass_march(grid, 0.5, builtin, sine, op_at, substeps)
+    assert np.array_equal(traj.values, values)
+    assert np.allclose(traj.dissipation, diss, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("where", ["u0", "f"])
+def test_non_finite_data_raises_value_error_from_the_march(where, dim):
+    # a 1D Newton solve skips the finiteness check of a residual whose norm
+    # is finite; a NaN in u0 or f makes the norm NaN, and the solve raises
+    def nan_at_node_3(a):
+        a = a.copy()
+        a[3] = np.nan
+        return a
+
+    sine = lambda x: np.prod(np.sin(np.pi * x), axis=1)
+    u0 = (lambda x: nan_at_node_3(sine(x))) if where == "u0" else sine
+    f = ((lambda x, t: nan_at_node_3(np.ones(len(x)))) if where == "f"
+         else hz.DEFAULTS["f"]["one"])
+    prob = pde.HomogenizedProblem(tensor=_constant_tensor(np.eye(dim)), p=0.5, f=f, u0=u0,
+                                  grid=MacroGrid(dim=dim, n_x=16 if dim == 1 else 8,
+                                                 n_t=4, T=0.25))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        pde.solve_homogenized(prob)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_shifted_negation_commutes_and_solves_in_place(dim):
+    # the Newton step w - J^-1 F equals w + J^-1 (-F) bit for bit
+    rng = np.random.default_rng(11)
+    n = 17 if dim == 1 else 36
+    op = pde.Operator1D(rng.uniform(0.1, 2.0, n + 1), 1.0 / (n + 1)) if dim == 1 else _operator_2d(6)
+    extra, rhs = rng.uniform(0.0, 3.0, n), rng.standard_normal(n)
+    x = op.solve_shifted(extra, 0.01, rhs)
+    assert np.array_equal(op.solve_shifted(extra, 0.01, -rhs), -x)
+    if dim == 1:
+        work = rhs.copy()
+        assert np.array_equal(op.solve_shifted(extra, 0.01, work, overwrite_rhs=True), x)
+        assert np.array_equal(work, x)
 
 
 def test_chord_step_failing_armijo_is_dropped():
@@ -732,6 +812,27 @@ def test_dyadic_validation():
     with pytest.raises(ConfigError):
         pde.MicroProblem(eps=0.125, **{**kw, "p": 2.0})
     pde.MicroProblem(eps=0.125, **kw)  # valid
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+def test_substeps_must_be_a_positive_integer(bad):
+    grid = MacroGrid(dim=1, n_x=16, n_t=4, T=0.25)
+    kw = dict(p=0.5, f=lambda x, t: np.zeros(len(x)), u0=lambda x: np.zeros(len(x)),
+              grid=grid, substeps=bad)
+    with pytest.raises(ConfigError, match=re.escape(f"substeps={bad!r}")):
+        pde.MicroProblem(field=make_field("trig1d_st"), eps=0.125, r=1.0, **kw)
+    with pytest.raises(ConfigError, match=re.escape(f"substeps={bad!r}")):
+        pde.HomogenizedProblem(tensor=_constant_tensor(np.eye(1)), **kw)
+
+
+def test_integral_substeps_are_kept_as_int():
+    grid = MacroGrid(dim=1, n_x=16, n_t=4, T=0.25)
+    kw = dict(p=0.5, f=lambda x, t: np.zeros(len(x)), u0=lambda x: np.sin(np.pi * x[:, 0]),
+              grid=grid, substeps=2.0)
+    micro = pde.MicroProblem(field=IDENTITY_1D, eps=0.5, r=1.0, **kw)
+    homog = pde.HomogenizedProblem(tensor=_constant_tensor(np.eye(1)), **kw)
+    assert type(micro.substeps) is int and type(homog.substeps) is int
+    assert np.array_equal(pde.solve_micro(micro).values, pde.solve_homogenized(homog).values)
 
 
 def test_substep_resolution_of_fast_period():
