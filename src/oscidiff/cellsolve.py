@@ -251,7 +251,8 @@ class CellOperator:
 
 
 def _project_mean(x):
-    x -= x.mean()
+    # the pairwise sum and division of x.mean(), without its Python wrapper
+    x -= x.sum() / x.size
     return x
 
 

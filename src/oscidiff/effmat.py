@@ -77,37 +77,54 @@ class EffectiveTensor:
         return self.matrices[0]
 
     @cached_property
-    def _log_keys(self):
-        return np.log1p(self.u0abs_keys)
+    def _segments(self):
+        """The ``_segment_table`` of the log keys, and each segment's end matrices."""
+        return _segment_table(np.log1p(self.u0abs_keys)), self.matrices[:-1], self.matrices[1:]
 
     def entry_at(self, u0val):
         """Matrix at one |u0| value: ``entries_at`` at a single point."""
         return self.entries_at(float(u0val))
 
-    def entries_at(self, u0vals):
+    def entries_at(self, u0vals, clamped=None):
         """Matrices at the given |u0| values, linear in log(1 + |u0|), shape
         (..., N, N). Values outside the table hull are clamped to it, with
-        one TableClampWarning per call."""
+        one TableClampWarning per call, or, given a list ``clamped``, their
+        number appended to it instead."""
         if not self.is_table:
             return np.broadcast_to(self.matrices[0],
                                    np.shape(u0vals) + (self.dim, self.dim))
-        i, theta, n_out = _key_segment(self._log_keys, u0vals)
-        if n_out:
+        table, lo, hi = self._segments
+        i, theta, n_out = _key_segment(table, u0vals)
+        if n_out and clamped is not None:
+            clamped.append(n_out)
+        elif n_out:
             warnings.warn(f"{n_out} |u0| values clamped to the table hull",
                           TableClampWarning, stacklevel=3)
-        return ((1.0 - theta)[..., None, None] * self.matrices[i]
-                + theta[..., None, None] * self.matrices[i + 1])
+        theta = theta[..., None, None]
+        out = (1.0 - theta) * lo.take(i, axis=0)
+        out += theta * hi.take(i, axis=0)
+        return out
 
 
-def _key_segment(log_keys, u0vals):
+def _segment_table(log_keys):
+    """The sorted ``log_keys``, the interior keys that place a value in its
+    segment, and the segment widths."""
+    keys = np.asarray(log_keys, dtype=float)
+    return keys, keys[1:-1], keys[1:] - keys[:-1]
+
+
+def _key_segment(table, u0vals):
     """The |u0| key rule: segment i and weight theta of x = log(1 + |u0|) clamped
-    to the hull of the sorted ``log_keys``, and the number of values clamped."""
+    to the hull of the sorted log keys (``table`` is their ``_segment_table``),
+    and the number of values beyond it by more than 1e-15."""
+    keys, inner, widths = table
     x = np.log1p(np.abs(np.asarray(u0vals, dtype=float)))
-    n_out = int(np.sum((x < log_keys[0] - 1e-15) | (x > log_keys[-1] + 1e-15)))
-    x = np.clip(x, log_keys[0], log_keys[-1])
-    i = np.clip(np.searchsorted(log_keys, x, side="right") - 1, 0, len(log_keys) - 2)
-    theta = (x - log_keys[i]) / (log_keys[i + 1] - log_keys[i])  # in [0, 1] after the clip of x
-    return i, theta, n_out
+    n_out = 0
+    if x.size and not (keys[0] <= x.min() and x.max() <= keys[-1]):  # a NaN fails it too
+        n_out = int(np.count_nonzero((x < keys[0] - 1e-15) | (x > keys[-1] + 1e-15)))
+        x = np.clip(x, keys[0], keys[-1])
+    i = inner.searchsorted(x, side="right")  # the last key <= x, in [0, len(keys) - 2]
+    return i, (x - keys[i]) / widths[i], n_out
 
 
 def nearest_key(log_keys, u0vals):
@@ -115,7 +132,7 @@ def nearest_key(log_keys, u0vals):
     ``_key_segment``, ties to the lower key (0 for a single key)."""
     if len(log_keys) == 1:
         return np.zeros(np.shape(u0vals), dtype=np.intp)
-    i, theta, _ = _key_segment(log_keys, u0vals)
+    i, theta, _ = _key_segment(_segment_table(log_keys), u0vals)
     return i + (theta > 0.5)
 
 
@@ -301,7 +318,7 @@ def skew_report(tensor: EffectiveTensor, cells=None, p=None, u0abs=None):
     if tensor.is_table:
         if u0abs is None:
             raise RegimeMismatch("tabulated tensor: pass the u0abs of the cells")
-        M = tensor.matrices[int(nearest_key(tensor._log_keys, u0abs))]
+        M = tensor.matrices[int(nearest_key(np.log1p(tensor.u0abs_keys), u0abs))]
     else:
         M = tensor.matrices[0]
     S = skew_integral(cells, p)

@@ -164,9 +164,13 @@ class MacroGrid:
     def _padded(self, v, d):
         """Node vectors v of shape (..., n_x**dim), as (..., n_x, ...) node
         arrays padded along axis d with the zero boundary values."""
-        nodes = np.reshape(v, np.shape(v)[:-1] + (self.n_x,) * self.dim)
-        zero = np.zeros_like(nodes.take([0], axis=d - self.dim))
-        return np.concatenate([zero, nodes, zero], axis=d - self.dim)
+        nodes = np.asarray(v)
+        nodes = nodes.reshape(nodes.shape[:-1] + (self.n_x,) * self.dim)
+        shape = list(nodes.shape)
+        shape[d - self.dim] += 2
+        padded = np.zeros(shape, dtype=nodes.dtype)
+        padded[(..., slice(1, -1)) + (slice(None),) * (self.dim - 1 - d)] = nodes
+        return padded
 
     def face_average(self, v, d):
         """Mean of the two node values adjacent to each face normal to d, for

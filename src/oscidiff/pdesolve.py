@@ -28,7 +28,6 @@ fraction of the fast period eps^r.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -38,7 +37,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .banded import Band, BandCholesky
-from .effmat import EffectiveTensor, TableClampWarning
+from .effmat import EffectiveTensor
 from .errors import ConfigError, NewtonStalled, SolverDiverged, StepRejected
 from .fields import MacroGrid, PeriodicMatrixField, finite_number, read_artifact, write_artifact
 
@@ -169,7 +168,7 @@ class Operator1D:
         aface = np.asarray(aface, dtype=float)
         al, ar = aface[:-1], aface[1:]
         self.diag = (al + ar) / h2
-        self.off = -ar[:-1] / h2  # coupling i <-> i+1
+        self.off = ar[:-1] / -h2  # coupling i <-> i+1
         self._scaled = (None, None, None)  # (dt, dt * diag, dt * off)
 
     def matvec(self, v):
@@ -284,11 +283,12 @@ def _constant_operator(matrix, grid):
     return _operator(grid, faces, a12)
 
 
-def _table_operator(tensor, grid, v_nodes, p):
-    """Operator with the tabulated matrix looked up from |u| at each face
-    (u interpolated from the adjacent nodes, boundary value 0)."""
+def _table_operator(tensor, grid, v_nodes, p, clamped=None):
+    """Operator with the tabulated matrix looked up at |u| on each face (u
+    interpolated from the adjacent nodes, boundary value 0): one ``entries_at``
+    per axis, which takes |u| itself and gets ``clamped``."""
     u = _u_of(v_nodes, p)
-    return _operator(grid, [tensor.entries_at(np.abs(grid.face_average(u, d)))[..., d, d]
+    return _operator(grid, [tensor.entries_at(grid.face_average(u, d), clamped)[..., d, d]
                             for d in range(grid.dim)])
 
 
@@ -444,7 +444,7 @@ def solve_micro(prob: MicroProblem) -> SpaceTimeField:
 def solve_homogenized(prob: HomogenizedProblem) -> SpaceTimeField:
     """Solve the effective problem; at the critical scaling the matrix is
     looked up from the |u0| table, frozen per step (lagged coefficient)."""
-    clamp_count = 0
+    clamped = []  # one count per look-up that clamped
     if prob.mode == "constant":
         op_const = _constant_operator(prob.tensor.matrix, prob.grid)
 
@@ -452,16 +452,10 @@ def solve_homogenized(prob: HomogenizedProblem) -> SpaceTimeField:
             return op_const, None
     else:
         def op_at(t, v):
-            nonlocal clamp_count
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", TableClampWarning)
-                op = _table_operator(prob.tensor, prob.grid, v, prob.p)
-            clamp_count += sum(1 for w in caught
-                               if issubclass(w.category, TableClampWarning))
-            return op, None
+            return _table_operator(prob.tensor, prob.grid, v, prob.p, clamped), None
 
     values, diss, stats = _march(prob.grid, prob.p, prob.f, prob.u0, op_at, prob.substeps)
-    stats.update(mode=prob.mode, clamp_warnings=clamp_count)
+    stats.update(mode=prob.mode, clamp_warnings=len(clamped))
     return SpaceTimeField(grid=prob.grid, p=prob.p, values=values,
                           dissipation=diss, stats=stats)
 

@@ -2,13 +2,14 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oscidiff import cellsolve as cs, pdesolve as pde
+from oscidiff import cellsolve as cs, effmat as em, pdesolve as pde
 from oscidiff.errors import ConfigError, RegimeMismatch
 
 FIXTURE_DIR = os.environ.get(
@@ -147,6 +148,22 @@ def pairing_reference(cells, ops):
         norms += [hN * float(p @ p) for p in phis]
     m = len(ops)
     return A / m, norms / m, gram / m
+
+
+def _entries_at_reference(tensor, u0vals):
+    """The |u0| look-up with its log keys recomputed per call, x and theta
+    clipped and the segment ends gathered per call, an oracle for
+    ``EffectiveTensor.entries_at``; one TableClampWarning per clamping call."""
+    x = np.log1p(np.abs(np.asarray(u0vals, dtype=float)))
+    keys = np.log1p(tensor.u0abs_keys)
+    n_out = int(np.sum((x < keys[0] - 1e-15) | (x > keys[-1] + 1e-15)))
+    if n_out:
+        warnings.warn(f"{n_out} |u0| values clamped to the table hull", em.TableClampWarning)
+    x = np.clip(x, keys[0], keys[-1])
+    i = np.clip(np.searchsorted(keys, x, side="right") - 1, 0, len(keys) - 2)
+    theta = np.clip((x - keys[i]) / (keys[i + 1] - keys[i]), 0.0, 1.0)
+    return ((1.0 - theta)[..., None, None] * tensor.matrices[i]
+            + theta[..., None, None] * tensor.matrices[i + 1])
 
 
 def study_errors_reference(traj_eps, traj_hom, corrector, tensor, field, p, r, eps):

@@ -544,3 +544,13 @@ def test_capacity_limits_at_zero_datum():
     assert cs.CellParameter(p=0.5, u0abs=0.0).capacity == 0.0
     assert cs.CellParameter(p=1.5, u0abs=0.0).capacity == np.inf
     assert cs.CellParameter(p=1.5, u0abs=4.0).capacity == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+def test_project_mean_is_bitwise_x_minus_its_mean():
+    rng = np.random.default_rng(11)
+    for n in [1, 2, 3, 7, 8, 9, 127, 128, 129, 4096, *rng.integers(1, 4097, 400)]:
+        x = rng.standard_normal(n) * rng.uniform(1e-3, 1e3) + rng.uniform(-5.0, 5.0)
+        want = x - x.mean()
+        got = cs._project_mean(x)
+        assert got is x
+        assert np.array_equal(got, want)

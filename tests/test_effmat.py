@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import monolithic_critical_solve, pairing_reference
+from conftest import _entries_at_reference, monolithic_critical_solve, pairing_reference
 from oscidiff import cellsolve as cs, effmat as em
 from oscidiff.errors import (BoundViolated, ConfigError, DimensionMismatch,
                              PeriodicityNotReached, RegimeMismatch,
@@ -238,6 +238,45 @@ def test_table_clamp_warns():
     assert np.max(np.abs(clamped - table.matrices[-1])) == 0.0
 
 
+def test_entries_at_counts_clamps_in_a_list_instead_of_warning():
+    rng = np.random.default_rng(3)
+    table = em.EffectiveTensor(
+        regime="critical", dim=2, lam=0.25, Lam=1.0, matrices=rng.uniform(0.3, 0.9, (4, 2, 2)),
+        corrector_norms=np.zeros((4, 2)), grad_grams=np.zeros((4, 2, 2)),
+        u0abs_keys=np.array([0.0, 0.5, 1.0, 2.0]), p=1.5)
+    u0 = np.array([0.3, 2.5, -7.0, 2.0, -1.0])
+    clamped = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = table.entries_at(u0, clamped)
+        inside = table.entries_at(u0[[0, 3, 4]], clamped)
+    assert clamped == [2]
+    with pytest.warns(em.TableClampWarning) as got:
+        ref = table.entries_at(u0)
+    assert len(got) == 1 and "2 |u0| values clamped" in str(got[0].message)
+    assert np.array_equal(out, ref) and np.array_equal(inside, ref[[0, 3, 4]])
+
+
+def test_entries_at_matches_reference_lookup_off_the_default_keys():
+    # a first key above 0, values below it, NaN among clamped values, no values
+    rng = np.random.default_rng(8)
+    table = em.EffectiveTensor(
+        regime="critical", dim=2, lam=0.25, Lam=1.0, matrices=rng.uniform(0.3, 0.9, (4, 2, 2)),
+        corrector_norms=np.zeros((4, 2)), grad_grams=np.zeros((4, 2, 2)),
+        u0abs_keys=np.array([0.1, 0.5, 1.0, 2.0]), p=1.5)
+    probes = [np.array([0.0, 0.05, 0.3, 1.5]), np.array([0.2, 0.7]), np.array([0.1, 2.0]),
+              np.array([np.nan, 3.0, 0.01, 0.6]), np.array([np.nan]), np.zeros(0), 0.02]
+    for u0 in probes:
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            out = table.entries_at(u0)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            ref = _entries_at_reference(table, u0)
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
+
 def test_ellipticity_report_sandwich():
     tensor, _, _, _ = assemble("trig1d_st", "subcritical",
                                grid=CellGrid(M_y=32, M_s=32))
@@ -413,20 +452,6 @@ def test_export_table_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 5  # header + 4 entries
     assert lines[0].startswith("u0abs")
-
-
-def _entries_at_reference(tensor, u0vals):
-    """The |u0| lookup with its log keys recomputed per call and theta clipped."""
-    x = np.log1p(np.abs(np.asarray(u0vals, dtype=float)))
-    keys = np.log1p(tensor.u0abs_keys)
-    n_out = int(np.sum((x < keys[0] - 1e-15) | (x > keys[-1] + 1e-15)))
-    if n_out:
-        warnings.warn(f"{n_out} |u0| values clamped to the table hull", em.TableClampWarning)
-    x = np.clip(x, keys[0], keys[-1])
-    i = np.clip(np.searchsorted(keys, x, side="right") - 1, 0, len(keys) - 2)
-    theta = np.clip((x - keys[i]) / (keys[i + 1] - keys[i]), 0.0, 1.0)
-    return ((1.0 - theta)[..., None, None] * tensor.matrices[i]
-            + theta[..., None, None] * tensor.matrices[i + 1])
 
 
 def test_entries_at_matches_reference_lookup():

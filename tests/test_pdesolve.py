@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _entries_at_reference
 from oscidiff import cellsolve as cs, effmat as em, harness as hz, pdesolve as pde
 from oscidiff.errors import ConfigError, SolverDiverged
 from oscidiff.fields import CellGrid, MacroGrid, make_field, sample_grid
@@ -245,6 +247,23 @@ def _micro_op_at(prob):
     return op_at
 
 
+def _face_means(u, grid, d):
+    """Means of the two node values of u (zero boundary values) adjacent to
+    each face normal to d, shape ``grid.face_shape(d)``."""
+    nodes = u.reshape((grid.n_x,) * grid.dim)
+    padded = np.moveaxis(np.pad(nodes, [(int(i == d),) * 2 for i in range(grid.dim)]), d, 0)
+    return np.moveaxis(0.5 * (padded[:-1] + padded[1:]), 0, d)
+
+
+def _table_operator_reference(tensor, grid, v, p):
+    """The table-mode operator from the test's own look-up: entry (d, d) of
+    ``_entries_at_reference`` at |u| on the faces normal to d."""
+    u = pde._u_of(v, p)
+    return pde._operator(grid, [
+        _entries_at_reference(tensor, np.abs(_face_means(u, grid, d)))[..., d, d]
+        for d in range(grid.dim)])
+
+
 def _fused_and_reference(case, T=0.25):
     """One solve through the package and the same problem through the
     reference stepper."""
@@ -276,10 +295,20 @@ def _fused_and_reference(case, T=0.25):
         tensor = em.tabulate_ahom_critical(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4),
                                            p=0.5, u0abs_grid=[0.0, 0.5, 1.0, 2.0])
         grid = MacroGrid(dim=1, n_x=32, n_t=8, T=T)
-        op_at = lambda _t, v: (pde._table_operator(tensor, grid, v, 0.5), None)
+        op_at = lambda _t, v: (_table_operator_reference(tensor, grid, v, 0.5), None)
         prob = pde.HomogenizedProblem(tensor=tensor, p=0.5, f=one, u0=sine, grid=grid,
                                       mode="critical_table", substeps=2)
         return pde.solve_homogenized(prob), _three_pass_march(grid, 0.5, one, sine, op_at, 2)
+    if case == "benchmark_table":
+        # the critical study's table (17 keys on a 64 x 64 cell grid, p = 0.5)
+        # and its homogenized substep: n_x = 256, 64 substeps of 2^-13 per step
+        tensor = em.tabulate_ahom_critical(make_field("trig1d_st"), CellGrid(M_y=64, M_s=64),
+                                           p=0.5)
+        grid, f = MacroGrid(dim=1, n_x=256, n_t=4, T=2.0**-5), hz.DEFAULTS["f"]["one"]
+        op_at = lambda _t, v: (_table_operator_reference(tensor, grid, v, 0.5), None)
+        prob = pde.HomogenizedProblem(tensor=tensor, p=0.5, f=f, u0=sine, grid=grid,
+                                      mode="critical_table", substeps=64)
+        return pde.solve_homogenized(prob), _three_pass_march(grid, 0.5, f, sine, op_at, 64)
     prob, op_at = _problem_2d(case, T)
     return pde.solve_homogenized(prob), _three_pass_march(prob.grid, prob.p, prob.f,
                                                           prob.u0, op_at, 1)
@@ -306,11 +335,12 @@ def _problem_2d(case, T=0.25):
     grid = MacroGrid(dim=2, n_x=12, n_t=8, T=T)
     return (pde.HomogenizedProblem(tensor=tensor, p=1.5, f=one, u0=sine, grid=grid,
                                    mode="critical_table"),
-            lambda _t, v: (pde._table_operator(tensor, grid, v, 1.5), None))
+            lambda _t, v: (_table_operator_reference(tensor, grid, v, 1.5), None))
 
 
 @pytest.mark.parametrize("case", ["micro", "backtracking", "table", "constant_2d",
-                                  "stiff_2d", "benchmark_fde", "benchmark_pme"])
+                                  "stiff_2d", "benchmark_fde", "benchmark_pme",
+                                  "benchmark_table"])
 def test_fused_march_matches_three_pass_reference(case):
     # every dt here is a power of 2, so scaling the bands by dt is exact
     traj, (values, diss, halvings) = _fused_and_reference(case)
@@ -318,6 +348,29 @@ def test_fused_march_matches_three_pass_reference(case):
     assert np.allclose(traj.dissipation, diss, rtol=1e-12, atol=0.0)
     assert traj.stats["newton_backtracks"] == halvings
     assert (halvings > 0) == (case == "backtracking")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_table_clamp_count_is_the_number_of_clamped_lookups(dim):
+    # |u| starts at 2.5 above the last key 2 and decays through it; in 2D the
+    # data is narrower along x1, so the face means of the two axes differ
+    name, p, T = ("trig1d_st", 0.5, 0.2) if dim == 1 else ("trig2d_st", 1.5, 0.05)
+    keys = [0.0, 0.5, 1.0, 2.0]
+    tensor = em.tabulate_ahom_critical(make_field(name), CellGrid(M_y=8, M_s=4), p=p,
+                                       u0abs_grid=keys)
+    grid = MacroGrid(dim=dim, n_x=11, n_t=8, T=T)
+    u0 = lambda x: 2.5 * np.sin(np.pi * x[:, 0]) ** 4 * np.prod(np.sin(np.pi * x[:, 1:]), axis=1)
+    prob = pde.HomogenizedProblem(tensor=tensor, p=p, f=lambda x, t: np.zeros(len(x)), u0=u0,
+                                  grid=grid, mode="critical_table")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = pde.solve_homogenized(prob)
+    # one look-up per axis and step (one substep each), from v of the step before
+    top = math.log1p(keys[-1]) + 1e-15
+    count = sum(bool(np.any(np.log1p(np.abs(_face_means(pde._u_of(v, p), grid, d))) > top))
+                for v in traj.values[:-1] for d in range(dim))
+    assert 0 < count < dim * grid.n_t
+    assert traj.stats["clamp_warnings"] == count
 
 
 @pytest.mark.parametrize("case", ["constant_2d", "table_2d", "stiff_2d"])
