@@ -17,15 +17,15 @@ grid: diagonal coefficients live on faces (averaged from the two
 adjacent cell values per the grid's face convention), off-diagonal
 couplings use centered differences, which keeps the discrete operator
 symmetric. ``CellOperator`` builds K and the drives b_k straight from
-that face stencil with precomputed periodic neighbour indices. The
-elliptic solves use conjugate gradients with an explicit zero-mean
-projection every iteration. The critical problem is discretized by
-implicit Euler in s, and its periodic start row, the fixed point of the
-period map (one sweep of the M_s steps), is found by GMRES on that map.
-Each step matrix (c/h_s) I + K is symmetric positive definite and is
-factored by banded Cholesky with the cells numbered in folded order
-(``_folded_order``), in which periodic neighbours sit within two places
-of each other on every axis.
+that face stencil with precomputed periodic neighbour indices. Every
+solve factors a symmetric positive definite band matrix by banded
+Cholesky, with the cells numbered in folded order (``_folded_order``),
+in which periodic neighbours sit within two places of each other on
+every axis. The elliptic problems factor K with one cell pinned and
+project the result to zero mean. The critical problem is discretized by
+implicit Euler in s; its periodic start row, the fixed point of the
+period map (one sweep of the M_s steps), is found by GMRES on that map,
+on the factors of the step matrices (c/h_s) I + K.
 """
 
 from __future__ import annotations
@@ -97,7 +97,9 @@ class CellSolution:
     regime, shape (len(ops), M_y**dim): one row for the s-independent
     problems, M_s rows covering one s-period otherwise. Row j sits at
     s = j h_s (``s_nodes``), solves on ops[j], and the rows are periodic
-    in s. For the critical problem with c > 0 ``periodic_defect`` is
+    in s. For the elliptic rows ``residual`` is the true relative residual
+    max_j |K_j phi[j] - b_k| / |b_k| (0 for b_k = 0); the critical rows
+    with c > 0 have ``residual`` 0, and ``periodic_defect`` is
     c |Phi(1) - Phi(0)| of the final sweep from the GMRES start row
     (discrete L2 norm over the cell), which equals the norm of the
     period-averaged residual h_s sum_j (b_k - K_j phi[j]).
@@ -259,7 +261,8 @@ def _project_mean(x):
 def projected_cg(K, b):
     """CG for the singular periodic operator, re-projecting onto zero mean
     after every iteration; stops at relative residual SOLVER_TOL or after
-    10 n iterations. Returns (x, relative residual)."""
+    10 n iterations. Returns (x, relative residual). A test reference: no
+    solve path calls it."""
     n = b.shape[0]
     max_iter = 10 * n
     bnorm = np.linalg.norm(b)
@@ -325,28 +328,6 @@ def _slice_operators(field, grid):
     return [CellOperator(field, grid, s=sj) for sj in grid.slice_times()]
 
 
-def _solve_elliptic(ops, field, grid, regime, ks, param):
-    """Elliptic cell solutions for every direction in ks: row j of phi
-    solves K phi = b_k on ops[j]. A CG failure on a slice layout names
-    its slice j (s = j h_s)."""
-    out = []
-    for k in ks:
-        phis, worst = [], 0.0
-        for j, op in enumerate(ops):
-            try:
-                phi, res = projected_cg(op.K, op.b[k - 1])
-            except SolverDiverged as err:
-                if len(ops) == 1:
-                    raise
-                raise SolverDiverged(f"slice {j} (s={j * grid.h_s:.4f}): {err}",
-                                     residual=err.residual) from err
-            phis.append(phi)
-            worst = max(worst, res)
-        out.append(CellSolution(regime=regime, dim=field.dim, grid=grid, k=k,
-                                phi=np.array(phis), residual=worst, param=param))
-    return out
-
-
 def _solve_periodic(factors, rhs, capacity, h_s, n_cells, k):
     """Periodic implicit-Euler rows (M_s, n) and periodic defect, by GMRES on the period map.
 
@@ -390,25 +371,31 @@ def _solve_periodic(factors, rhs, capacity, h_s, n_cells, k):
 
 
 def _step_factors(ops, shift):
-    """Banded Cholesky factors of shift I + K for every operator of
-    ``_slice_operators``, in folded order. A factor that fails names its
-    slice j (s = j h_s)."""
-    factors = []
+    """Banded Cholesky factors of shift I + K for ``ops``, one at a time,
+    in folded order. At shift 0 K is singular on the constants, so cell 0
+    (folded place 0) is pinned by doubling K_00, a weight on K's own scale:
+    for a zero-mean b the pinned x has x_0 = 1'b / K_00 ~ 0 and
+    K x = b - (1'b) e_0, so x minus its mean solves K x = b. A factor that
+    fails on a slice layout names its slice j (s = j h_s)."""
     for j, op in enumerate(ops):
+        ab = op.band.shifted(1.0, shift)
+        if shift == 0.0:
+            ab[-1, 0] *= 2.0
         try:
-            factors.append(BandCholesky(op.band.shifted(1.0, shift)))
+            yield BandCholesky(ab)
         except SolverDiverged as err:
+            if len(ops) == 1:
+                raise
             raise SolverDiverged(f"slice {j} (s={j / len(ops):.4f}): {err}") from err
-    return factors
 
 
 def _solve_cells(field, grid, regime, ks, param=None, ops=None):
     """Cell solutions of a regime for every direction in ks, on ``ops``
-    (from ``cell_operators``, built here when not given).
-
-    Both critical branches solve for Phi at the capacity of ``param``:
-    they factor their M_s step matrices once, and every direction solves
-    its period problem on the same factors."""
+    (from ``cell_operators``, built here when not given), every direction
+    on the same ``_step_factors`` factors. Elliptic rows (capacity 0: the
+    non-critical regimes and the fast-diffusion key at |u0| = 0) have no
+    coupling in s and solve one factor at a time; both critical branches
+    at 0 < c < inf factor their M_s step matrices once for the period solves."""
     for k in ks:
         if not 1 <= k <= field.dim:
             raise ConfigError(f"direction k={k} out of range for dim={field.dim}")
@@ -424,14 +411,26 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
                                  residual=0.0, param=param) for k in ks]
     if ops is None:
         ops = cell_operators(field, grid, regime)
-    if not critical or param.capacity == 0.0:  # c = 0, FDE at u0 = 0: slice-elliptic
-        return _solve_elliptic(ops, field, grid, regime, ks, param if critical else None)
-    factors = _step_factors(ops, param.capacity / grid.h_s)
+    n = grid.M_y**field.dim
     order, pos = _folded_order(field.dim, grid.M_y)
+    shift = param.capacity / grid.h_s if critical else 0.0
+    if shift == 0.0:
+        phi, residual = [np.empty((len(ops), n)) for _ in ks], [0.0] * len(ks)
+        for j, (op, factor) in enumerate(zip(ops, _step_factors(ops, 0.0))):
+            for i, k in enumerate(ks):
+                b = op.b[k - 1]
+                x = phi[i][j] = _project_mean(factor.solve(b[order])[pos])
+                bnorm = np.linalg.norm(b)
+                if bnorm > 0.0:
+                    residual[i] = max(residual[i], float(np.linalg.norm(op.K @ x - b) / bnorm))
+        return [CellSolution(regime=regime, dim=field.dim, grid=grid, k=k, phi=phi[i],
+                             residual=residual[i], param=param if critical else None)
+                for i, k in enumerate(ks)]
+    factors = list(_step_factors(ops, shift))
     out = []
     for k in ks:
         phi, defect = _solve_periodic(factors, [op.b[k - 1][order] for op in ops],
-                                      param.capacity, grid.h_s, grid.M_y**field.dim, k)
+                                      param.capacity, grid.h_s, n, k)
         out.append(CellSolution(regime=regime, dim=field.dim, grid=grid, k=k,
                                 phi=phi[:, pos], residual=0.0, periodic_defect=defect,
                                 param=param))

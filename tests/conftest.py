@@ -194,7 +194,10 @@ def study_errors_reference(traj_eps, traj_hom, corrector, tensor, field, p, r, e
         u0_faces = pde._u_of(grid.face_average(v_0, 0), p)
         corr = corrector(u0_faces, g_0, y, np.full(len(xf), s))
         a_eps = field.sample(y, np.full(len(xf), s))[:, 0, 0][:, None]
-        ahom_f = tensor.entries_at(np.abs(u0_faces))[:, 0, 0][:, None]
+        if tensor.is_table:
+            ahom_f = _entries_at_reference(tensor, np.abs(u0_faces))[:, 0, 0][:, None]
+        else:
+            ahom_f = np.full((len(xf), 1), tensor.matrices[0][0, 0])
         defect = g_e - g_0 - corr
         grad_c2 += dt * h * float(np.sum(defect**2))
         grad_p2 += dt * h * float(np.sum((g_e - g_0) ** 2))

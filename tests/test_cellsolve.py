@@ -168,12 +168,12 @@ def test_step_factor_not_positive_definite_names_slice():
         -np.ones((8, 1, 1)), 1, CellGrid(M_y=8, M_s=4, face_avg="arithmetic"))
     positive = cs.CellOperator(make_field("trig1d_st"), grid, s=0.25)
     with pytest.raises(SolverDiverged, match=r"slice 1 \(s=0\.2500\).*leading minor"):
-        cs._step_factors([positive, negative, positive, positive], 4.0)
-    factor = cs._step_factors([positive], 4.0)[0]
+        list(cs._step_factors([positive, negative, positive, positive], 4.0))
+    factor = next(cs._step_factors([positive], 4.0))
     with pytest.raises(ValueError):
         factor.solve(np.full(8, np.nan))
     with pytest.raises(ValueError):
-        cs._step_factors([positive], np.inf)
+        list(cs._step_factors([positive], np.inf))
 
 
 STENCIL_CASES = [("trig1d_st", {}, 8), ("trig1d_st", {}, 64), ("trig2d_st", {}, 7),
@@ -420,15 +420,65 @@ def test_load_cell_rejects_psi_rows(tmp_path):
     ("classical", None, ""),
     ("supercritical", None, ""),
 ])
-def test_cg_failure_names_slice_only_on_slice_layouts(monkeypatch, regime, param, prefix):
-    def stalled(K, b):
-        raise SolverDiverged("CG stalled", residual=0.5)
-
-    monkeypatch.setattr(cs, "projected_cg", stalled)
+def test_cg_failure_names_slice_only_on_slice_layouts(regime, param, prefix):
+    # a negative definite operator (negative cells, arithmetic face average)
+    # fails its factor in every layout; the slice layouts name the slice
+    grid = CellGrid(M_y=8, M_s=4, face_avg="arithmetic")
+    a = -(1.5 + np.cos(2 * np.pi * (np.arange(8) + 0.5) / 8))
+    negative = cs.CellOperator.from_matrix_values(a[:, None, None], 1, grid)
+    ops = [negative] * (1 if regime in ("classical", "supercritical") else grid.M_s)
     with pytest.raises(SolverDiverged) as info:
-        cs.solve_cells(make_field("trig1d"), CellGrid(M_y=8, M_s=4), regime, param=param)
-    assert str(info.value) == prefix + "CG stalled"
-    assert info.value.residual == 0.5
+        cs.solve_cells(make_field("trig1d"), grid, regime, param=param, ops=ops)
+    assert str(info.value).startswith(prefix + "matrix is not positive definite")
+
+
+def full_tensor_operator(M):
+    """A 2D operator of a varying full tensor with a cross term."""
+    grid = CellGrid(M_y=M, M_s=4)
+    y = grid.centers(2)
+    w1, w2 = 2 * np.pi * y[:, 0], 2 * np.pi * y[:, 1]
+    a = np.empty((M * M, 2, 2))
+    a[:, 0, 0] = 2.0 + np.sin(w1) * np.cos(w2)
+    a[:, 1, 1] = 1.5 + 0.5 * np.cos(w1 + w2)
+    a[:, 0, 1] = a[:, 1, 0] = 0.3 * np.sin(w1 - w2)
+    return [cs.CellOperator.from_matrix_values(a, 2, grid)]
+
+
+ELLIPTIC_ROWS = [
+    ("trig1d", {}, "classical", None, CellGrid(M_y=64, M_s=4), None),
+    ("checkerboard2d", {}, "classical", None, CellGrid(M_y=16, M_s=4), None),
+    ("trig1d_st", {}, "subcritical", None, CellGrid(M_y=64, M_s=8), None),
+    ("trig2d_st", {}, "subcritical", None, CellGrid(M_y=12, M_s=4), None),
+    ("trig2d_st", {"s_dependent": False}, "supercritical", None, CellGrid(M_y=16, M_s=8),
+     None),
+    ("trig1d_st", {}, "critical_fde", cs.CellParameter(p=0.5, u0abs=0.0),
+     CellGrid(M_y=64, M_s=8), None),
+    # the field only sets dim = 2 here; the operator is the full tensor's
+    ("checkerboard2d", {}, "classical", None, CellGrid(M_y=16, M_s=4), full_tensor_operator),
+]
+
+
+@pytest.mark.parametrize("name,params,regime,param,grid,make_ops", ELLIPTIC_ROWS)
+def test_elliptic_rows_match_dense_least_squares(name, params, regime, param, grid, make_ops):
+    # every elliptic row is the zero-mean solution of K_j phi = b_k: within
+    # 1e-12 of a dense least-squares solve, with a true relative residual of
+    # at most 1e-12, and within 1e-9 of projected CG
+    field = make_field(name, **params)
+    ops = cs.cell_operators(field, grid, regime) if make_ops is None else make_ops(grid.M_y)
+    cells = cs.solve_cells(field, grid, regime, param=param, ops=ops)
+    assert len(cells) == field.dim
+    for sol in cells:
+        assert sol.phi.shape == (len(ops), grid.M_y**field.dim)
+        assert sol.residual <= 1e-12
+        assert np.linalg.norm(sol.phi) > 0.1  # a corrector, not the zero field
+        for op, row in zip(ops, sol.phi):
+            b = op.b[sol.k - 1]
+            ref = np.linalg.lstsq(op.K.toarray(), b, rcond=None)[0]
+            ref -= ref.mean()
+            scale = np.linalg.norm(ref)
+            assert np.linalg.norm(row - ref) <= 1e-12 * scale
+            assert np.linalg.norm(op.K @ row - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(row - cs.projected_cg(op.K, b)[0]) <= 1e-9 * scale
 
 
 CRITERION_3_GRIDS = [("trig1d_st", CellGrid(M_y=16, M_s=16)),

@@ -113,7 +113,8 @@ def test_gridded_roundtrip_1d(tmp_path):
     field = make_field("trig1d_st")
     path = tmp_path / "field.txt"
     save_gridded(path, field, CellGrid(M_y=64, M_s=64))
-    loaded = load_gridded(path)
+    with pytest.warns(UserWarning, match="tagged continuous"):
+        loaded = load_gridded(path)
     rng = np.random.default_rng(3)
     y = rng.random((30, 1))
     s = rng.random(30)
@@ -127,7 +128,8 @@ def test_gridded_roundtrip_2d_exact_at_nodes(tmp_path):
     grid = CellGrid(M_y=16, M_s=8)
     path = tmp_path / "field2d.txt"
     save_gridded(path, field, grid)
-    loaded = load_gridded(path)
+    with pytest.warns(UserWarning, match="tagged continuous"):
+        loaded = load_gridded(path)
     y = np.stack(np.meshgrid(np.arange(16) / 16, np.arange(16) / 16),
                  axis=-1).reshape(-1, 2)
     s = np.zeros(len(y))
