@@ -16,12 +16,12 @@ Spatial discretization is a conservative flux form on the periodic cell
 grid: diagonal coefficients live on faces (averaged from the two
 adjacent cell values per the grid's face convention), off-diagonal
 couplings use centered differences, which keeps the discrete operator
-symmetric. ``CellOperator`` builds K and the drives b_k straight from
-that face stencil with precomputed periodic neighbour indices. Every
-solve factors a symmetric positive definite band matrix by banded
-Cholesky, with the cells numbered in folded order (``_folded_order``),
-in which periodic neighbours sit within two places of each other on
-every axis. The elliptic problems factor K with one cell pinned and
+symmetric. ``CellOperator`` builds the band of K and the drives b_k
+straight from that face stencil with precomputed periodic neighbour
+indices, with the cells numbered in folded order (``_folded_order``), in
+which periodic neighbours sit within two places of each other on every
+axis. Every solve factors a symmetric positive definite band matrix by
+banded Cholesky. The elliptic problems factor K with one cell pinned and
 project the result to zero mean. The critical problem is discretized by
 implicit Euler in s; its periodic start row, the fixed point of the
 period map (one sweep of the M_s steps), is found by GMRES on that map,
@@ -31,11 +31,10 @@ on the factors of the step matrices (c/h_s) I + K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .banded import Band, BandCholesky
@@ -174,11 +173,11 @@ def _folded_order(dim, M):
 class CellOperator:
     """Discrete -div_y(a grad .) on the periodic cell for one time slice.
 
-    Exposes the stiffness matrix K, the drive vectors b_k = div_y(a e_k)
-    (so the cell problem reads K phi = b_k), the constant part
-    ``pair_const`` of the energy pairing B(y_j, y_k), and the upper band
-    of K for the banded factors. ``effmat.assemble_ahom`` pairs the cell
-    solutions of all rows with b and ``pair_const``.
+    Exposes the stiffness matrix K as its upper band in folded order,
+    ``band`` (a ``banded.Band``), the drive vectors b_k = div_y(a e_k) (so
+    the cell problem reads K phi = b_k), and the constant part
+    ``pair_const`` of the energy pairing B(y_j, y_k). ``effmat.assemble_ahom``
+    pairs the cell solutions of all rows with b and ``pair_const``.
     """
 
     def __init__(self, field: PeriodicMatrixField, grid: CellGrid, s: float):
@@ -239,17 +238,12 @@ class CellOperator:
                     vals += [s0 * s1 * q] * 2
             for k, o in ((0, 1), (1, 0)):
                 self.b[k] = self.b[k] - (0.5 * M * a12[down[o]] - 0.5 * M * a12[up[o]])
-        self.K = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                       np.concatenate(cols))), shape=(n, n))
+        self.band = Band(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                         _folded_order(dim, M)[1])
         # constant energy pairings B(y_j, y_k)
         self.pair_const = np.diag([np.mean(af) for af in self.face_coeffs])
         if self.cell_offdiag is not None:
             self.pair_const[0, 1] = self.pair_const[1, 0] = float(np.mean(self.cell_offdiag))
-
-    @cached_property
-    def band(self):
-        """Upper band of K in folded order (a ``banded.Band``)."""
-        return Band(self.K, _folded_order(self.dim, self.M)[1])
 
 
 def _project_mean(x):
@@ -418,11 +412,11 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
         phi, residual = [np.empty((len(ops), n)) for _ in ks], [0.0] * len(ks)
         for j, (op, factor) in enumerate(zip(ops, _step_factors(ops, 0.0))):
             for i, k in enumerate(ks):
-                b = op.b[k - 1]
-                x = phi[i][j] = _project_mean(factor.solve(b[order])[pos])
-                bnorm = np.linalg.norm(b)
-                if bnorm > 0.0:
-                    residual[i] = max(residual[i], float(np.linalg.norm(op.K @ x - b) / bnorm))
+                b = op.b[k - 1][order]
+                x = phi[i][j] = _project_mean(factor.solve(b)[pos])
+                if (bnorm := np.linalg.norm(b)) > 0.0:
+                    residual[i] = max(residual[i], float(
+                        np.linalg.norm(op.band.matvec(x[order]) - b) / bnorm))
         return [CellSolution(regime=regime, dim=field.dim, grid=grid, k=k, phi=phi[i],
                              residual=residual[i], param=param if critical else None)
                 for i, k in enumerate(ks)]

@@ -382,6 +382,9 @@ def load_tensor(path) -> EffectiveTensor:
     blocks = rows.reshape(m, per, dim)
     keys = None if meta["keys"] == "none" else np.array(
         [float(v) for v in meta["keys"].split(",")])
+    if not (m == 1 if keys is None else m >= 2 and len(keys) == m and np.all(np.diff(keys) > 0)):
+        raise ConfigError(f"{path}: keys={meta['keys']} do not fit m={m}: expected keys=none "
+                          f"with m=1, or m >= 2 strictly increasing keys")
     p = float(meta["p"])
     return EffectiveTensor(
         regime=meta["regime"], dim=dim, lam=float(meta["lam"]),

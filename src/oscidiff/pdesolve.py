@@ -34,7 +34,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .banded import Band, BandCholesky
 from .effmat import EffectiveTensor
@@ -150,56 +149,39 @@ class HomogenizedProblem:
 # Discrete elliptic operators (homogeneous Dirichlet)
 
 
-def _tridiag_matvec(diag, off, v):
-    """Symmetric tridiagonal product with bands ``diag`` and ``off``."""
-    out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
-    return out
-
-
 class Operator1D:
-    """Tridiagonal -d/dx(a(x) d/dx .) with face coefficients a: ``diag`` and
-    the symmetric off-diagonal ``off``."""
+    """Tridiagonal dt * (-d/dx(a(x) d/dx .)) with face coefficients a, built
+    for the step dt it serves: the diagonal ``diag`` and the symmetric
+    off-diagonal ``off`` of dt L, checked finite once (ValueError)."""
 
-    def __init__(self, aface, h):
-        self.n = len(aface) - 1
+    def __init__(self, aface, h, dt):
         h2 = h * h
         aface = np.asarray(aface, dtype=float)
         al, ar = aface[:-1], aface[1:]
-        self.diag = (al + ar) / h2
-        self.off = ar[:-1] / -h2  # coupling i <-> i+1
-        self._scaled = (None, None, None)  # (dt, dt * diag, dt * off)
+        self.diag = dt * ((al + ar) / h2)
+        self.off = dt * (ar[:-1] / -h2)  # coupling i <-> i+1
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
+            raise ValueError("array must not contain infs or NaNs")
 
     def matvec(self, v):
-        return _tridiag_matvec(self.diag, self.off, v)
+        """dt L v."""
+        out = self.diag * v
+        out[:-1] += self.off * v[1:]
+        out[1:] += self.off * v[:-1]
+        return out
 
-    def _scaled_bands(self, dt):
-        """(dt * diag, dt * off) for the last dt; ValueError if not finite."""
-        dt_cached, dt_diag, dt_off = self._scaled
-        if dt_cached != dt:
-            dt_diag, dt_off = dt * self.diag, dt * self.off
-            if not (np.isfinite(dt_diag).all() and np.isfinite(dt_off).all()):
-                raise ValueError("array must not contain infs or NaNs")
-            self._scaled = (dt, dt_diag, dt_off)
-        return dt_diag, dt_off
-
-    def dt_matvec(self, dt, v):
-        """dt * L v from the scaled bands that shifted solves share."""
-        return _tridiag_matvec(*self._scaled_bands(dt), v)
-
-    def solve_shifted(self, extra_diag, dt, rhs, overwrite_rhs=False):
-        """Solve (diag(extra_diag) + dt * L) x = rhs with LAPACK gtsv.
+    def solve_shifted(self, extra_diag, rhs, overwrite_rhs=False):
+        """Solve (diag(extra_diag) + dt L) x = rhs with LAPACK gtsv.
 
         Raises ValueError for non-finite input and LinAlgError when the
         shifted matrix is singular. ``overwrite_rhs`` hands over a rhs shown
         finite (by a finite norm): gtsv solves in it without a check."""
-        dt_diag, dt_off = self._scaled_bands(dt)
-        d = extra_diag + dt_diag
+        d = extra_diag + self.diag
         b = np.asarray(rhs, dtype=float)
         if not (np.isfinite(d).all() and (overwrite_rhs or np.isfinite(b).all())):
             raise ValueError("array must not contain infs or NaNs")
-        _, _, _, x, info = _gtsv(dt_off, d, dt_off, b, overwrite_d=1, overwrite_b=overwrite_rhs)
+        off = self.off
+        _, _, _, x, info = _gtsv(off, d, off, b, overwrite_d=1, overwrite_b=overwrite_rhs)
         if info > 0:
             raise sla.LinAlgError("singular matrix")
         if info < 0:
@@ -208,16 +190,17 @@ class Operator1D:
 
 
 class Operator2D:
-    """Sparse 5-point (plus optional constant cross term) Dirichlet operator
-    on the n_x x n_x interior grid. In its row-major order the matrix has
-    half-width n_x (n_x + 1 with the cross term), so shifted solves factor
-    it by banded Cholesky. The factor is kept for chord Newton steps."""
+    """5-point (plus optional constant cross term) Dirichlet operator L on
+    the n_x x n_x interior grid, for the step dt it serves. In its row-major
+    order L has half-width n_x (n_x + 1 with the cross term); it is kept as
+    a ``banded.Band``, and shifted solves factor diag + dt L by banded
+    Cholesky. The factor is kept for chord Newton steps."""
 
-    def __init__(self, a1face, a2face, h, a12=0.0):
+    def __init__(self, a1face, a2face, h, dt, a12=0.0):
         # a1face: (n_x+1, n_x) coefficients on x1-faces; a2face: (n_x, n_x+1)
-        n = self.n = a1face.shape[1]
+        n = a1face.shape[1]
         h2 = h * h
-        # diagonal o of K in row-major order: K[j - o, j] at place j
+        # diagonal o of L in row-major order: L[j - o, j] at place j
         upper = {o: np.zeros((n, n)) for o in (0, 1, n) + ((n - 1, n + 1) if a12 else ())}
         upper[0][:] = (a1face[:-1] + a1face[1:] + a2face[:, :-1] + a2face[:, 1:]) / h2
         upper[1][:, 1:] = -a2face[:, 1:-1] / h2
@@ -228,33 +211,28 @@ class Operator2D:
             upper[n + 1][1:, 1:] -= c
             upper[n - 1][1:, :-1] += c
         self.band = Band.from_diagonals({o: d.ravel() for o, d in upper.items()})
-        offsets = list(upper) + [-o for o in upper if o]
-        self.K = sp.diags([upper[abs(o)].ravel()[abs(o):] for o in offsets], offsets,
-                          shape=(n * n, n * n), format="csr")
-        self.factor = None
+        self.dt, self.factor = dt, None
 
     def matvec(self, v):
-        return self.K @ v
+        """dt L v."""
+        return self.dt * self.band.matvec(v)
 
-    def dt_matvec(self, dt, v):
-        return dt * (self.K @ v)
-
-    def solve_shifted(self, extra_diag, dt, rhs):
-        """Solve (diag(extra_diag) + dt * K) x = rhs by banded Cholesky,
+    def solve_shifted(self, extra_diag, rhs):
+        """Solve (diag(extra_diag) + dt L) x = rhs by banded Cholesky,
         keeping the factor as ``factor``; extra_diag None solves with it
         again. Raises ValueError for non-finite input and SolverDiverged
         when the shifted matrix is not positive definite."""
         if extra_diag is not None:
-            self.factor = BandCholesky(self.band.shifted(dt, extra_diag))
+            self.factor = BandCholesky(self.band.shifted(self.dt, extra_diag))
         return self.factor.solve(rhs)
 
 
-def _operator(grid, faces, a12=0.0):
-    """Dirichlet operator from per-axis face coefficients ``faces[d]`` of
-    ``grid.face_shape(d)``: tridiagonal in 1D, banded in 2D."""
+def _operator(grid, faces, dt, a12=0.0):
+    """Dirichlet operator for the step dt from per-axis face coefficients
+    ``faces[d]`` of ``grid.face_shape(d)``: tridiagonal in 1D, banded in 2D."""
     if grid.dim == 1:
-        return Operator1D(faces[0], grid.h)
-    return Operator2D(*faces, grid.h, a12=a12)
+        return Operator1D(faces[0], grid.h, dt)
+    return Operator2D(*faces, grid.h, dt, a12=a12)
 
 
 def _fast_phase(t, eps, r):
@@ -263,8 +241,8 @@ def _fast_phase(t, eps, r):
     return round((t / eps**r) % 1.0 * 2**40) / 2**40 % 1.0
 
 
-def _micro_operator(field, grid, eps, s):
-    """Operator with a sampled at face midpoints at fast phase s."""
+def _micro_operator(field, grid, eps, s, dt):
+    """Operator for the step dt with a sampled at face midpoints at fast phase s."""
     faces = []
     for d in range(grid.dim):
         x = grid.face_points(d)
@@ -272,24 +250,24 @@ def _micro_operator(field, grid, eps, s):
         if np.any(a[:, ~np.eye(grid.dim, dtype=bool)]):
             raise ConfigError("2D micro solves support diagonal coefficient fields only")
         faces.append(a[:, d, d].reshape(grid.face_shape(d)))
-    return _operator(grid, faces)
+    return _operator(grid, faces, dt)
 
 
-def _constant_operator(matrix, grid):
+def _constant_operator(matrix, grid, dt):
     matrix = np.atleast_2d(matrix)
     faces = [np.full(grid.face_shape(d), matrix[d, d]) for d in range(grid.dim)]
     # symmetric part of the off-diagonal entries; 0 in 1D, which has none
     a12 = 0.5 * matrix[~np.eye(grid.dim, dtype=bool)].sum()
-    return _operator(grid, faces, a12)
+    return _operator(grid, faces, dt, a12)
 
 
-def _table_operator(tensor, grid, v_nodes, p, clamped=None):
-    """Operator with the tabulated matrix looked up at |u| on each face (u
-    interpolated from the adjacent nodes, boundary value 0): one ``entries_at``
-    per axis, which takes |u| itself and gets ``clamped``."""
+def _table_operator(tensor, grid, v_nodes, p, dt, clamped=None):
+    """Operator for the step dt with the tabulated matrix looked up at |u|
+    on each face (u interpolated from the adjacent nodes, boundary value 0):
+    one ``entries_at`` per axis, which takes |u| itself and gets ``clamped``."""
     u = _u_of(v_nodes, p)
     return _operator(grid, [tensor.entries_at(grid.face_average(u, d), clamped)[..., d, d]
-                            for d in range(grid.dim)])
+                            for d in range(grid.dim)], dt)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +279,11 @@ def _u_of(v, p):
 
 
 def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
-    """Solve u(w) + dt L w = un + dt f for w by damped Newton.
+    """Solve u(w) + dt L w = un + dt f for w by damped Newton, on an
+    operator built for this dt.
 
     A trial residual F = u(w) + dt L w - target is one pass: |w| and u(w),
-    dt L w from the operator's scaled bands, F in place and its norm as one
+    dt L w from the operator, F in place and its norm as one
     dot. The Jacobian J = diag(u'(w)) + dt L takes u' = (1/p)|w|^(1/p-1),
     regularized at w = 0, from that |w|; the step is w - J^-1 F. A finite
     norm shows F finite, so the 1D solve (gtsv) works in F unchecked; a
@@ -321,7 +300,7 @@ def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
     def residual(w):
         aw = np.abs(w)
         u = np.copysign(aw ** (1.0 / p), w)
-        dtLw = op.dt_matvec(dt, w)
+        dtLw = op.matvec(w)
         F = u + dtLw
         F -= target
         return w, aw, u, dtLw, F, math.sqrt(F.dot(F))
@@ -335,14 +314,14 @@ def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
                 op.factor = None
             return w, u, dtLw, iters, backtracks, factorizations
         if chord:
-            trial = residual(w - op.solve_shifted(None, dt, F))
+            trial = residual(w - op.solve_shifted(None, F))
             if trial[-1] <= (1.0 - 1e-4) * res:
                 chord = trial[-1] <= CHORD_RATE * res
                 it = trial
                 continue
         uprime = (1.0 / p) * np.maximum(aw, DELTA_REG) ** (1.0 / p - 1.0)
-        d = (op.solve_shifted(uprime, dt, F) if kept else
-             op.solve_shifted(uprime, dt, F, overwrite_rhs=math.isfinite(res)))
+        d = (op.solve_shifted(uprime, F) if kept else
+             op.solve_shifted(uprime, F, overwrite_rhs=math.isfinite(res)))
         factorizations += 1
         chord = kept
         alpha = 1.0
@@ -363,12 +342,13 @@ def _newton_step(op, un, fval, dt, p, v_init, tol_abs, step_id):
 
 def _march(grid, p, f, u0, op_at, substeps):
     """Shared implicit-Euler driver. op_at(t, v) yields the elliptic operator
-    for the step targeting time t, given v of the previous step (from which
-    the table mode lags its coefficient), and its phase key, which picks
-    the Newton start (module docstring); the iterations of a discarded
-    predicted start are not counted. A source f marked ``t_independent``
-    is sampled once per solve. The dissipation increment h^N v . (dt L v)
-    reuses the accepted residual's dt L v."""
+    for the step targeting time t, built for the substep grid.dt / substeps,
+    given v of the previous step (from which the table mode lags its
+    coefficient), and its phase key, which picks the Newton start (module
+    docstring); the iterations of a discarded predicted start are not
+    counted. A source f marked ``t_independent`` is sampled once per solve.
+    The dissipation increment h^N v . (dt L v) reuses the accepted
+    residual's dt L v."""
     x = grid.interior_nodes()
     un = np.asarray(u0(x), dtype=float).ravel()
     v = np.copysign(np.abs(un) ** p, un)
@@ -421,6 +401,7 @@ def solve_micro(prob: MicroProblem) -> SpaceTimeField:
     solve and s is the phase key of the Newton start; an s-independent
     field has one operator and one key (None)."""
     substeps = prob.auto_substeps()
+    dt = prob.grid.dt / substeps
     cache = {}
     builds = 0
 
@@ -431,7 +412,7 @@ def solve_micro(prob: MicroProblem) -> SpaceTimeField:
         if op is None:
             if len(cache) >= MICRO_OPERATOR_CACHE:
                 cache.clear()
-            op = cache[s] = _micro_operator(prob.field, prob.grid, prob.eps, s or 0.0)
+            op = cache[s] = _micro_operator(prob.field, prob.grid, prob.eps, s or 0.0, dt)
             builds += 1
         return op, s
 
@@ -445,14 +426,15 @@ def solve_homogenized(prob: HomogenizedProblem) -> SpaceTimeField:
     """Solve the effective problem; at the critical scaling the matrix is
     looked up from the |u0| table, frozen per step (lagged coefficient)."""
     clamped = []  # one count per look-up that clamped
+    dt = prob.grid.dt / prob.substeps
     if prob.mode == "constant":
-        op_const = _constant_operator(prob.tensor.matrix, prob.grid)
+        op_const = _constant_operator(prob.tensor.matrix, prob.grid, dt)
 
         def op_at(t, _v):
             return op_const, None
     else:
         def op_at(t, v):
-            return _table_operator(prob.tensor, prob.grid, v, prob.p, clamped), None
+            return _table_operator(prob.tensor, prob.grid, v, prob.p, dt, clamped), None
 
     values, diss, stats = _march(prob.grid, prob.p, prob.f, prob.u0, op_at, prob.substeps)
     stats.update(mode=prob.mode, clamp_warnings=len(clamped))
@@ -467,10 +449,10 @@ def solve_homogenized(prob: HomogenizedProblem) -> SpaceTimeField:
 @lru_cache(maxsize=8)
 def _laplacian_solve(grid):
     """Solver of -Laplace(phi) = w, zero on the boundary: gtsv or a kept factor."""
-    op, zeros = _constant_operator(np.eye(grid.dim), grid), np.zeros(grid.n_x**grid.dim)
+    op, zeros = _constant_operator(np.eye(grid.dim), grid, 1.0), np.zeros(grid.n_x**grid.dim)
     if grid.dim == 2:
         return BandCholesky(op.band.shifted(1.0, zeros)).solve
-    return lambda w: op.solve_shifted(zeros, 1.0, w)
+    return lambda w: op.solve_shifted(zeros, w)
 
 
 def hminus1_norm(w, grid: MacroGrid):

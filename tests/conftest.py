@@ -26,8 +26,11 @@ def monolithic_critical_solve(field, grid, p, u0abs, k):
     one shot. Returns the trajectory with the layout of CellSolution.phi:
     M_s rows, row i the slice at s = i h_s, solved with ops[i].
 
-    The capacity mu and the diffusivity scale kappa are computed here from
-    p and u0abs, independently of ``CellParameter``. For the
+    The slice matrices K_j and drives b_j come from
+    ``sparse_product_operator`` on the sampled cell values, so the oracle
+    also checks the stencil build of ``CellOperator``. The capacity mu and
+    the diffusivity scale kappa are computed here from p and u0abs,
+    independently of ``CellParameter``. For the
     fast-diffusion branch the unknown is Phi with capacity
     mu = (1/p)|u0|^(1-p). For the porous-medium branch the system is kept
     in its own form, d_s Psi = div_y(a [kappa grad Psi + e_k]) with
@@ -38,16 +41,16 @@ def monolithic_critical_solve(field, grid, p, u0abs, k):
         capacity, kappa = (1.0 / p) * u0abs ** (1.0 - p), 1.0
     else:
         capacity, kappa = 1.0, p * u0abs ** (p - 1.0)
-    ops = cs._slice_operators(field, grid)
+    slices = [reference_slice(field, grid, s) for s in grid.slice_times()]
     n = grid.M_y**field.dim
     M_s = grid.M_s
     c = capacity / grid.h_s
     blocks = [[None] * M_s for _ in range(M_s)]
     for i in range(M_s):
-        blocks[i][i] = sp.eye(n) * c + kappa * ops[i].K
+        blocks[i][i] = sp.eye(n) * c + kappa * slices[i][0]
         blocks[i][(i - 1) % M_s] = sp.eye(n) * (-c)
     A = sp.bmat(blocks, format="lil")
-    rhs = np.concatenate([op.b[k - 1] for op in ops])
+    rhs = np.concatenate([b[k - 1] for _, b in slices])
     # one global constant in the kernel: pin the mean of slice 0
     ones = np.zeros(M_s * n)
     ones[:n] = 1.0 / n
@@ -119,6 +122,42 @@ def sparse_product_operator(a, dim, M, face_avg):
                           for j in range(len(phis))] for i in range(len(phis))])
 
     return K.tocsr(), b, pair_const, gram
+
+
+def reference_slice(field, grid, s):
+    """(K, b) of the cell operator at slice time s from
+    ``sparse_product_operator`` on the field sampled at the cell centers."""
+    y = grid.centers(field.dim)
+    K, b, _, _ = sparse_product_operator(field.sample(y, np.full(len(y), float(s))),
+                                         field.dim, grid.M_y, grid.face_avg)
+    return K, b
+
+
+def same_band(a, b):
+    """True when two ``banded.Band`` hold the same entries, bit for bit."""
+    return a.kd == b.kd and np.array_equal(a.rows, b.rows) and np.array_equal(a.values, b.values)
+
+
+def cell_matrix(op):
+    """Dense K of a ``CellOperator`` in cell order, expanded from its band."""
+    pos = cs._folded_order(op.dim, op.M)[1]
+    return band_csr(op.band).toarray()[np.ix_(pos, pos)]
+
+
+def band_csr(band):
+    """The symmetric matrix of a ``banded.Band`` as a CSR matrix, in the
+    band's own numbering, without its zero entries."""
+    rows, cols, vals = [], [], []
+    for r, diagonal in zip(band.rows, band.values):
+        o = band.kd - r
+        j = np.arange(o, band.n)
+        rows += [j - o, j] if o else [j]
+        cols += [j, j - o] if o else [j]
+        vals += [diagonal[o:]] * (2 if o else 1)
+    K = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(band.n, band.n))
+    K.eliminate_zeros()
+    return K
 
 
 def pairing_reference(cells, ops):

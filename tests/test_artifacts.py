@@ -156,3 +156,22 @@ def test_malformed_header_is_config_error(kind, defect, tmp_path):
         LOADERS[kind](path)
     assert path in str(info.value)
     assert repr(named) in str(info.value)
+
+
+GOLDEN_KEYS = "keys=0,0.10000000000000001,1,10"
+
+
+@pytest.mark.parametrize("keys", ["keys=0,0.10000000000000001,1",
+                                  "keys=0,1,0.10000000000000001,10", "keys=none"])
+def test_table_keys_must_fit_its_matrices(keys, tmp_path):
+    # the golden table holds m=4 matrices: three keys leave the last one out
+    # of reach, unsorted keys interpolate across the wrong segments, and
+    # keys=none is a constant tensor, which holds one matrix
+    with open(os.path.join(ARTIFACT_DIR, FILES["ahom"])) as fh:
+        header, body = fh.readline(), fh.read()
+    assert " m=4 " in header and header.rstrip().endswith(GOLDEN_KEYS)
+    path = tmp_path / FILES["ahom"]
+    path.write_text(header.replace(GOLDEN_KEYS, keys) + body)
+    with pytest.raises(ConfigError, match="do not fit m=4") as info:
+        em.load_tensor(str(path))
+    assert str(path) in str(info.value)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import l2_cell_time, monolithic_critical_solve, sparse_product_operator
+from conftest import (cell_matrix, l2_cell_time, monolithic_critical_solve, reference_slice,
+                      same_band, sparse_product_operator)
+from oscidiff.banded import Band
 from oscidiff import cellsolve as cs, effmat as em
 from oscidiff.errors import (ConfigError, EllipticityViolation, PeriodicityNotReached,
                              SolverDiverged)
@@ -146,15 +148,18 @@ def test_folded_order_is_permutation_with_stated_half_width(name, params, M):
 @pytest.mark.parametrize("M", [4, 5, 7, 24])
 @pytest.mark.parametrize("name,params", STEP_FIELDS)
 def test_step_factors_match_spsolve(name, params, M, shift):
-    # shift I + K in folded order against a sparse direct solve
+    # shift I + K in folded order against a sparse direct solve, K and b
+    # from the sparse products
     field = make_field(name, **params)
     grid = CellGrid(M_y=M, M_s=4)
-    ops = [cs.CellOperator(field, grid, s=s) for s in (0.25, 0.5)]
+    times = (0.25, 0.5)
+    ops = [cs.CellOperator(field, grid, s=s) for s in times]
     order, pos = cs._folded_order(field.dim, M)
-    for op, factor in zip(ops, cs._step_factors(ops, shift)):
-        A = (shift * sp.eye(op.n) + op.K).tocsc()
+    for s, op, factor in zip(times, ops, cs._step_factors(ops, shift)):
+        K, b = reference_slice(field, grid, s)
+        A = (shift * sp.eye(op.n) + K).tocsc()
         wave = np.cos(np.arange(op.n))
-        rhs = op.b[-1] + wave - wave.mean()  # mean-zero, as the march's
+        rhs = b[-1] + wave - wave.mean()  # mean-zero, as the march's
         x = factor.solve(rhs[order])[pos]
         ref = spla.spsolve(A, rhs)
         assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
@@ -184,8 +189,9 @@ STENCIL_CASES = [("trig1d_st", {}, 8), ("trig1d_st", {}, 64), ("trig2d_st", {}, 
 @pytest.mark.parametrize("face_avg", ["geometric", "harmonic", "arithmetic"])
 @pytest.mark.parametrize("name,params,M", STENCIL_CASES)
 def test_stencil_build_matches_sparse_products(name, params, M, face_avg):
-    # K, b and pair_const bitwise for diagonal fields, whose products the
-    # stencil repeats operation by operation; the cross term within 1e-14.
+    # the band of K, b and pair_const bitwise for diagonal fields, whose
+    # products the stencil repeats operation by operation; the cross term
+    # within 1e-14.
     # The Gram of random rows, assembled by effmat in one matrix product
     # per direction, sums in another order than the oracle's dot products
     field = make_field(name, **params)
@@ -199,12 +205,14 @@ def test_stencil_build_matches_sparse_products(name, params, M, face_avg):
     got_gram = em.assemble_ahom(cells, field, grid, ops=[op]).grad_grams[0]
     want_gram = gram(list(phis))
     assert np.max(np.abs(got_gram - want_gram)) <= 1e-14 * np.max(np.abs(want_gram))
-    got = [op.K.toarray(), *op.b, op.pair_const]
-    want = [K.toarray(), *b, pair_const]
+    coo = K.tocoo()
+    band = Band(coo.row, coo.col, coo.data, cs._folded_order(field.dim, M)[1])
+    assert (op.band.kd, list(op.band.rows)) == (band.kd, list(band.rows))
+    got = [op.band.values, *op.b, op.pair_const]
+    want = [band.values, *b, pair_const]
     if op.cell_offdiag is None:
         assert name != "constant"
-        for arr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(op.K, arr), getattr(K, arr))
+        assert same_band(op.band, band)
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
     else:
@@ -460,9 +468,10 @@ ELLIPTIC_ROWS = [
 
 @pytest.mark.parametrize("name,params,regime,param,grid,make_ops", ELLIPTIC_ROWS)
 def test_elliptic_rows_match_dense_least_squares(name, params, regime, param, grid, make_ops):
-    # every elliptic row is the zero-mean solution of K_j phi = b_k: within
-    # 1e-12 of a dense least-squares solve, with a true relative residual of
-    # at most 1e-12, and within 1e-9 of projected CG
+    # every elliptic row is the zero-mean solution of K_j phi = b_k, K_j
+    # expanded from the band of ops[j]: within 1e-12 of a dense
+    # least-squares solve, with a true relative residual of at most 1e-12,
+    # and within 1e-9 of projected CG
     field = make_field(name, **params)
     ops = cs.cell_operators(field, grid, regime) if make_ops is None else make_ops(grid.M_y)
     cells = cs.solve_cells(field, grid, regime, param=param, ops=ops)
@@ -472,13 +481,13 @@ def test_elliptic_rows_match_dense_least_squares(name, params, regime, param, gr
         assert sol.residual <= 1e-12
         assert np.linalg.norm(sol.phi) > 0.1  # a corrector, not the zero field
         for op, row in zip(ops, sol.phi):
-            b = op.b[sol.k - 1]
-            ref = np.linalg.lstsq(op.K.toarray(), b, rcond=None)[0]
+            b, K = op.b[sol.k - 1], cell_matrix(op)
+            ref = np.linalg.lstsq(K, b, rcond=None)[0]
             ref -= ref.mean()
             scale = np.linalg.norm(ref)
             assert np.linalg.norm(row - ref) <= 1e-12 * scale
-            assert np.linalg.norm(op.K @ row - b) <= 1e-12 * np.linalg.norm(b)
-            assert np.linalg.norm(row - cs.projected_cg(op.K, b)[0]) <= 1e-9 * scale
+            assert np.linalg.norm(K @ row - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(row - cs.projected_cg(K, b)[0]) <= 1e-9 * scale
 
 
 CRITERION_3_GRIDS = [("trig1d_st", CellGrid(M_y=16, M_s=16)),
@@ -504,20 +513,22 @@ def test_criterion_3_grid_matches_monolithic_oracle(name, grid, p, u0abs):
 @pytest.mark.parametrize("name,grid", CRITERION_3_GRIDS)
 def test_critical_rows_solve_their_step_equation(name, grid, p):
     # row j: (c/h_s)(phi_j - phi_{j-1}) + K_j phi_j = b_k with j - 1 mod M_s
-    # and K_j, b_k from ops[j]; row 1 steps from the final sweep's start,
-    # c |end - start| <= PERIODIC_TOL away from row 0
+    # and K_j, b_k of the sparse products at s = j h_s, the slice of ops[j];
+    # row 1 steps from the final sweep's start, c |end - start| <=
+    # PERIODIC_TOL away from row 0
     field = make_field(name)
     regime = cs.regime_for(2.0, p)
     param = cs.CellParameter(p=p, u0abs=1.0)
     ops = cs.cell_operators(field, grid, regime)
     for sj, op in zip(grid.slice_times(), ops):
-        assert (op.K != cs.CellOperator(field, grid, s=sj).K).nnz == 0
+        assert same_band(op.band, cs.CellOperator(field, grid, s=sj).band)
+    slices = [reference_slice(field, grid, sj) for sj in grid.slice_times()]
     shift = param.capacity / grid.h_s
     for sol in cs.solve_cells(field, grid, regime, param=param, ops=ops):
         assert len(sol.phi) == len(ops) == grid.M_s
         prev = np.roll(sol.phi, 1, axis=0)
-        residual = np.array([shift * (phi - before) + op.K @ phi - op.b[sol.k - 1]
-                             for phi, before, op in zip(sol.phi, prev, ops)])
+        residual = np.array([shift * (phi - before) + K @ phi - b[sol.k - 1]
+                             for phi, before, (K, b) in zip(sol.phi, prev, slices)])
         assert l2_cell_time(residual, grid, field.dim) <= grid.M_s * cs.PERIODIC_TOL
 
 
@@ -539,7 +550,8 @@ def test_critical_cell_solves_at_large_capacity(name, grid, p):
 def test_period_solve_budget_error_carries_true_defect(monkeypatch):
     # GMRES stops at its budget with its start, g = the sweep from 0: the
     # error carries c |Phi(1) - Phi(0)| of a sweep from g, computed here
-    # with sparse solves of the step equation
+    # with sparse solves of the step equation, K and b from the sparse
+    # products
     def exhausted(A, b, x0, **kwargs):
         return x0.copy(), kwargs["maxiter"]
 
@@ -548,13 +560,14 @@ def test_period_solve_budget_error_carries_true_defect(monkeypatch):
     param = cs.CellParameter(p=1.5, u0abs=0.01)
     with pytest.raises(PeriodicityNotReached) as info:
         cs.solve_cells(field, grid, "critical_pme", param=param)
-    ops, c = cs.cell_operators(field, grid, "critical_pme"), param.capacity
+    slices, c = [reference_slice(field, grid, sj) for sj in grid.slice_times()], param.capacity
     shift = c / grid.h_s
 
     def sweep(start):
         for j in (*range(1, grid.M_s), 0):
-            start = spla.spsolve((shift * sp.identity(grid.M_y) + ops[j].K).tocsc(),
-                                 shift * start + ops[j].b[0])
+            K, b = slices[j]
+            start = spla.spsolve((shift * sp.identity(grid.M_y) + K).tocsc(),
+                                 shift * start + b[0])
         return start
 
     g = sweep(np.zeros(grid.M_y))

@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import _entries_at_reference, monolithic_critical_solve, pairing_reference
-from oscidiff import cellsolve as cs, effmat as em
+from oscidiff import cellsolve as cs, effmat as em, harness as hz, pdesolve as pde
 from oscidiff.errors import (BoundViolated, ConfigError, DimensionMismatch,
                              PeriodicityNotReached, RegimeMismatch,
                              SolverDiverged, SymmetryViolated)
-from oscidiff.fields import CellGrid, make_field, mean_ys
+from oscidiff.fields import CellGrid, MacroGrid, make_field, mean_ys
 
 # pinned by a 1e6-point midpoint quadrature of int (1/4) sqrt(4 - cos^2 2 pi s) ds
 SUBCRITICAL_TRIG_REF = 0.467107728834
@@ -161,31 +162,43 @@ def test_table_builds_each_slice_once(monkeypatch, name, p):
     assert len(built) == grid.M_s
 
 
-@pytest.mark.parametrize("name,p", SHARED_TABLE_CASES)
-def test_table_assembly_builds_no_sparse_matrix(monkeypatch, name, p):
-    # the assembly pairs stacked rows with dense arrays; the one sparse
-    # matrix per slice is K, built with the operator
-    calls, inside = [], []
-    csr_matrix = cs.sp.csr_matrix
-    assemble = em.assemble_ahom
+def _sparse_free_run(case):
+    """One run of a solver path: a critical table, a tiny supercritical
+    study, a 2D table-mode homogenized solve, or H^-1 norms in 1D and 2D."""
+    if case in ("table_1d", "table_2d"):
+        name, p = SHARED_TABLE_CASES[case == "table_2d"]
+        em.tabulate_ahom_critical(make_field(name), CellGrid(M_y=8, M_s=4), p=p,
+                                  u0abs_grid=SHARED_TABLE_KEYS)
+    elif case == "study":
+        hz.run_convergence_study(make_field("trig1d_st"), 0.5, 3.0, [1 / 8, 1 / 16],
+                                 data={"n_x": 32, "n_t": 4, "T": 2.0**-6},
+                                 cell_grid=CellGrid(M_y=16, M_s=16))
+    elif case == "homog_2d":
+        tensor = em.tabulate_ahom_critical(make_field("trig2d_st"), CellGrid(M_y=8, M_s=4),
+                                           p=1.5, u0abs_grid=[0.0, 0.5, 1.0, 2.0])
+        pde.solve_homogenized(pde.HomogenizedProblem(
+            tensor=tensor, p=1.5, f=lambda x, t: np.ones(len(x)),
+            u0=lambda x: np.prod(np.sin(np.pi * x), axis=1),
+            grid=MacroGrid(dim=2, n_x=12, n_t=4, T=0.25), mode="critical_table"))
+    else:
+        pde._laplacian_solve.cache_clear()
+        for dim in (1, 2):
+            grid = MacroGrid(dim=dim, n_x=12, n_t=4, T=1.0)
+            pde.hminus1_norm(np.ones((3, grid.n_x**dim)), grid)
 
-    def counting_csr(*args, **kwargs):
-        calls.append(bool(inside))
-        return csr_matrix(*args, **kwargs)
 
-    def tracking_assemble(*args, **kwargs):
-        inside.append(1)
-        try:
-            return assemble(*args, **kwargs)
-        finally:
-            inside.pop()
+@pytest.mark.parametrize("case", ["table_1d", "table_2d", "study", "homog_2d", "hminus1"])
+def test_solver_paths_build_no_sparse_matrix(monkeypatch, case):
+    # every operator is a banded.Band; scipy.sparse's matrix constructors
+    # raise while a solver path runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scipy.sparse matrix was built")
 
-    monkeypatch.setattr(cs.sp, "csr_matrix", counting_csr)
-    monkeypatch.setattr(em, "assemble_ahom", tracking_assemble)
-    field, grid = make_field(name), CellGrid(M_y=8, M_s=4)
-    em.tabulate_ahom_critical(field, grid, p=p, u0abs_grid=SHARED_TABLE_KEYS)
-    assert not any(calls)
-    assert len(calls) == grid.M_s
+    for name in ("csr_matrix", "coo_matrix", "diags", "eye", "bmat"):
+        monkeypatch.setattr(sp, name, forbidden)
+    with pytest.raises(AssertionError, match="scipy.sparse"):
+        sp.eye(2)
+    _sparse_free_run(case)
 
 
 def test_table_not_positive_definite_names_key_and_slice(monkeypatch):

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _entries_at_reference
+from conftest import _entries_at_reference, band_csr
 from oscidiff import cellsolve as cs, effmat as em, harness as hz, pdesolve as pde
 from oscidiff.errors import ConfigError, SolverDiverged
 from oscidiff.fields import CellGrid, MacroGrid, make_field, sample_grid
@@ -145,17 +145,17 @@ def test_newton_quadratic_tail():
     grid = MacroGrid(dim=1, n_x=64, n_t=8, T=0.25)
     x = grid.interior_nodes()
     un = np.sin(np.pi * x[:, 0])
-    op = pde._constant_operator(np.array([[0.5]]), grid)
-    p, dt = 1.5, grid.dt
+    op = pde._constant_operator(np.array([[0.5]]), grid, grid.dt)
+    p = 1.5
     w = np.sign(un) * np.abs(un) ** p
     target = un
     res_hist = []
     for _ in range(12):
-        F = pde._u_of(w, p) + dt * op.matvec(w) - target
+        F = pde._u_of(w, p) + op.matvec(w) - target
         res_hist.append(np.linalg.norm(F))
         if res_hist[-1] < 1e-13:
             break
-        w = w + op.solve_shifted(_uprime(w, p), dt, -F)
+        w = w + op.solve_shifted(_uprime(w, p), -F)
     tail = [r for r in res_hist if r > 1e-13][-2:]
     assert tail[1] / tail[0] <= 0.3
 
@@ -184,9 +184,10 @@ def test_dissipation_is_the_face_gradient_quadrature(dim):
 
 
 def _three_pass_march(grid, p, f, u0, op_at, substeps, full_newton=False, predict=True):
-    """Reference stepper: each residual in three passes (u(w), L w, the
-    norm), dissipation dt h^N v . L v. ``op_at(t, v)`` gives the operator
-    and its phase key; unless ``predict`` is false, Newton starts from v
+    """Reference stepper: each residual in three passes (u(w), dt L w, the
+    norm), dissipation h^N v . (dt L v). ``op_at(t, v)`` gives the operator,
+    built for the substep dt, and its phase key; unless ``predict`` is
+    false, Newton starts from v
     plus the last increment made at the same phase (from v at a new phase;
     a new phase clears a store of ``MICRO_OPERATOR_CACHE`` phases).
     On an ``Operator2D`` it takes chord steps on the last factor while the
@@ -205,7 +206,7 @@ def _three_pass_march(grid, p, f, u0, op_at, substeps, full_newton=False, predic
         target = un + dt * np.asarray(f(x, t), dtype=float).ravel()
 
         def residual(w):
-            return pde._u_of(w, p) + dt * op.matvec(w) - target
+            return pde._u_of(w, p) + op.matvec(w) - target
 
         v_old = v
         if predict and phase in increments:
@@ -214,14 +215,14 @@ def _three_pass_march(grid, p, f, u0, op_at, substeps, full_newton=False, predic
         chord = False
         while np.linalg.norm(F) > tol:
             if chord:
-                w = v + op.solve_shifted(None, dt, -F)
+                w = v + op.solve_shifted(None, -F)
                 res, res_w = np.linalg.norm(F), np.linalg.norm(residual(w))
                 if res_w <= (1.0 - 1e-4) * res:
                     chord = res_w <= pde.CHORD_RATE * res
                     v = w
                     F = residual(v)
                     continue
-            d = op.solve_shifted(_uprime(v, p), dt, -F)
+            d = op.solve_shifted(_uprime(v, p), -F)
             chord = isinstance(op, pde.Operator2D) and not full_newton
             alpha = 1.0
             while np.linalg.norm(residual(v + alpha * d)) > (1.0 - 1e-4 * alpha) * np.linalg.norm(F):
@@ -233,17 +234,19 @@ def _three_pass_march(grid, p, f, u0, op_at, substeps, full_newton=False, predic
             increments.clear()
         increments[phase] = v - v_old
         un = pde._u_of(v, p)
-        diss.append(diss[-1] + dt * grid.h**grid.dim * float(v @ op.matvec(v)))
+        diss.append(diss[-1] + grid.h**grid.dim * float(v @ op.matvec(v)))
         if (k + 1) % substeps == 0:
             values.append(v)
     return np.array(values), np.array(diss[::substeps]), halvings
 
 
 def _micro_op_at(prob):
-    """A micro operator built afresh for every step, with its fast phase."""
+    """A micro operator built afresh for every substep, with its fast phase."""
+    dt = prob.grid.dt / prob.auto_substeps()
+
     def op_at(t, _v):
         s = pde._fast_phase(t, prob.eps, prob.r)
-        return pde._micro_operator(prob.field, prob.grid, prob.eps, s), s
+        return pde._micro_operator(prob.field, prob.grid, prob.eps, s, dt), s
     return op_at
 
 
@@ -255,13 +258,14 @@ def _face_means(u, grid, d):
     return np.moveaxis(0.5 * (padded[:-1] + padded[1:]), 0, d)
 
 
-def _table_operator_reference(tensor, grid, v, p):
-    """The table-mode operator from the test's own look-up: entry (d, d) of
-    ``_entries_at_reference`` at |u| on the faces normal to d."""
+def _table_operator_reference(tensor, grid, v, p, dt):
+    """The table-mode operator for the substep dt from the test's own
+    look-up: entry (d, d) of ``_entries_at_reference`` at |u| on the faces
+    normal to d."""
     u = pde._u_of(v, p)
     return pde._operator(grid, [
         _entries_at_reference(tensor, np.abs(_face_means(u, grid, d)))[..., d, d]
-        for d in range(grid.dim)])
+        for d in range(grid.dim)], dt)
 
 
 def _fused_and_reference(case, T=0.25):
@@ -295,7 +299,7 @@ def _fused_and_reference(case, T=0.25):
         tensor = em.tabulate_ahom_critical(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4),
                                            p=0.5, u0abs_grid=[0.0, 0.5, 1.0, 2.0])
         grid = MacroGrid(dim=1, n_x=32, n_t=8, T=T)
-        op_at = lambda _t, v: (_table_operator_reference(tensor, grid, v, 0.5), None)
+        op_at = lambda _t, v: (_table_operator_reference(tensor, grid, v, 0.5, grid.dt / 2), None)
         prob = pde.HomogenizedProblem(tensor=tensor, p=0.5, f=one, u0=sine, grid=grid,
                                       mode="critical_table", substeps=2)
         return pde.solve_homogenized(prob), _three_pass_march(grid, 0.5, one, sine, op_at, 2)
@@ -305,7 +309,8 @@ def _fused_and_reference(case, T=0.25):
         tensor = em.tabulate_ahom_critical(make_field("trig1d_st"), CellGrid(M_y=64, M_s=64),
                                            p=0.5)
         grid, f = MacroGrid(dim=1, n_x=256, n_t=4, T=2.0**-5), hz.DEFAULTS["f"]["one"]
-        op_at = lambda _t, v: (_table_operator_reference(tensor, grid, v, 0.5), None)
+        op_at = lambda _t, v: (_table_operator_reference(tensor, grid, v, 0.5, grid.dt / 64),
+                               None)
         prob = pde.HomogenizedProblem(tensor=tensor, p=0.5, f=f, u0=sine, grid=grid,
                                       mode="critical_table", substeps=64)
         return pde.solve_homogenized(prob), _three_pass_march(grid, 0.5, f, sine, op_at, 64)
@@ -316,7 +321,8 @@ def _fused_and_reference(case, T=0.25):
 
 def _problem_2d(case, T=0.25):
     """A 2D homogenized problem and its operator for the step to time t
-    from v: a constant full matrix or a critical |u0| table. ``stiff_2d``
+    from v, built for the step dt: a constant full matrix or a critical |u0|
+    table. ``stiff_2d``
     has porous-medium data of size 1e-3 and dt = 1/4, where chord steps
     that only pass the Armijo test stall short of the tolerance."""
     sine = lambda x: np.prod(np.sin(np.pi * x), axis=1)
@@ -327,7 +333,7 @@ def _problem_2d(case, T=0.25):
         u0 = (lambda x: 1e-3 * np.sign(x[:, 0] - 0.5) * np.abs(np.sin(3 * np.pi * x[:, 0]))
               * np.sin(np.pi * x[:, 1])) if stiff else sine
         grid = MacroGrid(dim=2, n_x=10, n_t=4 if stiff else 8, T=1.0 if stiff else T)
-        op = pde._constant_operator(matrix, grid)
+        op = pde._constant_operator(matrix, grid, grid.dt)
         return pde.HomogenizedProblem(tensor=_constant_tensor(matrix), p=1.5, f=one,
                                       u0=u0, grid=grid), lambda _t, _v: (op, None)
     tensor = em.tabulate_ahom_critical(make_field("trig2d_st"), CellGrid(M_y=8, M_s=4),
@@ -335,14 +341,14 @@ def _problem_2d(case, T=0.25):
     grid = MacroGrid(dim=2, n_x=12, n_t=8, T=T)
     return (pde.HomogenizedProblem(tensor=tensor, p=1.5, f=one, u0=sine, grid=grid,
                                    mode="critical_table"),
-            lambda _t, v: (_table_operator_reference(tensor, grid, v, 1.5), None))
+            lambda _t, v: (_table_operator_reference(tensor, grid, v, 1.5, grid.dt), None))
 
 
 @pytest.mark.parametrize("case", ["micro", "backtracking", "table", "constant_2d",
                                   "stiff_2d", "benchmark_fde", "benchmark_pme",
                                   "benchmark_table"])
 def test_fused_march_matches_three_pass_reference(case):
-    # every dt here is a power of 2, so scaling the bands by dt is exact
+    # both take dt L w from the same operator, built for the substep dt
     traj, (values, diss, halvings) = _fused_and_reference(case)
     assert np.array_equal(traj.values, values)
     assert np.allclose(traj.dissipation, diss, rtol=1e-12, atol=0.0)
@@ -383,7 +389,7 @@ def test_chord_march_meets_tolerance_and_full_newton(case):
     for n in range(1, grid.n_t + 1):
         t = n * grid.dt
         v_prev, v = traj.values[n - 1], traj.values[n]
-        F = (pde._u_of(v, p) + grid.dt * op_at(t, v_prev)[0].matvec(v)
+        F = (pde._u_of(v, p) + op_at(t, v_prev)[0].matvec(v)
              - pde._u_of(v_prev, p) - grid.dt * prob.f(x, t))
         assert np.linalg.norm(F) <= tol
     full, _, _ = _three_pass_march(grid, p, prob.f, prob.u0, op_at, 1, full_newton=True)
@@ -410,7 +416,7 @@ def test_builtin_source_is_sampled_once_unless_it_varies_with_t(name, kind):
         traj, substeps, op_at = pde.solve_micro(prob), prob.auto_substeps(), _micro_op_at(prob)
     else:
         matrix = np.array([[0.6]])
-        op = pde._constant_operator(matrix, grid)
+        op = pde._constant_operator(matrix, grid, grid.dt / 2)
         traj = pde.solve_homogenized(pde.HomogenizedProblem(
             tensor=_constant_tensor(matrix), p=0.5, f=counted, u0=sine, grid=grid, substeps=2))
         substeps, op_at = 2, lambda _t, _v: (op, None)
@@ -446,13 +452,14 @@ def test_solve_shifted_negation_commutes_and_solves_in_place(dim):
     # the Newton step w - J^-1 F equals w + J^-1 (-F) bit for bit
     rng = np.random.default_rng(11)
     n = 17 if dim == 1 else 36
-    op = pde.Operator1D(rng.uniform(0.1, 2.0, n + 1), 1.0 / (n + 1)) if dim == 1 else _operator_2d(6)
+    op = (pde.Operator1D(rng.uniform(0.1, 2.0, n + 1), 1.0 / (n + 1), 0.01) if dim == 1
+          else _operator_2d(6, 0.01))
     extra, rhs = rng.uniform(0.0, 3.0, n), rng.standard_normal(n)
-    x = op.solve_shifted(extra, 0.01, rhs)
-    assert np.array_equal(op.solve_shifted(extra, 0.01, -rhs), -x)
+    x = op.solve_shifted(extra, rhs)
+    assert np.array_equal(op.solve_shifted(extra, -rhs), -x)
     if dim == 1:
         work = rhs.copy()
-        assert np.array_equal(op.solve_shifted(extra, 0.01, work, overwrite_rhs=True), x)
+        assert np.array_equal(op.solve_shifted(extra, work, overwrite_rhs=True), x)
         assert np.array_equal(work, x)
 
 
@@ -460,18 +467,19 @@ def test_chord_step_failing_armijo_is_dropped():
     # a kept factor whose chord direction points uphill: every chord step
     # fails the Armijo test and is dropped, so the march is full Newton
     class Uphill(pde.Operator2D):
-        def solve_shifted(self, extra_diag, dt, rhs):
-            x = super().solve_shifted(extra_diag, dt, rhs)
+        def solve_shifted(self, extra_diag, rhs):
+            x = super().solve_shifted(extra_diag, rhs)
             return x if extra_diag is not None else -x
 
     prob, _ = _problem_2d("constant_2d")
     matrix, grid = prob.tensor.matrix, prob.grid
     uphill = Uphill(*[np.full(grid.face_shape(d), matrix[d, d]) for d in range(2)], grid.h,
-                    a12=matrix[0, 1])
+                    grid.dt, a12=matrix[0, 1])
     values, _, stats = pde._march(grid, prob.p, prob.f, prob.u0,
                                   lambda _t, _v: (uphill, None), 1)
     full, _, _ = _three_pass_march(grid, prob.p, prob.f, prob.u0,
-                                   lambda _t, _v: (pde._constant_operator(matrix, grid), None),
+                                   lambda _t, _v: (pde._constant_operator(matrix, grid, grid.dt),
+                                                   None),
                                    1, full_newton=True)
     assert np.array_equal(values, full)
     assert stats["factorizations"] == round(stats["newton_mean"] * grid.n_t)
@@ -480,7 +488,7 @@ def test_chord_step_failing_armijo_is_dropped():
 def test_newton_step_drops_the_kept_factor():
     # a cached micro operator would otherwise hold a factor between steps
     grid = MacroGrid(dim=2, n_x=10, n_t=4, T=0.25)
-    op = pde._constant_operator(np.eye(2), grid)
+    op = pde._constant_operator(np.eye(2), grid, grid.dt)
     un = np.prod(np.sin(np.pi * grid.interior_nodes()), axis=1)
     out = pde._newton_step(op, un, np.ones(len(un)), grid.dt, 1.5,
                            np.copysign(np.abs(un) ** 1.5, un), 1e-9, step_id=(0, 0))
@@ -507,8 +515,8 @@ def test_hminus1_norm_factors_once_per_grid(monkeypatch):
     grid = MacroGrid(dim=2, n_x=12, n_t=4, T=1.0)
     rng = np.random.default_rng(5)
     for w in rng.standard_normal((3, grid.n_x**2)):
-        op = pde._constant_operator(np.eye(2), grid)
-        phi = op.solve_shifted(np.zeros(len(w)), 1.0, w)
+        op = pde._constant_operator(np.eye(2), grid, 1.0)
+        phi = op.solve_shifted(np.zeros(len(w)), w)
         fresh = np.sqrt(grid.h**2 * float(w @ phi))
         assert pde.hminus1_norm(w, grid) == fresh
     assert len(factors) == 3 + 1
@@ -520,27 +528,29 @@ def test_fused_march_near_three_pass_reference_for_non_dyadic_dt():
     assert np.allclose(traj.dissipation, diss, rtol=1e-12, atol=0.0)
 
 
-def test_dt_matvec_matches_matvec_and_checks_bands():
+def test_operator1d_is_built_for_its_dt_and_checks_its_bands():
+    # matvec is dt L v; bands that are not finite fail the build
     rng = np.random.default_rng(3)
-    op = pde.Operator1D(rng.uniform(0.5, 2.0, 9), 0.125)
+    aface = rng.uniform(0.5, 2.0, 9)
     v = rng.standard_normal(8)
-    assert np.array_equal(op.dt_matvec(0.25, v), 0.25 * op.matvec(v))
+    assert np.array_equal(pde.Operator1D(aface, 0.125, 0.25).matvec(v),
+                          0.25 * pde.Operator1D(aface, 0.125, 1.0).matvec(v))
     with pytest.raises(ValueError):
-        op.dt_matvec(np.inf, v)
-    with pytest.raises(ValueError):
-        op.solve_shifted(np.ones(8), np.inf, v)
+        pde.Operator1D(aface, 0.125, np.inf)
     for bad in (0, 4, 8):  # an end face reaches the diagonal only
         aface = np.ones(9)
         aface[bad] = np.nan
         with pytest.raises(ValueError):
-            pde.Operator1D(aface, 0.125).dt_matvec(1.0, v)
+            pde.Operator1D(aface, 0.125, 1.0)
 
 
-def _banded_reference(op, extra_diag, dt):
-    ab = np.zeros((3, op.n))
-    ab[1] = extra_diag + dt * op.diag
-    ab[0, 1:] = dt * op.off
-    ab[2, :-1] = dt * op.off
+def _banded_reference(aface, h, extra_diag, dt):
+    """The (1, 1) band of diag(extra_diag) + dt L for solve_banded."""
+    h2 = h * h
+    al, ar = aface[:-1], aface[1:]
+    ab = np.zeros((3, len(aface) - 1))
+    ab[1] = extra_diag + dt * ((al + ar) / h2)
+    ab[0, 1:] = ab[2, :-1] = dt * (ar[:-1] / -h2)
     return ab
 
 
@@ -548,32 +558,33 @@ def _banded_reference(op, extra_diag, dt):
 def test_solve_shifted_matches_solve_banded(n):
     rng = np.random.default_rng(n)
     for _ in range(10):
-        op = pde.Operator1D(rng.uniform(0.1, 2.0, n + 1), 1.0 / (n + 1))
+        aface, h = rng.uniform(0.1, 2.0, n + 1), 1.0 / (n + 1)
         extra, dt = rng.uniform(0.0, 3.0, n), rng.uniform(1e-4, 1.0)
+        op = pde.Operator1D(aface, h, dt)
         rhs = rng.standard_normal(n)
         rhs_in = rhs.copy()
-        expected = sla.solve_banded((1, 1), _banded_reference(op, extra, dt), rhs)
-        assert np.array_equal(op.solve_shifted(extra, dt, rhs), expected)
+        expected = sla.solve_banded((1, 1), _banded_reference(aface, h, extra, dt), rhs)
+        assert np.array_equal(op.solve_shifted(extra, rhs), expected)
         assert np.array_equal(rhs, rhs_in)
-        # second call at the same dt reuses the scaled bands
-        assert np.array_equal(op.solve_shifted(extra, dt, rhs), expected)
+        # a second call leaves the bands as they were
+        assert np.array_equal(op.solve_shifted(extra, rhs), expected)
 
 
 def test_solve_shifted_checks_like_solve_banded():
-    op = pde.Operator1D(np.ones(5), 0.25)
+    op = pde.Operator1D(np.ones(5), 0.25, 1.0)
     rhs = np.ones(4)
     rhs[1] = np.nan
     with pytest.raises(ValueError):
-        op.solve_shifted(np.zeros(4), 1.0, rhs)
+        op.solve_shifted(np.zeros(4), rhs)
     with pytest.raises(ValueError):
-        op.solve_shifted(np.full(4, np.inf), 1.0, np.ones(4))
+        op.solve_shifted(np.full(4, np.inf), np.ones(4))
     # [[1, -1], [-1, 1]]: exactly singular, and solve_banded says so too
-    op = pde.Operator1D(np.ones(3), 1.0)
+    op = pde.Operator1D(np.ones(3), 1.0, 1.0)
     extra = np.array([-1.0, -1.0])
     with pytest.raises(sla.LinAlgError):
-        sla.solve_banded((1, 1), _banded_reference(op, extra, 1.0), np.ones(2))
+        sla.solve_banded((1, 1), _banded_reference(np.ones(3), 1.0, extra, 1.0), np.ones(2))
     with pytest.raises(sla.LinAlgError):
-        op.solve_shifted(extra, 1.0, np.ones(2))
+        op.solve_shifted(extra, np.ones(2))
 
 
 def test_phase_key_repeats_for_non_dyadic_substeps():
@@ -674,9 +685,9 @@ def test_phase_keyed_start_takes_one_newton_iteration_per_substep():
     for n in range(1, grid.n_t + 1):
         t = n * grid.dt
         s = pde._fast_phase(t, prob.eps, prob.r)
-        op = pde._micro_operator(prob.field, grid, prob.eps, s)
+        op = pde._micro_operator(prob.field, grid, prob.eps, s, grid.dt)
         v_prev, v = traj.values[n - 1], traj.values[n]
-        F = (pde._u_of(v, prob.p) + grid.dt * op.matvec(v)
+        F = (pde._u_of(v, prob.p) + op.matvec(v)
              - pde._u_of(v_prev, prob.p) - grid.dt * prob.f(x, t))
         assert np.linalg.norm(F) <= tol
     from_v, _, _ = _three_pass_march(grid, prob.p, prob.f, prob.u0, _micro_op_at(prob), 1,
@@ -708,29 +719,29 @@ def test_failed_predicted_start_is_redone_from_v(monkeypatch, failure):
     assert not np.array_equal(starts[1][1], v1) and np.array_equal(starts[2][1], v1)
     x, dt = prob.grid.interior_nodes(), prob.grid.dt
     tol = pde.NEWTON_TOL * max(float(np.linalg.norm(prob.u0(x))), 1.0)
-    from_v = newton(pde._constant_operator(matrix, prob.grid), pde._u_of(v1, p),
+    from_v = newton(pde._constant_operator(matrix, prob.grid, dt), pde._u_of(v1, p),
                     prob.f(x, 2 * dt), dt, p, v1, tol, (1, 0))[0]
     assert np.array_equal(traj.values[2], from_v)
 
 
-def _operator_2d(n, a12=0.0, seed=0):
+def _operator_2d(n, dt, a12=0.0, seed=0):
     rng = np.random.default_rng(seed)
     return pde.Operator2D(rng.uniform(0.5, 2.0, (n + 1, n)),
-                          rng.uniform(0.5, 2.0, (n, n + 1)), 1.0 / (n + 1), a12=a12)
+                          rng.uniform(0.5, 2.0, (n, n + 1)), 1.0 / (n + 1), dt, a12=a12)
 
 
 @pytest.mark.parametrize("a12", [0.0, 0.3])
 @pytest.mark.parametrize("n", [8, 13, 48])
 def test_operator2d_solve_shifted_matches_spsolve(n, a12):
-    op = _operator_2d(n, a12, seed=n)
-    assert op.band.kd == n + (1 if a12 else 0)
     rng = np.random.default_rng(n + 1)
     for dt in (1e-3, 0.05):
+        op = _operator_2d(n, dt, a12, seed=n)
+        assert op.band.kd == n + (1 if a12 else 0)
         extra = rng.uniform(0.1, 3.0, n * n)
         rhs = rng.standard_normal(n * n)
         rhs_in = rhs.copy()
-        J = (sp.diags(extra) + dt * op.K).tocsc()
-        x = op.solve_shifted(extra, dt, rhs)
+        J = (sp.diags(extra) + dt * band_csr(op.band)).tocsc()
+        x = op.solve_shifted(extra, rhs)
         assert np.array_equal(rhs, rhs_in)
         assert np.linalg.norm(J @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
         ref = spla.spsolve(J, rhs)
@@ -738,15 +749,15 @@ def test_operator2d_solve_shifted_matches_spsolve(n, a12):
 
 
 def test_operator2d_solve_shifted_failures_are_typed():
-    op = _operator_2d(6)
+    op = _operator_2d(6, 0.1)
     rhs = np.ones(36)
     rhs[3] = np.nan
     with pytest.raises(ValueError):
-        op.solve_shifted(np.ones(36), 0.1, rhs)
+        op.solve_shifted(np.ones(36), rhs)
     with pytest.raises(ValueError):
-        op.solve_shifted(np.full(36, np.inf), 0.1, np.ones(36))
+        op.solve_shifted(np.full(36, np.inf), np.ones(36))
     with pytest.raises(SolverDiverged, match="leading minor"):
-        op.solve_shifted(np.full(36, -1e4), 0.1, np.ones(36))
+        op.solve_shifted(np.full(36, -1e4), np.ones(36))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -806,7 +817,7 @@ def test_operator_from_face_points_matches_loop_stencil(dim):
     coef = [lambda x: 1.0 + x[..., 0] + 2.0 * x[..., -1] ** 2,
             lambda x: 2.0 + np.sin(3.0 * x[..., 0]) * x[..., 1]]
     op = pde._operator(grid, [coef[d](grid.face_points(d)).reshape(grid.face_shape(d))
-                              for d in range(dim)])
+                              for d in range(dim)], 1.0)
     nodes = list(np.ndindex(*(n,) * dim))
     K = np.zeros((n**dim, n**dim))
     for row, node in enumerate(nodes):
@@ -826,7 +837,7 @@ def test_constant_operator_cross_term_matches_hand_built():
     grid = MacroGrid(dim=2, n_x=8, n_t=4, T=0.1)
     n, h2 = grid.n_x, grid.h**2
     a11, a12, a22 = 0.7, 0.2, 1.3
-    op = pde._constant_operator(np.array([[a11, a12], [a12, a22]]), grid)
+    op = pde._constant_operator(np.array([[a11, a12], [a12, a22]]), grid, 1.0)
     K = np.zeros((n * n, n * n))
     for p in range(n):
         for q in range(n):
@@ -848,11 +859,11 @@ def test_micro_operator_2d_samples_once_per_face_set(monkeypatch):
     sample = type(field).sample
     monkeypatch.setattr(type(field), "sample",
                         lambda self, *a: calls.append(1) or sample(self, *a))
-    op = pde._micro_operator(field, grid, 0.125, 0.64)
-    assert len(calls) == 2 and op.K.shape == (64, 64)
+    op = pde._micro_operator(field, grid, 0.125, 0.64, grid.dt)
+    assert len(calls) == 2 and op.band.n == 64
     full = make_field("constant", matrix=np.array([[1.0, 0.2], [0.2, 1.0]]))
     with pytest.raises(ConfigError, match="diagonal"):
-        pde._micro_operator(full, grid, 0.125, 0.64)
+        pde._micro_operator(full, grid, 0.125, 0.64, grid.dt)
 
 
 def test_dyadic_validation():
