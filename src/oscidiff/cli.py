@@ -250,17 +250,16 @@ def cmd_micro(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
 def cmd_homog(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
     _echo_config(cfg, out_dir)
     tensor = _tensor(cfg)
-    mode = "critical_table" if tensor.is_table else "constant"
     prob = pde.HomogenizedProblem(tensor=tensor, p=cfg.p, f=cfg.f, u0=cfg.u0,
-                                  grid=cfg.macro_grid, mode=mode)
+                                  grid=cfg.macro_grid)
     traj = pde.solve_homogenized(prob)
     path = os.path.join(out_dir, "homog.txt")
     pde.save_traj(path, traj)
-    print(f"mode: {mode}, newton mean {traj.stats['newton_mean']:.2f}, "
+    print(f"mode: {prob.mode}, newton mean {traj.stats['newton_mean']:.2f}, "
           f"max|v(T)| = {np.max(np.abs(traj.values[-1])):.6f}")
     print(f"trajectory written to {path}")
     if as_json:
-        _dump_json(out_dir, "homog_summary.json", {"mode": mode, **traj.stats})
+        _dump_json(out_dir, "homog_summary.json", {"mode": prob.mode, **traj.stats})
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ interpolated linearly in log(1 + |u0|).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -64,7 +64,6 @@ class EffectiveTensor:
     grad_grams: np.ndarray
     u0abs_keys: Optional[np.ndarray] = None
     p: Optional[float] = None
-    provenance: dict = dc_field(default_factory=dict)
 
     @property
     def is_table(self):
@@ -78,8 +77,31 @@ class EffectiveTensor:
 
     @cached_property
     def _segments(self):
-        """The ``_segment_table`` of the log keys, and each segment's end matrices."""
-        return _segment_table(np.log1p(self.u0abs_keys)), self.matrices[:-1], self.matrices[1:]
+        """The sorted log keys, the interior keys that place a value in its
+        segment, the segment widths, and each segment's end matrices."""
+        keys = np.log1p(self.u0abs_keys)
+        return keys, keys[1:-1], keys[1:] - keys[:-1], self.matrices[:-1], self.matrices[1:]
+
+    def _key_segment(self, u0vals):
+        """The |u0| key rule: segment i and weight theta of x = log(1 + |u0|)
+        clamped to the hull of the log keys, and the number of values beyond
+        it by more than 1e-15."""
+        keys, inner, widths, _, _ = self._segments
+        x = np.log1p(np.abs(np.asarray(u0vals, dtype=float)))
+        n_out = 0
+        if x.size and not (keys[0] <= x.min() and x.max() <= keys[-1]):  # a NaN fails it too
+            n_out = int(np.count_nonzero((x < keys[0] - 1e-15) | (x > keys[-1] + 1e-15)))
+            x = np.clip(x, keys[0], keys[-1])
+        i = inner.searchsorted(x, side="right")  # the last key <= x, in [0, len(keys) - 2]
+        return i, (x - keys[i]) / widths[i], n_out
+
+    def nearest_key(self, u0vals):
+        """Index of the key nearest each |u0|: the nearer end of its segment,
+        ties to the lower key (0 for a constant tensor)."""
+        if not self.is_table:
+            return np.zeros(np.shape(u0vals), dtype=np.intp)
+        i, theta, _ = self._key_segment(u0vals)
+        return i + (theta > 0.5)
 
     def entry_at(self, u0val):
         """Matrix at one |u0| value: ``entries_at`` at a single point."""
@@ -93,47 +115,17 @@ class EffectiveTensor:
         if not self.is_table:
             return np.broadcast_to(self.matrices[0],
                                    np.shape(u0vals) + (self.dim, self.dim))
-        table, lo, hi = self._segments
-        i, theta, n_out = _key_segment(table, u0vals)
+        i, theta, n_out = self._key_segment(u0vals)
         if n_out and clamped is not None:
             clamped.append(n_out)
         elif n_out:
             warnings.warn(f"{n_out} |u0| values clamped to the table hull",
                           TableClampWarning, stacklevel=3)
+        _, _, _, lo, hi = self._segments
         theta = theta[..., None, None]
         out = (1.0 - theta) * lo.take(i, axis=0)
         out += theta * hi.take(i, axis=0)
         return out
-
-
-def _segment_table(log_keys):
-    """The sorted ``log_keys``, the interior keys that place a value in its
-    segment, and the segment widths."""
-    keys = np.asarray(log_keys, dtype=float)
-    return keys, keys[1:-1], keys[1:] - keys[:-1]
-
-
-def _key_segment(table, u0vals):
-    """The |u0| key rule: segment i and weight theta of x = log(1 + |u0|) clamped
-    to the hull of the sorted log keys (``table`` is their ``_segment_table``),
-    and the number of values beyond it by more than 1e-15."""
-    keys, inner, widths = table
-    x = np.log1p(np.abs(np.asarray(u0vals, dtype=float)))
-    n_out = 0
-    if x.size and not (keys[0] <= x.min() and x.max() <= keys[-1]):  # a NaN fails it too
-        n_out = int(np.count_nonzero((x < keys[0] - 1e-15) | (x > keys[-1] + 1e-15)))
-        x = np.clip(x, keys[0], keys[-1])
-    i = inner.searchsorted(x, side="right")  # the last key <= x, in [0, len(keys) - 2]
-    return i, (x - keys[i]) / widths[i], n_out
-
-
-def nearest_key(log_keys, u0vals):
-    """Index of the key nearest each |u0|: the nearer end of its
-    ``_key_segment``, ties to the lower key (0 for a single key)."""
-    if len(log_keys) == 1:
-        return np.zeros(np.shape(u0vals), dtype=np.intp)
-    i, theta, _ = _key_segment(_segment_table(log_keys), u0vals)
-    return i + (theta > 0.5)
 
 
 def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
@@ -162,8 +154,6 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
             regime=cells[0].regime, dim=dim, lam=field.lam, Lam=field.Lam,
             matrices=A[np.newaxis], corrector_norms=np.zeros((1, dim)),
             grad_grams=np.zeros((1, dim, dim)), p=param.p,
-            provenance={"field": field.name, "M_y": grid.M_y, "M_s": grid.M_s,
-                        "u0abs": 0.0},
         )
     if ops is None:
         ops = cs.cell_operators(field, grid, cells[0].regime)
@@ -185,8 +175,6 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
         matrices=(A / m)[np.newaxis], corrector_norms=(hN * norms / m)[np.newaxis],
         grad_grams=(hN * gram / m)[np.newaxis],
         p=None if param is None else param.p,
-        provenance={"field": field.name, "M_y": grid.M_y, "M_s": grid.M_s,
-                    "u0abs": None if param is None else param.u0abs},
     )
 
 
@@ -196,39 +184,38 @@ def default_u0abs_grid():
 
 
 def _tabulate_critical(field, grid, p, u0abs_grid=None, keep_cells=True):
-    """Critical a_hom table and its cells: (tensor, {|u0| key: cells}).
+    """Critical a_hom table and its cells: (tensor, cells), where cells[i]
+    holds the per-direction cell solutions of the tensor's key i.
 
     With keep_cells=False the cells of each key are dropped once assembled
-    and the mapping is empty; holding every key's 2D correctors would
-    raise the table's peak memory by the size of all of them."""
+    and the list is empty; holding every key's 2D correctors would raise
+    the table's peak memory by the size of all of them."""
     regime = cs.regime_for(2.0, p)
     keys = np.asarray(default_u0abs_grid() if u0abs_grid is None else u0abs_grid, dtype=float)
     if len(keys) < 4 or np.any(np.diff(keys) <= 0) or keys[0] != 0.0:
         raise ConfigError("u0abs grid must be sorted, have >= 4 entries, and include 0")
     ops = cs.cell_operators(field, grid, regime)
-    tensors, cells_by_key = [], {}
+    tensors, cells = [], []
     for u0 in keys:
         try:
-            cells = cs.solve_cells(field, grid, regime, ops=ops,
-                                   param=cs.CellParameter(p=p, u0abs=float(u0)))
+            key_cells = cs.solve_cells(field, grid, regime, ops=ops,
+                                       param=cs.CellParameter(p=p, u0abs=float(u0)))
         except Exception as err:
             wrapped = type(err)(f"u0abs={u0:.6g}: {err}")
             wrapped.__dict__.update(err.__dict__)  # defect, residual, ...
             raise wrapped from err
-        tensors.append(assemble_ahom(cells, field, grid, ops=ops))
+        tensors.append(assemble_ahom(key_cells, field, grid, ops=ops))
         if keep_cells:
-            cells_by_key[float(u0)] = cells
-        del cells  # not held while the next key solves
+            cells.append(key_cells)
+        del key_cells  # not held while the next key solves
     tensor = EffectiveTensor(
         regime="critical", dim=field.dim, lam=field.lam, Lam=field.Lam,
         matrices=np.array([t.matrices[0] for t in tensors]),
         corrector_norms=np.array([t.corrector_norms[0] for t in tensors]),
         grad_grams=np.array([t.grad_grams[0] for t in tensors]),
         u0abs_keys=keys, p=p,
-        provenance={"field": field.name, "M_y": grid.M_y, "M_s": grid.M_s,
-                    "branch": regime},
     )
-    return tensor, cells_by_key
+    return tensor, cells
 
 
 def tabulate_ahom_critical(field: PeriodicMatrixField, grid: CellGrid, p: float,
@@ -276,7 +263,7 @@ def ellipticity_report(tensor: EffectiveTensor, n_probes: int = 64, seed: int = 
             "n_matrices": len(tensor.matrices)}
 
 
-def skew_integral(cells, p: float):
+def skew_integral(cells):
     """Discrete time-coupling integral predicting the skew part at r = 2.
 
     S[j,k] = c * sum over rows m of <Phi_k^m - Phi_k^{m-1}, Phi_j^m> h^N,
@@ -289,10 +276,6 @@ def skew_integral(cells, p: float):
     param = cells[0].param
     if param is None:
         raise RegimeMismatch("skew integral needs critical cell solutions")
-    regime, expected = cells[0].regime, cs.regime_for(2.0, p)
-    if regime != expected:
-        raise RegimeMismatch(
-            f"skew integral at p={p} needs {expected} cells, got {regime} cells")
     capacity = param.capacity
     if capacity == np.inf:
         return np.zeros((dim, dim))
@@ -302,8 +285,8 @@ def skew_integral(cells, p: float):
     return capacity * hN * np.einsum("jrn,krn->jk", phi, dF)
 
 
-def skew_report(tensor: EffectiveTensor, cells=None, p=None, u0abs=None):
-    """Symmetry check (non-critical) or skew-formula check (critical)."""
+def skew_report(tensor: EffectiveTensor, cells=None):
+    """Symmetry check (non-critical), or skew-formula check of one critical matrix."""
     critical = tensor.regime in ("critical", "critical_fde", "critical_pme")
     if not critical:
         worst = max(float(np.max(np.abs(M - M.T))) for M in tensor.matrices)
@@ -313,15 +296,9 @@ def skew_report(tensor: EffectiveTensor, cells=None, p=None, u0abs=None):
         return {"mode": "symmetry", "max_asymmetry": worst}
     if cells is None:
         raise RegimeMismatch("critical skew check needs the cell solutions")
-    p = tensor.p if p is None else p
+    M = tensor.matrix
     grid = cells[0].grid
-    if tensor.is_table:
-        if u0abs is None:
-            raise RegimeMismatch("tabulated tensor: pass the u0abs of the cells")
-        M = tensor.matrices[int(nearest_key(np.log1p(tensor.u0abs_keys), u0abs))]
-    else:
-        M = tensor.matrices[0]
-    S = skew_integral(cells, p)
+    S = skew_integral(cells)
     skew = 0.5 * (M - M.T)
     tol = SKEW_TOL_C * (grid.h_y**2 + grid.h_s)
     mismatch = float(np.max(np.abs(skew - S)))

@@ -129,10 +129,10 @@ def prepare_effective(field: PeriodicMatrixField, p: float, r: float,
                       cell_grid: CellGrid = None, keep_cells: bool = True):
     """Cell solutions and effective tensor for the given scaling.
 
-    Returns (tensor, cells_by_key) where cells_by_key maps a |u0| key to
-    the per-direction cell solutions (a single key None for the constant
-    regimes). With keep_cells=False the critical table drops each key's
-    cells once assembled, and cells_by_key is empty at r = 2.
+    Returns (tensor, cells) where cells[i] holds the per-direction cell
+    solutions of the tensor's key i (one entry for the constant regimes).
+    With keep_cells=False the critical table drops each key's cells once
+    assembled, and the list is empty at r = 2.
     """
     if cell_grid is None:
         g = DEFAULTS["grids"][field.dim]
@@ -141,7 +141,7 @@ def prepare_effective(field: PeriodicMatrixField, p: float, r: float,
     if regime in ("subcritical", "supercritical"):
         ops = cs.cell_operators(field, cell_grid, regime)
         cells = cs.solve_cells(field, cell_grid, regime, ops=ops)
-        return em.assemble_ahom(cells, field, cell_grid, ops=ops), {None: cells}
+        return em.assemble_ahom(cells, field, cell_grid, ops=ops), [cells]
     return em._tabulate_critical(field, cell_grid, p, keep_cells=keep_cells)
 
 
@@ -149,21 +149,21 @@ def prepare_effective(field: PeriodicMatrixField, p: float, r: float,
 # Discrete error functionals (face-based gradients)
 
 
-def corrector_gradient(cells_by_key):
+def corrector_gradient(tensor, cells):
     """Evaluator of the corrector gradient sum_k d_k v0 grad_y Phi_k(y, s).
 
-    ``cells_by_key`` maps a |u0| key to the per-direction cell solutions
-    (the single key None for the constant regimes), as ``prepare_effective``
-    returns it. Each key's gradient interpolants are built here, once. The
-    evaluator takes |u0| or u0 of shape (...), d v0 and the fast variables y
-    of shape (..., dim) and s of shape (...); each point uses the cells of
-    the key nearest to its |u0| (``effmat.nearest_key``)."""
-    keys = sorted(cells_by_key, key=lambda key: key or 0.0)
-    grads = [[cell.grad_interpolant() for cell in cells_by_key[key]] for key in keys]
-    log_keys = np.log1p([key or 0.0 for key in keys])
+    ``cells[i]`` holds the per-direction cell solutions of the tensor's
+    key i, as ``prepare_effective`` returns them. Each key's gradient
+    interpolants are built here, once. The evaluator takes |u0| or u0 of
+    shape (...), d v0 and the fast variables y of shape (..., dim) and s of
+    shape (...); each point uses the cells of the key nearest to its |u0|
+    (``EffectiveTensor.nearest_key``)."""
+    if len(cells) != len(tensor.matrices):
+        raise RegimeMismatch(f"need the cells of each of the {len(tensor.matrices)} keys")
+    grads = [[cell.grad_interpolant() for cell in key_cells] for key_cells in cells]
 
     def evaluate(u0, grad_v0, y, s):
-        nearest = em.nearest_key(log_keys, u0)
+        nearest = tensor.nearest_key(u0)
         out = np.zeros_like(grad_v0)
         for i in np.unique(nearest):
             sel = nearest == i
@@ -228,17 +228,16 @@ def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
     data = {**default_data(field.dim), **(data or {})}
     grid = MacroGrid(dim=field.dim, n_x=data["n_x"], n_t=data["n_t"], T=data["T"])
     regime = cs.regime_for(r, p)
-    tensor, cells_by_key = prepare_effective(field, p, r, cell_grid)
-    corrector = corrector_gradient(cells_by_key)
+    tensor, cells = prepare_effective(field, p, r, cell_grid)
+    corrector = corrector_gradient(tensor, cells)
 
     # the effective solve shares the finest micro substep so that the
     # time-discretization bias cancels where the errors are smallest
     finest = pde.MicroProblem(field=field, eps=eps_list[-1], r=r, p=p,
                               f=data["f"], u0=data["u0"], grid=grid)
-    mode = "critical_table" if regime.startswith("critical") else "constant"
     hom_prob = pde.HomogenizedProblem(
         tensor=tensor, p=p, f=data["f"], u0=data["u0"], grid=grid,
-        mode=mode, substeps=finest.auto_substeps())
+        substeps=finest.auto_substeps())
     traj_hom = pde.solve_homogenized(hom_prob)
 
     report = ConvergenceReport(

@@ -131,10 +131,13 @@ class HomogenizedProblem:
     f: Callable
     u0: Callable
     grid: MacroGrid
-    mode: str = "constant"  # "constant" | "critical_table"
+    mode: Optional[str] = None  # "constant" | "critical_table"; None: from tensor.is_table
     substeps: int = 1
 
     def __post_init__(self):
+        if self.mode is None:
+            object.__setattr__(self, "mode",
+                               "critical_table" if self.tensor.is_table else "constant")
         if self.mode not in ("constant", "critical_table"):
             raise ConfigError(f"unknown coupling mode {self.mode!r}")
         if (self.mode == "critical_table") != self.tensor.is_table:
@@ -427,7 +430,7 @@ def solve_homogenized(prob: HomogenizedProblem) -> SpaceTimeField:
     looked up from the |u0| table, frozen per step (lagged coefficient)."""
     clamped = []  # one count per look-up that clamped
     dt = prob.grid.dt / prob.substeps
-    if prob.mode == "constant":
+    if not prob.tensor.is_table:
         op_const = _constant_operator(prob.tensor.matrix, prob.grid, dt)
 
         def op_at(t, _v):
@@ -523,8 +526,10 @@ def load_traj(path) -> SpaceTimeField:
     meta, values = read_artifact(path, TRAJ_MAGIC, ("N", "nx", "nt", "T", "p", "diss"))
     grid = MacroGrid(dim=int(meta["N"]), n_x=int(meta["nx"]),
                      n_t=int(meta["nt"]), T=float(meta["T"]))
-    if values.shape[0] != grid.n_t + 1:
-        raise ConfigError(f"{path}: expected {grid.n_t + 1} steps, got {values.shape[0]}")
     dissipation = np.array([float(v) for v in meta["diss"].split(",")])
+    steps, nodes = grid.n_t + 1, grid.n_x**grid.dim
+    if values.shape != (steps, nodes) or len(dissipation) != steps:
+        raise ConfigError(f"{path}: expected {steps} steps x {nodes} nodes and {steps} diss "
+                          f"values, got {values.shape} and {len(dissipation)}")
     return SpaceTimeField(grid=grid, p=float(meta["p"]), values=values,
                           dissipation=dissipation)

@@ -158,7 +158,7 @@ def test_criterion_5_ellipticity_and_symmetry(battery):
     for tensor, cells, p in battery:
         if p is None:
             continue
-        rep = em.skew_report(tensor, cells=cells, p=p, u0abs=1.0)
+        rep = em.skew_report(tensor, cells=cells)
         worst_skew = max(worst_skew, rep["mismatch"] / rep["tol"])
     report(5, min_slack >= -1e-8 and asym <= 1e-9 and worst_skew <= 1.0,
            f"sandwich min slack {min_slack:.2e} (need >= -1e-8), "

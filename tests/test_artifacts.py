@@ -175,3 +175,24 @@ def test_table_keys_must_fit_its_matrices(keys, tmp_path):
     with pytest.raises(ConfigError, match="do not fit m=4") as info:
         em.load_tensor(str(path))
     assert str(path) in str(info.value)
+
+
+def test_traj_body_and_diss_must_fit_the_grid(tmp_path):
+    # the golden trajectory has nx=8, nt=4: a body of 5 steps x 8 nodes and
+    # 5 diss values; one node fewer per step, or one diss value fewer, is
+    # refused on load rather than by a reshape in a later functional
+    with open(os.path.join(ARTIFACT_DIR, FILES["traj"])) as fh:
+        header, rows = fh.readline(), fh.read().splitlines()
+    assert " nx=8 nt=4 " in header and len(rows) == 5
+    assert all(len(row.split()) == 8 for row in rows)
+    diss = header.rstrip().split(" ")[-1]
+    assert diss.startswith("diss=") and len(diss.split(",")) == 5
+    short_rows = tmp_path / "short_rows.txt"
+    short_rows.write_text(header + "".join(" ".join(row.split()[:7]) + "\n" for row in rows))
+    short_diss = tmp_path / "short_diss.txt"
+    short_diss.write_text(header.replace(diss, diss.rsplit(",", 1)[0])
+                          + "".join(row + "\n" for row in rows))
+    for path in (short_rows, short_diss):
+        with pytest.raises(ConfigError, match="expected 5 steps x 8 nodes") as info:
+            pde.load_traj(str(path))
+        assert str(path) in str(info.value)

@@ -90,7 +90,7 @@ def test_pme_zero_datum_has_no_skew():
     field = make_field("trig2d_st")
     cells = cs.solve_cells(field, CellGrid(M_y=8, M_s=4), "critical_pme",
                            param=cs.CellParameter(p=1.5, u0abs=0.0))
-    assert np.array_equal(em.skew_integral(cells, 1.5), np.zeros((2, 2)))
+    assert np.array_equal(em.skew_integral(cells), np.zeros((2, 2)))
 
 
 def test_s_independent_field_all_regimes_agree():
@@ -306,7 +306,7 @@ def test_ellipticity_report_flags_violations():
     bad = em.EffectiveTensor(
         regime=tensor.regime, dim=tensor.dim, lam=tensor.lam, Lam=tensor.Lam,
         matrices=0.1 * tensor.matrices, corrector_norms=tensor.corrector_norms,
-        grad_grams=tensor.grad_grams, u0abs_keys=None, p=None, provenance={})
+        grad_grams=tensor.grad_grams, u0abs_keys=None, p=None)
     with pytest.raises(BoundViolated):
         em.ellipticity_report(bad, n_probes=64, seed=0)
 
@@ -327,7 +327,7 @@ def test_skew_report_rejects_asymmetric_noncritical():
         regime="subcritical", dim=2, lam=0.25, Lam=1.0,
         matrices=np.array([[[0.5, 0.1], [0.0, 0.5]]]),
         corrector_norms=np.zeros((1, 2)), grad_grams=np.zeros((1, 2, 2)),
-        u0abs_keys=None, p=None, provenance={})
+        u0abs_keys=None, p=None)
     with pytest.raises(SymmetryViolated):
         em.skew_report(bad)
 
@@ -338,7 +338,7 @@ def test_critical_skew_matches_integral_2d():
     param = cs.CellParameter(p=0.5, u0abs=1.0)
     cells = cs.solve_cells(field, grid, "critical_fde", param=param)
     tensor = em.assemble_ahom(cells, field, grid)
-    rep = em.skew_report(tensor, cells=cells, p=0.5, u0abs=1.0)
+    rep = em.skew_report(tensor, cells=cells)
     assert rep["mismatch"] <= rep["tol"]
     # over a whole period of rows, the step equation makes the skew part of
     # the pairing the antisymmetric part of S, up to the periodic defect
@@ -352,19 +352,35 @@ def test_critical_skew_zero_for_s_independent():
     grid = CellGrid(M_y=16, M_s=16)
     param = cs.CellParameter(p=0.5, u0abs=1.0)
     cells = cs.solve_cells(field, grid, "critical_fde", param=param)
-    S = em.skew_integral(cells, 0.5)
+    S = em.skew_integral(cells)
     assert np.max(np.abs(S)) < 1e-10
 
 
-def test_skew_integral_regime_mismatch():
-    # PME cells with a fast-diffusion p: the branch comes from the cells,
-    # and the disagreement with regime_for(2, p) is reported by name
-    field = make_field("trig1d_st")
-    cells = cs.solve_cells(field, CellGrid(M_y=8, M_s=8), "critical_pme",
-                           param=cs.CellParameter(p=1.5, u0abs=1.0))
-    with pytest.raises(RegimeMismatch, match="critical_fde.*critical_pme"):
-        em.skew_integral(cells, 0.5)
-    assert em.skew_integral(cells, 1.5).shape == (1, 1)
+def test_skew_report_rejects_a_table():
+    # the skew formula holds for the cells of one |u0|, so a table, which has
+    # no single matrix, is refused before any cell is read
+    field, grid = make_field("trig1d_st"), CellGrid(M_y=8, M_s=8)
+    tensor, cells = em._tabulate_critical(field, grid, 1.5, u0abs_grid=[0.0, 0.1, 1.0, 10.0])
+    with pytest.raises(RegimeMismatch, match="tabulated"):
+        em.skew_report(tensor, cells=cells[2])
+
+
+def test_nearest_key_is_the_log_argmin_on_the_default_keys():
+    keys = em.default_u0abs_grid()
+    table = em.EffectiveTensor(regime="critical", dim=1, lam=1.0, Lam=1.0,
+                               matrices=np.ones((len(keys), 1, 1)),
+                               corrector_norms=np.zeros((len(keys), 1)),
+                               grad_grams=np.zeros((len(keys), 1, 1)), u0abs_keys=keys)
+    u0 = np.random.default_rng(11).uniform(0.0, 30.0, 10_000)
+    argmin = np.argmin(np.abs(np.log1p(u0)[:, None] - np.log1p(keys)), axis=1)
+    assert len(keys) == 17
+    assert np.array_equal(table.nearest_key(u0), argmin)
+    assert np.array_equal(table.nearest_key(-u0), argmin)
+    assert np.array_equal(table.nearest_key(keys), np.arange(len(keys)))
+    constant = em.EffectiveTensor(regime="subcritical", dim=1, lam=1.0, Lam=1.0,
+                                  matrices=np.ones((1, 1, 1)), corrector_norms=np.zeros((1, 1)),
+                                  grad_grams=np.zeros((1, 1, 1)))
+    assert np.array_equal(constant.nearest_key(u0), np.zeros(len(u0)))
 
 
 def test_assemble_needs_one_row_per_operator():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oscidiff import cellsolve as cs, effmat as em, harness as hz, pdesolve as pde
-from oscidiff.errors import ConfigError
+from oscidiff.errors import ConfigError, RegimeMismatch
 from oscidiff.fields import CellGrid, MacroGrid, make_field
 
 # keeps >= 8 macro grid points per fast period at the finest eps used here
@@ -44,16 +44,17 @@ def test_subcritical_study_monotone():
 
 
 def test_corrector_gradient_zero_gradient():
-    cells = cs.solve_cells(make_field("trig1d_st"), CellGrid(M_y=16, M_s=8), "subcritical")
-    corrector = hz.corrector_gradient({None: cells})
+    field, grid = make_field("trig1d_st"), CellGrid(M_y=16, M_s=8)
+    cells = cs.solve_cells(field, grid, "subcritical")
+    corrector = hz.corrector_gradient(em.assemble_ahom(cells, field, grid), [cells])
     y, s = np.array([[0.3], [0.8]]), np.array([0.7, 0.1])
     assert np.array_equal(corrector(np.ones(2), np.zeros((2, 1)), y, s), np.zeros((2, 1)))
 
 
 def test_corrector_gradient_unit_gradient_reproduces_cell_gradient():
-    grid = CellGrid(M_y=32, M_s=32)
-    cells = cs.solve_cells(make_field("trig1d_st"), grid, "subcritical")
-    corrector = hz.corrector_gradient({None: cells})
+    field, grid = make_field("trig1d_st"), CellGrid(M_y=32, M_s=32)
+    cells = cs.solve_cells(field, grid, "subcritical")
+    corrector = hz.corrector_gradient(em.assemble_ahom(cells, field, grid), [cells])
     y, s = np.array([[0.0], [0.25], [0.8]]), np.array([0.0, 0.5, 0.9])
     assert np.array_equal(corrector(np.zeros(3), np.ones((3, 1)), y, s),
                           cells[0].grad_interpolant()(y, s))
@@ -64,10 +65,15 @@ def test_corrector_gradient_unit_gradient_reproduces_cell_gradient():
 
 def test_corrector_gradient_uses_nearest_key():
     field, grid = make_field("trig2d_st"), CellGrid(M_y=8, M_s=4)
-    cells_by_key = {key: cs.solve_cells(field, grid, "critical_pme",
-                                        param=cs.CellParameter(p=1.5, u0abs=key))
-                    for key in (0.1, 1.0)}
-    corrector = hz.corrector_gradient(cells_by_key)
+    keys = (0.1, 1.0)
+    cells = [cs.solve_cells(field, grid, "critical_pme", param=cs.CellParameter(p=1.5, u0abs=key))
+             for key in keys]
+    # only the keys place a |u0|; the matrices play no part in the corrector
+    tensor = em.EffectiveTensor(
+        regime="critical", dim=2, lam=field.lam, Lam=field.Lam,
+        matrices=np.stack([np.eye(2)] * 2), corrector_norms=np.zeros((2, 2)),
+        grad_grams=np.zeros((2, 2, 2)), u0abs_keys=np.array(keys), p=1.5)
+    corrector = hz.corrector_gradient(tensor, cells)
     # log1p(0.1) and log1p(1) are nearest for |u0| below and above 0.483
     u0 = np.array([0.05, -0.3, 0.6, -4.0])
     rng = np.random.default_rng(3)
@@ -76,7 +82,7 @@ def test_corrector_gradient_uses_nearest_key():
 
     def expected(key, i):
         return sum(grad_v0[i, k] * cell.grad_interpolant()(y[i], s[i])
-                   for k, cell in enumerate(cells_by_key[key]))
+                   for k, cell in enumerate(cells[keys.index(key)]))
 
     for i, (key, other) in enumerate([(0.1, 1.0), (0.1, 1.0), (1.0, 0.1), (1.0, 0.1)]):
         assert np.allclose(out[i], expected(key, i), rtol=1e-14, atol=1e-14)
@@ -189,16 +195,26 @@ def _study_inputs(p, r, eps_list):
     a small 1D study whose step is not a power of 2."""
     field, grid = make_field("trig1d_st"), MacroGrid(dim=1, n_x=32, n_t=8, T=0.3)
     data = small_data()
-    tensor, cells_by_key = hz.prepare_effective(field, p, r, cell_grid=CellGrid(M_y=16, M_s=8))
-    corrector = hz.corrector_gradient(cells_by_key)
+    tensor, cells = hz.prepare_effective(field, p, r, cell_grid=CellGrid(M_y=16, M_s=8))
+    corrector = hz.corrector_gradient(tensor, cells)
     micro = [pde.MicroProblem(field=field, eps=eps, r=r, p=p, f=data["f"],
                               u0=data["u0"], grid=grid) for eps in eps_list]
     homog = pde.solve_homogenized(pde.HomogenizedProblem(
         tensor=tensor, p=p, f=data["f"], u0=data["u0"], grid=grid,
-        mode="critical_table" if tensor.is_table else "constant",
         substeps=micro[-1].auto_substeps()))
     return [(pde.solve_micro(prob), homog, corrector, tensor, field, p, r, prob.eps)
             for prob in micro]
+
+
+def test_prepare_effective_cells_are_indexed_like_the_keys():
+    field, grid = make_field("trig1d_st"), CellGrid(M_y=8, M_s=4)
+    tensor, cells = hz.prepare_effective(field, 1.5, 2.0, cell_grid=grid)
+    assert [key_cells[0].param.u0abs for key_cells in cells] == list(tensor.u0abs_keys)
+    assert hz.prepare_effective(field, 1.5, 2.0, cell_grid=grid, keep_cells=False)[1] == []
+    tensor, cells = hz.prepare_effective(field, 1.5, 1.0, cell_grid=grid)
+    assert len(cells) == 1 and [c.k for c in cells[0]] == [1]
+    with pytest.raises(RegimeMismatch, match="cells of each of the 1 keys"):
+        hz.corrector_gradient(tensor, [])
 
 
 @pytest.mark.parametrize("p, r", [(0.5, 1.0), (1.5, 1.0), (0.5, 3.0), (1.5, 3.0),
@@ -231,13 +247,3 @@ def test_audit_matches_the_per_step_loop(dim):
                         (b["bound"], b["step"], b["passed"])
                     for key in ("lhs", "rhs"):
                         assert a[key] == pytest.approx(b[key], rel=1e-14, abs=0.0)
-
-
-def test_nearest_key_is_the_log_argmin_on_the_default_keys():
-    keys = em.default_u0abs_grid()
-    log_keys = np.log1p(keys)
-    u0 = np.random.default_rng(11).uniform(0.0, 30.0, 10_000)
-    argmin = np.argmin(np.abs(np.log1p(u0)[:, None] - log_keys), axis=1)
-    assert np.array_equal(em.nearest_key(log_keys, u0), argmin)
-    assert np.array_equal(em.nearest_key(log_keys, keys), np.arange(len(keys)))
-    assert np.array_equal(em.nearest_key(log_keys[:1], u0), np.zeros(len(u0)))

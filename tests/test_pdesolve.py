@@ -936,6 +936,10 @@ def test_critical_table_mode_requires_table():
                                u0=lambda x: np.zeros(len(x)),
                                grid=MacroGrid(dim=1, n_x=8, n_t=4, T=0.1),
                                mode="critical_table")
+    # without a mode, the mode is read from the tensor
+    assert pde.HomogenizedProblem(tensor=tensor, p=0.5, f=lambda x, t: np.zeros(len(x)),
+                                  u0=lambda x: np.zeros(len(x)),
+                                  grid=MacroGrid(dim=1, n_x=8, n_t=4, T=0.1)).mode == "constant"
 
 
 def test_constant_mode_rejects_table():
@@ -948,6 +952,10 @@ def test_constant_mode_rejects_table():
                                u0=lambda x: np.zeros(len(x)),
                                grid=MacroGrid(dim=1, n_x=8, n_t=4, T=0.1),
                                mode="constant")
+    table_prob = pde.HomogenizedProblem(tensor=table, p=1.5, f=lambda x, t: np.zeros(len(x)),
+                                        u0=lambda x: np.zeros(len(x)),
+                                        grid=MacroGrid(dim=1, n_x=8, n_t=4, T=0.1))
+    assert table_prob.mode == "critical_table"
 
 
 @given(st.floats(0.3, 1.9), st.integers(1, 6))
