@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
 
-from . import cellsolve as cs
+from . import cellsolve as cs, workers
 from .errors import (
     BoundViolated,
     ConfigError,
@@ -187,27 +187,32 @@ def _tabulate_critical(field, grid, p, u0abs_grid=None, keep_cells=True):
     """Critical a_hom table and its cells: (tensor, cells), where cells[i]
     holds the per-direction cell solutions of the tensor's key i.
 
-    With keep_cells=False the cells of each key are dropped once assembled
-    and the list is empty; holding every key's 2D correctors would raise
-    the table's peak memory by the size of all of them."""
+    The slice operators are built here once; each key is one task of
+    ``workers.run_tasks`` on them, and a failure raises the error of the
+    first failing key, prefixed with its ``u0abs=``. With keep_cells=False
+    the cells of each key are dropped once assembled and the list is
+    empty; holding every key's 2D correctors would raise the table's peak
+    memory by the size of all of them."""
     regime = cs.regime_for(2.0, p)
     keys = np.asarray(default_u0abs_grid() if u0abs_grid is None else u0abs_grid, dtype=float)
     if len(keys) < 4 or np.any(np.diff(keys) <= 0) or keys[0] != 0.0:
         raise ConfigError("u0abs grid must be sorted, have >= 4 entries, and include 0")
     ops = cs.cell_operators(field, grid, regime)
-    tensors, cells = [], []
-    for u0 in keys:
-        try:
-            key_cells = cs.solve_cells(field, grid, regime, ops=ops,
-                                       param=cs.CellParameter(p=p, u0abs=float(u0)))
-        except Exception as err:
-            wrapped = type(err)(f"u0abs={u0:.6g}: {err}")
-            wrapped.__dict__.update(err.__dict__)  # defect, residual, ...
-            raise wrapped from err
-        tensors.append(assemble_ahom(key_cells, field, grid, ops=ops))
-        if keep_cells:
-            cells.append(key_cells)
-        del key_cells  # not held while the next key solves
+
+    def solve_key(u0):
+        key_cells = cs.solve_cells(field, grid, regime, ops=ops,
+                                   param=cs.CellParameter(p=p, u0abs=float(u0)))
+        return assemble_ahom(key_cells, field, grid, ops=ops), key_cells if keep_cells else None
+
+    # the keys are independent tasks on the shared slice operators
+    outcomes = workers.run_tasks([partial(solve_key, u0) for u0 in keys])
+    for u0, out in zip(keys, outcomes):
+        if isinstance(out, Exception):  # the first failing key, in key order
+            wrapped = type(out)(f"u0abs={u0:.6g}: {out}")
+            wrapped.__dict__.update(out.__dict__)  # defect, residual, ...
+            raise wrapped from out
+    tensors = [t for t, _ in outcomes]
+    cells = [c for _, c in outcomes] if keep_cells else []
     tensor = EffectiveTensor(
         regime="critical", dim=field.dim, lam=field.lam, Lam=field.Lam,
         matrices=np.array([t.matrices[0] for t in tensors]),
@@ -224,10 +229,12 @@ def tabulate_ahom_critical(field: PeriodicMatrixField, grid: CellGrid, p: float,
 
     The M_s slice operators are built once per table and shared by every
     key, direction and assembly; each key factors its M_s step matrices
-    once for all directions. The table is built serially; ``jobs`` must
-    be 1."""
+    once for all directions. The keys are solved in worker processes whose
+    number follows the usable CPUs (``workers.run_tasks``), so ``jobs``
+    sets nothing and must be 1."""
     if jobs != 1:
-        raise ConfigError(f"jobs must be 1 (the |u0| table is built serially), got {jobs}")
+        raise ConfigError(f"jobs must be 1 (the number of table workers follows the "
+                          f"usable CPUs), got {jobs}")
     return _tabulate_critical(field, grid, p, u0abs_grid, keep_cells=False)[0]
 
 

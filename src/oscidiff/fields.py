@@ -211,15 +211,23 @@ def sample_grid(field, y, s):
 def validate_ellipticity(field: PeriodicMatrixField, n_samples: int = 4096, seed: int = 0):
     """Probe the Rayleigh quotient at quasi-random (y, s, xi) triples.
 
+    The probes are the first ``n_samples`` points of the additive-recurrence
+    (R_d, Kronecker) sequence frac(x0 + n alpha) in the unit cube of
+    dimension D = 2 dim + 1: alpha_i = g^-i (i = 1..D) with g the positive
+    root of g^(D+1) = g + 1, and the offset x0 drawn from
+    ``np.random.default_rng(seed)``.
     Returns {"lambda_est", "Lambda_est"}; raises AsymmetricCoefficient or
     EllipticityViolation (with a witness point) if the declared constants
     are not respected within 1e-12.
     """
-    from scipy.stats import qmc
-
     d = field.dim
-    sampler = qmc.Sobol(d=2 * d + 1, scramble=True, seed=seed)
-    pts = sampler.random(n_samples)
+    D = 2 * d + 1
+    g = 2.0
+    for _ in range(64):  # the fixed point of g = (1 + g)^(1/(D + 1)), a contraction
+        g = (1.0 + g) ** (1.0 / (D + 1))
+    alpha = g ** -np.arange(1.0, D + 1)
+    x0 = np.random.default_rng(seed).random(D)
+    pts = np.mod(x0 + np.arange(1, n_samples + 1)[:, None] * alpha, 1.0)
     y = pts[:, :d]
     s = pts[:, d]
     xi = pts[:, d + 1:] - 0.5

@@ -11,6 +11,7 @@ faces) arrays, so a |u0| clamped to the table hull warns once per eps.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import cellsolve as cs, effmat as em, pdesolve as pde
+from . import cellsolve as cs, effmat as em, pdesolve as pde, workers
 from .errors import ConfigError, RegimeMismatch
 from .fields import CellGrid, MacroGrid, PeriodicMatrixField
 
@@ -218,7 +219,10 @@ def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
                           eps_list, data=None, cell_grid=None) -> ConvergenceReport:
     """Solve micro problems along eps and the effective problem once, and
     collect the error functionals. eps_list must be strictly decreasing
-    dyadic fractions."""
+    dyadic fractions. The effective branch (cells, tensor, homogenized
+    solve) and each micro solve are independent tasks of
+    ``workers.run_tasks``; the corrector, the functionals and the partial
+    report are formed here, in eps order."""
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps list must be strictly decreasing")
@@ -228,17 +232,31 @@ def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
     data = {**default_data(field.dim), **(data or {})}
     grid = MacroGrid(dim=field.dim, n_x=data["n_x"], n_t=data["n_t"], T=data["T"])
     regime = cs.regime_for(r, p)
-    tensor, cells = prepare_effective(field, p, r, cell_grid)
-    corrector = corrector_gradient(tensor, cells)
-
     # the effective solve shares the finest micro substep so that the
     # time-discretization bias cancels where the errors are smallest
-    finest = pde.MicroProblem(field=field, eps=eps_list[-1], r=r, p=p,
-                              f=data["f"], u0=data["u0"], grid=grid)
-    hom_prob = pde.HomogenizedProblem(
-        tensor=tensor, p=p, f=data["f"], u0=data["u0"], grid=grid,
-        substeps=finest.auto_substeps())
-    traj_hom = pde.solve_homogenized(hom_prob)
+    substeps = pde.MicroProblem(field=field, eps=eps_list[-1], r=r, p=p, f=data["f"],
+                                u0=data["u0"], grid=grid).auto_substeps()
+
+    def effective():
+        tensor, cells = prepare_effective(field, p, r, cell_grid)
+        hom_prob = pde.HomogenizedProblem(tensor=tensor, p=p, f=data["f"], u0=data["u0"],
+                                          grid=grid, substeps=substeps)
+        return tensor, cells, pde.solve_homogenized(hom_prob)
+
+    def micro(eps):
+        # the problem is built in the task, so that one rejected for an eps
+        # ends the report there, as a failed solve does
+        return pde.solve_micro(pde.MicroProblem(field=field, eps=eps, r=r, p=p, f=data["f"],
+                                                u0=data["u0"], grid=grid))
+
+    # the effective branch and every micro solve are independent; the
+    # finest (longest) micro solve starts first
+    outcomes = workers.run_tasks(
+        [effective] + [functools.partial(micro, eps) for eps in reversed(eps_list)])
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    tensor, cells, traj_hom = outcomes[0]
+    corrector = corrector_gradient(tensor, cells)
 
     report = ConvergenceReport(
         eps_list=eps_list, p=p, r=r,
@@ -246,11 +264,10 @@ def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
                 "r": r, "eps": eps_list, "regime": regime,
                 "n_x": grid.n_x, "n_t": grid.n_t, "T": grid.T},
     )
-    for eps in eps_list:
+    for eps, traj in zip(eps_list, reversed(outcomes[1:])):
         try:
-            prob = pde.MicroProblem(field=field, eps=eps, r=r, p=p,
-                                    f=data["f"], u0=data["u0"], grid=grid)
-            traj = pde.solve_micro(prob)
+            if isinstance(traj, Exception):
+                raise traj
             errs = _study_errors(traj, traj_hom, corrector, tensor, field, p, r, eps)
         except Exception as err:  # partial reports are allowed
             report.partial = True

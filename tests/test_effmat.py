@@ -235,7 +235,7 @@ def test_table_interpolation_rule():
     assert np.max(np.abs(table.entry_at(0.7) - expected)) < 1e-14
 
 
-def test_table_is_built_serially_only():
+def test_table_rejects_jobs_other_than_1():
     with pytest.raises(ConfigError):
         em.tabulate_ahom_critical(make_field("trig1d"), CellGrid(M_y=8, M_s=4), p=1.5,
                                   jobs=2)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +75,18 @@ def test_validate_ellipticity_rejects_bad_constants():
                       smoothness=field.smoothness, name="bad")
     with pytest.raises(EllipticityViolation):
         validate_ellipticity(bad, n_samples=256, seed=0)
+
+
+def test_validate_ellipticity_leaves_scipy_stats_unimported():
+    script = ("import sys\n"
+              "from oscidiff.fields import make_field, validate_ellipticity\n"
+              "validate_ellipticity(make_field('trig2d_st'))\n"
+              "print('scipy.stats' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out == "False\n"
 
 
 def test_unknown_builtin_raises():
