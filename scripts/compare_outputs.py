@@ -14,9 +14,16 @@ benchmark's pinned environment (``perfbench/run.py``), and writes its files
 to a temporary directory. The script then lists every file that differs or
 exists on one side only, and every op that failed. It exits 1 if there is
 any, else 0.
+
+For a file that differs, it also prints how far its numbers moved when the
+bodies of both sides parse as numbers (comma- or space-separated, after a
+first line that does not parse, such as a CSV header or an artifact's
+header line): the largest relative difference |a - b| / max(|a|, |b|), its
+line and column, and the two values there.
 """
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +59,43 @@ def run_ops(root, out_root, names, env):
     return failed
 
 
+def numbers(path):
+    """[(line number, column number, value)] of the file, without a first line
+    that does not parse as numbers; None when another line does not, or when
+    no number is left."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    out = []
+    for i, line in enumerate(lines, start=1):
+        try:
+            out += [(i, j, float(t)) for j, t in enumerate(line.replace(",", " ").split(), 1)]
+        except ValueError:
+            if i > 1:
+                return None
+    return out or None
+
+
+def largest_move(path, other_path):
+    """How far the numbers of two differing files moved, as one line; None
+    when a side does not parse or the two place their numbers differently."""
+    here, there = numbers(path), numbers(other_path)
+    if here is None or there is None or [t[:2] for t in here] != [t[:2] for t in there]:
+        return None
+    worst, at = 0.0, None
+    for (i, j, a), (_, _, b) in zip(here, there):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        rel = abs(a - b) / max(abs(a), abs(b))  # a != b, so the scale is not 0
+        rel = rel if rel <= math.inf else math.inf  # a NaN or inf on one side
+        if at is None or rel > worst:
+            worst, at = rel, (i, j, a, b)
+    if at is None:
+        return "the numbers are equal"
+    i, j, a, b = at
+    return (f"largest relative difference {worst:.3g} at line {i}, column {j}: "
+            f"{a!r} here, {b!r} in the other checkout")
+
+
 def files_under(top):
     return sorted(os.path.relpath(os.path.join(d, f), top)
                   for d, _, fs in os.walk(top) for f in fs)
@@ -82,7 +126,8 @@ def main(argv=None):
                 continue
             with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
                 if a.read() != b.read():
-                    problems.append(f"differs: {rel}")
+                    move = largest_move(*paths)
+                    problems.append(f"differs: {rel}" + (f" ({move})" if move else ""))
         n_both = len(set(listed["this"]) & set(listed["other"]))
     for line in problems:
         print(line)

@@ -160,6 +160,12 @@ def _echo_config(cfg: ExperimentConfig, out_dir):
         fh.write("\n")
 
 
+def _solve_micro(cfg, eps, u0=None):
+    """The config's micro solve at eps, from u0 (the config's by default)."""
+    return pde.solve_micro(pde.MicroProblem(field=cfg.field, eps=eps, r=cfg.r, p=cfg.p, f=cfg.f,
+                                            u0=u0 or cfg.u0, grid=cfg.macro_grid))
+
+
 def _tensor(cfg):
     """Effective tensor of the config: the |u0| table at r = 2, else one
     matrix. The critical cells are not kept."""
@@ -183,18 +189,16 @@ def cmd_cell(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
              if cfg.regime.startswith("critical") else None)
     cells = cs.solve_cells(cfg.field, cfg.cell_grid, cfg.regime, param=param)
     _echo_config(cfg, out_dir)
-    rows = []
     summary = []
     for c in cells:
         path = os.path.join(out_dir, f"cell_k{c.k}.txt")
         cs.save_cell(path, c)
-        rows.append([c.k, f"{np.max(np.abs(c.phi)):.3e}",
-                     f"{c.mean_defect():.3e}", f"{c.periodic_defect:.3e}",
-                     f"{c.residual:.3e}", path])
         summary.append({"k": c.k, "max_phi": float(np.max(np.abs(c.phi))),
                         "mean_defect": c.mean_defect(),
                         "periodic_defect": c.periodic_defect,
                         "residual": c.residual, "path": path})
+    columns = ("max_phi", "mean_defect", "periodic_defect", "residual")
+    rows = [[c["k"], *(f"{c[k]:.3e}" for k in columns), c["path"]] for c in summary]
     print(_table(rows, ["k", "max|Phi|", "mean defect", "periodic defect",
                         "residual", "file"]))
     if as_json:
@@ -231,9 +235,7 @@ def cmd_micro(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
     _echo_config(cfg, out_dir)
     rows, summary = [], []
     for eps in cfg.eps_list:
-        prob = pde.MicroProblem(field=cfg.field, eps=eps, r=cfg.r, p=cfg.p,
-                                f=cfg.f, u0=cfg.u0, grid=cfg.macro_grid)
-        traj = pde.solve_micro(prob)
+        traj = _solve_micro(cfg, eps)
         m = int(round(math.log2(1.0 / eps)))
         path = os.path.join(out_dir, f"micro_eps2e{m}.txt")
         pde.save_traj(path, traj)
@@ -327,12 +329,19 @@ def _find_fixture(fixdir, report):
         return json.load(fh)
 
 
-def cmd_converge(cfg: ExperimentConfig, out_dir, as_json=False,
-                 strict_rates=False, **_kw):
+def _study(cfg: ExperimentConfig, out_dir, as_json, stem):
+    """Echo the config, run its convergence study and write the report
+    under ``stem``; returns the report."""
     _echo_config(cfg, out_dir)
     report = hz.run_convergence_study(cfg.field, cfg.p, cfg.r, cfg.eps_list,
                                       data=cfg.data(), cell_grid=cfg.cell_grid)
-    hz.write_report(report, out_dir, stem="converge", json_mirror=as_json)
+    hz.write_report(report, out_dir, stem=stem, json_mirror=as_json)
+    return report
+
+
+def cmd_converge(cfg: ExperimentConfig, out_dir, as_json=False,
+                 strict_rates=False, **_kw):
+    report = _study(cfg, out_dir, as_json, "converge")
     with open(os.path.join(out_dir, "plot.gp"), "w") as fh:
         fh.write(_PLOT_SCRIPT)
     sys.stdout.write(report.to_csv())
@@ -342,29 +351,18 @@ def cmd_converge(cfg: ExperimentConfig, out_dir, as_json=False,
 def cmd_corrector(cfg: ExperimentConfig, out_dir, as_json=False,
                   strict_rates=False, **_kw):
     """Corrector-error table; recomputes cells and trajectories."""
-    _echo_config(cfg, out_dir)
-    report = hz.run_convergence_study(cfg.field, cfg.p, cfg.r, cfg.eps_list,
-                                      data=cfg.data(), cell_grid=cfg.cell_grid)
-    rows = []
-    for i, eps in enumerate(report.eps_list[:len(report.grad_corr_err)]):
-        rows.append([f"{eps:g}", f"{report.grad_corr_err[i]:.6e}",
-                     f"{report.flux_corr_err[i]:.6e}",
-                     f"{report.dtime_corr_err[i]:.6e}",
-                     f"{report.grad_plain_err[i]:.6e}"])
-    print(_table(rows, ["eps", "grad corr", "flux corr", "dtime corr",
-                        "grad plain"]))
-    hz.write_report(report, out_dir, stem="corrector", json_mirror=as_json)
+    report = _study(cfg, out_dir, as_json, "corrector")
+    rows = [[f"{eps:g}", *(f"{v:.6e}" for v in errs)] for eps, *errs in zip(
+        report.eps_list, report.grad_corr_err, report.flux_corr_err,
+        report.dtime_corr_err, report.grad_plain_err)]
+    print(_table(rows, ["eps", "grad corr", "flux corr", "dtime corr", "grad plain"]))
     return _study_exit(report, strict_rates)
 
 
 def cmd_audit(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
     """Uniform-estimate audit plus the initial-datum contraction check."""
     _echo_config(cfg, out_dir)
-    trajs = []
-    for eps in cfg.eps_list:
-        prob = pde.MicroProblem(field=cfg.field, eps=eps, r=cfg.r, p=cfg.p,
-                                f=cfg.f, u0=cfg.u0, grid=cfg.macro_grid)
-        trajs.append(pde.solve_micro(prob))
+    trajs = [_solve_micro(cfg, eps) for eps in cfg.eps_list]
     audit = hz.audit_uniform_estimates(
         trajs, cfg.p, data={"lam": cfg.field.lam, "f": cfg.f})
     rows = [[it["bound"], f"{it['lhs']:.6e}", f"{it['rhs']:.6e}",
@@ -373,10 +371,7 @@ def cmd_audit(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
 
     # contraction in H^-1 between two initial data, largest eps
     eps = cfg.eps_list[0]
-    u0_b = lambda x: 0.5 * cfg.u0(x)
-    prob_b = pde.MicroProblem(field=cfg.field, eps=eps, r=cfg.r, p=cfg.p,
-                              f=cfg.f, u0=u0_b, grid=cfg.macro_grid)
-    traj_b = pde.solve_micro(prob_b)
+    traj_b = _solve_micro(cfg, eps, lambda x: 0.5 * cfg.u0(x))
     C_T = pde.contraction_constant(cfg.field, eps, cfg.r, cfg.macro_grid.T)
     dist = pde.hminus1_norm(trajs[0].u_values() - traj_b.u_values(), cfg.macro_grid) ** 2
     d0, dmax = float(dist[0]), float(np.max(dist))

@@ -112,14 +112,12 @@ class ConvergenceReport:
 
 
 def fit_rate(eps_list, errs):
-    """Least-squares slope of log(err) against log(eps)."""
+    """Least-squares slope of log(err) against log(eps); None for fewer than
+    two points, a missing error or a non-positive one."""
     errs = np.asarray(errs, dtype=float)
-    if len(errs) != len(eps_list) or np.any(errs <= 0):
+    if len(errs) < 2 or len(errs) != len(eps_list) or np.any(errs <= 0):
         return None
-    x = np.log(np.asarray(eps_list, dtype=float))
-    y = np.log(errs)
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(np.asarray(eps_list, dtype=float)), np.log(errs), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +186,9 @@ def _study_errors(traj_eps, traj_hom, corrector, tensor, field, p, r, eps):
     # fast variables at every (step, face)
     y = np.broadcast_to(np.mod(grid.face_points(0) / eps, 1.0), g_0.shape + (1,))
     s = np.broadcast_to(np.mod(grid.times()[1:, None] / eps**r, 1.0), g_0.shape)
-    u0_faces = pde._u_of(grid.face_average(v_0, 0), p)
+    u0_faces, ahom_f = pde.face_ahom(tensor, grid, v_0, p, 0)
     corr = corrector(u0_faces, g_0[..., None], y, s)[..., 0]
     a_eps = field.sample(y, s)[..., 0, 0]
-    ahom_f = tensor.entries_at(np.abs(u0_faces))[..., 0, 0]
     j_eps = a_eps * g_e
     flux_defect = j_eps - a_eps * (g_0 + corr)
     du = traj_eps.u_values()[1:] - traj_hom.u_values()[1:]
@@ -224,6 +221,8 @@ def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
     ``workers.run_tasks``; the corrector, the functionals and the partial
     report are formed here, in eps order."""
     eps_list = list(eps_list)
+    if not eps_list:
+        raise ConfigError("eps list must not be empty")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps list must be strictly decreasing")
     for eps in eps_list:

@@ -11,7 +11,7 @@ solves a fresh tridiagonal Jacobian every iteration; a 2D step is a chord
 Newton, reusing one banded Jacobian factor while its steps halve the
 residual. The homogenized problem uses the same machinery with the
 effective matrix, which at the critical scaling is looked up from the
-|u0| table and frozen per step.
+|u0| table at u of the face mean of v (``face_ahom``) and frozen per step.
 
 Newton starts each step from v plus the last accepted increment made at
 the same phase key: the fast phase s of an s-dependent micro field, one
@@ -264,12 +264,17 @@ def _constant_operator(matrix, grid, dt):
     return _operator(grid, faces, dt, a12)
 
 
+def face_ahom(tensor, grid, v, p, d, clamped=None):
+    """The face |u0| rule: u0 = u of the face mean of v (boundary value 0) on
+    the faces normal to axis d, for node vectors v (..., n_x**dim), and the
+    a_hom entry (d, d) that ``entries_at`` gives there (``clamped`` as in it)."""
+    u0 = _u_of(grid.face_average(v, d), p)
+    return u0, tensor.entries_at(u0, clamped)[..., d, d]
+
+
 def _table_operator(tensor, grid, v_nodes, p, dt, clamped=None):
-    """Operator for the step dt with the tabulated matrix looked up at |u|
-    on each face (u interpolated from the adjacent nodes, boundary value 0):
-    one ``entries_at`` per axis, which takes |u| itself and gets ``clamped``."""
-    u = _u_of(v_nodes, p)
-    return _operator(grid, [tensor.entries_at(grid.face_average(u, d), clamped)[..., d, d]
+    """Operator for the step dt with the table's a_hom from ``face_ahom`` per axis."""
+    return _operator(grid, [face_ahom(tensor, grid, v_nodes, p, d, clamped)[1]
                             for d in range(grid.dim)], dt)
 
 

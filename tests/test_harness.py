@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -23,6 +24,17 @@ def test_fit_rate_recovers_power_law():
     errs = [0.3 * e**2 for e in eps]
     assert hz.fit_rate(eps, errs) == pytest.approx(2.0, abs=1e-10)
     assert hz.fit_rate(eps, [0.0, 0.0, 0.0]) is None
+
+
+def test_fit_rate_needs_two_points():
+    # one point has no slope; a single-eps study reports no rate
+    assert hz.fit_rate([0.125], [0.3]) is None
+    assert hz.fit_rate([], []) is None
+
+
+def test_study_rejects_an_empty_eps_list():
+    with pytest.raises(ConfigError, match="must not be empty"):
+        hz.run_convergence_study(make_field("trig1d_st"), 0.5, 1.0, [], data=small_data())
 
 
 def test_constant_coefficients_study_is_flat():
@@ -224,6 +236,36 @@ def test_study_errors_equal_the_per_step_loop(p, r):
     from conftest import study_errors_reference
     for args in _study_inputs(p, r, [1 / 4, 1 / 8]):
         assert hz._study_errors(*args) == study_errors_reference(*args)
+
+
+def test_study_errors_take_the_face_u0_and_a_hom_of_the_solver_rule(monkeypatch):
+    # one pde.face_ahom call gives the corrector its key and flux_plain_err its a_hom
+    from conftest import study_errors_reference
+    traj_eps, traj_hom, corrector, tensor, field, p, r, eps = _study_inputs(0.5, 2.0, [1 / 4])[0]
+    calls, keys = [], []
+    face_ahom = pde.face_ahom
+
+    def doubled(*args):
+        calls.append(args)
+        u0, a = face_ahom(*args)
+        keys.append(u0)
+        return u0, 2.0 * a
+
+    def corrector_spy(u0, *rest):
+        assert u0 is keys[-1]
+        return corrector(u0, *rest)
+
+    plain = hz._study_errors(traj_eps, traj_hom, corrector, tensor, field, p, r, eps)
+    monkeypatch.setattr(pde, "face_ahom", doubled)
+    errs = hz._study_errors(traj_eps, traj_hom, corrector_spy, tensor, field, p, r, eps)
+    (got_tensor, grid, v, got_p, d), = calls
+    assert got_tensor is tensor and grid == traj_hom.grid and (got_p, d) == (p, 0)
+    assert np.array_equal(v, traj_hom.values[1:])
+    # the doubled a_hom reaches flux_plain_err, and only it
+    twice = dataclasses.replace(tensor, matrices=2.0 * tensor.matrices)
+    assert errs == study_errors_reference(traj_eps, traj_hom, corrector, twice, field, p, r, eps)
+    assert errs["flux_plain_err"] != plain["flux_plain_err"]
+    assert {**errs, "flux_plain_err": 0.0} == {**plain, "flux_plain_err": 0.0}
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -258,13 +258,17 @@ def _face_means(u, grid, d):
     return np.moveaxis(0.5 * (padded[:-1] + padded[1:]), 0, d)
 
 
+def _face_u0(v, grid, p, d):
+    """The face |u0| rule: u of the mean of v on the faces normal to d."""
+    return pde._u_of(_face_means(v, grid, d), p)
+
+
 def _table_operator_reference(tensor, grid, v, p, dt):
     """The table-mode operator for the substep dt from the test's own
-    look-up: entry (d, d) of ``_entries_at_reference`` at |u| on the faces
-    normal to d."""
-    u = pde._u_of(v, p)
+    look-up: entry (d, d) of ``_entries_at_reference`` at |u0| = |u of the
+    face mean of v| on the faces normal to d."""
     return pde._operator(grid, [
-        _entries_at_reference(tensor, np.abs(_face_means(u, grid, d)))[..., d, d]
+        _entries_at_reference(tensor, np.abs(_face_u0(v, grid, p, d)))[..., d, d]
         for d in range(grid.dim)], dt)
 
 
@@ -373,10 +377,37 @@ def test_table_clamp_count_is_the_number_of_clamped_lookups(dim):
         traj = pde.solve_homogenized(prob)
     # one look-up per axis and step (one substep each), from v of the step before
     top = math.log1p(keys[-1]) + 1e-15
-    count = sum(bool(np.any(np.log1p(np.abs(_face_means(pde._u_of(v, p), grid, d))) > top))
+    count = sum(bool(np.any(np.log1p(np.abs(_face_u0(v, grid, p, d))) > top))
                 for v in traj.values[:-1] for d in range(dim))
     assert 0 < count < dim * grid.n_t
     assert traj.stats["clamp_warnings"] == count
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_table_operator_looks_a_hom_up_at_u_of_the_face_mean_of_v(dim):
+    # a v of both signs, where u of the face mean of v and the face mean of u differ
+    name, p = ("trig1d_st", 0.5) if dim == 1 else ("trig2d_st", 1.5)
+    tensor = em.tabulate_ahom_critical(make_field(name), CellGrid(M_y=8, M_s=4), p=p,
+                                       u0abs_grid=[0.0, 0.5, 1.0, 2.0])
+    grid, dt = MacroGrid(dim=dim, n_x=9, n_t=4, T=0.1), 0.25
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, grid.n_x**dim)
+    faces = [tensor.entries_at(_face_u0(v, grid, p, d))[..., d, d] for d in range(dim)]
+    ref = pde._operator(grid, faces, dt)
+    op = pde._table_operator(tensor, grid, v, p, dt)
+    if dim == 1:
+        assert np.array_equal(op.diag, ref.diag) and np.array_equal(op.off, ref.off)
+    else:
+        assert np.array_equal(op.band.rows, ref.band.rows)
+        assert np.array_equal(op.band.values, ref.band.values)
+    for d in range(dim):
+        u0, a = pde.face_ahom(tensor, grid, v, p, d)
+        assert np.array_equal(u0, _face_u0(v, grid, p, d))
+        assert np.array_equal(a, faces[d])
+    # the face mean of u would have looked up other coefficients
+    u = pde._u_of(v, p)
+    assert not np.array_equal(
+        pde._operator(grid, [tensor.entries_at(_face_means(u, grid, d))[..., d, d]
+                             for d in range(dim)], dt).matvec(v), op.matvec(v))
 
 
 @pytest.mark.parametrize("case", ["constant_2d", "table_2d", "stiff_2d"])
