@@ -19,7 +19,9 @@ For a file that differs, it also prints how far its numbers moved when the
 bodies of both sides parse as numbers (comma- or space-separated, after a
 first line that does not parse, such as a CSV header or an artifact's
 header line): the largest relative difference |a - b| / max(|a|, |b|), its
-line and column, and the two values there.
+line and column, and the two values there, then the largest absolute
+difference |a - b| as a fraction of the largest finite |value| of the two
+files, which tells rounding noise near 0 from a real move.
 """
 
 import argparse
@@ -81,19 +83,25 @@ def largest_move(path, other_path):
     here, there = numbers(path), numbers(other_path)
     if here is None or there is None or [t[:2] for t in here] != [t[:2] for t in there]:
         return None
-    worst, at = 0.0, None
+    worst, at, gap = 0.0, None, 0.0
     for (i, j, a), (_, _, b) in zip(here, there):
         if a == b or (math.isnan(a) and math.isnan(b)):
             continue
-        rel = abs(a - b) / max(abs(a), abs(b))  # a != b, so the scale is not 0
-        rel = rel if rel <= math.inf else math.inf  # a NaN or inf on one side
+        diff = abs(a - b)
+        diff = diff if diff <= math.inf else math.inf  # a NaN or inf on one side
+        rel = diff / max(abs(a), abs(b))  # a != b, so the scale is not 0
+        rel = rel if rel <= math.inf else math.inf
+        gap = max(gap, diff)
         if at is None or rel > worst:
             worst, at = rel, (i, j, a, b)
     if at is None:
         return "the numbers are equal"
     i, j, a, b = at
+    scale = max((abs(v) for *_, v in here + there if math.isfinite(v)), default=0.0)
+    share = gap / scale if scale > 0 else math.inf
     return (f"largest relative difference {worst:.3g} at line {i}, column {j}: "
-            f"{a!r} here, {b!r} in the other checkout")
+            f"{a!r} here, {b!r} in the other checkout; largest absolute difference "
+            f"{gap:.3g}, {share:.3g} of the largest |value| {scale:.3g}")
 
 
 def files_under(top):

@@ -10,7 +10,10 @@ Four problems are covered, all driven by a unit direction e_k:
                   problem for the fast-diffusion (p < 1) and the
                   porous-medium (p > 1) branch; the porous-medium form,
                   whose unknown is c Phi and whose diffusivity is
-                  p|u0|^(p-1) = 1/c, is the same problem rescaled.
+                  p|u0|^(p-1) = 1/c, is the same problem rescaled. Its
+                  ends are the neighbouring regimes: at c = 0 the
+                  subcritical problem, and at c = inf (p > 1, |u0| = 0)
+                  its c -> inf limit, the supercritical problem.
 
 Spatial discretization is a conservative flux form on the periodic cell
 grid: diagonal coefficients live on faces (averaged from the two
@@ -45,14 +48,14 @@ from .fields import (CellGrid, PeriodicInterpolant, PeriodicMatrixField, read_ar
 SOLVER_TOL = 1e-10
 PERIODIC_TOL = 1e-10
 
-REGIMES = ("classical", "subcritical", "critical_fde", "critical_pme", "supercritical")
+REGIMES = ("classical", "subcritical", "critical", "supercritical")
 
 
 def regime_for(r: float, p: float) -> str:
     """Cell-problem branch for the time exponent r and the nonlinearity p.
 
-    The cell problem is elliptic for r != 2; at r = 2 it is parabolic,
-    in fast-diffusion form for p < 1 and porous-medium form for p > 1."""
+    The cell problem is elliptic for r != 2 and parabolic at r = 2, for
+    both the fast-diffusion (p < 1) and the porous-medium (p > 1) branch."""
     if not 0 < p < 2:
         raise ConfigError(f"p must lie in (0,2), got {p}")
     if r < 2:
@@ -61,7 +64,7 @@ def regime_for(r: float, p: float) -> str:
         return "supercritical"
     if p == 1:
         raise ConfigError("critical scaling (r = 2) requires p != 1")
-    return "critical_fde" if p < 1 else "critical_pme"
+    return "critical"
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class CellParameter:
 
     ``capacity`` is c = (1/p) |u0|^(1-p), the coefficient of d_s Phi. At
     |u0| = 0 it is 0 for p < 1 (the slice-elliptic problem) and inf for
-    p > 1 (the corrector vanishes).
+    p > 1 (the s-averaged elliptic problem, the c -> inf limit).
     """
 
     p: float
@@ -388,26 +391,26 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
     (from ``cell_operators``, built here when not given), every direction
     on the same ``_step_factors`` factors. Elliptic rows (capacity 0: the
     non-critical regimes and the fast-diffusion key at |u0| = 0) have no
-    coupling in s and solve one factor at a time; both critical branches
-    at 0 < c < inf factor their M_s step matrices once for the period solves."""
+    coupling in s and solve one factor at a time; the critical problem at
+    0 < c < inf factors its M_s step matrices once for the period solves.
+    At c = inf the critical problem is its c -> inf limit, the supercritical
+    problem on the s-averaged operator, built here whatever ``ops`` holds:
+    its cells are labelled ``supercritical``, have one row, and keep their
+    ``param``."""
     for k in ks:
         if not 1 <= k <= field.dim:
             raise ConfigError(f"direction k={k} out of range for dim={field.dim}")
-    critical = regime in ("critical_fde", "critical_pme")
-    if critical:
-        if param is None:
-            raise ConfigError("critical regimes need a CellParameter")
-        if regime != regime_for(2.0, param.p):
-            raise ConfigError(f"{regime} cell problem does not apply at p={param.p}")
-        if param.capacity == np.inf:  # PME at u0 = 0: the corrector vanishes
-            zeros = np.zeros((grid.M_s, grid.M_y**field.dim))
-            return [CellSolution(regime=regime, dim=field.dim, grid=grid, k=k, phi=zeros,
-                                 residual=0.0, param=param) for k in ks]
+    critical = regime == "critical"
+    if critical and param is None:
+        raise ConfigError("the critical regime needs a CellParameter")
+    if critical and param.capacity == np.inf:
+        regime, ops = "supercritical", None
     if ops is None:
         ops = cell_operators(field, grid, regime)
+    param = param if critical else None
     n = grid.M_y**field.dim
     order, pos = _folded_order(field.dim, grid.M_y)
-    shift = param.capacity / grid.h_s if critical else 0.0
+    shift = param.capacity / grid.h_s if regime == "critical" else 0.0
     if shift == 0.0:
         phi, residual = [np.empty((len(ops), n)) for _ in ks], [0.0] * len(ks)
         for j, (op, factor) in enumerate(zip(ops, _step_factors(ops, 0.0))):
@@ -418,7 +421,7 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
                     residual[i] = max(residual[i], float(
                         np.linalg.norm(op.band.matvec(x[order]) - b) / bnorm))
         return [CellSolution(regime=regime, dim=field.dim, grid=grid, k=k, phi=phi[i],
-                             residual=residual[i], param=param if critical else None)
+                             residual=residual[i], param=param)
                 for i, k in enumerate(ks)]
     factors = list(_step_factors(ops, shift))
     out = []
@@ -448,17 +451,14 @@ def solve_supercritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int)
 
 def solve_critical_cell_fde(field: PeriodicMatrixField, grid: CellGrid,
                             param: CellParameter, k: int) -> CellSolution:
-    """Critical cell problem for 0 < p < 1: capacity mu = (1/p)|u0|^(1-p);
-    at u0 = 0 it degenerates to the slice-elliptic problem."""
-    return _solve_cells(field, grid, "critical_fde", [k], param)[0]
+    """The critical cell problem; the benchmark tracer patches this name."""
+    return _solve_cells(field, grid, "critical", [k], param)[0]
 
 
 def solve_critical_cell_pme(field: PeriodicMatrixField, grid: CellGrid,
                             param: CellParameter, k: int) -> CellSolution:
-    """Critical cell problem for 1 < p < 2: capacity (1/p)|u0|^(1-p), the
-    reciprocal of the porous-medium diffusivity p|u0|^(p-1); at u0 = 0 the
-    capacity is infinite and the corrector vanishes identically."""
-    return _solve_cells(field, grid, "critical_pme", [k], param)[0]
+    """The critical cell problem; the benchmark tracer patches this name."""
+    return _solve_cells(field, grid, "critical", [k], param)[0]
 
 
 def solve_cells(field, grid, regime, param=None, ops=None):

@@ -186,7 +186,7 @@ def _table(rows, header):
 
 def cmd_cell(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
     param = (cs.CellParameter(p=cfg.p, u0abs=cfg.u0abs)
-             if cfg.regime.startswith("critical") else None)
+             if cfg.regime == "critical" else None)
     cells = cs.solve_cells(cfg.field, cfg.cell_grid, cfg.regime, param=param)
     _echo_config(cfg, out_dir)
     summary = []
@@ -282,11 +282,13 @@ plot "converge_sol_err.dat" w lp t "solution", \\
 
 def _converge_checks(report, strict_rates=False):
     """Monotonicity (and optional rate) assertions; returns failure strings."""
-    failures = []
-    for name in ("sol_err", "grad_corr_err", "flux_corr_err", "dtime_corr_err"):
-        if not report.monotone.get(name):
-            failures.append(f"{name} is not strictly decreasing in eps "
-                            "(homogenization/corrector convergence check)")
+    if len(report.eps_list) < 2:
+        failures = ["one eps: no decrease checked"]
+    else:
+        failures = [f"{name} is not strictly decreasing in eps "
+                    "(homogenization/corrector convergence check)"
+                    for name in ("sol_err", "grad_corr_err", "flux_corr_err", "dtime_corr_err")
+                    if not report.monotone.get(name)]
     if len(report.sol_err) == len(report.eps_list) >= 3:
         if report.sol_err[-1] > 0 and report.sol_err[0] / report.sol_err[-1] < 2.0:
             failures.append("solution error decreased by less than a factor 2 "

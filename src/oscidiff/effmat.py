@@ -29,8 +29,7 @@ from .errors import (
     SkewFormulaMismatch,
     SymmetryViolated,
 )
-from .fields import (CellGrid, PeriodicMatrixField, mean_ys, read_artifact, sample_grid,
-                     write_artifact)
+from .fields import CellGrid, PeriodicMatrixField, read_artifact, sample_grid, write_artifact
 
 AHOM_MAGIC = "oscidiff-ahom v1"
 SYMMETRY_TOL = 1e-9
@@ -147,14 +146,6 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
                              f"{sorted({str(c.param) for c in cells})}")
     cells = sorted(cells, key=lambda c: c.k)
     param = cells[0].param
-    if param is not None and param.capacity == np.inf:
-        # the corrector vanishes and the matrix is the plain average
-        A = mean_ys(field, grid)
-        return EffectiveTensor(
-            regime=cells[0].regime, dim=dim, lam=field.lam, Lam=field.Lam,
-            matrices=A[np.newaxis], corrector_norms=np.zeros((1, dim)),
-            grad_grams=np.zeros((1, dim, dim)), p=param.p,
-        )
     if ops is None:
         ops = cs.cell_operators(field, grid, cells[0].regime)
     if any(len(c.phi) != len(ops) for c in cells):
@@ -200,9 +191,12 @@ def _tabulate_critical(field, grid, p, u0abs_grid=None, keep_cells=True):
     ops = cs.cell_operators(field, grid, regime)
 
     def solve_key(u0):
-        key_cells = cs.solve_cells(field, grid, regime, ops=ops,
-                                   param=cs.CellParameter(p=p, u0abs=float(u0)))
-        return assemble_ahom(key_cells, field, grid, ops=ops), key_cells if keep_cells else None
+        param = cs.CellParameter(p=p, u0abs=float(u0))
+        # the c = inf key solves the supercritical problem on its own operator
+        key_ops = ops if param.capacity < np.inf else None
+        key_cells = cs.solve_cells(field, grid, regime, param=param, ops=key_ops)
+        return (assemble_ahom(key_cells, field, grid, ops=key_ops),
+                key_cells if keep_cells else None)
 
     # the keys are independent tasks on the shared slice operators
     outcomes = workers.run_tasks([partial(solve_key, u0) for u0 in keys])
@@ -274,18 +268,16 @@ def skew_integral(cells):
     """Discrete time-coupling integral predicting the skew part at r = 2.
 
     S[j,k] = c * sum over rows m of <Phi_k^m - Phi_k^{m-1}, Phi_j^m> h^N,
-    with m - 1 taken mod M_s and the capacity c of the cells (0 where the
-    corrector vanishes, at c = inf); it equals (a_hom - a_hom^T)/2 up to
+    with m - 1 taken mod M_s and the capacity c of the cells, which are
+    labelled ``critical`` (c < inf); it equals (a_hom - a_hom^T)/2 up to
     discretization error.
     """
+    if cells[0].regime != "critical":
+        raise RegimeMismatch(f"skew integral needs critical cell solutions, "
+                             f"got {cells[0].regime!r}")
     dim = cells[0].dim
     cells = sorted(cells, key=lambda c: c.k)
-    param = cells[0].param
-    if param is None:
-        raise RegimeMismatch("skew integral needs critical cell solutions")
-    capacity = param.capacity
-    if capacity == np.inf:
-        return np.zeros((dim, dim))
+    capacity = cells[0].param.capacity
     phi = np.stack([c.phi for c in cells])  # (k, row, cell)
     dF = phi - np.roll(phi, 1, axis=1)
     hN = 1.0 / (cells[0].grid.M_y**dim)
@@ -294,8 +286,7 @@ def skew_integral(cells):
 
 def skew_report(tensor: EffectiveTensor, cells=None):
     """Symmetry check (non-critical), or skew-formula check of one critical matrix."""
-    critical = tensor.regime in ("critical", "critical_fde", "critical_pme")
-    if not critical:
+    if tensor.regime != "critical":
         worst = max(float(np.max(np.abs(M - M.T))) for M in tensor.matrices)
         if worst > SYMMETRY_TOL:
             raise SymmetryViolated(

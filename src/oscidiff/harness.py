@@ -81,7 +81,7 @@ class ConvergenceReport:
         for name in ("sol_err", "grad_corr_err", "flux_corr_err", "dtime_corr_err"):
             vals = getattr(self, name)
             self.monotone[name] = bool(
-                len(vals) == len(self.eps_list)
+                len(vals) == len(self.eps_list) >= 2
                 and all(b < a for a, b in zip(vals, vals[1:])))
             self.rates[name] = fit_rate(self.eps_list, vals)
         return self

@@ -51,9 +51,8 @@ def battery():
     cells = cs.solve_cells(field2, grid2, "subcritical")
     tensors.append((em.assemble_ahom(cells, field2, grid2), cells, None))
     for p in (0.5, 1.5):
-        regime = "critical_fde" if p < 1 else "critical_pme"
         param = cs.CellParameter(p=p, u0abs=1.0)
-        cells = cs.solve_cells(field2, grid2, regime, param=param)
+        cells = cs.solve_cells(field2, grid2, "critical", param=param)
         tensors.append((em.assemble_ahom(cells, field2, grid2), cells, p))
     return tensors
 
@@ -117,8 +116,8 @@ def test_criterion_4_regime_degenerations():
     sols, mats = [], []
     for regime, param in [("classical", None), ("subcritical", None),
                           ("supercritical", None),
-                          ("critical_fde", cs.CellParameter(p=0.5, u0abs=1.0)),
-                          ("critical_pme", cs.CellParameter(p=1.5, u0abs=1.0))]:
+                          ("critical", cs.CellParameter(p=0.5, u0abs=1.0)),
+                          ("critical", cs.CellParameter(p=1.5, u0abs=1.0))]:
         cells = cs.solve_cells(field, grid, regime, param=param)
         sols.append(cells[0].phi)
         mats.append(em.assemble_ahom(cells, field, grid).matrices[0])
@@ -128,13 +127,13 @@ def test_criterion_4_regime_degenerations():
     field_st = make_field("trig1d_st")
     grid_st = CellGrid(M_y=32, M_s=32)
     pme0 = em.assemble_ahom(
-        cs.solve_cells(field_st, grid_st, "critical_pme",
+        cs.solve_cells(field_st, grid_st, "critical",
                        param=cs.CellParameter(p=1.5, u0abs=0.0)),
         field_st, grid_st)
     dev_b = float(np.max(np.abs(pme0.matrices[0]
                                 - mean_ys(field_st, grid_st))))
     fde0 = em.assemble_ahom(
-        cs.solve_cells(field_st, grid_st, "critical_fde",
+        cs.solve_cells(field_st, grid_st, "critical",
                        param=cs.CellParameter(p=0.5, u0abs=0.0)),
         field_st, grid_st)
     sub = em.assemble_ahom(cs.solve_cells(field_st, grid_st, "subcritical"),

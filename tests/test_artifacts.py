@@ -5,10 +5,13 @@ The files in ``tests/fixtures/artifacts/`` were written once by calling
 (``save_gridded``, ``save_cell``, ``save_tensor``, ``save_traj``) as they
 stood before the formats shared one header writer and reader. They are
 never regenerated: a writer that changes a byte on disk fails here.
-The one deliberate change since is cell.txt: once the cell writer kept
-only the phi rows, one row per slice operator, with ``psi=0``, the golden
-file was rewritten in that layout with the numbers it held (its end row,
-at s = 1, first), and the reader stopped reading the older layouts.
+The deliberate changes since are both to cell.txt: once the cell writer
+kept only the phi rows, one row per slice operator, with ``psi=0``, the
+golden file was rewritten in that layout with the numbers it held (its end
+row, at s = 1, first), and the reader stopped reading the older layouts;
+once both p branches shared the one ``critical`` regime, its header token
+``regime=critical_pme`` became ``regime=critical``, with no other byte
+changed.
 
 Resaving a loaded golden file is the writer check and is byte-exact for
 every kind. Rebuilding from the inputs is byte-exact for ``field`` only.

@@ -36,8 +36,8 @@ def face_flux_1d(field, sol, slice_idx):
 def test_regime_for():
     assert cs.regime_for(1.0, 0.5) == "subcritical"
     assert cs.regime_for(3.0, 0.5) == "supercritical"
-    assert cs.regime_for(2.0, 0.5) == "critical_fde"
-    assert cs.regime_for(2.0, 1.5) == "critical_pme"
+    assert cs.regime_for(2.0, 0.5) == cs.regime_for(2.0, 1.5) == "critical"
+    assert len(cs.REGIMES) == 4
     with pytest.raises(ConfigError):
         cs.regime_for(2.0, 1.0)
 
@@ -107,8 +107,8 @@ def test_zero_mean_and_periodicity_invariants():
     field = make_field("trig1d_st")
     grid = CellGrid(M_y=16, M_s=16)
     for regime, param in [("subcritical", None),
-                          ("critical_fde", cs.CellParameter(p=0.5, u0abs=1.0)),
-                          ("critical_pme", cs.CellParameter(p=1.5, u0abs=1.0))]:
+                          ("critical", cs.CellParameter(p=0.5, u0abs=1.0)),
+                          ("critical", cs.CellParameter(p=1.5, u0abs=1.0))]:
         (sol,) = cs.solve_cells(field, grid, regime, param=param)
         assert sol.mean_defect() <= 1e-10
         assert sol.periodic_defect <= 1e-10
@@ -279,15 +279,21 @@ def test_fde_zero_datum_delegates_to_subcritical():
     fde = cs.solve_critical_cell_fde(field, grid,
                                      cs.CellParameter(p=0.5, u0abs=0.0), k=1)
     sub = cs.solve_subcritical_cell(field, grid, k=1)
-    assert fde.regime == "critical_fde"
+    assert fde.regime == "critical"
     assert np.max(np.abs(fde.phi - sub.phi)) == 0.0
 
 
-def test_pme_zero_datum_corrector_vanishes():
-    sol = cs.solve_critical_cell_pme(make_field("trig1d_st"),
-                                     CellGrid(M_y=16, M_s=8),
-                                     cs.CellParameter(p=1.5, u0abs=0.0), k=1)
-    assert np.max(np.abs(sol.phi)) == 0.0
+def test_pme_zero_datum_solves_supercritical():
+    # c = inf: the c -> inf limit of the critical problem, the supercritical
+    # one, whose cells keep the CellParameter of their key
+    for name in ("trig1d_st", "trig2d_st"):
+        field, grid = make_field(name), CellGrid(M_y=8, M_s=4)
+        param = cs.CellParameter(p=1.5, u0abs=0.0)
+        cells = cs.solve_cells(field, grid, "critical", param=param)
+        for pme, sup in zip(cells, cs.solve_cells(field, grid, "supercritical")):
+            assert (pme.regime, pme.k, pme.residual, pme.param) == (
+                "supercritical", sup.k, sup.residual, param)
+            assert np.array_equal(pme.phi, sup.phi) and len(pme.phi) == 1
 
 
 def test_cell_parameter_validation():
@@ -297,9 +303,6 @@ def test_cell_parameter_validation():
         cs.CellParameter(p=0.5, u0abs=-1.0)
     with pytest.raises(ConfigError):
         cs.CellParameter(p=0.5, u0abs=float("nan"))
-    with pytest.raises(ConfigError):
-        cs.solve_critical_cell_fde(make_field("trig1d_st"), CellGrid(8, 8),
-                                   cs.CellParameter(p=1.5, u0abs=1.0), k=1)
 
 
 def test_cell_roundtrip(tmp_path):
@@ -340,7 +343,7 @@ def test_fde_zero_datum_interpolant_wraps_like_subcritical():
     # the last slice interval the interpolant runs towards slice 0
     field = make_field("trig1d_st")
     grid = CellGrid(M_y=32, M_s=32)
-    (fde,) = cs.solve_cells(field, grid, "critical_fde", param=cs.CellParameter(p=0.5, u0abs=0.0))
+    (fde,) = cs.solve_cells(field, grid, "critical", param=cs.CellParameter(p=0.5, u0abs=0.0))
     (sub,) = cs.solve_cells(field, grid, "subcritical")
     rng = np.random.default_rng(7)
     y = rng.uniform(0, 1, (64, 1))
@@ -349,14 +352,15 @@ def test_fde_zero_datum_interpolant_wraps_like_subcritical():
     assert np.array_equal(fde.s_nodes, sub.s_nodes)
 
 
-ROUNDTRIP_LAYOUTS = [  # (field, regime, p, u0abs, rows)
+ROUNDTRIP_LAYOUTS = [  # (field, regime, p, u0abs, rows); an id names the p branch
     ("trig1d", "classical", None, None, 1),
     ("trig2d_st", "subcritical", None, None, 4),
     ("trig1d_st", "supercritical", None, None, 1),
-    ("trig1d_st", "critical_fde", 0.5, 0.0, 4),
-    ("trig2d_st", "critical_fde", 0.5, 0.7, 4),
-    ("trig1d_st", "critical_pme", 1.5, 0.7, 4),
-    ("trig1d_st", "critical_pme", 1.5, 0.0, 4),
+    pytest.param("trig1d_st", "critical", 0.5, 0.0, 4, id="trig1d_st-critical_fde-0.5-0.0-4"),
+    pytest.param("trig2d_st", "critical", 0.5, 0.7, 4, id="trig2d_st-critical_fde-0.5-0.7-4"),
+    pytest.param("trig1d_st", "critical", 1.5, 0.7, 4, id="trig1d_st-critical_pme-1.5-0.7-4"),
+    # c = inf: one supercritical row
+    ("trig1d_st", "critical", 1.5, 0.0, 1),
 ]
 
 
@@ -368,7 +372,7 @@ def test_cell_roundtrip_keeps_slice_layout(tmp_path, name, regime, p, u0abs, row
     sol = cs.solve_cells(field, grid, regime, param=param)[-1]
     cs.save_cell(tmp_path / "cell.txt", sol)
     loaded = cs.load_cell(tmp_path / "cell.txt")
-    assert len(sol.phi) == len(cs.cell_operators(field, grid, regime)) == rows
+    assert len(sol.phi) == len(cs.cell_operators(field, grid, sol.regime)) == rows
     assert len(sol.s_nodes) == rows
     assert np.array_equal(loaded.s_nodes, sol.s_nodes)
     assert np.array_equal(sol.s_nodes, np.arange(rows) * grid.h_s)
@@ -388,7 +392,8 @@ def test_load_cell_rejects_unknown_slice_layout(tmp_path):
 
 @pytest.mark.parametrize("regime,rows", [("classical", 4), ("supercritical", 4),
                                          ("subcritical", 1), ("subcritical", 5),
-                                         ("critical_fde", 1), ("critical_pme", 5),
+                                         pytest.param("critical", 1, id="critical_fde-1"),
+                                         pytest.param("critical", 5, id="critical_pme-5"),
                                          ("classic", 1)])
 def test_load_cell_checks_slice_count_against_regime(tmp_path, regime, rows):
     # a classical solution tiled over the M_s slices loaded before the
@@ -396,8 +401,7 @@ def test_load_cell_checks_slice_count_against_regime(tmp_path, regime, rows):
     # critical file with M_s + 1 rows is the older start-and-end layout
     grid = CellGrid(M_y=8, M_s=4)
     sol = cs.solve_classical_cell(make_field("trig1d"), grid, k=1)
-    param = cs.CellParameter(p=1.5 if regime == "critical_pme" else 0.5, u0abs=1.0) \
-        if regime.startswith("critical") else None
+    param = cs.CellParameter(p=0.5, u0abs=1.0) if regime == "critical" else None
     tiled = cs.CellSolution(regime=regime, dim=1, grid=grid, k=1,
                             phi=np.tile(sol.phi, (rows, 1)), residual=0.0, param=param)
     path = tmp_path / "cell.txt"
@@ -412,7 +416,7 @@ def test_load_cell_checks_slice_count_against_regime(tmp_path, regime, rows):
 
 def test_load_cell_rejects_psi_rows(tmp_path):
     # the older psi=1 layout stored the porous-medium rows c phi after phi
-    sol = cs.solve_cells(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4), "critical_pme",
+    sol = cs.solve_cells(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4), "critical",
                          param=cs.CellParameter(p=1.5, u0abs=1.0))[0]
     path = tmp_path / "cell.txt"
     cs.save_cell(path, sol)
@@ -424,7 +428,8 @@ def test_load_cell_rejects_psi_rows(tmp_path):
 
 @pytest.mark.parametrize("regime,param,prefix", [
     ("subcritical", None, "slice 0 (s=0.0000): "),
-    ("critical_fde", cs.CellParameter(p=0.5, u0abs=0.0), "slice 0 (s=0.0000): "),
+    pytest.param("critical", cs.CellParameter(p=0.5, u0abs=0.0), "slice 0 (s=0.0000): ",
+                 id="critical_fde-param1-slice 0 (s=0.0000): "),
     ("classical", None, ""),
     ("supercritical", None, ""),
 ])
@@ -459,8 +464,9 @@ ELLIPTIC_ROWS = [
     ("trig2d_st", {}, "subcritical", None, CellGrid(M_y=12, M_s=4), None),
     ("trig2d_st", {"s_dependent": False}, "supercritical", None, CellGrid(M_y=16, M_s=8),
      None),
-    ("trig1d_st", {}, "critical_fde", cs.CellParameter(p=0.5, u0abs=0.0),
-     CellGrid(M_y=64, M_s=8), None),
+    pytest.param("trig1d_st", {}, "critical", cs.CellParameter(p=0.5, u0abs=0.0),
+                 CellGrid(M_y=64, M_s=8), None,
+                 id="trig1d_st-params5-critical_fde-param5-grid5-None"),
     # the field only sets dim = 2 here; the operator is the full tensor's
     ("checkerboard2d", {}, "classical", None, CellGrid(M_y=16, M_s=4), full_tensor_operator),
 ]
@@ -540,7 +546,7 @@ def test_critical_cell_solves_at_large_capacity(name, grid, p):
     # period-map sweep contracts by about exp(-lambda_min / c)
     field = make_field(name)
     param = cs.CellParameter(p=p, u0abs=1e-5)
-    cells = cs.solve_cells(field, grid, "critical_pme", param=param)
+    cells = cs.solve_cells(field, grid, "critical", param=param)
     assert len(cells) == field.dim
     for sol in cells:
         assert 0.0 < sol.periodic_defect <= cs.PERIODIC_TOL
@@ -559,7 +565,7 @@ def test_period_solve_budget_error_carries_true_defect(monkeypatch):
     field, grid = make_field("trig1d_st"), CellGrid(M_y=8, M_s=4)
     param = cs.CellParameter(p=1.5, u0abs=0.01)
     with pytest.raises(PeriodicityNotReached) as info:
-        cs.solve_cells(field, grid, "critical_pme", param=param)
+        cs.solve_cells(field, grid, "critical", param=param)
     slices, c = [reference_slice(field, grid, sj) for sj in grid.slice_times()], param.capacity
     shift = c / grid.h_s
 

@@ -45,6 +45,15 @@ def test_cell_solves_at_large_critical_capacity(tmp_path):
     assert 0.0 < cell["periodic_defect"] <= cs.PERIODIC_TOL
 
 
+def test_cell_at_infinite_capacity_writes_supercritical_cells(tmp_path):
+    # p = 1.5, |u0| = 0: c = inf, the supercritical problem, one row per file
+    cfg = write_config(tmp_path, p=1.5, r=2, u0abs=0.0)
+    assert run("cell", cfg, tmp_path / "out") == cli.EXIT_OK
+    sol = cs.load_cell(tmp_path / "out" / "cell_k1.txt")
+    assert (sol.regime, len(sol.phi), sol.param) == (
+        "supercritical", 1, cs.CellParameter(p=1.5, u0abs=0.0))
+
+
 def test_nondyadic_eps_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, eps=[1 / 3])
     assert run("converge", cfg, tmp_path / "out") == 1
@@ -184,7 +193,7 @@ def test_regime_auto_derivation(tmp_path):
     cfg = cli.load_config(write_config(tmp_path, r=3.0))
     assert cfg.regime == "supercritical"
     cfg = cli.load_config(write_config(tmp_path, r=2.0))
-    assert cfg.regime == "critical_fde"
+    assert cfg.regime == "critical"
     cfg = cli.load_config(write_config(tmp_path, r=1.0))
     assert cfg.regime == "subcritical"
 
@@ -294,3 +303,15 @@ def test_strict_rates_fails_a_slow_study(tmp_path, capsys, monkeypatch, cmd):
     assert run(cmd, cfg, tmp_path / "strict", "--strict-rates") == cli.EXIT_ASSERT
     assert "fitted rate" in capsys.readouterr().err
     assert (tmp_path / "strict" / f"{cmd}.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["converge", "corrector"])
+def test_one_eps_study_fails_its_check(tmp_path, capsys, monkeypatch, cmd):
+    # one eps has no decrease to check: the files are written and the run fails
+    monkeypatch.delenv("OSCIDIFF_FIXTURES", raising=False)
+    cfg = write_config(tmp_path, eps=[0.125])
+    assert run(cmd, cfg, tmp_path / "out") == cli.EXIT_ASSERT
+    err = capsys.readouterr().err
+    assert "FAIL: one eps: no decrease checked" in err
+    assert "strictly decreasing" not in err
+    assert (tmp_path / "out" / f"{cmd}.csv").exists()

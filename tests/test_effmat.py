@@ -9,7 +9,7 @@ from oscidiff import cellsolve as cs, effmat as em, harness as hz, pdesolve as p
 from oscidiff.errors import (BoundViolated, ConfigError, DimensionMismatch,
                              PeriodicityNotReached, RegimeMismatch,
                              SolverDiverged, SymmetryViolated)
-from oscidiff.fields import CellGrid, MacroGrid, make_field, mean_ys
+from oscidiff.fields import CellGrid, MacroGrid, PeriodicMatrixField, make_field, mean_ys
 
 # pinned by a 1e6-point midpoint quadrature of int (1/4) sqrt(4 - cos^2 2 pi s) ds
 SUBCRITICAL_TRIG_REF = 0.467107728834
@@ -86,11 +86,42 @@ def test_pme_table_zero_entry_is_mean():
 
 
 def test_pme_zero_datum_has_no_skew():
-    # infinite capacity: the corrector vanishes, and the integral is 0, not nan
-    field = make_field("trig2d_st")
-    cells = cs.solve_cells(field, CellGrid(M_y=8, M_s=4), "critical_pme",
-                           param=cs.CellParameter(p=1.5, u0abs=0.0))
-    assert np.array_equal(em.skew_integral(cells), np.zeros((2, 2)))
+    # infinite capacity: the cells solve the supercritical problem, so there
+    # is no skew integral (no c * 0 = inf * 0), and the tensor is symmetric
+    field, grid = make_field("trig2d_st"), CellGrid(M_y=8, M_s=4)
+    cells = cs.solve_cells(field, grid, "critical", param=cs.CellParameter(p=1.5, u0abs=0.0))
+    with pytest.raises(RegimeMismatch, match="'supercritical'"):
+        em.skew_integral(cells)
+    rep = em.skew_report(em.assemble_ahom(cells, field, grid), cells=cells)
+    assert rep["mode"] == "symmetry"
+
+
+def product_field(dim):
+    """a = 0.25 (2 + sin 2 pi y_1)(1 + 0.5 cos 2 pi s) I, a product
+    alpha(y_1) beta(s). The geometric face mean factors, so K_j = beta_j
+    K_alpha and b_j = beta_j b_alpha, and the elliptic corrector of alpha
+    solves the critical problem at every capacity c in [0, inf]."""
+    def entries(y, s):
+        a = 0.25 * (2.0 + np.sin(2 * np.pi * y[..., 0])) * (1.0 + 0.5 * np.cos(2 * np.pi * s))
+        return a[..., None, None] * np.eye(dim)
+
+    return PeriodicMatrixField(dim=dim, entries=entries, lam=0.125, Lam=1.125, name="product")
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5])
+@pytest.mark.parametrize("dim,grid", [(1, CellGrid(M_y=64, M_s=64)),
+                                      (2, CellGrid(M_y=8, M_s=16))])
+def test_product_field_table_is_flat_at_every_key(dim, grid, p):
+    # the oracle: a_hom is one matrix for every c, key 0 (c = 0 at p < 1,
+    # c = inf at p > 1) included, and it is the supercritical tensor
+    field = product_field(dim)
+    table = em.tabulate_ahom_critical(field, grid, p, u0abs_grid=[0.0, 1e-3, 0.1, 1.0, 10.0])
+    sup = em.assemble_ahom(cs.solve_cells(field, grid, "supercritical"), field, grid).matrix
+    tol = 1e-10 * np.max(np.abs(sup))
+    assert np.max(np.abs(table.matrices - sup)) <= tol
+    assert np.max(np.ptp(table.matrices, axis=0)) <= tol
+    # harm(alpha) mean(beta) = sqrt(3)/4, within O(h^2)
+    assert abs(sup[0, 0] - 0.25 * np.sqrt(3.0)) <= 0.5 * grid.h_y**2
 
 
 def test_s_independent_field_all_regimes_agree():
@@ -99,8 +130,8 @@ def test_s_independent_field_all_regimes_agree():
     mats = []
     for regime, param in [("classical", None), ("subcritical", None),
                           ("supercritical", None),
-                          ("critical_fde", cs.CellParameter(p=0.5, u0abs=1.0)),
-                          ("critical_pme", cs.CellParameter(p=1.5, u0abs=1.0))]:
+                          ("critical", cs.CellParameter(p=0.5, u0abs=1.0)),
+                          ("critical", cs.CellParameter(p=1.5, u0abs=1.0))]:
         cells = cs.solve_cells(field, grid, regime, param=param)
         mats.append(em.assemble_ahom(cells, field, grid).matrices[0])
     for M in mats[1:]:
@@ -118,9 +149,8 @@ def test_table_matches_per_key_loop_exactly(name, p):
     grid = CellGrid(M_y=8, M_s=4)
     table = em.tabulate_ahom_critical(field, grid, p=p,
                                       u0abs_grid=SHARED_TABLE_KEYS)
-    regime = "critical_fde" if p < 1 else "critical_pme"
     per_key = [em.assemble_ahom(
-        cs.solve_cells(field, grid, regime,
+        cs.solve_cells(field, grid, "critical",
                        param=cs.CellParameter(p=p, u0abs=u0)), field, grid)
         for u0 in SHARED_TABLE_KEYS]
     assert np.array_equal(table.matrices, [t.matrices[0] for t in per_key])
@@ -138,7 +168,7 @@ def test_table_2d_pme_matches_monolithic_oracle():
     for i, u0 in enumerate(SHARED_TABLE_KEYS[1:], start=1):
         param = cs.CellParameter(p=1.5, u0abs=u0)
         cells = [cs.CellSolution(
-            regime="critical_pme", dim=2, grid=grid, k=k,
+            regime="critical", dim=2, grid=grid, k=k,
             phi=monolithic_critical_solve(field, grid, 1.5, u0, k),
             residual=0.0,
             param=param) for k in (1, 2)]
@@ -336,7 +366,7 @@ def test_critical_skew_matches_integral_2d():
     field = make_field("trig2d_st")
     grid = CellGrid(M_y=16, M_s=32)
     param = cs.CellParameter(p=0.5, u0abs=1.0)
-    cells = cs.solve_cells(field, grid, "critical_fde", param=param)
+    cells = cs.solve_cells(field, grid, "critical", param=param)
     tensor = em.assemble_ahom(cells, field, grid)
     rep = em.skew_report(tensor, cells=cells)
     assert rep["mismatch"] <= rep["tol"]
@@ -351,7 +381,7 @@ def test_critical_skew_zero_for_s_independent():
     field = make_field("laminate2d")
     grid = CellGrid(M_y=16, M_s=16)
     param = cs.CellParameter(p=0.5, u0abs=1.0)
-    cells = cs.solve_cells(field, grid, "critical_fde", param=param)
+    cells = cs.solve_cells(field, grid, "critical", param=param)
     S = em.skew_integral(cells)
     assert np.max(np.abs(S)) < 1e-10
 
@@ -395,7 +425,9 @@ def test_assemble_needs_one_row_per_operator():
 PAIRING_FIELDS = [("trig1d_st", {}), ("trig2d_st", {}),
                   ("constant", {"matrix": [[2.0, 0.7], [0.7, 1.0]]})]
 PAIRING_REGIMES = [("subcritical", None), ("supercritical", None),
-                   ("critical_fde", cs.CellParameter(p=0.5, u0abs=1.0))]
+                   # the id names the p branch
+                   pytest.param("critical", cs.CellParameter(p=0.5, u0abs=1.0),
+                                id="critical_fde-param2")]
 
 
 @pytest.mark.parametrize("regime,param", PAIRING_REGIMES)
@@ -412,7 +444,7 @@ def test_assembly_matches_row_by_row_pairing(name, params, regime, param):
 
 def test_assemble_rejects_mixed_cell_parameters():
     field, grid = make_field("trig2d_st"), CellGrid(M_y=8, M_s=4)
-    cells = [cs.solve_cells(field, grid, "critical_pme",
+    cells = [cs.solve_cells(field, grid, "critical",
                             param=cs.CellParameter(p=1.5, u0abs=u0))[k - 1]
              for k, u0 in ((1, 1.0), (2, 2.0))]
     with pytest.raises(RegimeMismatch, match="mix cell parameters"):

@@ -78,7 +78,7 @@ def test_corrector_gradient_unit_gradient_reproduces_cell_gradient():
 def test_corrector_gradient_uses_nearest_key():
     field, grid = make_field("trig2d_st"), CellGrid(M_y=8, M_s=4)
     keys = (0.1, 1.0)
-    cells = [cs.solve_cells(field, grid, "critical_pme", param=cs.CellParameter(p=1.5, u0abs=key))
+    cells = [cs.solve_cells(field, grid, "critical", param=cs.CellParameter(p=1.5, u0abs=key))
              for key in keys]
     # only the keys place a |u0|; the matrices play no part in the corrector
     tensor = em.EffectiveTensor(
