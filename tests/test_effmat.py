@@ -77,6 +77,8 @@ def test_fde_table_converges_to_subcritical_at_zero():
 
 
 def test_pme_table_zero_entry_is_mean():
+    # key 0 is the supercritical tensor, the plain mean here because the
+    # s-average of trig1d_st is constant in y
     field = make_field("trig1d_st")
     grid = CellGrid(M_y=32, M_s=32)
     table = em.tabulate_ahom_critical(field, grid, p=1.5,
