@@ -1,19 +1,18 @@
 """Cell-problem solvers on the discrete periodic unit cell.
 
-Four problems are covered, all driven by a unit direction e_k:
+Every cell problem is one problem, driven by a unit direction e_k and
+periodic in the fast time s:
 
-* classical:      -div_y(a(y) [grad Phi + e_k]) = 0
-* subcritical:    the same, slice by slice in the fast time s
-* supercritical:  the same, with a replaced by its s-average
-* critical:       c d_s Phi = div_y(a(y,s) [grad Phi + e_k]), s-periodic,
-                  with the capacity c = (1/p)|u0|^(1-p). This is one
-                  problem for the fast-diffusion (p < 1) and the
-                  porous-medium (p > 1) branch; the porous-medium form,
-                  whose unknown is c Phi and whose diffusivity is
-                  p|u0|^(p-1) = 1/c, is the same problem rescaled. Its
-                  ends are the neighbouring regimes: at c = 0 the
-                  subcritical problem, and at c = inf (p > 1, |u0| = 0)
-                  its c -> inf limit, the supercritical problem.
+    c d_s Phi = div_y(a(y,s) [grad Phi + e_k]),
+
+at a capacity c in [0, inf] (``capacity``): c = 0 for r < 2, the
+slice-elliptic problem, solved slice by slice in s; c = inf for r > 2,
+its c -> inf limit, the elliptic problem for the s-average of a; and
+c = (1/p)|u0|^(1-p) at the critical ratio r = 2, for the fast-diffusion
+(p < 1) and the porous-medium (p > 1) branch alike (the porous-medium
+form, whose unknown is c Phi and whose diffusivity is p|u0|^(p-1) = 1/c,
+is the same problem rescaled). For an s-independent a every capacity
+gives the elliptic problem of a.
 
 Spatial discretization is a conservative flux form on the periodic cell
 grid: diagonal coefficients live on faces (averaged from the two
@@ -24,18 +23,17 @@ straight from that face stencil with precomputed periodic neighbour
 indices, with the cells numbered in folded order (``_folded_order``), in
 which periodic neighbours sit within two places of each other on every
 axis. Every solve factors a symmetric positive definite band matrix by
-banded Cholesky. The elliptic problems factor K with one cell pinned and
-project the result to zero mean. The critical problem is discretized by
-implicit Euler in s; its periodic start row, the fixed point of the
-period map (one sweep of the M_s steps), is found by GMRES on that map,
-on the factors of the step matrices (c/h_s) I + K.
+banded Cholesky. The elliptic rows factor K with one cell pinned and
+project the result to zero mean. At 0 < c < inf the rows couple in s by
+implicit Euler; their periodic start row, the fixed point of the period
+map (one sweep of the M_s steps), is found by GMRES on that map, on the
+factors of the step matrices (c/h_s) I + K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -48,11 +46,9 @@ from .fields import (CellGrid, PeriodicInterpolant, PeriodicMatrixField, read_ar
 SOLVER_TOL = 1e-10
 PERIODIC_TOL = 1e-10
 
-REGIMES = ("classical", "subcritical", "critical", "supercritical")
-
 
 def regime_for(r: float, p: float) -> str:
-    """Cell-problem branch for the time exponent r and the nonlinearity p.
+    """Regime label for the time exponent r and the nonlinearity p.
 
     The cell problem is elliptic for r != 2 and parabolic at r = 2, for
     both the fast-diffusion (p < 1) and the porous-medium (p > 1) branch."""
@@ -67,54 +63,49 @@ def regime_for(r: float, p: float) -> str:
     return "critical"
 
 
-@dataclass(frozen=True)
-class CellParameter:
-    """Macroscopic data entering the critical cell problem.
+def capacity(r: float, p: float, u0abs: float = 0.0) -> float:
+    """The capacity c of the cell problem for the macroscopic data (r, p, |u0|).
 
-    ``capacity`` is c = (1/p) |u0|^(1-p), the coefficient of d_s Phi. At
-    |u0| = 0 it is 0 for p < 1 (the slice-elliptic problem) and inf for
-    p > 1 (the s-averaged elliptic problem, the c -> inf limit).
-    """
-
-    p: float
-    u0abs: float
-
-    def __post_init__(self):
-        if not self.u0abs >= 0:
-            raise ConfigError(f"u0abs must be nonnegative, got {self.u0abs}")
-        regime_for(2.0, self.p)  # raises unless p is in (0,2) with p != 1
-
-    @property
-    def capacity(self):
-        if self.u0abs == 0.0:
-            return 0.0 if self.p < 1 else np.inf
-        return (1.0 / self.p) * self.u0abs ** (1.0 - self.p)
+    c = 0 for r < 2 and inf for r > 2. At r = 2 it is (1/p)|u0|^(1-p),
+    which at |u0| = 0 is 0 for p < 1 and inf for p > 1. This is the one
+    map from macroscopic data to a cell problem; ``regime_for`` checks p."""
+    regime_for(r, p)
+    if not u0abs >= 0:
+        raise ConfigError(f"u0abs must be nonnegative, got {u0abs}")
+    if r == 2 and u0abs > 0.0:
+        return (1.0 / p) * u0abs ** (1.0 - p)
+    return 0.0 if r < 2 or (r == 2 and p < 1) else np.inf
 
 
 @dataclass(frozen=True)
 class CellSolution:
-    """Discrete corrector for one direction e_k.
+    """Discrete corrector for one direction e_k at one capacity.
 
     ``phi`` has one row per operator of ``cell_operators`` for the
-    regime, shape (len(ops), M_y**dim): one row for the s-independent
-    problems, M_s rows covering one s-period otherwise. Row j sits at
-    s = j h_s (``s_nodes``), solves on ops[j], and the rows are periodic
-    in s. For the elliptic rows ``residual`` is the true relative residual
-    max_j |K_j phi[j] - b_k| / |b_k| (0 for b_k = 0); the critical rows
-    with c > 0 have ``residual`` 0, and ``periodic_defect`` is
-    c |Phi(1) - Phi(0)| of the final sweep from the GMRES start row
-    (discrete L2 norm over the cell), which equals the norm of the
-    period-averaged residual h_s sum_j (b_k - K_j phi[j]).
+    capacity, shape (len(ops), M_y**dim): one row for the s-averaged
+    problem (c = inf) and for an s-independent field, M_s rows covering one
+    s-period otherwise. Row j sits at s = j h_s (``s_nodes``), solves on
+    ops[j], and the rows are periodic in s. For the elliptic rows
+    ``residual`` is the true relative residual max_j |K_j phi[j] - b_k| /
+    |b_k| (0 for b_k = 0); rows coupled in s (0 < c < inf) have
+    ``residual`` 0, and ``periodic_defect`` is c |Phi(1) - Phi(0)| of the
+    final sweep from the GMRES start row (discrete L2 norm over the cell),
+    which equals the norm of the period-averaged residual
+    h_s sum_j (b_k - K_j phi[j]).
     """
 
-    regime: str
+    capacity: float
     dim: int
     grid: CellGrid
     k: int
     phi: np.ndarray
     residual: float
     periodic_defect: float = 0.0
-    param: Optional[CellParameter] = None
+
+    @property
+    def regime(self):
+        """The label of the capacity: subcritical at 0, supercritical at inf."""
+        return {0.0: "subcritical", np.inf: "supercritical"}.get(self.capacity, "critical")
 
     @property
     def s_nodes(self):
@@ -289,27 +280,24 @@ def projected_cg(K, b):
 
 
 # ---------------------------------------------------------------------------
-# Regime solvers
+# Cell solvers
 
 
-def cell_operators(field: PeriodicMatrixField, grid: CellGrid, regime: str):
-    """The operators a regime's cell problem is posed on, as a list ops.
+def cell_operators(field: PeriodicMatrixField, grid: CellGrid, capacity: float, slices=None):
+    """The operators the cell problem at ``capacity`` is posed on, as a list ops.
 
-    Row j of every cell solution of the regime solves on ops[j]: the
-    s = 0 slice for ``classical``, the s-averaged operator for
-    ``supercritical``, and the slice at s = j h_s (``_slice_operators``)
-    for the slice-elliptic and critical regimes. This is the one place
-    that maps a regime to its operators; ``solve_cells`` and
-    ``effmat.assemble_ahom`` take the same set."""
-    if regime not in REGIMES:
-        raise ConfigError(f"unknown regime {regime!r}")
-    if regime == "classical":
-        if not field.s_independent:
-            raise ConfigError("classical cell problem requires an s-independent field")
-        return [CellOperator(field, grid, s=0.0)]
-    if regime == "supercritical":
+    Row j of every cell solution at that capacity solves on ops[j]: the
+    s-averaged operator at c = inf, else the slice at s = j h_s from
+    ``slices`` (``slice_operators``, built here when not given). An
+    s-independent field has one operator, its s = 0 slice, at every
+    capacity: its slices are equal, so the periodic solution is the
+    elliptic one. This is the one place that maps a capacity to operators;
+    ``solve_cells`` and ``effmat.assemble_ahom`` take the same set."""
+    if field.s_independent:
+        return [CellOperator(field, grid, s=0.0)] if slices is None else slices[:1]
+    if capacity == np.inf:
         return [s_averaged_operator(field, grid)]
-    return _slice_operators(field, grid)
+    return slice_operators(field, grid) if slices is None else slices
 
 
 def s_averaged_operator(field: PeriodicMatrixField, grid: CellGrid) -> CellOperator:
@@ -320,7 +308,7 @@ def s_averaged_operator(field: PeriodicMatrixField, grid: CellGrid) -> CellOpera
     return CellOperator.from_matrix_values(np.sum(a, axis=0) / grid.M_s, field.dim, grid)
 
 
-def _slice_operators(field, grid):
+def slice_operators(field: PeriodicMatrixField, grid: CellGrid):
     """Operators and drives at the slice times: ops[j] at s = j h_s."""
     return [CellOperator(field, grid, s=sj) for sj in grid.slice_times()]
 
@@ -386,32 +374,22 @@ def _step_factors(ops, shift):
             raise SolverDiverged(f"slice {j} (s={j / len(ops):.4f}): {err}") from err
 
 
-def _solve_cells(field, grid, regime, ks, param=None, ops=None):
-    """Cell solutions of a regime for every direction in ks, on ``ops``
+def _solve_cells(field, grid, capacity, ks, ops=None):
+    """Cell solutions at ``capacity`` for every direction in ks, on ``ops``
     (from ``cell_operators``, built here when not given), every direction
-    on the same ``_step_factors`` factors. Elliptic rows (capacity 0: the
-    non-critical regimes and the fast-diffusion key at |u0| = 0) have no
-    coupling in s and solve one factor at a time; the critical problem at
-    0 < c < inf factors its M_s step matrices once for the period solves.
-    At c = inf the critical problem is its c -> inf limit, the supercritical
-    problem on the s-averaged operator, built here whatever ``ops`` holds:
-    its cells are labelled ``supercritical``, have one row, and keep their
-    ``param``."""
+    on the same ``_step_factors`` factors. The rows couple in s only when
+    there are several and 0 < c < inf, and then share the M_s step factors
+    of the period solves; otherwise each row is elliptic."""
     for k in ks:
         if not 1 <= k <= field.dim:
             raise ConfigError(f"direction k={k} out of range for dim={field.dim}")
-    critical = regime == "critical"
-    if critical and param is None:
-        raise ConfigError("the critical regime needs a CellParameter")
-    if critical and param.capacity == np.inf:
-        regime, ops = "supercritical", None
+    if not capacity >= 0:
+        raise ConfigError(f"capacity must lie in [0, inf], got {capacity}")
     if ops is None:
-        ops = cell_operators(field, grid, regime)
-    param = param if critical else None
+        ops = cell_operators(field, grid, capacity)
     n = grid.M_y**field.dim
     order, pos = _folded_order(field.dim, grid.M_y)
-    shift = param.capacity / grid.h_s if regime == "critical" else 0.0
-    if shift == 0.0:
+    if len(ops) == 1 or capacity in (0.0, np.inf):
         phi, residual = [np.empty((len(ops), n)) for _ in ks], [0.0] * len(ks)
         for j, (op, factor) in enumerate(zip(ops, _step_factors(ops, 0.0))):
             for i, k in enumerate(ks):
@@ -420,99 +398,90 @@ def _solve_cells(field, grid, regime, ks, param=None, ops=None):
                 if (bnorm := np.linalg.norm(b)) > 0.0:
                     residual[i] = max(residual[i], float(
                         np.linalg.norm(op.band.matvec(x[order]) - b) / bnorm))
-        return [CellSolution(regime=regime, dim=field.dim, grid=grid, k=k, phi=phi[i],
-                             residual=residual[i], param=param)
+        return [CellSolution(capacity=capacity, dim=field.dim, grid=grid, k=k, phi=phi[i],
+                             residual=residual[i])
                 for i, k in enumerate(ks)]
-    factors = list(_step_factors(ops, shift))
+    factors = list(_step_factors(ops, capacity / grid.h_s))
     out = []
     for k in ks:
         phi, defect = _solve_periodic(factors, [op.b[k - 1][order] for op in ops],
-                                      param.capacity, grid.h_s, n, k)
-        out.append(CellSolution(regime=regime, dim=field.dim, grid=grid, k=k,
-                                phi=phi[:, pos], residual=0.0, periodic_defect=defect,
-                                param=param))
+                                      capacity, grid.h_s, n, k)
+        out.append(CellSolution(capacity=capacity, dim=field.dim, grid=grid, k=k,
+                                phi=phi[:, pos], residual=0.0, periodic_defect=defect))
     return out
 
 
 def solve_classical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
     """Elliptic cell problem for an s-independent coefficient field."""
-    return _solve_cells(field, grid, "classical", [k])[0]
+    return _solve_cells(field, grid, 0.0, [k])[0]
 
 
 def solve_subcritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
     """Per-slice elliptic cell problem Phi_k(y, s), slices at s = j/M_s."""
-    return _solve_cells(field, grid, "subcritical", [k])[0]
+    return _solve_cells(field, grid, 0.0, [k])[0]
 
 
 def solve_supercritical_cell(field: PeriodicMatrixField, grid: CellGrid, k: int) -> CellSolution:
     """Elliptic cell problem for the s-averaged coefficient."""
-    return _solve_cells(field, grid, "supercritical", [k])[0]
+    return _solve_cells(field, grid, np.inf, [k])[0]
 
 
 def solve_critical_cell_fde(field: PeriodicMatrixField, grid: CellGrid,
-                            param: CellParameter, k: int) -> CellSolution:
-    """The critical cell problem; the benchmark tracer patches this name."""
-    return _solve_cells(field, grid, "critical", [k], param)[0]
+                            capacity: float, k: int) -> CellSolution:
+    """The cell problem at ``capacity``; the benchmark tracer patches this name."""
+    return _solve_cells(field, grid, capacity, [k])[0]
 
 
 def solve_critical_cell_pme(field: PeriodicMatrixField, grid: CellGrid,
-                            param: CellParameter, k: int) -> CellSolution:
-    """The critical cell problem; the benchmark tracer patches this name."""
-    return _solve_cells(field, grid, "critical", [k], param)[0]
+                            capacity: float, k: int) -> CellSolution:
+    """The cell problem at ``capacity``; the benchmark tracer patches this name."""
+    return _solve_cells(field, grid, capacity, [k])[0]
 
 
-def solve_cells(field, grid, regime, param=None, ops=None):
-    """Solve the cell problem for every direction; returns a list per k.
-
-    ``ops`` is the regime's ``cell_operators`` set, built here once for
-    all directions when not given."""
-    if regime not in REGIMES:
-        raise ConfigError(f"unknown regime {regime!r}")
-    return _solve_cells(field, grid, regime, range(1, field.dim + 1), param, ops)
+def solve_cells(field, grid, capacity, ops=None):
+    """Solve the cell problem at ``capacity`` for every direction; returns
+    a list per k. ``ops`` is the capacity's ``cell_operators`` set, built
+    here once for all directions when not given."""
+    return _solve_cells(field, grid, capacity, range(1, field.dim + 1), ops)
 
 
 # ---------------------------------------------------------------------------
-# Serialization ("oscidiff-cell v1")
+# Serialization ("oscidiff-cell v2")
 
-CELL_MAGIC = "oscidiff-cell v1"
+CELL_MAGIC = "oscidiff-cell v2"
 
 
 def save_cell(path, sol: CellSolution):
-    """Write a cell solution as a self-describing text file: its
-    ``nslices`` phi rows (1 or M_s) and ``psi=0``."""
-    p = sol.param.p if sol.param is not None else float("nan")
-    u0 = sol.param.u0abs if sol.param is not None else float("nan")
-    meta = {"regime": sol.regime, "N": sol.dim, "k": sol.k, "My": sol.grid.M_y,
-            "Ms": sol.grid.M_s, "nslices": sol.phi.shape[0], "p": p, "u0abs": u0,
+    """Write a cell solution as a self-describing text file: its capacity
+    (``inf`` allowed), its ``nslices`` phi rows (1 or M_s) and ``psi=0``."""
+    meta = {"capacity": sol.capacity, "N": sol.dim, "k": sol.k, "My": sol.grid.M_y,
+            "Ms": sol.grid.M_s, "nslices": sol.phi.shape[0],
             "residual": sol.residual, "defect": sol.periodic_defect,
             "psi": 0, "faceavg": sol.grid.face_avg}
     write_artifact(path, CELL_MAGIC, meta, sol.phi)
 
 
 def load_cell(path) -> CellSolution:
-    """Read a cell file; its ``nslices`` must fit the regime: 1 for
-    ``classical`` and ``supercritical``, M_s otherwise, and its ``psi``
-    must be 0 (the phi rows only)."""
-    meta, phi = read_artifact(path, CELL_MAGIC, ("regime", "N", "k", "My", "Ms", "nslices",
-                                                "p", "u0abs", "residual", "defect", "psi"))
-    dim, k = int(meta["N"]), int(meta["k"])
+    """Read a cell file; its ``capacity`` must lie in [0, inf], its
+    ``nslices`` must fit it (1 at c = inf, 1 or M_s otherwise), and its
+    ``psi`` must be 0 (the phi rows only)."""
+    meta, phi = read_artifact(path, CELL_MAGIC, ("capacity", "N", "k", "My", "Ms", "nslices",
+                                                "residual", "defect", "psi"))
+    dim, k, capacity = int(meta["N"]), int(meta["k"]), float(meta["capacity"])
     grid = CellGrid(int(meta["My"]), int(meta["Ms"]), face_avg=meta.get("faceavg", "geometric"))
-    n_slices, regime = int(meta["nslices"]), meta["regime"]
-    allowed = {"classical": (1,), "supercritical": (1,)}.get(
-        regime, (grid.M_s,) if regime in REGIMES else ())
+    n_slices = int(meta["nslices"])
+    if not capacity >= 0:
+        raise ConfigError(f"{path}: capacity must lie in [0, inf], got {meta['capacity']}")
+    allowed = (1,) if capacity == np.inf else (1, grid.M_s)
     if n_slices not in allowed:
-        raise ConfigError(f"{path}: a {regime!r} cell file cannot hold nslices={n_slices} "
-                          f"(allowed: {allowed or 'none, unknown regime'})")
+        raise ConfigError(f"{path}: a cell file at capacity={meta['capacity']} cannot hold "
+                          f"nslices={n_slices} (allowed: {allowed})")
     if meta["psi"] != "0":
         raise ConfigError(f"{path}: header key 'psi' must be 0 (phi rows only), "
                           f"got psi={meta['psi']}")
     n = grid.M_y**dim
     if phi.shape != (n_slices, n):
         raise ConfigError(f"{path}: expected {n_slices} rows x {n} cols, got {phi.shape}")
-    p, u0 = float(meta["p"]), float(meta["u0abs"])
-    param = None if np.isnan(p) else CellParameter(p=p, u0abs=u0)
-    return CellSolution(
-        regime=regime, dim=dim, grid=grid, k=k, phi=phi,
-        residual=float(meta["residual"]), periodic_defect=float(meta["defect"]),
-        param=param,
-    )
+    return CellSolution(capacity=capacity, dim=dim, grid=grid, k=k, phi=phi,
+                        residual=float(meta["residual"]),
+                        periodic_defect=float(meta["defect"]))

@@ -185,9 +185,8 @@ def _table(rows, header):
 
 
 def cmd_cell(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
-    param = (cs.CellParameter(p=cfg.p, u0abs=cfg.u0abs)
-             if cfg.regime == "critical" else None)
-    cells = cs.solve_cells(cfg.field, cfg.cell_grid, cfg.regime, param=param)
+    capacity = cs.capacity(cfg.r, cfg.p, cfg.u0abs)
+    cells = cs.solve_cells(cfg.field, cfg.cell_grid, capacity)
     _echo_config(cfg, out_dir)
     summary = []
     for c in cells:
@@ -202,7 +201,8 @@ def cmd_cell(cfg: ExperimentConfig, out_dir, as_json=False, **_kw):
     print(_table(rows, ["k", "max|Phi|", "mean defect", "periodic defect",
                         "residual", "file"]))
     if as_json:
-        _dump_json(out_dir, "cell_summary.json", {"regime": cfg.regime, "cells": summary})
+        _dump_json(out_dir, "cell_summary.json",
+                   {"regime": cfg.regime, "capacity": capacity, "cells": summary})
     return EXIT_OK
 
 

@@ -133,21 +133,18 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
 
     ``ops`` is the ``cs.cell_operators`` set the cells were solved on,
     built here when not given. Row j of each cell pairs with ops[j]; the
-    cells must share regime, grid and ``param``."""
+    cells must share capacity and grid."""
     dim = field.dim
     if len(cells) != dim or sorted(c.k for c in cells) != list(range(1, dim + 1)):
         raise RegimeMismatch(f"need cell solutions for k = 1..{dim}")
-    if any(c.regime != cells[0].regime for c in cells):
-        raise RegimeMismatch("cell solutions mix regimes")
+    if any(c.capacity != cells[0].capacity for c in cells):
+        raise RegimeMismatch("cell solutions mix capacities "
+                             f"{sorted({c.capacity for c in cells})}")
     if any(c.grid != grid for c in cells):
         raise RegimeMismatch("cell solutions were computed on a different grid")
-    if any(c.param != cells[0].param for c in cells):
-        raise RegimeMismatch("cell solutions mix cell parameters: "
-                             f"{sorted({str(c.param) for c in cells})}")
     cells = sorted(cells, key=lambda c: c.k)
-    param = cells[0].param
     if ops is None:
-        ops = cs.cell_operators(field, grid, cells[0].regime)
+        ops = cs.cell_operators(field, grid, cells[0].capacity)
     if any(len(c.phi) != len(ops) for c in cells):
         raise RegimeMismatch(f"cell solutions need one row per operator, {len(ops)}")
     m, M = len(ops), grid.M_y
@@ -165,7 +162,6 @@ def assemble_ahom(cells, field: PeriodicMatrixField, grid: CellGrid,
         regime=cells[0].regime, dim=dim, lam=field.lam, Lam=field.Lam,
         matrices=(A / m)[np.newaxis], corrector_norms=(hN * norms / m)[np.newaxis],
         grad_grams=(hN * gram / m)[np.newaxis],
-        p=None if param is None else param.p,
     )
 
 
@@ -184,22 +180,20 @@ def _tabulate_critical(field, grid, p, u0abs_grid=None, keep_cells=True):
     the cells of each key are dropped once assembled and the list is
     empty; holding every key's 2D correctors would raise the table's peak
     memory by the size of all of them."""
-    regime = cs.regime_for(2.0, p)
     keys = np.asarray(default_u0abs_grid() if u0abs_grid is None else u0abs_grid, dtype=float)
     if len(keys) < 4 or np.any(np.diff(keys) <= 0) or keys[0] != 0.0:
         raise ConfigError("u0abs grid must be sorted, have >= 4 entries, and include 0")
-    ops = cs.cell_operators(field, grid, regime)
+    capacities = [cs.capacity(2.0, p, float(u0)) for u0 in keys]
+    slices = cs.slice_operators(field, grid)
 
-    def solve_key(u0):
-        param = cs.CellParameter(p=p, u0abs=float(u0))
-        # the c = inf key solves the supercritical problem on its own operator
-        key_ops = ops if param.capacity < np.inf else None
-        key_cells = cs.solve_cells(field, grid, regime, param=param, ops=key_ops)
-        return (assemble_ahom(key_cells, field, grid, ops=key_ops),
+    def solve_key(c):
+        ops = cs.cell_operators(field, grid, c, slices=slices)
+        key_cells = cs.solve_cells(field, grid, c, ops=ops)
+        return (assemble_ahom(key_cells, field, grid, ops=ops),
                 key_cells if keep_cells else None)
 
     # the keys are independent tasks on the shared slice operators
-    outcomes = workers.run_tasks([partial(solve_key, u0) for u0 in keys])
+    outcomes = workers.run_tasks([partial(solve_key, c) for c in capacities])
     for u0, out in zip(keys, outcomes):
         if isinstance(out, Exception):  # the first failing key, in key order
             wrapped = type(out)(f"u0abs={u0:.6g}: {out}")
@@ -268,19 +262,18 @@ def skew_integral(cells):
     """Discrete time-coupling integral predicting the skew part at r = 2.
 
     S[j,k] = c * sum over rows m of <Phi_k^m - Phi_k^{m-1}, Phi_j^m> h^N,
-    with m - 1 taken mod M_s and the capacity c of the cells, which are
-    labelled ``critical`` (c < inf); it equals (a_hom - a_hom^T)/2 up to
-    discretization error.
+    with m - 1 taken mod M_s and the capacity c of the cells, which must
+    lie in (0, inf); it equals (a_hom - a_hom^T)/2 up to discretization
+    error.
     """
-    if cells[0].regime != "critical":
-        raise RegimeMismatch(f"skew integral needs critical cell solutions, "
-                             f"got {cells[0].regime!r}")
-    dim = cells[0].dim
+    capacity = cells[0].capacity
+    if not 0.0 < capacity < np.inf:
+        raise RegimeMismatch(f"skew integral needs cells at a capacity in (0, inf), "
+                             f"got c={capacity:g} ({cells[0].regime!r})")
     cells = sorted(cells, key=lambda c: c.k)
-    capacity = cells[0].param.capacity
     phi = np.stack([c.phi for c in cells])  # (k, row, cell)
     dF = phi - np.roll(phi, 1, axis=1)
-    hN = 1.0 / (cells[0].grid.M_y**dim)
+    hN = 1.0 / phi.shape[-1]  # 1 / M_y^N
     return capacity * hN * np.einsum("jrn,krn->jk", phi, dF)
 
 

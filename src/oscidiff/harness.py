@@ -136,12 +136,12 @@ def prepare_effective(field: PeriodicMatrixField, p: float, r: float,
     if cell_grid is None:
         g = DEFAULTS["grids"][field.dim]
         cell_grid = CellGrid(g["M_y"], g["M_s"])
-    regime = cs.regime_for(r, p)
-    if regime in ("subcritical", "supercritical"):
-        ops = cs.cell_operators(field, cell_grid, regime)
-        cells = cs.solve_cells(field, cell_grid, regime, ops=ops)
-        return em.assemble_ahom(cells, field, cell_grid, ops=ops), [cells]
-    return em._tabulate_critical(field, cell_grid, p, keep_cells=keep_cells)
+    if r == 2:
+        return em._tabulate_critical(field, cell_grid, p, keep_cells=keep_cells)
+    capacity = cs.capacity(r, p)
+    ops = cs.cell_operators(field, cell_grid, capacity)
+    cells = cs.solve_cells(field, cell_grid, capacity, ops=ops)
+    return em.assemble_ahom(cells, field, cell_grid, ops=ops), [cells]
 
 
 # ---------------------------------------------------------------------------

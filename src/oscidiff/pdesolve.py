@@ -145,6 +145,9 @@ class HomogenizedProblem:
                               f"{'constant' if self.tensor.is_table else 'tabulated'} tensor")
         if self.tensor.dim != self.grid.dim:
             raise ConfigError("tensor and grid dimensions differ")
+        if self.tensor.is_table and self.tensor.p != self.p:  # its keys mean a capacity at p only
+            raise ConfigError(f"the |u0| table was built for p={self.tensor.p}, "
+                              f"the problem has p={self.p}")
         object.__setattr__(self, "substeps", _positive_substeps(self.substeps))
 
 

@@ -14,15 +14,18 @@ the caller is itself a worker (a worker never forks again), or when the
 caller runs other threads (a fork copies only the calling thread, and a
 lock another thread holds would stay held in the child).
 
-A task computes what it would compute in-process, so the outcomes do not
-depend on the worker count. Warnings that pass the caller's filters in a
-child are re-emitted in the caller, in task order; an exception crosses
-without its traceback, so a serial run (``taskset -c 0``) is the one to
-debug or profile.
+A child runs each OpenBLAS it maps on one thread: n children that each
+inherit a pool of one thread per CPU would oversubscribe the CPUs and
+stall. A task computes what it would compute in-process, so the outcomes
+do not depend on the worker count. Warnings that pass the caller's
+filters in a child are re-emitted in the caller, in task order; an
+exception crosses without its traceback, so a serial run (``taskset -c
+0``) is the one to debug or profile.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -42,6 +45,34 @@ def usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _openblas():
+    """(get, set) thread-count calls of each OpenBLAS mapped into this
+    process (/proc/self/maps), such as numpy's and scipy's builds, whose
+    symbols may carry a scipy_ prefix and a 64_ suffix (64-bit integers)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = map(ctypes.CDLL, sorted({line.split()[-1] for line in fh
+                                            if "openblas" in line.lower() and ".so" in line}))
+    except OSError:  # no process map on this platform
+        return []
+    names = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+             "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+    calls = []
+    for lib in libs:
+        name = next((n for n in names if hasattr(lib, n.format("get"))), None)
+        if name is not None:
+            get, set_ = (getattr(lib, name.format(verb)) for verb in ("get", "set"))
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            calls.append((get, set_))
+    return calls
+
+
+def blas_threads():
+    """The thread count of each OpenBLAS mapped into this process."""
+    return [get() for get, _ in _openblas()]
 
 
 def _forks():
@@ -130,6 +161,8 @@ def _work(tasks, indices, conn):
     """A child's loop: run its tasks and send (index, outcome, warnings) for each."""
     # an interrupt reaches the caller, which terminates its workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for _, set_threads in _openblas():  # module docstring
+        set_threads(1)
     for i in indices:
         with warnings.catch_warnings(record=True) as caught:
             outcome = _outcome(tasks[i])

@@ -30,7 +30,7 @@ def monolithic_critical_solve(field, grid, p, u0abs, k):
     ``sparse_product_operator`` on the sampled cell values, so the oracle
     also checks the stencil build of ``CellOperator``. The capacity mu and
     the diffusivity scale kappa are computed here from p and u0abs,
-    independently of ``CellParameter``. For the
+    independently of ``cellsolve.capacity``. For the
     fast-diffusion branch the unknown is Phi with capacity
     mu = (1/p)|u0|^(1-p). For the porous-medium branch the system is kept
     in its own form, d_s Psi = div_y(a [kappa grad Psi + e_k]) with

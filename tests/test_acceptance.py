@@ -41,18 +41,16 @@ def battery():
     that produced it (for the skew checks)."""
     tensors = []
     grid1 = CellGrid(M_y=64, M_s=64)
-    for name, regime in [("trig1d", "classical"), ("trig1d_st", "subcritical"),
-                         ("trig1d_st", "supercritical")]:
+    for name, r in [("trig1d", 1.0), ("trig1d_st", 1.0), ("trig1d_st", 3.0)]:
         field = make_field(name)
-        cells = cs.solve_cells(field, grid1, regime)
+        cells = cs.solve_cells(field, grid1, cs.capacity(r, 0.5))
         tensors.append((em.assemble_ahom(cells, field, grid1), cells, None))
     field2 = make_field("trig2d_st")
     grid2 = CellGrid(M_y=24, M_s=32)
-    cells = cs.solve_cells(field2, grid2, "subcritical")
+    cells = cs.solve_cells(field2, grid2, cs.capacity(1.0, 0.5))
     tensors.append((em.assemble_ahom(cells, field2, grid2), cells, None))
     for p in (0.5, 1.5):
-        param = cs.CellParameter(p=p, u0abs=1.0)
-        cells = cs.solve_cells(field2, grid2, "critical", param=param)
+        cells = cs.solve_cells(field2, grid2, cs.capacity(2.0, p, 1.0))
         tensors.append((em.assemble_ahom(cells, field2, grid2), cells, p))
     return tensors
 
@@ -62,16 +60,16 @@ def test_criterion_1_classical_oracle():
     oracle = np.sqrt(3.0) / 4.0
     grid = CellGrid(M_y=64, M_s=64)
     worst = 0.0
-    for regime in ("classical", "subcritical", "supercritical"):
-        cells = cs.solve_cells(field, grid, regime)
+    for cells in ([cs.solve_classical_cell(field, grid, 1)],
+                  cs.solve_cells(field, grid, cs.capacity(1.0, 0.5)),
+                  cs.solve_cells(field, grid, cs.capacity(3.0, 0.5))):
         a = em.assemble_ahom(cells, field, grid).matrix[0, 0]
         worst = max(worst, abs(a - oracle))
     errs = []
     Ms = [16, 32, 64]
     for M in Ms:
         g = CellGrid(M_y=M, M_s=8)
-        a = em.assemble_ahom(cs.solve_cells(field, g, "classical"),
-                             field, g).matrix[0, 0]
+        a = em.assemble_ahom([cs.solve_classical_cell(field, g, 1)], field, g).matrix[0, 0]
         errs.append(abs(a - oracle))
     order = -np.polyfit(np.log(Ms), np.log(errs), 1)[0]
     report(1, worst < 1e-4 and order >= 1.9,
@@ -82,9 +80,9 @@ def test_criterion_1_classical_oracle():
 def test_criterion_2_s_averaging():
     field = make_field("trig1d_st")
     grid = CellGrid(M_y=64, M_s=64)
-    a_sup = em.assemble_ahom(cs.solve_cells(field, grid, "supercritical"),
+    a_sup = em.assemble_ahom(cs.solve_cells(field, grid, cs.capacity(3.0, 0.5)),
                              field, grid).matrix[0, 0]
-    a_sub = em.assemble_ahom(cs.solve_cells(field, grid, "subcritical"),
+    a_sub = em.assemble_ahom(cs.solve_cells(field, grid, cs.capacity(1.0, 0.5)),
                              field, grid).matrix[0, 0]
     oracle = em.harmonic_mean_oracle_1d(field, grid, "subcritical")
     report(2, abs(a_sup - 0.5) < 1e-8 and abs(a_sub - oracle) < 1e-4,
@@ -97,11 +95,11 @@ def test_criterion_3_monolithic_oracle():
     grid = CellGrid(M_y=16, M_s=16)
     devs, rels = [], []
     for p in (0.5, 1.5):
-        param = cs.CellParameter(p=p, u0abs=1.0)
+        c = cs.capacity(2.0, p, 1.0)
         if p < 1:
-            sol = cs.solve_critical_cell_fde(field, grid, param, k=1)
+            sol = cs.solve_critical_cell_fde(field, grid, c, k=1)
         else:
-            sol = cs.solve_critical_cell_pme(field, grid, param, k=1)
+            sol = cs.solve_critical_cell_pme(field, grid, c, k=1)
         oracle = monolithic_critical_solve(field, grid, p, 1.0, k=1)
         devs.append(l2_cell_time(sol.phi - oracle, grid, field.dim))
         rels.append(devs[-1] / l2_cell_time(oracle, grid, field.dim))
@@ -113,12 +111,11 @@ def test_criterion_3_monolithic_oracle():
 def test_criterion_4_regime_degenerations():
     field = make_field("trig1d")
     grid = CellGrid(M_y=32, M_s=16)
-    sols, mats = [], []
-    for regime, param in [("classical", None), ("subcritical", None),
-                          ("supercritical", None),
-                          ("critical", cs.CellParameter(p=0.5, u0abs=1.0)),
-                          ("critical", cs.CellParameter(p=1.5, u0abs=1.0))]:
-        cells = cs.solve_cells(field, grid, regime, param=param)
+    classical = cs.solve_classical_cell(field, grid, 1)
+    sols = [classical.phi]
+    mats = [em.assemble_ahom([classical], field, grid).matrices[0]]
+    for r, p in [(1.0, 0.5), (3.0, 0.5), (2.0, 0.5), (2.0, 1.5)]:
+        cells = cs.solve_cells(field, grid, cs.capacity(r, p, 1.0))
         sols.append(cells[0].phi)
         mats.append(em.assemble_ahom(cells, field, grid).matrices[0])
     dev_a = max(max(np.max(np.abs(s - sols[0][0])) for s in sols[1:]),
@@ -127,16 +124,14 @@ def test_criterion_4_regime_degenerations():
     field_st = make_field("trig1d_st")
     grid_st = CellGrid(M_y=32, M_s=32)
     pme0 = em.assemble_ahom(
-        cs.solve_cells(field_st, grid_st, "critical",
-                       param=cs.CellParameter(p=1.5, u0abs=0.0)),
+        cs.solve_cells(field_st, grid_st, cs.capacity(2.0, 1.5, 0.0)),
         field_st, grid_st)
     dev_b = float(np.max(np.abs(pme0.matrices[0]
                                 - mean_ys(field_st, grid_st))))
     fde0 = em.assemble_ahom(
-        cs.solve_cells(field_st, grid_st, "critical",
-                       param=cs.CellParameter(p=0.5, u0abs=0.0)),
+        cs.solve_cells(field_st, grid_st, cs.capacity(2.0, 0.5, 0.0)),
         field_st, grid_st)
-    sub = em.assemble_ahom(cs.solve_cells(field_st, grid_st, "subcritical"),
+    sub = em.assemble_ahom(cs.solve_cells(field_st, grid_st, cs.capacity(1.0, 0.5)),
                            field_st, grid_st)
     dev_c = float(np.max(np.abs(fde0.matrices[0] - sub.matrices[0])))
     report(4, dev_a < 1e-8 and dev_b < 1e-10 and dev_c < 1e-8,

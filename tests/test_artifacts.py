@@ -11,7 +11,11 @@ golden file was rewritten in that layout with the numbers it held (its end
 row, at s = 1, first), and the reader stopped reading the older layouts;
 once both p branches shared the one ``critical`` regime, its header token
 ``regime=critical_pme`` became ``regime=critical``, with no other byte
-changed.
+changed; once the cell problem was keyed on its capacity alone, the
+format became ``oscidiff-cell v2``, whose header holds
+``capacity=0.66666666666666663`` (the capacity (1/p)|u0|^(1-p) of its
+p = 1.5, |u0| = 1) in place of ``regime=critical``, ``p=1.5`` and
+``u0abs=1``, with no other byte changed.
 
 Resaving a loaded golden file is the writer check and is byte-exact for
 every kind. Rebuilding from the inputs is byte-exact for ``field`` only.
@@ -55,7 +59,7 @@ def build(kind, path):
         fields.save_gridded(path, field, GRID)
     elif kind == "cell":
         cs.save_cell(path, cs.solve_critical_cell_pme(
-            field, GRID, cs.CellParameter(p=1.5, u0abs=1.0), k=1))
+            field, GRID, cs.capacity(2.0, 1.5, 1.0), k=1))
     elif kind == "ahom":
         em.save_tensor(path, em.tabulate_ahom_critical(
             field, GRID, 1.5, u0abs_grid=[0.0, 0.1, 1.0, 10.0]))

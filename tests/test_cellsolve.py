@@ -37,9 +37,15 @@ def test_regime_for():
     assert cs.regime_for(1.0, 0.5) == "subcritical"
     assert cs.regime_for(3.0, 0.5) == "supercritical"
     assert cs.regime_for(2.0, 0.5) == cs.regime_for(2.0, 1.5) == "critical"
-    assert len(cs.REGIMES) == 4
     with pytest.raises(ConfigError):
         cs.regime_for(2.0, 1.0)
+    # the label of a cell solution follows from its capacity alone, and
+    # names the regime of the data at a positive |u0|
+    grid = CellGrid(M_y=8, M_s=4)
+    for r, p in [(1.0, 0.5), (1.0, 1.5), (3.0, 0.5), (3.0, 1.5), (2.0, 0.5), (2.0, 1.5)]:
+        sol = cs.CellSolution(capacity=cs.capacity(r, p, 1.0), dim=1, grid=grid, k=1,
+                              phi=np.zeros((1, 8)), residual=0.0)
+        assert sol.regime == cs.regime_for(r, p)
 
 
 def test_classical_identity_field_zero_corrector():
@@ -106,10 +112,8 @@ def test_supercritical_trig_field_zero_corrector():
 def test_zero_mean_and_periodicity_invariants():
     field = make_field("trig1d_st")
     grid = CellGrid(M_y=16, M_s=16)
-    for regime, param in [("subcritical", None),
-                          ("critical", cs.CellParameter(p=0.5, u0abs=1.0)),
-                          ("critical", cs.CellParameter(p=1.5, u0abs=1.0))]:
-        (sol,) = cs.solve_cells(field, grid, regime, param=param)
+    for capacity in [0.0, cs.capacity(2.0, 0.5, 1.0), cs.capacity(2.0, 1.5, 1.0)]:
+        (sol,) = cs.solve_cells(field, grid, capacity)
         assert sol.mean_defect() <= 1e-10
         assert sol.periodic_defect <= 1e-10
 
@@ -121,10 +125,8 @@ def test_regime_consistency_s_independent():
     sols = [
         cs.solve_subcritical_cell(field, grid, k=1),
         cs.solve_supercritical_cell(field, grid, k=1),
-        cs.solve_critical_cell_fde(field, grid,
-                                   cs.CellParameter(p=0.5, u0abs=1.0), k=1),
-        cs.solve_critical_cell_pme(field, grid,
-                                   cs.CellParameter(p=1.5, u0abs=1.0), k=1),
+        cs.solve_critical_cell_fde(field, grid, cs.capacity(2.0, 0.5, 1.0), k=1),
+        cs.solve_critical_cell_pme(field, grid, cs.capacity(2.0, 1.5, 1.0), k=1),
     ]
     for sol in sols:
         assert np.max(np.abs(sol.phi - ref)) <= 1e-9
@@ -200,7 +202,7 @@ def test_stencil_build_matches_sparse_products(name, params, M, face_avg):
     a = field.sample(grid.centers(field.dim), np.full(op.n, 0.3))
     K, b, pair_const, gram = sparse_product_operator(a, field.dim, M, face_avg)
     phis = np.random.default_rng(M).standard_normal((field.dim, op.n))
-    cells = [cs.CellSolution(regime="classical", dim=field.dim, grid=grid, k=k + 1,
+    cells = [cs.CellSolution(capacity=0.0, dim=field.dim, grid=grid, k=k + 1,
                              phi=phis[k:k + 1], residual=0.0) for k in range(field.dim)]
     got_gram = em.assemble_ahom(cells, field, grid, ops=[op]).grad_grams[0]
     want_gram = gram(list(phis))
@@ -245,11 +247,11 @@ def test_face_average_rejects_non_positive_cells(face_avg):
 def test_critical_matches_monolithic_oracle(p, u0abs):
     field = make_field("trig1d_st")
     grid = CellGrid(M_y=16, M_s=16)
-    param = cs.CellParameter(p=p, u0abs=u0abs)
+    c = cs.capacity(2.0, p, u0abs)
     if p < 1:
-        sol = cs.solve_critical_cell_fde(field, grid, param, k=1)
+        sol = cs.solve_critical_cell_fde(field, grid, c, k=1)
     else:
-        sol = cs.solve_critical_cell_pme(field, grid, param, k=1)
+        sol = cs.solve_critical_cell_pme(field, grid, c, k=1)
     oracle = monolithic_critical_solve(field, grid, p, u0abs, k=1)
     dev = l2_cell_time(sol.phi - oracle, grid, field.dim)
     assert dev <= 1e-8
@@ -261,8 +263,7 @@ def test_critical_matches_monolithic_oracle(p, u0abs):
                                        ("trig2d_st", CellGrid(M_y=8, M_s=16))])
 def test_critical_interpolant_sits_on_rows_and_wraps(name, grid, p):
     field = make_field(name)
-    sol = cs.solve_cells(field, grid, cs.regime_for(2.0, p),
-                         param=cs.CellParameter(p=p, u0abs=1.0))[0]
+    sol = cs.solve_cells(field, grid, cs.capacity(2.0, p, 1.0))[0]
     grad, rows = sol.grad_interpolant(), sol.grad_y()
     y = grid.centers(field.dim)
     for j in range(grid.M_s):
@@ -276,46 +277,35 @@ def test_critical_interpolant_sits_on_rows_and_wraps(name, grid, p):
 def test_fde_zero_datum_delegates_to_subcritical():
     field = make_field("trig1d_st")
     grid = CellGrid(M_y=16, M_s=8)
-    fde = cs.solve_critical_cell_fde(field, grid,
-                                     cs.CellParameter(p=0.5, u0abs=0.0), k=1)
+    fde = cs.solve_critical_cell_fde(field, grid, cs.capacity(2.0, 0.5, 0.0), k=1)
     sub = cs.solve_subcritical_cell(field, grid, k=1)
-    assert fde.regime == "critical"
+    assert (fde.capacity, fde.regime) == (0.0, "subcritical")
     assert np.max(np.abs(fde.phi - sub.phi)) == 0.0
 
 
 def test_pme_zero_datum_solves_supercritical():
     # c = inf: the c -> inf limit of the critical problem, the supercritical
-    # one, whose cells keep the CellParameter of their key
+    # one, on the s-averaged operator
     for name in ("trig1d_st", "trig2d_st"):
         field, grid = make_field(name), CellGrid(M_y=8, M_s=4)
-        param = cs.CellParameter(p=1.5, u0abs=0.0)
-        cells = cs.solve_cells(field, grid, "critical", param=param)
-        for pme, sup in zip(cells, cs.solve_cells(field, grid, "supercritical")):
-            assert (pme.regime, pme.k, pme.residual, pme.param) == (
-                "supercritical", sup.k, sup.residual, param)
+        cells = cs.solve_cells(field, grid, cs.capacity(2.0, 1.5, 0.0))
+        sup_cells = [cs.solve_supercritical_cell(field, grid, k) for k in range(1, field.dim + 1)]
+        for pme, sup in zip(cells, sup_cells):
+            assert (pme.regime, pme.k, pme.residual, pme.capacity) == (
+                "supercritical", sup.k, sup.residual, np.inf)
             assert np.array_equal(pme.phi, sup.phi) and len(pme.phi) == 1
-
-
-def test_cell_parameter_validation():
-    with pytest.raises(ConfigError):
-        cs.CellParameter(p=2.5, u0abs=1.0)
-    with pytest.raises(ConfigError):
-        cs.CellParameter(p=0.5, u0abs=-1.0)
-    with pytest.raises(ConfigError):
-        cs.CellParameter(p=0.5, u0abs=float("nan"))
 
 
 def test_cell_roundtrip(tmp_path):
     field = make_field("trig1d_st")
     grid = CellGrid(M_y=16, M_s=16)
-    sol = cs.solve_critical_cell_pme(field, grid,
-                                     cs.CellParameter(p=1.5, u0abs=1.0), k=1)
+    sol = cs.solve_critical_cell_pme(field, grid, cs.capacity(2.0, 1.5, 1.0), k=1)
     path = tmp_path / "cell.txt"
     cs.save_cell(path, sol)
     loaded = cs.load_cell(path)
     assert loaded.regime == sol.regime
     assert np.allclose(loaded.phi, sol.phi, atol=1e-15)
-    assert loaded.param.p == sol.param.p
+    assert loaded.capacity == sol.capacity
 
 
 @given(vals=st.lists(st.floats(0.2, 5.0), min_size=8, max_size=8))
@@ -343,8 +333,8 @@ def test_fde_zero_datum_interpolant_wraps_like_subcritical():
     # the last slice interval the interpolant runs towards slice 0
     field = make_field("trig1d_st")
     grid = CellGrid(M_y=32, M_s=32)
-    (fde,) = cs.solve_cells(field, grid, "critical", param=cs.CellParameter(p=0.5, u0abs=0.0))
-    (sub,) = cs.solve_cells(field, grid, "subcritical")
+    (fde,) = cs.solve_cells(field, grid, cs.capacity(2.0, 0.5, 0.0))
+    (sub,) = cs.solve_cells(field, grid, cs.capacity(1.0, 0.5))
     rng = np.random.default_rng(7)
     y = rng.uniform(0, 1, (64, 1))
     s = 1.0 - grid.h_s * rng.uniform(0, 1, 64)
@@ -352,28 +342,28 @@ def test_fde_zero_datum_interpolant_wraps_like_subcritical():
     assert np.array_equal(fde.s_nodes, sub.s_nodes)
 
 
-ROUNDTRIP_LAYOUTS = [  # (field, regime, p, u0abs, rows); an id names the p branch
-    ("trig1d", "classical", None, None, 1),
-    ("trig2d_st", "subcritical", None, None, 4),
-    ("trig1d_st", "supercritical", None, None, 1),
-    pytest.param("trig1d_st", "critical", 0.5, 0.0, 4, id="trig1d_st-critical_fde-0.5-0.0-4"),
-    pytest.param("trig2d_st", "critical", 0.5, 0.7, 4, id="trig2d_st-critical_fde-0.5-0.7-4"),
-    pytest.param("trig1d_st", "critical", 1.5, 0.7, 4, id="trig1d_st-critical_pme-1.5-0.7-4"),
+ROUNDTRIP_LAYOUTS = [  # (field, r, p, u0abs, rows); the ids keep the older regime labels
+    pytest.param("trig1d", 1.0, 0.5, 0.0, 1, id="trig1d-classical-None-None-1"),
+    pytest.param("trig2d_st", 1.0, 0.5, 0.0, 4, id="trig2d_st-subcritical-None-None-4"),
+    pytest.param("trig1d_st", 3.0, 0.5, 0.0, 1, id="trig1d_st-supercritical-None-None-1"),
+    pytest.param("trig1d_st", 2.0, 0.5, 0.0, 4, id="trig1d_st-critical_fde-0.5-0.0-4"),
+    pytest.param("trig2d_st", 2.0, 0.5, 0.7, 4, id="trig2d_st-critical_fde-0.5-0.7-4"),
+    pytest.param("trig1d_st", 2.0, 1.5, 0.7, 4, id="trig1d_st-critical_pme-1.5-0.7-4"),
     # c = inf: one supercritical row
-    ("trig1d_st", "critical", 1.5, 0.0, 1),
+    pytest.param("trig1d_st", 2.0, 1.5, 0.0, 1, id="trig1d_st-critical-1.5-0.0-1"),
 ]
 
 
-@pytest.mark.parametrize("name,regime,p,u0abs,rows", ROUNDTRIP_LAYOUTS)
-def test_cell_roundtrip_keeps_slice_layout(tmp_path, name, regime, p, u0abs, rows):
+@pytest.mark.parametrize("name,r,p,u0abs,rows", ROUNDTRIP_LAYOUTS)
+def test_cell_roundtrip_keeps_slice_layout(tmp_path, name, r, p, u0abs, rows):
     field = make_field(name)
     grid = CellGrid(M_y=8, M_s=4)
-    param = None if p is None else cs.CellParameter(p=p, u0abs=u0abs)
-    sol = cs.solve_cells(field, grid, regime, param=param)[-1]
+    sol = cs.solve_cells(field, grid, cs.capacity(r, p, u0abs))[-1]
     cs.save_cell(tmp_path / "cell.txt", sol)
     loaded = cs.load_cell(tmp_path / "cell.txt")
-    assert len(sol.phi) == len(cs.cell_operators(field, grid, sol.regime)) == rows
+    assert len(sol.phi) == len(cs.cell_operators(field, grid, sol.capacity)) == rows
     assert len(sol.s_nodes) == rows
+    assert loaded.capacity == sol.capacity
     assert np.array_equal(loaded.s_nodes, sol.s_nodes)
     assert np.array_equal(sol.s_nodes, np.arange(rows) * grid.h_s)
     rng = np.random.default_rng(11)
@@ -381,43 +371,60 @@ def test_cell_roundtrip_keeps_slice_layout(tmp_path, name, regime, p, u0abs, row
     assert np.array_equal(loaded.grad_interpolant()(y, s), sol.grad_interpolant()(y, s))
 
 
+def test_cell_file_roundtrip_at_infinite_capacity(tmp_path):
+    # the v2 header holds capacity=inf, and the loaded cell is the saved one
+    sol = cs.solve_supercritical_cell(make_field("trig2d_st"), CellGrid(M_y=8, M_s=4), k=2)
+    path = tmp_path / "cell.txt"
+    cs.save_cell(path, sol)
+    header = path.read_text().split("\n", 1)[0].split()
+    assert header[:3] == ["oscidiff-cell", "v2", "capacity=inf"]
+    assert not any(t.split("=")[0] in ("regime", "p", "u0abs") for t in header[2:])
+    loaded = cs.load_cell(path)
+    assert (loaded.capacity, loaded.regime, loaded.k, loaded.residual) == (
+        np.inf, "supercritical", 2, sol.residual)
+    assert loaded.phi.shape == (1, 64) and np.array_equal(loaded.phi, sol.phi)
+    cs.save_cell(path, loaded)
+    assert path.read_text().split("\n", 1)[0].split() == header
+
+
 def test_load_cell_rejects_unknown_slice_layout(tmp_path):
     sol = cs.solve_subcritical_cell(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4), k=1)
-    cut = cs.CellSolution(regime=sol.regime, dim=1, grid=sol.grid, k=1,
+    cut = cs.CellSolution(capacity=sol.capacity, dim=1, grid=sol.grid, k=1,
                           phi=sol.phi[:3], residual=sol.residual)
     cs.save_cell(tmp_path / "cell.txt", cut)
     with pytest.raises(ConfigError, match="nslices=3"):
         cs.load_cell(tmp_path / "cell.txt")
 
 
-@pytest.mark.parametrize("regime,rows", [("classical", 4), ("supercritical", 4),
-                                         ("subcritical", 1), ("subcritical", 5),
-                                         pytest.param("critical", 1, id="critical_fde-1"),
-                                         pytest.param("critical", 5, id="critical_pme-5"),
-                                         ("classic", 1)])
-def test_load_cell_checks_slice_count_against_regime(tmp_path, regime, rows):
-    # a classical solution tiled over the M_s slices loaded before the
-    # regime was checked, and failed only in the tensor assembly; a
-    # critical file with M_s + 1 rows is the older start-and-end layout
+@pytest.mark.parametrize("capacity,rows", [
+    # the ids keep the regime labels of the older cell format
+    pytest.param(0.0, 3, id="classical-4"), pytest.param(np.inf, 4, id="supercritical-4"),
+    pytest.param(0.0, 2, id="subcritical-1"), pytest.param(0.0, 5, id="subcritical-5"),
+    pytest.param(1.0, 2, id="critical_fde-1"), pytest.param(1.0, 5, id="critical_pme-5"),
+    pytest.param(-1.0, 1, id="classic-1")])
+def test_load_cell_checks_slice_count_against_regime(tmp_path, capacity, rows):
+    # a cell file holds 1 row at c = inf and 1 or M_s rows at a finite c; a
+    # file of M_s + 1 rows is the older start-and-end layout, and a
+    # capacity outside [0, inf] is refused whatever its rows
     grid = CellGrid(M_y=8, M_s=4)
     sol = cs.solve_classical_cell(make_field("trig1d"), grid, k=1)
-    param = cs.CellParameter(p=0.5, u0abs=1.0) if regime == "critical" else None
-    tiled = cs.CellSolution(regime=regime, dim=1, grid=grid, k=1,
-                            phi=np.tile(sol.phi, (rows, 1)), residual=0.0, param=param)
+    tiled = cs.CellSolution(capacity=capacity, dim=1, grid=grid, k=1,
+                            phi=np.tile(sol.phi, (rows, 1)), residual=0.0)
     path = tmp_path / "cell.txt"
     cs.save_cell(path, tiled)
-    with pytest.raises(ConfigError, match=rf"cell\.txt: a '{regime}' cell file .*nslices={rows}"):
+    refused = (rf"cell\.txt: a cell file at capacity={capacity:g} cannot hold nslices={rows}"
+               if capacity >= 0 else r"cell\.txt: capacity must lie in \[0, inf\], got -1")
+    with pytest.raises(ConfigError, match=refused):
         cs.load_cell(path)
-    ok = 1 if regime in ("classical", "supercritical") else grid.M_s
-    if regime != "classic":
+    for ok in () if capacity < 0 else (1,) if capacity == np.inf else (1, grid.M_s):
         cs.save_cell(path, dataclasses.replace(tiled, phi=np.tile(sol.phi, (ok, 1))))
         assert len(cs.load_cell(path).phi) == ok
 
 
 def test_load_cell_rejects_psi_rows(tmp_path):
     # the older psi=1 layout stored the porous-medium rows c phi after phi
-    sol = cs.solve_cells(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4), "critical",
-                         param=cs.CellParameter(p=1.5, u0abs=1.0))[0]
+    sol = cs.solve_cells(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4),
+                         cs.capacity(2.0, 1.5, 1.0))[0]
     path = tmp_path / "cell.txt"
     cs.save_cell(path, sol)
     header, body = path.read_text().split("\n", 1)
@@ -426,22 +433,22 @@ def test_load_cell_rejects_psi_rows(tmp_path):
         cs.load_cell(path)
 
 
-@pytest.mark.parametrize("regime,param,prefix", [
-    ("subcritical", None, "slice 0 (s=0.0000): "),
-    pytest.param("critical", cs.CellParameter(p=0.5, u0abs=0.0), "slice 0 (s=0.0000): ",
-                 id="critical_fde-param1-slice 0 (s=0.0000): "),
-    ("classical", None, ""),
-    ("supercritical", None, ""),
+@pytest.mark.parametrize("capacity,rows,prefix", [
+    # the ids keep the older regime labels
+    pytest.param(0.0, 4, "slice 0 (s=0.0000): ", id="subcritical-None-slice 0 (s=0.0000): "),
+    pytest.param(1.0, 4, "slice 0 (s=0.0000): ", id="critical_fde-param1-slice 0 (s=0.0000): "),
+    pytest.param(0.0, 1, "", id="classical-None-"),
+    pytest.param(np.inf, 1, "", id="supercritical-None-"),
 ])
-def test_cg_failure_names_slice_only_on_slice_layouts(regime, param, prefix):
+def test_cg_failure_names_slice_only_on_slice_layouts(capacity, rows, prefix):
     # a negative definite operator (negative cells, arithmetic face average)
-    # fails its factor in every layout; the slice layouts name the slice
+    # fails its factor in every layout, the step matrices (c/h_s) I + K of
+    # the rows coupled in s too; the slice layouts name the slice
     grid = CellGrid(M_y=8, M_s=4, face_avg="arithmetic")
     a = -(1.5 + np.cos(2 * np.pi * (np.arange(8) + 0.5) / 8))
     negative = cs.CellOperator.from_matrix_values(a[:, None, None], 1, grid)
-    ops = [negative] * (1 if regime in ("classical", "supercritical") else grid.M_s)
     with pytest.raises(SolverDiverged) as info:
-        cs.solve_cells(make_field("trig1d"), grid, regime, param=param, ops=ops)
+        cs.solve_cells(make_field("trig1d"), grid, capacity, ops=[negative] * rows)
     assert str(info.value).startswith(prefix + "matrix is not positive definite")
 
 
@@ -457,30 +464,34 @@ def full_tensor_operator(M):
     return [cs.CellOperator.from_matrix_values(a, 2, grid)]
 
 
-ELLIPTIC_ROWS = [
-    ("trig1d", {}, "classical", None, CellGrid(M_y=64, M_s=4), None),
-    ("checkerboard2d", {}, "classical", None, CellGrid(M_y=16, M_s=4), None),
-    ("trig1d_st", {}, "subcritical", None, CellGrid(M_y=64, M_s=8), None),
-    ("trig2d_st", {}, "subcritical", None, CellGrid(M_y=12, M_s=4), None),
-    ("trig2d_st", {"s_dependent": False}, "supercritical", None, CellGrid(M_y=16, M_s=8),
-     None),
-    pytest.param("trig1d_st", {}, "critical", cs.CellParameter(p=0.5, u0abs=0.0),
-                 CellGrid(M_y=64, M_s=8), None,
+ELLIPTIC_ROWS = [  # the ids keep the older regime labels
+    pytest.param("trig1d", {}, 0.0, CellGrid(M_y=64, M_s=4), None,
+                 id="trig1d-params0-classical-None-grid0-None"),
+    pytest.param("checkerboard2d", {}, 0.0, CellGrid(M_y=16, M_s=4), None,
+                 id="checkerboard2d-params1-classical-None-grid1-None"),
+    pytest.param("trig1d_st", {}, 0.0, CellGrid(M_y=64, M_s=8), None,
+                 id="trig1d_st-params2-subcritical-None-grid2-None"),
+    pytest.param("trig2d_st", {}, 0.0, CellGrid(M_y=12, M_s=4), None,
+                 id="trig2d_st-params3-subcritical-None-grid3-None"),
+    pytest.param("trig2d_st", {"s_dependent": False}, np.inf, CellGrid(M_y=16, M_s=8), None,
+                 id="trig2d_st-params4-supercritical-None-grid4-None"),
+    pytest.param("trig1d_st", {}, cs.capacity(2.0, 0.5, 0.0), CellGrid(M_y=64, M_s=8), None,
                  id="trig1d_st-params5-critical_fde-param5-grid5-None"),
     # the field only sets dim = 2 here; the operator is the full tensor's
-    ("checkerboard2d", {}, "classical", None, CellGrid(M_y=16, M_s=4), full_tensor_operator),
+    pytest.param("checkerboard2d", {}, 0.0, CellGrid(M_y=16, M_s=4), full_tensor_operator,
+                 id="checkerboard2d-params6-classical-None-grid6-full_tensor_operator"),
 ]
 
 
-@pytest.mark.parametrize("name,params,regime,param,grid,make_ops", ELLIPTIC_ROWS)
-def test_elliptic_rows_match_dense_least_squares(name, params, regime, param, grid, make_ops):
+@pytest.mark.parametrize("name,params,capacity,grid,make_ops", ELLIPTIC_ROWS)
+def test_elliptic_rows_match_dense_least_squares(name, params, capacity, grid, make_ops):
     # every elliptic row is the zero-mean solution of K_j phi = b_k, K_j
     # expanded from the band of ops[j]: within 1e-12 of a dense
     # least-squares solve, with a true relative residual of at most 1e-12,
     # and within 1e-9 of projected CG
     field = make_field(name, **params)
-    ops = cs.cell_operators(field, grid, regime) if make_ops is None else make_ops(grid.M_y)
-    cells = cs.solve_cells(field, grid, regime, param=param, ops=ops)
+    ops = cs.cell_operators(field, grid, capacity) if make_ops is None else make_ops(grid.M_y)
+    cells = cs.solve_cells(field, grid, capacity, ops=ops)
     assert len(cells) == field.dim
     for sol in cells:
         assert sol.phi.shape == (len(ops), grid.M_y**field.dim)
@@ -507,8 +518,7 @@ def test_criterion_3_grid_matches_monolithic_oracle(name, grid, p, u0abs):
     # criterion 3 over the ends of the capacity range (c from 3.6e-4 to
     # 1.7e4), every direction, absolute and relative
     field = make_field(name)
-    cells = cs.solve_cells(field, grid, cs.regime_for(2.0, p),
-                           param=cs.CellParameter(p=p, u0abs=u0abs))
+    cells = cs.solve_cells(field, grid, cs.capacity(2.0, p, u0abs))
     for sol in cells:
         oracle = monolithic_critical_solve(field, grid, p, u0abs, k=sol.k)
         dev = l2_cell_time(sol.phi - oracle, grid, field.dim)
@@ -523,14 +533,13 @@ def test_critical_rows_solve_their_step_equation(name, grid, p):
     # row 1 steps from the final sweep's start, c |end - start| <=
     # PERIODIC_TOL away from row 0
     field = make_field(name)
-    regime = cs.regime_for(2.0, p)
-    param = cs.CellParameter(p=p, u0abs=1.0)
-    ops = cs.cell_operators(field, grid, regime)
+    c = cs.capacity(2.0, p, 1.0)
+    ops = cs.cell_operators(field, grid, c)
     for sj, op in zip(grid.slice_times(), ops):
         assert same_band(op.band, cs.CellOperator(field, grid, s=sj).band)
     slices = [reference_slice(field, grid, sj) for sj in grid.slice_times()]
-    shift = param.capacity / grid.h_s
-    for sol in cs.solve_cells(field, grid, regime, param=param, ops=ops):
+    shift = c / grid.h_s
+    for sol in cs.solve_cells(field, grid, c, ops=ops):
         assert len(sol.phi) == len(ops) == grid.M_s
         prev = np.roll(sol.phi, 1, axis=0)
         residual = np.array([shift * (phi - before) + K @ phi - b[sol.k - 1]
@@ -545,8 +554,7 @@ def test_critical_cell_solves_at_large_capacity(name, grid, p):
     # |u0| = 1e-5 gives c = 1.7e4 (p = 1.9) and 4.5e4 (p = 1.99), where one
     # period-map sweep contracts by about exp(-lambda_min / c)
     field = make_field(name)
-    param = cs.CellParameter(p=p, u0abs=1e-5)
-    cells = cs.solve_cells(field, grid, "critical", param=param)
+    cells = cs.solve_cells(field, grid, cs.capacity(2.0, p, 1e-5))
     assert len(cells) == field.dim
     for sol in cells:
         assert 0.0 < sol.periodic_defect <= cs.PERIODIC_TOL
@@ -563,10 +571,10 @@ def test_period_solve_budget_error_carries_true_defect(monkeypatch):
 
     monkeypatch.setattr(cs.spla, "gmres", exhausted)
     field, grid = make_field("trig1d_st"), CellGrid(M_y=8, M_s=4)
-    param = cs.CellParameter(p=1.5, u0abs=0.01)
+    c = cs.capacity(2.0, 1.5, 0.01)
     with pytest.raises(PeriodicityNotReached) as info:
-        cs.solve_cells(field, grid, "critical", param=param)
-    slices, c = [reference_slice(field, grid, sj) for sj in grid.slice_times()], param.capacity
+        cs.solve_cells(field, grid, c)
+    slices = [reference_slice(field, grid, sj) for sj in grid.slice_times()]
     shift = c / grid.h_s
 
     def sweep(start):
@@ -588,7 +596,7 @@ def u0_at_capacity(p, capacity):
     """An |u0| whose capacity (1/p)|u0|^(1-p) is exactly ``capacity``."""
     u0 = (p * capacity) ** (1.0 / (1.0 - p))
     for _ in range(64):
-        got = cs.CellParameter(p=p, u0abs=u0).capacity
+        got = cs.capacity(2.0, p, u0)
         if got == capacity:
             return u0
         # the capacity grows with |u0| for p < 1 and falls for p > 1
@@ -601,8 +609,7 @@ def u0_at_capacity(p, capacity):
 def test_fde_and_pme_cells_agree_at_matched_capacity(name, grid, capacity):
     # both branches are one problem in the capacity c: equal c, equal cells
     field = make_field(name)
-    fde, pme = (cs.solve_cells(field, grid, cs.regime_for(2.0, p),
-                               param=cs.CellParameter(p=p, u0abs=u0_at_capacity(p, capacity)))
+    fde, pme = (cs.solve_cells(field, grid, cs.capacity(2.0, p, u0_at_capacity(p, capacity)))
                 for p in (0.5, 1.5))
     for a, b in zip(fde, pme):
         assert np.array_equal(a.phi, b.phi)
@@ -610,9 +617,54 @@ def test_fde_and_pme_cells_agree_at_matched_capacity(name, grid, capacity):
 
 
 def test_capacity_limits_at_zero_datum():
-    assert cs.CellParameter(p=0.5, u0abs=0.0).capacity == 0.0
-    assert cs.CellParameter(p=1.5, u0abs=0.0).capacity == np.inf
-    assert cs.CellParameter(p=1.5, u0abs=4.0).capacity == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert cs.capacity(2.0, 0.5, 0.0) == 0.0
+    assert cs.capacity(2.0, 1.5, 0.0) == np.inf
+    assert cs.capacity(2.0, 1.5, 4.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("r,p,u0abs,want", [
+    (1.0, 0.5, 0.0, 0.0), (1.0, 1.5, 3.0, 0.0), (0.5, 0.05, 10.0, 0.0),
+    (3.0, 0.5, 0.0, np.inf), (3.0, 1.5, 3.0, np.inf), (2.5, 1.99, 1e-8, np.inf),
+    (2.0, 0.5, 0.0, 0.0), (2.0, 1.5, 0.0, np.inf),  # the two |u0| = 0 ends
+    (2.0, 0.5, 4.0, 4.0), (2.0, 1.5, 4.0, 1.0 / 3.0), (2.0, 0.05, 1e-5, 20.0 * 1e-5**0.95),
+    (2.0, 1.9, 1e-5, 1e-5**-0.9 / 1.9)])
+def test_capacity_over_r_p_and_u0abs(r, p, u0abs, want):
+    assert cs.capacity(r, p, u0abs) == pytest.approx(want, rel=1e-14, abs=0.0)
+    if r != 2:
+        assert cs.capacity(r, p) == want  # |u0| enters at r = 2 only
+
+
+BAD_DATA = {"p": "p must lie in", "p=1": "requires p != 1", "u0abs": "u0abs must be nonnegative"}
+
+
+@pytest.mark.parametrize("r,p,u0abs,bad", [
+    (1.0, 2.5, 1.0, "p"), (3.0, 0.0, 1.0, "p"), (2.0, 2.5, 1.0, "p"), (2.0, -0.5, 0.0, "p"),
+    (2.0, 1.0, 1.0, "p=1"), (2.0, 1.0, 0.0, "p=1"), (2.0, 0.5, -1.0, "u0abs"),
+    (1.0, 0.5, -1.0, "u0abs"), (2.0, 0.5, float("nan"), "u0abs")])
+def test_capacity_rejects_bad_data(r, p, u0abs, bad):
+    with pytest.raises(ConfigError, match=BAD_DATA[bad]):
+        cs.capacity(r, p, u0abs)
+
+
+@pytest.mark.parametrize("capacity", [0.0, 1.0, np.inf])
+@pytest.mark.parametrize("name,grid", [("trig1d", CellGrid(M_y=32, M_s=8)),
+                                       ("laminate2d", CellGrid(M_y=16, M_s=4)),
+                                       ("checkerboard2d", CellGrid(M_y=16, M_s=4))])
+def test_s_independent_field_has_one_row_at_every_capacity(name, grid, capacity):
+    # the cells of an s-independent field are the elliptic cells of its s = 0
+    # slice at every capacity: one row, bitwise equal to the classical
+    # solve (one CellOperator at s = 0, the pinned Cholesky factor)
+    field = make_field(name)
+    (op,) = cs.cell_operators(field, grid, capacity)
+    assert same_band(op.band, cs.CellOperator(field, grid, s=0.0).band)
+    order, pos = cs._folded_order(field.dim, grid.M_y)
+    (factor,) = cs._step_factors([op], 0.0)
+    for sol in cs.solve_cells(field, grid, capacity):
+        classical = cs._project_mean(factor.solve(op.b[sol.k - 1][order])[pos])
+        assert (sol.capacity, sol.phi.shape, sol.periodic_defect) == (
+            capacity, (1, grid.M_y**field.dim), 0.0)
+        assert np.array_equal(sol.phi[0], classical)
+        assert np.array_equal(sol.phi, cs.solve_classical_cell(field, grid, sol.k).phi)
 
 
 def test_project_mean_is_bitwise_x_minus_its_mean():

@@ -48,10 +48,12 @@ def test_cell_solves_at_large_critical_capacity(tmp_path):
 def test_cell_at_infinite_capacity_writes_supercritical_cells(tmp_path):
     # p = 1.5, |u0| = 0: c = inf, the supercritical problem, one row per file
     cfg = write_config(tmp_path, p=1.5, r=2, u0abs=0.0)
-    assert run("cell", cfg, tmp_path / "out") == cli.EXIT_OK
+    assert run("cell", cfg, tmp_path / "out", "--json") == cli.EXIT_OK
     sol = cs.load_cell(tmp_path / "out" / "cell_k1.txt")
-    assert (sol.regime, len(sol.phi), sol.param) == (
-        "supercritical", 1, cs.CellParameter(p=1.5, u0abs=0.0))
+    assert (sol.regime, len(sol.phi), sol.capacity) == ("supercritical", 1, np.inf)
+    with open(tmp_path / "out" / "cell_summary.json") as fh:
+        doc = json.load(fh)
+    assert (doc["regime"], doc["capacity"]) == ("critical", np.inf)
 
 
 def test_nondyadic_eps_is_config_error(tmp_path, capsys):
@@ -175,12 +177,12 @@ def test_not_positive_definite_is_solver_error(tmp_path, capsys, monkeypatch):
     negative = cs.CellOperator.from_matrix_values(
         -np.ones((32, 1, 1)), 1, CellGrid(M_y=32, M_s=32, face_avg="arithmetic"))
     with monkeypatch.context() as m:
-        m.setattr(cs, "_slice_operators", lambda field, grid: [negative] * grid.M_s)
+        m.setattr(cs, "slice_operators", lambda field, grid: [negative] * grid.M_s)
         cfg = write_config(tmp_path, p=1.5, r=2.0)
         assert run("ahom", cfg, tmp_path / "cell") == cli.EXIT_SOLVER
     assert "slice 0" in capsys.readouterr().err
     flipped = em.EffectiveTensor(
-        regime="classical", dim=2, lam=1.0, Lam=1.0, matrices=-np.eye(2)[np.newaxis],
+        regime="subcritical", dim=2, lam=1.0, Lam=1.0, matrices=-np.eye(2)[np.newaxis],
         corrector_norms=np.zeros((1, 2)), grad_grams=np.zeros((1, 2, 2)))
     monkeypatch.setattr(cli, "_tensor", lambda cfg: flipped)
     cfg = write_config(tmp_path, field={"name": "laminate2d"},

@@ -15,10 +15,10 @@ from oscidiff.fields import CellGrid, MacroGrid, PeriodicMatrixField, make_field
 SUBCRITICAL_TRIG_REF = 0.467107728834
 
 
-def assemble(field_name, regime, grid=None, param=None):
+def assemble(field_name, capacity, grid=None):
     field = make_field(field_name)
     grid = grid or CellGrid(M_y=64, M_s=64)
-    cells = cs.solve_cells(field, grid, regime, param=param)
+    cells = cs.solve_cells(field, grid, capacity)
     return em.assemble_ahom(cells, field, grid), field, grid, cells
 
 
@@ -26,27 +26,27 @@ def test_constant_field_recovers_constant():
     A = np.array([[0.8, 0.1], [0.1, 0.6]])
     field = make_field("constant", matrix=A)
     grid = CellGrid(M_y=16, M_s=8)
-    cells = cs.solve_cells(field, grid, "subcritical")
+    cells = cs.solve_cells(field, grid, 0.0)
     tensor = em.assemble_ahom(cells, field, grid)
     assert np.max(np.abs(tensor.matrix - A)) < 1e-10
 
 
 def test_classical_1d_matches_harmonic_mean():
-    tensor, field, grid, _ = assemble("trig1d", "classical")
+    tensor, field, grid, _ = assemble("trig1d", 0.0)
     oracle = em.harmonic_mean_oracle_1d(field, grid, "classical")
     assert oracle == pytest.approx(np.sqrt(3.0) / 4.0, abs=1e-7)
     assert abs(tensor.matrix[0, 0] - oracle) < 1e-4
 
 
 def test_subcritical_trig_matches_quadrature_oracle():
-    tensor, field, grid, _ = assemble("trig1d_st", "subcritical")
+    tensor, field, grid, _ = assemble("trig1d_st", 0.0)
     oracle = em.harmonic_mean_oracle_1d(field, grid, "subcritical")
     assert oracle == pytest.approx(SUBCRITICAL_TRIG_REF, abs=1e-6)
     assert abs(tensor.matrix[0, 0] - oracle) < 1e-4
 
 
 def test_supercritical_trig_is_one_half():
-    tensor, _, _, _ = assemble("trig1d_st", "supercritical")
+    tensor, _, _, _ = assemble("trig1d_st", np.inf)
     assert abs(tensor.matrix[0, 0] - 0.5) < 1e-8
 
 
@@ -57,7 +57,7 @@ def test_oracle_refinement_order():
     Ms = [16, 32, 64]
     for M in Ms:
         grid = CellGrid(M_y=M, M_s=64)
-        cells = cs.solve_cells(field, grid, "subcritical")
+        cells = cs.solve_cells(field, grid, 0.0)
         errs.append(abs(em.assemble_ahom(cells, field, grid).matrix[0, 0]
                         - oracle))
     order = -np.polyfit(np.log(Ms), np.log(errs), 1)[0]
@@ -69,7 +69,7 @@ def test_fde_table_converges_to_subcritical_at_zero():
     grid = CellGrid(M_y=32, M_s=32)
     table = em.tabulate_ahom_critical(field, grid, p=0.5,
                                       u0abs_grid=[0.0, 1e-4, 1e-3, 1e-2, 1.0])
-    sub = em.assemble_ahom(cs.solve_cells(field, grid, "subcritical"),
+    sub = em.assemble_ahom(cs.solve_cells(field, grid, cs.capacity(1.0, 0.5)),
                            field, grid)
     assert np.max(np.abs(table.matrices[0] - sub.matrix)) < 1e-10
     # entries approach the elliptic limit along the table
@@ -89,11 +89,15 @@ def test_pme_table_zero_entry_is_mean():
 
 def test_pme_zero_datum_has_no_skew():
     # infinite capacity: the cells solve the supercritical problem, so there
-    # is no skew integral (no c * 0 = inf * 0), and the tensor is symmetric
+    # is no skew integral (no c * 0 = inf * 0), and the tensor is symmetric;
+    # at c = 0 there is none either
     field, grid = make_field("trig2d_st"), CellGrid(M_y=8, M_s=4)
-    cells = cs.solve_cells(field, grid, "critical", param=cs.CellParameter(p=1.5, u0abs=0.0))
-    with pytest.raises(RegimeMismatch, match="'supercritical'"):
+    cells = cs.solve_cells(field, grid, cs.capacity(2.0, 1.5, 0.0))
+    with pytest.raises(RegimeMismatch,
+                       match=r"capacity in \(0, inf\), got c=inf \('supercritical'\)"):
         em.skew_integral(cells)
+    with pytest.raises(RegimeMismatch, match=r"got c=0 \('subcritical'\)"):
+        em.skew_integral(cs.solve_cells(field, grid, cs.capacity(2.0, 0.5, 0.0)))
     rep = em.skew_report(em.assemble_ahom(cells, field, grid), cells=cells)
     assert rep["mode"] == "symmetry"
 
@@ -112,13 +116,13 @@ def product_field(dim):
 
 @pytest.mark.parametrize("p", [0.5, 1.5])
 @pytest.mark.parametrize("dim,grid", [(1, CellGrid(M_y=64, M_s=64)),
-                                      (2, CellGrid(M_y=8, M_s=16))])
+                                      (2, CellGrid(M_y=16, M_s=16))])
 def test_product_field_table_is_flat_at_every_key(dim, grid, p):
     # the oracle: a_hom is one matrix for every c, key 0 (c = 0 at p < 1,
     # c = inf at p > 1) included, and it is the supercritical tensor
     field = product_field(dim)
     table = em.tabulate_ahom_critical(field, grid, p, u0abs_grid=[0.0, 1e-3, 0.1, 1.0, 10.0])
-    sup = em.assemble_ahom(cs.solve_cells(field, grid, "supercritical"), field, grid).matrix
+    sup = em.assemble_ahom(cs.solve_cells(field, grid, np.inf), field, grid).matrix
     tol = 1e-10 * np.max(np.abs(sup))
     assert np.max(np.abs(table.matrices - sup)) <= tol
     assert np.max(np.ptp(table.matrices, axis=0)) <= tol
@@ -130,14 +134,12 @@ def test_s_independent_field_all_regimes_agree():
     field = make_field("trig1d")
     grid = CellGrid(M_y=32, M_s=16)
     mats = []
-    for regime, param in [("classical", None), ("subcritical", None),
-                          ("supercritical", None),
-                          ("critical", cs.CellParameter(p=0.5, u0abs=1.0)),
-                          ("critical", cs.CellParameter(p=1.5, u0abs=1.0))]:
-        cells = cs.solve_cells(field, grid, regime, param=param)
+    for capacity in [0.0, np.inf, cs.capacity(2.0, 0.5, 1.0), cs.capacity(2.0, 1.5, 1.0)]:
+        cells = cs.solve_cells(field, grid, capacity)
         mats.append(em.assemble_ahom(cells, field, grid).matrices[0])
-    for M in mats[1:]:
-        assert np.max(np.abs(M - mats[0])) < 1e-9
+    classical = em.assemble_ahom([cs.solve_classical_cell(field, grid, 1)], field, grid)
+    for M in mats:  # one elliptic row at every capacity: the classical cells
+        assert np.array_equal(M, classical.matrix)
 
 
 SHARED_TABLE_CASES = [("trig1d_st", 0.5), ("trig2d_st", 1.5)]
@@ -151,10 +153,8 @@ def test_table_matches_per_key_loop_exactly(name, p):
     grid = CellGrid(M_y=8, M_s=4)
     table = em.tabulate_ahom_critical(field, grid, p=p,
                                       u0abs_grid=SHARED_TABLE_KEYS)
-    per_key = [em.assemble_ahom(
-        cs.solve_cells(field, grid, "critical",
-                       param=cs.CellParameter(p=p, u0abs=u0)), field, grid)
-        for u0 in SHARED_TABLE_KEYS]
+    per_key = [em.assemble_ahom(cs.solve_cells(field, grid, cs.capacity(2.0, p, u0)), field, grid)
+               for u0 in SHARED_TABLE_KEYS]
     assert np.array_equal(table.matrices, [t.matrices[0] for t in per_key])
     assert np.array_equal(table.corrector_norms,
                           [t.corrector_norms[0] for t in per_key])
@@ -168,12 +168,10 @@ def test_table_2d_pme_matches_monolithic_oracle():
     table = em.tabulate_ahom_critical(field, grid, p=1.5,
                                       u0abs_grid=SHARED_TABLE_KEYS)
     for i, u0 in enumerate(SHARED_TABLE_KEYS[1:], start=1):
-        param = cs.CellParameter(p=1.5, u0abs=u0)
         cells = [cs.CellSolution(
-            regime="critical", dim=2, grid=grid, k=k,
+            capacity=cs.capacity(2.0, 1.5, u0), dim=2, grid=grid, k=k,
             phi=monolithic_critical_solve(field, grid, 1.5, u0, k),
-            residual=0.0,
-            param=param) for k in (1, 2)]
+            residual=0.0) for k in (1, 2)]
         oracle = em.assemble_ahom(cells, field, grid).matrices[0]
         assert np.max(np.abs(table.matrices[i] - oracle)) <= 1e-8
 
@@ -237,7 +235,7 @@ def test_table_not_positive_definite_names_key_and_slice(monkeypatch):
     grid = CellGrid(M_y=8, M_s=4)
     negative = cs.CellOperator.from_matrix_values(
         -np.ones((8, 1, 1)), 1, CellGrid(M_y=8, M_s=4, face_avg="arithmetic"))
-    monkeypatch.setattr(cs, "_slice_operators", lambda field, grid: [negative] * grid.M_s)
+    monkeypatch.setattr(cs, "slice_operators", lambda field, grid: [negative] * grid.M_s)
     with pytest.raises(SolverDiverged,
                        match=r"u0abs=0\.01: slice 0 \(s=0\.0000\): .*leading minor"):
         em.tabulate_ahom_critical(make_field("trig1d_st"), grid, p=1.5,
@@ -323,8 +321,7 @@ def test_entries_at_matches_reference_lookup_off_the_default_keys():
 
 
 def test_ellipticity_report_sandwich():
-    tensor, _, _, _ = assemble("trig1d_st", "subcritical",
-                               grid=CellGrid(M_y=32, M_s=32))
+    tensor, _, _, _ = assemble("trig1d_st", 0.0, grid=CellGrid(M_y=32, M_s=32))
     rep = em.ellipticity_report(tensor, n_probes=64, seed=0)
     assert rep["min_slack"] >= -1e-8
     # trigonometric field has a nonzero corrector, so the lower bound is
@@ -333,8 +330,7 @@ def test_ellipticity_report_sandwich():
 
 
 def test_ellipticity_report_flags_violations():
-    tensor, _, _, _ = assemble("trig1d_st", "subcritical",
-                               grid=CellGrid(M_y=16, M_s=16))
+    tensor, _, _, _ = assemble("trig1d_st", 0.0, grid=CellGrid(M_y=16, M_s=16))
     bad = em.EffectiveTensor(
         regime=tensor.regime, dim=tensor.dim, lam=tensor.lam, Lam=tensor.Lam,
         matrices=0.1 * tensor.matrices, corrector_norms=tensor.corrector_norms,
@@ -346,15 +342,14 @@ def test_ellipticity_report_flags_violations():
 def test_symmetry_noncritical_2d():
     field = make_field("trig2d_st")
     grid = CellGrid(M_y=24, M_s=24)
-    cells = cs.solve_cells(field, grid, "subcritical")
+    cells = cs.solve_cells(field, grid, 0.0)
     tensor = em.assemble_ahom(cells, field, grid)
     rep = em.skew_report(tensor)
     assert rep["max_asymmetry"] <= 1e-9
 
 
 def test_skew_report_rejects_asymmetric_noncritical():
-    tensor, _, _, _ = assemble("trig1d_st", "subcritical",
-                               grid=CellGrid(M_y=16, M_s=16))
+    tensor, _, _, _ = assemble("trig1d_st", 0.0, grid=CellGrid(M_y=16, M_s=16))
     bad = em.EffectiveTensor(
         regime="subcritical", dim=2, lam=0.25, Lam=1.0,
         matrices=np.array([[[0.5, 0.1], [0.0, 0.5]]]),
@@ -367,8 +362,7 @@ def test_skew_report_rejects_asymmetric_noncritical():
 def test_critical_skew_matches_integral_2d():
     field = make_field("trig2d_st")
     grid = CellGrid(M_y=16, M_s=32)
-    param = cs.CellParameter(p=0.5, u0abs=1.0)
-    cells = cs.solve_cells(field, grid, "critical", param=param)
+    cells = cs.solve_cells(field, grid, cs.capacity(2.0, 0.5, 1.0))
     tensor = em.assemble_ahom(cells, field, grid)
     rep = em.skew_report(tensor, cells=cells)
     assert rep["mismatch"] <= rep["tol"]
@@ -382,8 +376,8 @@ def test_critical_skew_matches_integral_2d():
 def test_critical_skew_zero_for_s_independent():
     field = make_field("laminate2d")
     grid = CellGrid(M_y=16, M_s=16)
-    param = cs.CellParameter(p=0.5, u0abs=1.0)
-    cells = cs.solve_cells(field, grid, "critical", param=param)
+    cells = cs.solve_cells(field, grid, cs.capacity(2.0, 0.5, 1.0))
+    assert len(cells[0].phi) == 1  # one elliptic row, at c = 2
     S = em.skew_integral(cells)
     assert np.max(np.abs(S)) < 1e-10
 
@@ -417,8 +411,8 @@ def test_nearest_key_is_the_log_argmin_on_the_default_keys():
 
 def test_assemble_needs_one_row_per_operator():
     field, grid = make_field("trig1d_st"), CellGrid(M_y=8, M_s=4)
-    (sol,) = cs.solve_cells(field, grid, "subcritical")
-    cut = cs.CellSolution(regime=sol.regime, dim=1, grid=grid, k=1,
+    (sol,) = cs.solve_cells(field, grid, 0.0)
+    cut = cs.CellSolution(capacity=sol.capacity, dim=1, grid=grid, k=1,
                           phi=sol.phi[:3], residual=sol.residual)
     with pytest.raises(RegimeMismatch, match="one row per operator, 4"):
         em.assemble_ahom([cut], field, grid)
@@ -426,30 +420,32 @@ def test_assemble_needs_one_row_per_operator():
 
 PAIRING_FIELDS = [("trig1d_st", {}), ("trig2d_st", {}),
                   ("constant", {"matrix": [[2.0, 0.7], [0.7, 1.0]]})]
-PAIRING_REGIMES = [("subcritical", None), ("supercritical", None),
-                   # the id names the p branch
-                   pytest.param("critical", cs.CellParameter(p=0.5, u0abs=1.0),
-                                id="critical_fde-param2")]
+PAIRING_CAPACITIES = [  # the ids keep the older regime labels
+    pytest.param(0.0, id="subcritical-None"), pytest.param(np.inf, id="supercritical-None"),
+    pytest.param(cs.capacity(2.0, 0.5, 1.0), id="critical_fde-param2")]
 
 
-@pytest.mark.parametrize("regime,param", PAIRING_REGIMES)
+@pytest.mark.parametrize("capacity", PAIRING_CAPACITIES)
 @pytest.mark.parametrize("name,params", PAIRING_FIELDS)
-def test_assembly_matches_row_by_row_pairing(name, params, regime, param):
+def test_assembly_matches_row_by_row_pairing(name, params, capacity):
     field, grid = make_field(name, **params), CellGrid(M_y=8, M_s=4)
-    ops = cs.cell_operators(field, grid, regime)
-    cells = cs.solve_cells(field, grid, regime, param=param, ops=ops)
+    ops = cs.cell_operators(field, grid, capacity)
+    cells = cs.solve_cells(field, grid, capacity, ops=ops)
     tensor = em.assemble_ahom(cells, field, grid, ops=ops)
     got = (tensor.matrices[0], tensor.corrector_norms[0], tensor.grad_grams[0])
     for x, y in zip(got, pairing_reference(cells, ops)):
         assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
 
 
-def test_assemble_rejects_mixed_cell_parameters():
+def test_assemble_rejects_mixed_capacities():
     field, grid = make_field("trig2d_st"), CellGrid(M_y=8, M_s=4)
-    cells = [cs.solve_cells(field, grid, "critical",
-                            param=cs.CellParameter(p=1.5, u0abs=u0))[k - 1]
+    cells = [cs.solve_cells(field, grid, cs.capacity(2.0, 1.5, u0))[k - 1]
              for k, u0 in ((1, 1.0), (2, 2.0))]
-    with pytest.raises(RegimeMismatch, match="mix cell parameters"):
+    with pytest.raises(RegimeMismatch, match="mix capacities"):
+        em.assemble_ahom(cells, field, grid)
+    # at c = 0 and c = inf too, whose rows differ in number
+    cells = [cs.solve_cells(field, grid, c)[k - 1] for k, c in ((1, 0.0), (2, np.inf))]
+    with pytest.raises(RegimeMismatch, match=r"mix capacities \[0\.0, inf\]"):
         em.assemble_ahom(cells, field, grid)
 
 
@@ -467,8 +463,7 @@ def test_matrix_property_rejects_table():
 
 
 def test_tensor_roundtrip_constant(tmp_path):
-    tensor, _, _, _ = assemble("trig1d_st", "subcritical",
-                               grid=CellGrid(M_y=16, M_s=16))
+    tensor, _, _, _ = assemble("trig1d_st", 0.0, grid=CellGrid(M_y=16, M_s=16))
     path = tmp_path / "ahom.txt"
     em.save_tensor(path, tensor)
     loaded = em.load_tensor(path)

@@ -57,7 +57,7 @@ def test_subcritical_study_monotone():
 
 def test_corrector_gradient_zero_gradient():
     field, grid = make_field("trig1d_st"), CellGrid(M_y=16, M_s=8)
-    cells = cs.solve_cells(field, grid, "subcritical")
+    cells = cs.solve_cells(field, grid, 0.0)
     corrector = hz.corrector_gradient(em.assemble_ahom(cells, field, grid), [cells])
     y, s = np.array([[0.3], [0.8]]), np.array([0.7, 0.1])
     assert np.array_equal(corrector(np.ones(2), np.zeros((2, 1)), y, s), np.zeros((2, 1)))
@@ -65,7 +65,7 @@ def test_corrector_gradient_zero_gradient():
 
 def test_corrector_gradient_unit_gradient_reproduces_cell_gradient():
     field, grid = make_field("trig1d_st"), CellGrid(M_y=32, M_s=32)
-    cells = cs.solve_cells(field, grid, "subcritical")
+    cells = cs.solve_cells(field, grid, 0.0)
     corrector = hz.corrector_gradient(em.assemble_ahom(cells, field, grid), [cells])
     y, s = np.array([[0.0], [0.25], [0.8]]), np.array([0.0, 0.5, 0.9])
     assert np.array_equal(corrector(np.zeros(3), np.ones((3, 1)), y, s),
@@ -78,8 +78,7 @@ def test_corrector_gradient_unit_gradient_reproduces_cell_gradient():
 def test_corrector_gradient_uses_nearest_key():
     field, grid = make_field("trig2d_st"), CellGrid(M_y=8, M_s=4)
     keys = (0.1, 1.0)
-    cells = [cs.solve_cells(field, grid, "critical", param=cs.CellParameter(p=1.5, u0abs=key))
-             for key in keys]
+    cells = [cs.solve_cells(field, grid, cs.capacity(2.0, 1.5, key)) for key in keys]
     # only the keys place a |u0|; the matrices play no part in the corrector
     tensor = em.EffectiveTensor(
         regime="critical", dim=2, lam=field.lam, Lam=field.Lam,
@@ -221,7 +220,8 @@ def _study_inputs(p, r, eps_list):
 def test_prepare_effective_cells_are_indexed_like_the_keys():
     field, grid = make_field("trig1d_st"), CellGrid(M_y=8, M_s=4)
     tensor, cells = hz.prepare_effective(field, 1.5, 2.0, cell_grid=grid)
-    assert [key_cells[0].param.u0abs for key_cells in cells] == list(tensor.u0abs_keys)
+    assert [key_cells[0].capacity for key_cells in cells] == [
+        cs.capacity(2.0, 1.5, key) for key in tensor.u0abs_keys]
     assert hz.prepare_effective(field, 1.5, 2.0, cell_grid=grid, keep_cells=False)[1] == []
     tensor, cells = hz.prepare_effective(field, 1.5, 1.0, cell_grid=grid)
     assert len(cells) == 1 and [c.k for c in cells[0]] == [1]

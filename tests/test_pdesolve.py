@@ -65,7 +65,7 @@ def test_micro_equals_homogenized_for_constant_coefficients():
     f = lambda x, t: np.ones(len(x))
     micro = pde.solve_micro(pde.MicroProblem(
         field=field, eps=0.125, r=1.0, p=0.5, f=f, u0=u0, grid=grid))
-    cells = cs.solve_cells(field, CellGrid(M_y=8, M_s=4), "subcritical")
+    cells = cs.solve_cells(field, CellGrid(M_y=8, M_s=4), 0.0)
     tensor = em.assemble_ahom(cells, field, CellGrid(M_y=8, M_s=4))
     homog = pde.solve_homogenized(pde.HomogenizedProblem(
         tensor=tensor, p=0.5, f=f, u0=u0, grid=grid))
@@ -959,7 +959,7 @@ def test_traj_roundtrip(tmp_path):
 def test_critical_table_mode_requires_table():
     field = make_field("trig1d")
     grid_c = CellGrid(M_y=8, M_s=4)
-    cells = cs.solve_cells(field, grid_c, "subcritical")
+    cells = cs.solve_cells(field, grid_c, 0.0)
     tensor = em.assemble_ahom(cells, field, grid_c)
     with pytest.raises(ConfigError, match="critical_table mode needs a tabulated tensor"):
         pde.HomogenizedProblem(tensor=tensor, p=0.5,
@@ -987,6 +987,23 @@ def test_constant_mode_rejects_table():
                                         u0=lambda x: np.zeros(len(x)),
                                         grid=MacroGrid(dim=1, n_x=8, n_t=4, T=0.1))
     assert table_prob.mode == "critical_table"
+
+
+def test_table_mode_rejects_a_table_of_another_p(tmp_path):
+    # the |u0| keys of a table mean a capacity only at the p it was built
+    # for; a loaded table read at another p would solve the wrong equation
+    table = em.tabulate_ahom_critical(make_field("trig1d_st"), CellGrid(M_y=8, M_s=4),
+                                      p=1.5, u0abs_grid=[0.0, 0.5, 1.0, 2.0])
+    em.save_tensor(tmp_path / "ahom.txt", table)
+    kw = dict(f=lambda x, t: np.zeros(len(x)), u0=lambda x: np.zeros(len(x)),
+              grid=MacroGrid(dim=1, n_x=8, n_t=4, T=0.1))
+    for tensor in (table, em.load_tensor(tmp_path / "ahom.txt")):
+        for p in (0.5, 1.25, np.nextafter(1.5, 2.0)):
+            with pytest.raises(ConfigError, match=rf"built for p=1\.5, the problem has p={p}"):
+                pde.HomogenizedProblem(tensor=tensor, p=p, **kw)
+        assert pde.HomogenizedProblem(tensor=tensor, p=1.5, **kw).mode == "critical_table"
+    # a constant tensor holds no p, and serves every p
+    assert pde.HomogenizedProblem(tensor=_constant_tensor(np.eye(1)), p=0.5, **kw).p == 0.5
 
 
 @given(st.floats(0.3, 1.9), st.integers(1, 6))

@@ -53,6 +53,26 @@ def test_tasks_run_in_children_in_task_order(cpus):
     assert workers.run_tasks([os.getpid] * 2) == [os.getpid()] * 2
 
 
+def test_forked_worker_runs_blas_on_one_thread(cpus):
+    # children that each kept the caller's pool of BLAS threads would
+    # oversubscribe the CPUs and stall; a child runs every OpenBLAS on one
+    # thread, and the caller keeps its own count
+    before = workers.blas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS with a thread-count call is mapped")
+    cpus(2)
+    try:
+        for _, set_threads in workers._openblas():
+            set_threads(2)
+        assert workers.blas_threads() == [2] * len(before)
+        assert workers.run_tasks([workers.blas_threads] * 2) == [[1] * len(before)] * 2
+        assert workers.blas_threads() == [2] * len(before)
+    finally:
+        for (_, set_threads), n in zip(workers._openblas(), before):
+            set_threads(n)
+    assert workers.blas_threads() == before
+
+
 @pytest.mark.parametrize("r", [2.0, 3.0])
 def test_study_bitwise_equal_on_one_and_two_workers(cpus, r):
     cpus(1)
