@@ -124,11 +124,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("config field 'eps': must be strictly decreasing")
 
     grids = _section(doc, "grids", {})
-    _check_keys("grids.", grids, [*hz.DEFAULTS["grids"][field.dim], "face_avg"])
+    _check_keys("grids.", grids, hz.DEFAULTS["grids"][field.dim])
     g = {**hz.DEFAULTS["grids"][field.dim], **grids}
     cell_grid = CellGrid(M_y=finite_number("config field 'grids.M_y'", g["M_y"], int),
-                         M_s=finite_number("config field 'grids.M_s'", g["M_s"], int),
-                         face_avg=g.get("face_avg", "geometric"))
+                         M_s=finite_number("config field 'grids.M_s'", g["M_s"], int))
     macro_grid = MacroGrid(dim=field.dim,
                            n_x=finite_number("config field 'grids.n_x'", g["n_x"], int),
                            n_t=finite_number("config field 'grids.n_t'", g["n_t"], int),

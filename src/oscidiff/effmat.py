@@ -29,7 +29,8 @@ from .errors import (
     SkewFormulaMismatch,
     SymmetryViolated,
 )
-from .fields import CellGrid, PeriodicMatrixField, read_artifact, sample_grid, write_artifact
+from .fields import (CellGrid, PeriodicMatrixField, float_list, read_artifact, sample_grid,
+                     write_artifact)
 
 AHOM_MAGIC = "oscidiff-ahom v1"
 SYMMETRY_TOL = 1e-9
@@ -37,6 +38,8 @@ SYMMETRY_TOL = 1e-9
 # skew-formula tolerance C (h_y^2 + h_s).
 SANDWICH_SLACK = 1e-8
 SKEW_TOL_C = 2.0
+SANDWICH_PROBES = 64  # the random unit directions of ``ellipticity_report``
+ORACLE_POINTS = 1024  # midpoints per axis of ``harmonic_mean_oracle_1d``
 
 
 class TableClampWarning(UserWarning):
@@ -226,7 +229,7 @@ def tabulate_ahom_critical(field: PeriodicMatrixField, grid: CellGrid, p: float,
     return _tabulate_critical(field, grid, p, u0abs_grid, keep_cells=False)[0]
 
 
-def ellipticity_report(tensor: EffectiveTensor, n_probes: int = 64, seed: int = 0):
+def ellipticity_report(tensor: EffectiveTensor, seed: int = 0):
     """Check the refined ellipticity sandwich on random unit directions.
 
     For each stored matrix M with corrector-gradient Gram G the quantity
@@ -235,7 +238,7 @@ def ellipticity_report(tensor: EffectiveTensor, n_probes: int = 64, seed: int = 
     """
     lam, Lam = tensor.lam, tensor.Lam
     rng = np.random.default_rng(seed)
-    probes = rng.standard_normal((n_probes, tensor.dim))
+    probes = rng.standard_normal((SANDWICH_PROBES, tensor.dim))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     min_slack = np.inf
     witness = None
@@ -301,29 +304,22 @@ def skew_report(tensor: EffectiveTensor, cells=None):
             "mismatch": mismatch, "tol": tol}
 
 
-def harmonic_mean_oracle_1d(field: PeriodicMatrixField, grid: CellGrid,
-                            regime: str, n_quad: int = 1024) -> float:
-    """High-resolution quadrature oracle for the 1D effective coefficient.
-
-    classical/subcritical: integral over s of the y-harmonic mean of
-    a(., s); supercritical: y-harmonic mean of the s-average. Uses an
-    n_quad x n_quad midpoint grid (about 1e6 points by default),
+def harmonic_mean_oracle_1d(field: PeriodicMatrixField) -> float:
+    """High-resolution quadrature oracle for the 1D subcritical effective
+    coefficient: the integral over s of the y-harmonic mean of a(., s)
+    (for an s-independent field, the classical y-harmonic mean). Uses an
+    ORACLE_POINTS x ORACLE_POINTS midpoint grid (about 1e6 points),
     independent of the cell solver.
     """
     if field.dim != 1:
         raise DimensionMismatch("1D oracle needs a one-dimensional field")
-    mid = (np.arange(n_quad) + 0.5) / n_quad
-    if regime == "classical" or field.s_independent:
-        vals = field.sample(mid[:, np.newaxis], np.zeros(n_quad))[..., 0, 0]
+    mid = (np.arange(ORACLE_POINTS) + 0.5) / ORACLE_POINTS
+    if field.s_independent:
+        vals = field.sample(mid[:, np.newaxis], np.zeros(ORACLE_POINTS))[..., 0, 0]
         return float(1.0 / np.mean(1.0 / vals))
-    if regime not in ("subcritical", "supercritical"):
-        raise ConfigError(f"no 1D oracle for regime {regime!r}")
-    # vals[j, i] = a(y_i, s_j); the sums over s run in s order (cumsum, and
-    # the leading axis reduces row by row)
+    # vals[j, i] = a(y_i, s_j); the sum over s runs in s order (cumsum)
     vals = sample_grid(field, mid[:, np.newaxis], mid)[..., 0, 0]
-    if regime == "subcritical":
-        return float(np.cumsum(1.0 / np.mean(1.0 / vals, axis=1))[-1] / n_quad)
-    return float(1.0 / np.mean(1.0 / (np.sum(vals, axis=0) / n_quad)))
+    return float(np.cumsum(1.0 / np.mean(1.0 / vals, axis=1))[-1] / ORACLE_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +338,21 @@ def save_tensor(path, tensor: EffectiveTensor):
 
 
 def load_tensor(path) -> EffectiveTensor:
-    meta, rows = read_artifact(path, AHOM_MAGIC, ("regime", "N", "p", "lam", "Lam", "m", "keys"))
-    dim, m = int(meta["N"]), int(meta["m"])
+    meta, rows = read_artifact(path, AHOM_MAGIC, {
+        "regime": str, "N": int, "p": float, "lam": float, "Lam": float, "m": int,
+        "keys": lambda v: None if v == "none" else float_list(v)})
+    dim, m, keys = meta["N"], meta["m"], meta["keys"]
     per = 2 * dim + 1
     if rows.shape != (m * per, dim):
         raise ConfigError(f"{path}: expected {m * per} rows x {dim} cols, got {rows.shape}")
     blocks = rows.reshape(m, per, dim)
-    keys = None if meta["keys"] == "none" else np.array(
-        [float(v) for v in meta["keys"].split(",")])
     if not (m == 1 if keys is None else m >= 2 and len(keys) == m and np.all(np.diff(keys) > 0)):
-        raise ConfigError(f"{path}: keys={meta['keys']} do not fit m={m}: expected keys=none "
-                          f"with m=1, or m >= 2 strictly increasing keys")
-    p = float(meta["p"])
+        raise ConfigError(f"{path}: keys {'none' if keys is None else keys.tolist()} do not fit "
+                          f"m={m}: expected none with m=1, or m >= 2 strictly increasing keys")
     return EffectiveTensor(
-        regime=meta["regime"], dim=dim, lam=float(meta["lam"]),
-        Lam=float(meta["Lam"]), matrices=blocks[:, :dim],
-        corrector_norms=blocks[:, dim], grad_grams=blocks[:, dim + 1:],
-        u0abs_keys=keys, p=None if np.isnan(p) else p,
+        regime=meta["regime"], dim=dim, lam=meta["lam"], Lam=meta["Lam"],
+        matrices=blocks[:, :dim], corrector_norms=blocks[:, dim], grad_grams=blocks[:, dim + 1:],
+        u0abs_keys=keys, p=None if np.isnan(meta["p"]) else meta["p"],
     )
 
 

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import AsymmetricCoefficient, ConfigError, EllipticityViolation
 
 FILE_MAGIC = "oscidiff-field v1"
+ELLIPTICITY_PROBES = 4096  # the probe points of ``validate_ellipticity``, one sample call
+DS_PROBE_CELLS = 64  # cell centers per axis at which ``sup_ds_inf`` probes y
+DS_STEP = 1e-6  # the central-difference step of ``sup_ds_inf``
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,6 @@ class PeriodicMatrixField:
     lam: float
     Lam: float
     s_independent: bool = False
-    smoothness: str = "smooth"  # "continuous" | "C1_in_s" | "smooth"
     name: str = "anonymous"
     params: dict = dc_field(default_factory=dict)
 
@@ -43,15 +45,6 @@ class PeriodicMatrixField:
             raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
         if not (0.0 < self.lam <= self.Lam < math.inf):
             raise ConfigError(f"need 0 < lambda <= Lambda < inf, got ({self.lam}, {self.Lam})")
-        if self.smoothness not in ("continuous", "C1_in_s", "smooth"):
-            raise ConfigError(f"unknown smoothness tag {self.smoothness!r}")
-        if self.smoothness == "continuous":
-            warnings.warn(
-                "field is only tagged continuous; corrector statements assume "
-                "Hoelder regularity in y (and smoothness at the critical ratio), "
-                "which cannot be verified for a black-box evaluator",
-                stacklevel=3,
-            )
 
     def sample(self, y, s):
         """Evaluate a at (y, s), wrapping both arguments into the unit cell."""
@@ -64,13 +57,14 @@ class PeriodicMatrixField:
         s = np.broadcast_to(np.asarray(s, dtype=float), y.shape[:-1])
         return self.entries(np.mod(y, 1.0), np.mod(s, 1.0))
 
-    def sup_ds_inf(self, s, n_y=64, h=1e-6):
+    def sup_ds_inf(self, s):
         """sup over sampled y of the max-norm of d/ds a(y, s), by central
         differences, at each value of the 1D array s, in one sampling call."""
         if self.s_independent:
             return np.zeros(len(s))
-        a = sample_grid(self, _cell_centers(self.dim, n_y), np.concatenate([s + h, s - h]))
-        da = (a[:len(s)] - a[len(s):]) / (2.0 * h)
+        a = sample_grid(self, _cell_centers(self.dim, DS_PROBE_CELLS),
+                        np.concatenate([s + DS_STEP, s - DS_STEP]))
+        da = (a[:len(s)] - a[len(s):]) / (2.0 * DS_STEP)
         return np.max(np.sum(np.abs(da), axis=-1), axis=(1, 2))
 
 
@@ -78,24 +72,18 @@ class PeriodicMatrixField:
 class CellGrid:
     """Uniform periodic grid on the unit cell (0,1)^N x (0,1).
 
-    Cell centers sit at (i + 1/2) h_y; time slices at j h_s. ``face_avg``
-    fixes how flux coefficients on faces are built from the two adjacent
-    cell values; the geometric mean keeps second-order consistency with a
-    markedly smaller error constant than the arithmetic mean on the
-    trigonometric test fields.
+    Cell centers sit at (i + 1/2) h_y; time slices at j h_s. The cell
+    operator has one face mean, the geometric one (``cellsolve``).
     """
 
     M_y: int
     M_s: int
-    face_avg: str = "geometric"
 
     def __post_init__(self):
         if self.M_y < 4:
             raise ConfigError(f"M_y must be >= 4, got {self.M_y}")
         if self.M_s < 2:
             raise ConfigError(f"M_s must be >= 2, got {self.M_s}")
-        if self.face_avg not in ("geometric", "arithmetic", "harmonic"):
-            raise ConfigError(f"unknown face_avg convention {self.face_avg!r}")
 
     @property
     def h_y(self):
@@ -208,14 +196,14 @@ def sample_grid(field, y, s):
 # Operations
 
 
-def validate_ellipticity(field: PeriodicMatrixField, n_samples: int = 4096, seed: int = 0):
+def validate_ellipticity(field: PeriodicMatrixField):
     """Probe the Rayleigh quotient at quasi-random (y, s, xi) triples.
 
-    The probes are the first ``n_samples`` points of the additive-recurrence
+    The probes are the first ELLIPTICITY_PROBES points of the additive-recurrence
     (R_d, Kronecker) sequence frac(x0 + n alpha) in the unit cube of
     dimension D = 2 dim + 1: alpha_i = g^-i (i = 1..D) with g the positive
     root of g^(D+1) = g + 1, and the offset x0 drawn from
-    ``np.random.default_rng(seed)``.
+    ``np.random.default_rng(0)``.
     Returns {"lambda_est", "Lambda_est"}; raises AsymmetricCoefficient or
     EllipticityViolation (with a witness point) if the declared constants
     are not respected within 1e-12.
@@ -226,8 +214,8 @@ def validate_ellipticity(field: PeriodicMatrixField, n_samples: int = 4096, seed
     for _ in range(64):  # the fixed point of g = (1 + g)^(1/(D + 1)), a contraction
         g = (1.0 + g) ** (1.0 / (D + 1))
     alpha = g ** -np.arange(1.0, D + 1)
-    x0 = np.random.default_rng(seed).random(D)
-    pts = np.mod(x0 + np.arange(1, n_samples + 1)[:, None] * alpha, 1.0)
+    x0 = np.random.default_rng(0).random(D)
+    pts = np.mod(x0 + np.arange(1, ELLIPTICITY_PROBES + 1)[:, None] * alpha, 1.0)
     y = pts[:, :d]
     s = pts[:, d]
     xi = pts[:, d + 1:] - 0.5
@@ -270,7 +258,7 @@ def mean_ys(field: PeriodicMatrixField, grid: CellGrid):
 # Built-in analytic fields
 
 
-def constant_field(matrix, name="constant"):
+def constant_field(matrix):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.shape[0] != matrix.shape[1]:
         raise ConfigError("constant field needs a square matrix")
@@ -284,7 +272,7 @@ def constant_field(matrix, name="constant"):
 
     return PeriodicMatrixField(
         dim=dim, entries=entries, lam=float(eig[0]), Lam=float(eig[-1]),
-        s_independent=True, name=name, params={"matrix": matrix.tolist()},
+        s_independent=True, name="constant", params={"matrix": matrix.tolist()},
     )
 
 
@@ -406,6 +394,12 @@ def finite_number(where, value, kind=float):
                       + ("a finite number" if kind is float else "an integer"))
 
 
+def check_p(p):
+    """ConfigError unless 0 < p < 2: the one rule for p, of every problem."""
+    if not 0 < p < 2:
+        raise ConfigError(f"p must lie in (0,2), got {p}")
+
+
 def make_field(name, **params):
     """Instantiate a built-in field by name. Each parameter is checked by the
     kind of its default: a float by ``finite_number``, a flag as a bool,
@@ -462,12 +456,18 @@ def write_artifact(path, magic, meta, body):
         np.savetxt(fh, body, fmt="%.17g")
 
 
-def read_artifact(path, magic, keys):
-    """Read an artifact written by ``write_artifact``.
+def float_list(text):
+    """The numbers of a comma-separated header value, as an array."""
+    return np.array([float(v) for v in text.split(",")])
 
-    Returns (meta, body): the header's key=value tokens as strings and the
-    body as a 2D array. Raises ConfigError naming the path for a wrong
-    magic, a token without '=', or a missing key among ``keys``."""
+
+def read_artifact(path, magic, kinds):
+    """Read an artifact written by ``write_artifact``: (meta, body), the
+    header's key=value tokens, those of ``kinds`` converted by their kind
+    (such as ``int`` or ``float_list``), and the body as a 2D array. Raises
+    ConfigError naming the path for a wrong magic, a token without '=', a
+    key of ``kinds`` missing or of a value its kind refuses, or a body that
+    is not a table of numbers."""
     with open(path) as fh:
         header = fh.readline().split()
         if " ".join(header[:2]) != magic:
@@ -478,10 +478,18 @@ def read_artifact(path, magic, keys):
             if len(kv) != 2:
                 raise ConfigError(f"{path}: header token {token!r} is not key=value")
             meta[kv[0]] = kv[1]
-        missing = [k for k in keys if k not in meta]
-        if missing:
-            raise ConfigError(f"{path}: header lacks key {missing[0]!r}")
-        return meta, np.loadtxt(fh, ndmin=2)
+        for key, kind in kinds.items():
+            if key not in meta:
+                raise ConfigError(f"{path}: header lacks key {key!r}")
+            try:
+                meta[key] = kind(meta[key])
+            except ValueError as err:
+                raise ConfigError(f"{path}: header key {key!r} has a bad value "
+                                  f"{meta[key]!r}: {err}") from None
+        try:
+            return meta, np.loadtxt(fh, ndmin=2)
+        except ValueError as err:
+            raise ConfigError(f"{path}: body is not a table of numbers: {err}") from None
 
 
 class PeriodicInterpolant:
@@ -547,8 +555,8 @@ def save_gridded(path, field: PeriodicMatrixField, grid: CellGrid):
 
 def load_gridded(path):
     """Load a gridded field; values interpolate linearly and periodically."""
-    meta, raw = read_artifact(path, FILE_MAGIC, ("N", "My", "Ms"))
-    dim, My, Ms = int(meta["N"]), int(meta["My"]), int(meta["Ms"])
+    meta, raw = read_artifact(path, FILE_MAGIC, {"N": int, "My": int, "Ms": int})
+    dim, My, Ms = meta["N"], meta["My"], meta["Ms"]
     i, j = np.tril_indices(dim)
     expected = My**dim * Ms
     if raw.shape != (expected, len(i)):
@@ -562,7 +570,10 @@ def load_gridded(path):
         raise ConfigError(f"{path}: gridded field is not positive definite (min eig {lam})")
     # rows run over y (y1 slowest), then s; the interpolant wants s first
     table = np.moveaxis(full.reshape(([My] * dim) + [Ms, dim, dim]), dim, 0)
+    warnings.warn("field is only tagged continuous; corrector statements assume "
+                  "Hoelder regularity in y (and smoothness at the critical ratio), "
+                  "which cannot be verified for a black-box evaluator", stacklevel=2)
     return PeriodicMatrixField(
         dim=dim, entries=PeriodicInterpolant(table, dim), lam=lam, Lam=Lam,
-        s_independent=(Ms == 1), smoothness="continuous", name=f"gridded:{path}",
+        s_independent=(Ms == 1), name=f"gridded:{path}",
     )

@@ -24,6 +24,7 @@ from .errors import ConfigError, RegimeMismatch
 from .fields import CellGrid, MacroGrid, PeriodicMatrixField
 
 CSV_HEADER = "eps,sol_err,grad_corr_err,flux_corr_err,dtime_corr_err,grad_plain_err,flux_plain_err"
+AUDIT_SLACK = 0.10  # the audited bounds hold when lhs <= (1 + AUDIT_SLACK) rhs
 
 
 # Built-in initial data (per dimension), sources and default grids (per
@@ -281,8 +282,8 @@ def run_convergence_study(field: PeriodicMatrixField, p: float, r: float,
 # Uniform-estimate audit
 
 
-def audit_uniform_estimates(trajs, p: float, data=None, slack: float = 0.10):
-    """Check the data-only a priori bounds on every trajectory.
+def audit_uniform_estimates(trajs, p: float, data=None):
+    """Check the data-only a priori bounds on every trajectory, within AUDIT_SLACK.
 
     Both bounds hold at every intermediate time with the integrals taken
     over (0, t), and are checked in that per-step form.
@@ -330,8 +331,8 @@ def audit_uniform_estimates(trajs, p: float, data=None, slack: float = 0.10):
         rhs2 = nu * np.max(uq) + C_nu * fLq_cum**q + uq[0] / q
         # each bound at its worst step
         for bound, lhs, rhs in (("energy", lhs1, rhs1), ("gradient", lhs2, rhs2)):
-            n = int(np.argmax(lhs - (1.0 + slack) * rhs))
-            ok = bool(lhs[n] <= (1.0 + slack) * rhs[n])
+            n = int(np.argmax(lhs - (1.0 + AUDIT_SLACK) * rhs))
+            ok = bool(lhs[n] <= (1.0 + AUDIT_SLACK) * rhs[n])
             report["items"].append({"bound": bound, "lhs": float(lhs[n]),
                                     "rhs": float(rhs[n]), "step": n, "passed": ok})
             report["passed"] = report["passed"] and ok

@@ -38,7 +38,8 @@ import scipy.linalg as sla
 from .banded import Band, BandCholesky
 from .effmat import EffectiveTensor
 from .errors import ConfigError, NewtonStalled, SolverDiverged, StepRejected
-from .fields import MacroGrid, PeriodicMatrixField, finite_number, read_artifact, write_artifact
+from .fields import (MacroGrid, PeriodicMatrixField, check_p, finite_number, float_list,
+                     read_artifact, write_artifact)
 
 NEWTON_TOL = 1e-9
 DELTA_REG = 1e-10
@@ -50,6 +51,7 @@ CHORD_RATE = 0.5  # a slower chord step ends the reuse (rsham of Kelley's nsold)
 # each store is cleared when full, so phases that never repeat cost one
 # build per substep and start Newton from the previous step.
 MICRO_OPERATOR_CACHE = 32
+CONTRACTION_S_POINTS = 64  # the midpoints in s of ``contraction_constant``
 
 # LAPACK dgtsv, the routine solve_banded uses for (1, 1) bands
 _gtsv, = sla.get_lapack_funcs(("gtsv",), (np.empty(0),))
@@ -106,8 +108,7 @@ class MicroProblem:
     def __post_init__(self):
         if not is_dyadic(self.eps):
             raise ConfigError(f"eps must be 1/2^m, got {self.eps}")
-        if not (0 < self.p < 2):
-            raise ConfigError(f"p must lie in (0,2), got {self.p}")
+        check_p(self.p)
         if self.field.dim != self.grid.dim:
             raise ConfigError("field and grid dimensions differ")
         if self.substeps is not None:
@@ -135,6 +136,7 @@ class HomogenizedProblem:
     substeps: int = 1
 
     def __post_init__(self):
+        check_p(self.p)
         if self.mode is None:
             object.__setattr__(self, "mode",
                                "critical_table" if self.tensor.is_table else "constant")
@@ -508,11 +510,11 @@ def energy_functionals(traj: SpaceTimeField, p: float = None):
 
 
 def contraction_constant(field: PeriodicMatrixField, eps: float, r: float,
-                         T: float, n_s: int = 64) -> float:
+                         T: float) -> float:
     """Stability constant for the initial-datum contraction estimate:
     (Lam/lam) * exp((1/(lam eps^r)) integral of ||d_s a||_inf over (0,T)).
     The integral reduces to T times the s-average of the sup norm."""
-    svals = (np.arange(n_s) + 0.5) / n_s
+    svals = (np.arange(CONTRACTION_S_POINTS) + 0.5) / CONTRACTION_S_POINTS
     mean_ds = float(np.mean(field.sup_ds_inf(svals)))
     return (field.Lam / field.lam) * math.exp(T * mean_ds / (field.lam * eps**r))
 
@@ -531,13 +533,13 @@ def save_traj(path, traj: SpaceTimeField):
 
 
 def load_traj(path) -> SpaceTimeField:
-    meta, values = read_artifact(path, TRAJ_MAGIC, ("N", "nx", "nt", "T", "p", "diss"))
-    grid = MacroGrid(dim=int(meta["N"]), n_x=int(meta["nx"]),
-                     n_t=int(meta["nt"]), T=float(meta["T"]))
-    dissipation = np.array([float(v) for v in meta["diss"].split(",")])
+    meta, values = read_artifact(path, TRAJ_MAGIC, {"N": int, "nx": int, "nt": int, "T": float,
+                                                    "p": float, "diss": float_list})
+    grid = MacroGrid(dim=meta["N"], n_x=meta["nx"], n_t=meta["nt"], T=meta["T"])
+    dissipation = meta["diss"]
     steps, nodes = grid.n_t + 1, grid.n_x**grid.dim
     if values.shape != (steps, nodes) or len(dissipation) != steps:
         raise ConfigError(f"{path}: expected {steps} steps x {nodes} nodes and {steps} diss "
                           f"values, got {values.shape} and {len(dissipation)}")
-    return SpaceTimeField(grid=grid, p=float(meta["p"]), values=values,
+    return SpaceTimeField(grid=grid, p=meta["p"], values=values,
                           dissipation=dissipation)

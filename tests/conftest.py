@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 
 from oscidiff import cellsolve as cs, effmat as em, pdesolve as pde
 from oscidiff.errors import ConfigError, RegimeMismatch
+from oscidiff.fields import CellGrid
 
 FIXTURE_DIR = os.environ.get(
     "OSCIDIFF_FIXTURES",
@@ -84,9 +85,10 @@ def _centered_matrix(dim, M, d):
     return sp.csr_matrix((data, (np.concatenate([rows, rows]), cols)), shape=(n, n))
 
 
-def sparse_product_operator(a, dim, M, face_avg):
+def sparse_product_operator(a, dim, M):
     """Cell operator from sparse difference products, an oracle for the
-    stencil build of ``CellOperator``: K = sum_d D_d^T diag(a_f) D_d plus
+    stencil build of ``CellOperator``: K = sum_d D_d^T diag(a_f) D_d, with
+    a_f the geometric mean of the two cells of each face, plus
     G_0^T diag(a12) G_1 + G_1^T diag(a12) G_0, b_k = -D_k^T a_f (minus
     G^T a12 along the other axis) and the identity-coefficient Gram
     sum_d h^N (D_d phi_i) . (D_d phi_j). Returns (K, b, pair_const, gram)
@@ -97,13 +99,7 @@ def sparse_product_operator(a, dim, M, face_avg):
     faces = []
     for d in range(dim):
         add = a[:, d, d].reshape((M,) * dim)
-        nbr = np.roll(add, -1, axis=d)
-        if face_avg == "geometric":
-            af = np.sqrt(add * nbr)
-        elif face_avg == "harmonic":
-            af = 2.0 * add * nbr / (add + nbr)
-        else:
-            af = 0.5 * (add + nbr)
+        af = np.sqrt(add * np.roll(add, -1, axis=d))
         faces.append(af.ravel())
         K = K + D[d].T @ sp.diags(af.ravel()) @ D[d]
     b = [-(D[k].T @ faces[k]) for k in range(dim)]
@@ -124,12 +120,21 @@ def sparse_product_operator(a, dim, M, face_avg):
     return K.tocsr(), b, pair_const, gram
 
 
+def indefinite_operator():
+    """A 2D cell operator that is not positive definite, on an 8 x 8 cell
+    grid: the constant matrix of unit diagonal and a12 = 3 (eigenvalues
+    4 and -2). Its banded Cholesky factor fails at leading minor 17 of
+    64, with or without a shift of 4."""
+    a = np.tile(np.array([[1.0, 3.0], [3.0, 1.0]]), (64, 1, 1))
+    return cs.CellOperator.from_matrix_values(a, 2, CellGrid(M_y=8, M_s=4))
+
+
 def reference_slice(field, grid, s):
     """(K, b) of the cell operator at slice time s from
     ``sparse_product_operator`` on the field sampled at the cell centers."""
     y = grid.centers(field.dim)
     K, b, _, _ = sparse_product_operator(field.sample(y, np.full(len(y), float(s))),
-                                         field.dim, grid.M_y, grid.face_avg)
+                                         field.dim, grid.M_y)
     return K, b
 
 

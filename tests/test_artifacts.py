@@ -15,7 +15,9 @@ changed; once the cell problem was keyed on its capacity alone, the
 format became ``oscidiff-cell v2``, whose header holds
 ``capacity=0.66666666666666663`` (the capacity (1/p)|u0|^(1-p) of its
 p = 1.5, |u0| = 1) in place of ``regime=critical``, ``p=1.5`` and
-``u0abs=1``, with no other byte changed.
+``u0abs=1``, with no other byte changed; once the cell operator kept one
+face mean, the geometric one, the writer stopped writing it, and the
+header token ``faceavg=geometric`` was dropped, with no other byte changed.
 
 Resaving a loaded golden file is the writer check and is byte-exact for
 every kind. Rebuilding from the inputs is byte-exact for ``field`` only.
@@ -35,6 +37,7 @@ to 1.1e-11, the dissipation by 4.6e-12 relative).
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -105,8 +108,8 @@ def assert_same_artifact(path, golden, magic, rtol, bounds):
     """Same magic and keys, equal non-numeric header values, the header
     numbers named in ``bounds`` within [0, bound], and every other number
     within REBUILT_ATOL + rtol * |golden|."""
-    meta, body = fields.read_artifact(path, magic, ())
-    want_meta, want_body = fields.read_artifact(golden, magic, ())
+    meta, body = fields.read_artifact(path, magic, {})
+    want_meta, want_body = fields.read_artifact(golden, magic, {})
     assert list(meta) == list(want_meta)
     for key, want in want_meta.items():
         got, ref = _numbers(meta[key]), _numbers(want)
@@ -163,6 +166,52 @@ def test_malformed_header_is_config_error(kind, defect, tmp_path):
         LOADERS[kind](path)
     assert path in str(info.value)
     assert repr(named) in str(info.value)
+
+
+@pytest.mark.parametrize("kind,token,bad", [
+    ("field", "N=1", "N=one"),
+    ("cell", "nslices=4", "nslices=4.5"),
+    ("ahom", "lam=0.25", "lam=low"),
+    ("traj", "nt=4", "nt=four"),
+    # an entry of a comma list
+    ("ahom", "keys=0,0.10000000000000001,1,10", "keys=0,0.1,x,10"),
+    ("traj", "diss=0,", "diss=0,-,"),
+])
+def test_bad_header_number_is_config_error(kind, token, bad, tmp_path):
+    with open(os.path.join(ARTIFACT_DIR, FILES[kind])) as fh:
+        header, body = fh.readline(), fh.read()
+    assert f" {token}" in header
+    path = tmp_path / FILES[kind]
+    path.write_text(header.replace(f" {token}", f" {bad}") + body)
+    with pytest.raises(ConfigError, match="has a bad value") as info:
+        LOADERS[kind](str(path))
+    assert str(path) in str(info.value)
+    assert repr(token.split("=")[0]) in str(info.value)
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_bad_body_number_is_config_error(kind, tmp_path):
+    with open(os.path.join(ARTIFACT_DIR, FILES[kind])) as fh:
+        header, body = fh.readline(), fh.read()
+    path = tmp_path / FILES[kind]
+    path.write_text(header + re.sub(r"^\S+", "abc", body, count=1))
+    with pytest.raises(ConfigError, match="body is not a table of numbers") as info:
+        LOADERS[kind](str(path))
+    assert str(path) in str(info.value)
+
+
+def test_cell_file_of_another_face_mean_is_refused(tmp_path):
+    # older cell files name their face mean; only the geometric one loads
+    with open(os.path.join(ARTIFACT_DIR, FILES["cell"])) as fh:
+        header, body = fh.readline().rstrip("\n"), fh.read()
+    path = tmp_path / FILES["cell"]
+    path.write_text(header + " faceavg=geometric\n" + body)
+    assert np.array_equal(cs.load_cell(str(path)).phi, cs.load_cell(
+        os.path.join(ARTIFACT_DIR, FILES["cell"])).phi)
+    path.write_text(header + " faceavg=arithmetic\n" + body)
+    with pytest.raises(ConfigError, match="faceavg=arithmetic") as info:
+        cs.load_cell(str(path))
+    assert str(path) in str(info.value)
 
 
 GOLDEN_KEYS = "keys=0,0.10000000000000001,1,10"

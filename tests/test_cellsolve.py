@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import (cell_matrix, l2_cell_time, monolithic_critical_solve, reference_slice,
-                      same_band, sparse_product_operator)
+from conftest import (cell_matrix, indefinite_operator, l2_cell_time, monolithic_critical_solve,
+                      reference_slice, same_band, sparse_product_operator)
 from oscidiff.banded import Band
 from oscidiff import cellsolve as cs, effmat as em
 from oscidiff.errors import (ConfigError, EllipticityViolation, PeriodicityNotReached,
@@ -171,14 +171,13 @@ def test_step_factors_match_spsolve(name, params, M, shift):
 
 def test_step_factor_not_positive_definite_names_slice():
     grid = CellGrid(M_y=8, M_s=4)
-    negative = cs.CellOperator.from_matrix_values(
-        -np.ones((8, 1, 1)), 1, CellGrid(M_y=8, M_s=4, face_avg="arithmetic"))
-    positive = cs.CellOperator(make_field("trig1d_st"), grid, s=0.25)
-    with pytest.raises(SolverDiverged, match=r"slice 1 \(s=0\.2500\).*leading minor"):
-        list(cs._step_factors([positive, negative, positive, positive], 4.0))
+    indefinite = indefinite_operator()
+    positive = cs.CellOperator(make_field("trig2d_st"), grid, s=0.25)
+    with pytest.raises(SolverDiverged, match=r"slice 1 \(s=0\.2500\).*leading minor 17 of 64"):
+        list(cs._step_factors([positive, indefinite, positive, positive], 4.0))
     factor = next(cs._step_factors([positive], 4.0))
     with pytest.raises(ValueError):
-        factor.solve(np.full(8, np.nan))
+        factor.solve(np.full(64, np.nan))
     with pytest.raises(ValueError):
         list(cs._step_factors([positive], np.inf))
 
@@ -188,19 +187,21 @@ STENCIL_CASES = [("trig1d_st", {}, 8), ("trig1d_st", {}, 64), ("trig2d_st", {}, 
                  ("constant", {"matrix": [[2.0, 0.7], [0.7, 1.0]]}, 24)]
 
 
-@pytest.mark.parametrize("face_avg", ["geometric", "harmonic", "arithmetic"])
-@pytest.mark.parametrize("name,params,M", STENCIL_CASES)
-def test_stencil_build_matches_sparse_products(name, params, M, face_avg):
+# the ids keep the name of the face mean, the one the operator has
+@pytest.mark.parametrize("name,params,M", [
+    pytest.param(*case, id=f"{case[0]}-params{i}-{case[2]}-geometric")
+    for i, case in enumerate(STENCIL_CASES)])
+def test_stencil_build_matches_sparse_products(name, params, M):
     # the band of K, b and pair_const bitwise for diagonal fields, whose
     # products the stencil repeats operation by operation; the cross term
     # within 1e-14.
     # The Gram of random rows, assembled by effmat in one matrix product
     # per direction, sums in another order than the oracle's dot products
     field = make_field(name, **params)
-    grid = CellGrid(M_y=M, M_s=4, face_avg=face_avg)
+    grid = CellGrid(M_y=M, M_s=4)
     op = cs.CellOperator(field, grid, s=0.3)
     a = field.sample(grid.centers(field.dim), np.full(op.n, 0.3))
-    K, b, pair_const, gram = sparse_product_operator(a, field.dim, M, face_avg)
+    K, b, pair_const, gram = sparse_product_operator(a, field.dim, M)
     phis = np.random.default_rng(M).standard_normal((field.dim, op.n))
     cells = [cs.CellSolution(capacity=0.0, dim=field.dim, grid=grid, k=k + 1,
                              phi=phis[k:k + 1], residual=0.0) for k in range(field.dim)]
@@ -222,10 +223,10 @@ def test_stencil_build_matches_sparse_products(name, params, M, face_avg):
             assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
 
 
-@pytest.mark.parametrize("face_avg", ["geometric", "harmonic"])
-def test_face_average_rejects_non_positive_cells(face_avg):
+# the id keeps the name of the face mean, the one the operator has
+@pytest.mark.parametrize("grid", [pytest.param(CellGrid(M_y=8, M_s=4), id="geometric")])
+def test_face_average_rejects_non_positive_cells(grid):
     # sqrt(a * a_nbr) of two negative values is the positive field's mean
-    grid = CellGrid(M_y=8, M_s=4, face_avg=face_avg)
     with pytest.raises(EllipticityViolation, match=r"a_11 = -1 at cell 0 "):
         cs.CellOperator.from_matrix_values(-np.ones((8, 1, 1)), 1, grid)
     one_negative = np.ones((8, 1, 1))
@@ -236,10 +237,6 @@ def test_face_average_rejects_non_positive_cells(face_avg):
     zero_a22[10, 1, 1] = 0.0
     with pytest.raises(EllipticityViolation, match=r"a_22 = 0 at cell 10 "):
         cs.CellOperator.from_matrix_values(zero_a22, 2, grid)
-    # the arithmetic mean still builds the negative operator
-    arithmetic = CellGrid(M_y=8, M_s=4, face_avg="arithmetic")
-    op = cs.CellOperator.from_matrix_values(-np.ones((8, 1, 1)), 1, arithmetic)
-    assert np.all(op.face_coeffs[0] == -1.0)
 
 
 @pytest.mark.parametrize("p,u0abs", [(0.5, 1.0), (1.5, 1.0), (0.5, 0.3),
@@ -428,7 +425,7 @@ def test_load_cell_rejects_psi_rows(tmp_path):
     path = tmp_path / "cell.txt"
     cs.save_cell(path, sol)
     header, body = path.read_text().split("\n", 1)
-    path.write_text(header.replace(" psi=0 ", " psi=1 ") + "\n" + body + body)
+    path.write_text(header.replace(" psi=0", " psi=1") + "\n" + body + body)
     with pytest.raises(ConfigError, match=r"cell\.txt: header key 'psi' must be 0"):
         cs.load_cell(path)
 
@@ -441,14 +438,13 @@ def test_load_cell_rejects_psi_rows(tmp_path):
     pytest.param(np.inf, 1, "", id="supercritical-None-"),
 ])
 def test_cg_failure_names_slice_only_on_slice_layouts(capacity, rows, prefix):
-    # a negative definite operator (negative cells, arithmetic face average)
-    # fails its factor in every layout, the step matrices (c/h_s) I + K of
-    # the rows coupled in s too; the slice layouts name the slice
-    grid = CellGrid(M_y=8, M_s=4, face_avg="arithmetic")
-    a = -(1.5 + np.cos(2 * np.pi * (np.arange(8) + 0.5) / 8))
-    negative = cs.CellOperator.from_matrix_values(a[:, None, None], 1, grid)
+    # an indefinite operator fails its factor in every layout, the step
+    # matrices (c/h_s) I + K of the rows coupled in s too (a shift of 4
+    # here); the slice layouts name the slice
+    grid = CellGrid(M_y=8, M_s=4)
     with pytest.raises(SolverDiverged) as info:
-        cs.solve_cells(make_field("trig1d"), grid, capacity, ops=[negative] * rows)
+        cs.solve_cells(make_field("laminate2d"), grid, capacity,
+                       ops=[indefinite_operator()] * rows)
     assert str(info.value).startswith(prefix + "matrix is not positive definite")
 
 

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from conftest import indefinite_operator
 from oscidiff import cellsolve as cs, cli, effmat as em, harness as hz, pdesolve as pde
-from oscidiff.fields import CellGrid
 
 BASE = {
     "field": {"name": "trig1d_st"},
@@ -89,6 +89,8 @@ def test_regime_key_is_config_error(tmp_path, capsys):
     ({"grids": {"My": 8}}, "'grids.My'"),
     ({"dat": {"u0": "sine"}}, "'dat'"),
     ({"data": {"u0": "sine", "g": "one"}}, "'data.g'"),
+    # the cell operator has one face mean, the geometric one
+    ({"grids": {"face_avg": "geometric"}}, "'grids.face_avg'"),
 ])
 def test_unknown_config_key_is_config_error(tmp_path, capsys, override, key):
     cfg = write_config(tmp_path, **override)
@@ -172,13 +174,29 @@ def test_malformed_field_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token, bad", [pytest.param("N=1", "N=one", id="header"),
+                                        pytest.param("\n0.5\n", "\nabc\n", id="body")])
+def test_malformed_field_number_is_config_error(tmp_path, capsys, token, bad):
+    # a header value or a body entry that is not a number
+    golden = os.path.join(os.path.dirname(__file__), "fixtures", "artifacts", "field.txt")
+    with open(golden) as fh:
+        text = fh.read()
+    assert token in text
+    bad_file = tmp_path / "field.txt"
+    bad_file.write_text(text.replace(token, bad, 1))
+    cfg = write_config(tmp_path, field={"file": str(bad_file)})
+    assert run("cell", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(bad_file) in err and "Traceback" not in err
+
+
 def test_not_positive_definite_is_solver_error(tmp_path, capsys, monkeypatch):
     # the banded factors raise SolverDiverged, not a bare RuntimeError
-    negative = cs.CellOperator.from_matrix_values(
-        -np.ones((32, 1, 1)), 1, CellGrid(M_y=32, M_s=32, face_avg="arithmetic"))
+    indefinite = indefinite_operator()
     with monkeypatch.context() as m:
-        m.setattr(cs, "slice_operators", lambda field, grid: [negative] * grid.M_s)
-        cfg = write_config(tmp_path, p=1.5, r=2.0)
+        m.setattr(cs, "slice_operators", lambda field, grid: [indefinite] * grid.M_s)
+        cfg = write_config(tmp_path, p=1.5, r=2.0, field={"name": "trig2d_st"},
+                           grids={"M_y": 8, "M_s": 4, "n_x": 8, "n_t": 4, "T": 0.1})
         assert run("ahom", cfg, tmp_path / "cell") == cli.EXIT_SOLVER
     assert "slice 0" in capsys.readouterr().err
     flipped = em.EffectiveTensor(

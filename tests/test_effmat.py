@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import _entries_at_reference, monolithic_critical_solve, pairing_reference
+from conftest import (_entries_at_reference, indefinite_operator, monolithic_critical_solve,
+                      pairing_reference)
 from oscidiff import cellsolve as cs, effmat as em, harness as hz, pdesolve as pde
 from oscidiff.errors import (BoundViolated, ConfigError, DimensionMismatch,
                              PeriodicityNotReached, RegimeMismatch,
@@ -33,14 +34,14 @@ def test_constant_field_recovers_constant():
 
 def test_classical_1d_matches_harmonic_mean():
     tensor, field, grid, _ = assemble("trig1d", 0.0)
-    oracle = em.harmonic_mean_oracle_1d(field, grid, "classical")
+    oracle = em.harmonic_mean_oracle_1d(field)
     assert oracle == pytest.approx(np.sqrt(3.0) / 4.0, abs=1e-7)
     assert abs(tensor.matrix[0, 0] - oracle) < 1e-4
 
 
 def test_subcritical_trig_matches_quadrature_oracle():
     tensor, field, grid, _ = assemble("trig1d_st", 0.0)
-    oracle = em.harmonic_mean_oracle_1d(field, grid, "subcritical")
+    oracle = em.harmonic_mean_oracle_1d(field)
     assert oracle == pytest.approx(SUBCRITICAL_TRIG_REF, abs=1e-6)
     assert abs(tensor.matrix[0, 0] - oracle) < 1e-4
 
@@ -52,7 +53,7 @@ def test_supercritical_trig_is_one_half():
 
 def test_oracle_refinement_order():
     field = make_field("trig1d_st")
-    oracle = em.harmonic_mean_oracle_1d(field, None, "subcritical")
+    oracle = em.harmonic_mean_oracle_1d(field)
     errs = []
     Ms = [16, 32, 64]
     for M in Ms:
@@ -233,12 +234,11 @@ def test_solver_paths_build_no_sparse_matrix(monkeypatch, case):
 
 def test_table_not_positive_definite_names_key_and_slice(monkeypatch):
     grid = CellGrid(M_y=8, M_s=4)
-    negative = cs.CellOperator.from_matrix_values(
-        -np.ones((8, 1, 1)), 1, CellGrid(M_y=8, M_s=4, face_avg="arithmetic"))
-    monkeypatch.setattr(cs, "slice_operators", lambda field, grid: [negative] * grid.M_s)
+    indefinite = indefinite_operator()
+    monkeypatch.setattr(cs, "slice_operators", lambda field, grid: [indefinite] * grid.M_s)
     with pytest.raises(SolverDiverged,
                        match=r"u0abs=0\.01: slice 0 \(s=0\.0000\): .*leading minor"):
-        em.tabulate_ahom_critical(make_field("trig1d_st"), grid, p=1.5,
+        em.tabulate_ahom_critical(make_field("trig2d_st"), grid, p=1.5,
                                   u0abs_grid=SHARED_TABLE_KEYS)
 
 
@@ -322,7 +322,7 @@ def test_entries_at_matches_reference_lookup_off_the_default_keys():
 
 def test_ellipticity_report_sandwich():
     tensor, _, _, _ = assemble("trig1d_st", 0.0, grid=CellGrid(M_y=32, M_s=32))
-    rep = em.ellipticity_report(tensor, n_probes=64, seed=0)
+    rep = em.ellipticity_report(tensor, seed=0)
     assert rep["min_slack"] >= -1e-8
     # trigonometric field has a nonzero corrector, so the lower bound is
     # strictly improved over plain lam |xi|^2
@@ -336,7 +336,7 @@ def test_ellipticity_report_flags_violations():
         matrices=0.1 * tensor.matrices, corrector_norms=tensor.corrector_norms,
         grad_grams=tensor.grad_grams, u0abs_keys=None, p=None)
     with pytest.raises(BoundViolated):
-        em.ellipticity_report(bad, n_probes=64, seed=0)
+        em.ellipticity_report(bad, seed=0)
 
 
 def test_symmetry_noncritical_2d():
@@ -451,7 +451,7 @@ def test_assemble_rejects_mixed_capacities():
 
 def test_oracle_rejects_2d():
     with pytest.raises(DimensionMismatch):
-        em.harmonic_mean_oracle_1d(make_field("laminate2d"), None, "classical")
+        em.harmonic_mean_oracle_1d(make_field("laminate2d"))
 
 
 def test_matrix_property_rejects_table():

@@ -920,6 +920,22 @@ def test_substeps_must_be_a_positive_integer(bad):
         pde.HomogenizedProblem(tensor=_constant_tensor(np.eye(1)), **kw)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, 2.0, 2.5])
+def test_p_outside_zero_two_is_config_error(bad):
+    # one rule for both problems and the cell problems (fields.check_p); a
+    # homogenized problem at p = 0 divided by zero, at p = -0.5 rejected a
+    # step, at NaN failed in a solve and at 2.5 ran
+    kw = dict(p=bad, f=lambda x, t: np.ones(len(x)), u0=lambda x: np.sin(np.pi * x[:, 0]),
+              grid=MacroGrid(dim=1, n_x=16, n_t=4, T=0.25))
+    message = re.escape(f"p must lie in (0,2), got {bad}")
+    with pytest.raises(ConfigError, match=message):
+        pde.MicroProblem(field=IDENTITY_1D, eps=0.5, r=1.0, **kw)
+    with pytest.raises(ConfigError, match=message):
+        pde.HomogenizedProblem(tensor=_constant_tensor(np.eye(1)), **kw)
+    with pytest.raises(ConfigError, match=message):
+        cs.regime_for(1.0, bad)
+
+
 def test_integral_substeps_are_kept_as_int():
     grid = MacroGrid(dim=1, n_x=16, n_t=4, T=0.25)
     kw = dict(p=0.5, f=lambda x, t: np.zeros(len(x)), u0=lambda x: np.sin(np.pi * x[:, 0]),
